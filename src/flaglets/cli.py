@@ -40,25 +40,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def random_flag_coeffs(limits: BandLimits, seed: int, real_signal: bool = False) -> FlagCoeffs:
+def random_flag_coeffs(limits: BandLimits, seed: int) -> FlagCoeffs:
     """Seeded random band-limited coefficients, components uniform in [-1, 1]."""
     rng = np.random.Generator(np.random.PCG64(seed))
     shape = (limits.P, limits.L * limits.L)
-    c = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
-    if real_signal:
-        c = _conjugate_symmetrize(c, limits.L)
-    return FlagCoeffs(limits, c)
-
-
-def _conjugate_symmetrize(c: np.ndarray, L: int) -> np.ndarray:
-    out = c.copy()
-    for ell in range(L):
-        base = ell * ell + ell
-        out[:, base] = out[:, base].real
-        for m in range(1, ell + 1):
-            sign = -1.0 if m % 2 else 1.0
-            out[:, base - m] = sign * np.conj(out[:, base + m])
-    return out
+    return FlagCoeffs(limits, rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape))
 
 
 def blob_field(
@@ -273,30 +259,28 @@ def cmd_bench(args) -> int:
 def cmd_kernels(args) -> int:
     params = _tiling_from_args(args)
     sph = build_sphere_kernels(args.L, params)
-    rows = []
-    for ell in range(args.L):
-        kap = [k[ell] for k in sph.kappas]
-        admiss = sph.eta[ell] ** 2 + sum(v * v for v in kap)
-        rows.append([ell, sph.eta[ell], *kap, admiss])
+    # admissibility sums the squares in scale order, as eta^2 + (k_j0^2 + ...)
+    admiss = sph.eta**2 + sum(k * k for k in sph.kappas)
+    rows = np.column_stack([np.arange(args.L), sph.eta, *sph.kappas, admiss])
     header = ["ell", "eta", *[f"kappa_{j}" for j in range(sph.j0, sph.jmax + 1)], "admissibility"]
-    _write_csv(args.output, np.array(rows), header)
+    _write_csv(args.output, rows, header)
     printed = f"wrote sphere kernel table to {args.output}"
     if args.P > 0:
         limits = BandLimits(args.L, args.P, args.tau)
         fk = build_flaglet_kernels(limits, params)
-        rows = []
-        for ell in range(args.L):
-            for p in range(args.P):
-                psi = [fk.psis[key][ell, p] for key in sorted(fk.psis)]
-                admiss = fk.phi[ell, p] ** 2 + sum(v * v for v in psi)
-                rows.append([ell, p, fk.phi[ell, p], *psi, admiss])
+        # rows run over ell, then p: the row-major order of the (L, P) windows
+        psis = [fk.psis[key].ravel() for key in sorted(fk.psis)]
+        phi = fk.phi.ravel()
+        admiss = phi**2 + sum(v * v for v in psis)
+        ells, ps = np.divmod(np.arange(args.L * args.P), args.P)
+        rows = np.column_stack([ells, ps, phi, *psis, admiss])
         header = (
             ["ell", "p", "phi"]
             + [f"psi_{j}_{jp}" for (j, jp) in sorted(fk.psis)]
             + ["admissibility"]
         )
         ball_path = args.ball_output or args.output + ".ball.csv"
-        _write_csv(ball_path, np.array(rows), header)
+        _write_csv(ball_path, rows, header)
         printed += f"; wrote ball kernel table to {ball_path}"
     print(printed)
     return EXIT_OK

@@ -1,12 +1,14 @@
 """Fourier-Laguerre transform on the ball.
 
-Separable composition of the spherical harmonic transform (per radial
-shell) and the spherical Laguerre transform (per harmonic index).  Exact
-in both directions for signals band-limited at (L, P).
+Separable composition of the spherical harmonic transform and the
+spherical Laguerre transform.  Each direction is one batched SHT pass over
+all P radial shells plus one radial GEMM over all L^2 harmonic indices.
+Exact in both directions for signals band-limited at (L, P).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -15,15 +17,18 @@ import numpy as np
 from .radial_laguerre import RadialParams, basis_matrix, radial_nodes
 from .sphere_harmonics import (
     MAX_BAND_LIMIT,
-    SphereCoeffs,
-    SphereGrid,
     SpherePlan,
+    _real_matmul,
+    _sht_forward_batch,
+    _sht_inverse_batch,
     get_plan,
-    sht_forward,
-    sht_inverse,
 )
 
 __all__ = ["BandLimits", "BallGrid", "FlagCoeffs", "FlagPlan", "flag_forward", "flag_inverse"]
+
+# plans for this many limits stay cached: more than the at most 36 scale
+# limits (L_j, P_j') plus full limits of multiresolution flaglets at L=P=32
+_PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -95,37 +100,21 @@ class FlagPlan:
         self.kforward = self.kbasis * self.radial_weights[None, :]
 
 
-_plan_cache: dict[BandLimits, FlagPlan] = {}
-
-
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def get_flag_plan(limits: BandLimits) -> FlagPlan:
-    plan = _plan_cache.get(limits)
-    if plan is None:
-        plan = _plan_cache[limits] = FlagPlan(limits)
-    return plan
+    return FlagPlan(limits)
 
 
 def flag_forward(grid: BallGrid, plan: FlagPlan | None = None) -> FlagCoeffs:
     """Forward Fourier-Laguerre transform; exact for band-limited signals."""
-    limits = grid.limits
-    if plan is None:
-        plan = get_flag_plan(limits)
-    L, P = limits.L, limits.P
-    shell_coeffs = np.empty((P, L * L), dtype=np.complex128)
-    for i in range(P):
-        shell_coeffs[i] = sht_forward(SphereGrid(L, grid.values[i]), plan.sphere).coeffs
-    return FlagCoeffs(limits, plan.kforward @ shell_coeffs)
+    plan = plan or get_flag_plan(grid.limits)
+    shell_coeffs = _sht_forward_batch(grid.values, plan.sphere)  # (shells, L^2)
+    return FlagCoeffs(grid.limits, _real_matmul(plan.kforward, shell_coeffs))
 
 
 def flag_inverse(coeffs: FlagCoeffs, plan: FlagPlan | None = None) -> BallGrid:
     """Inverse Fourier-Laguerre transform onto the exact ball grid."""
-    limits = coeffs.limits
-    if plan is None:
-        plan = get_flag_plan(limits)
-    L, P = limits.L, limits.P
-    # radial synthesis at the sampling nodes, then per-shell angular synthesis
-    shell_coeffs = plan.kbasis.T @ coeffs.coeffs  # (shells, L^2)
-    values = np.empty((P, L, 2 * L - 1), dtype=np.complex128)
-    for i in range(P):
-        values[i] = sht_inverse(SphereCoeffs(L, shell_coeffs[i]), plan.sphere).values
-    return BallGrid(limits, values)
+    plan = plan or get_flag_plan(coeffs.limits)
+    # radial synthesis at the sampling nodes, then angular synthesis of all shells
+    shell_coeffs = _real_matmul(plan.kbasis.T, coeffs.coeffs)  # (shells, L^2)
+    return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, plan.sphere))

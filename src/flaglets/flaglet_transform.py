@@ -13,8 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
+from .flag_transform import (
+    BallGrid,
+    BandLimits,
+    FlagCoeffs,
+    flag_forward,
+    flag_inverse,
+    get_flag_plan,
+)
 from .kernel_tiling import FlagletKernels, TilingParams
+from .sphere_harmonics import resize_coeffs, window_coeffs
 
 __all__ = [
     "FlagletDecomposition",
@@ -48,31 +56,10 @@ class FlagletDecomposition:
 
 def _grid_energy(grid: BallGrid) -> float:
     """Quadrature estimate of the integral of |f|^2 over the ball."""
-    from .quadrature import gauss_legendre
-    from .radial_laguerre import radial_nodes
-
-    L = grid.limits.L
-    _, wr = radial_nodes(grid.limits.radial)
-    wa = gauss_legendre(L).weights
-    dphi = 2.0 * np.pi / (2 * L - 1)
+    plan = get_flag_plan(grid.limits)
+    dphi = 2.0 * np.pi / (2 * grid.limits.L - 1)
     sq = np.abs(grid.values) ** 2
-    return float(np.einsum("p,i,pij->", wr, wa, sq) * dphi)
-
-
-def _window_coeffs(coeffs: np.ndarray, L: int, window: np.ndarray) -> np.ndarray:
-    """Multiply (P, L^2) coefficients by an (L, P) window in (ell, p)."""
-    ells = np.floor(np.sqrt(np.arange(L * L))).astype(int)
-    return coeffs * window.T[:, ells]
-
-
-def _truncate(coeffs: np.ndarray, limits: BandLimits, lj: int, pj: int) -> np.ndarray:
-    return coeffs[:pj, : lj * lj].copy()
-
-
-def _extend(coeffs: np.ndarray, sub: BandLimits, limits: BandLimits) -> np.ndarray:
-    out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-    out[: sub.P, : sub.L * sub.L] = coeffs
-    return out
+    return float(np.einsum("p,i,pij->", plan.radial_weights, plan.sphere.rule.weights, sq) * dphi)
 
 
 def flaglet_analyze(
@@ -84,23 +71,20 @@ def flaglet_analyze(
         raise ValueError(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
-    L = limits.L
 
-    def render(windowed: np.ndarray, lj: int, pj: int) -> BallGrid:
+    def render(window: np.ndarray, lj: int, pj: int) -> BallGrid:
         if not multires:
             lj, pj = limits.L, limits.P
-        sub = BandLimits(lj, pj, limits.tau)
-        return flag_inverse(FlagCoeffs(sub, _truncate(windowed, limits, lj, pj)))
+        sub = resize_coeffs(f.coeffs, (pj, lj * lj))
+        windowed = window_coeffs(sub, window.T[:pj, :lj])
+        return flag_inverse(FlagCoeffs(BandLimits(lj, pj, limits.tau), windowed))
 
     # the residual scaling window is supported on the whole L-shaped
     # low-frequency region (all ell at small p and vice versa), so the
     # scaling part always stays at full band limits
-    scaling = render(_window_coeffs(f.coeffs, L, kernels.phi), limits.L, limits.P)
+    scaling = render(kernels.phi, limits.L, limits.P)
     wavelets = {
-        (j, jp): render(
-            _window_coeffs(f.coeffs, L, kernels.psis[(j, jp)]),
-            *kernels.band_limits(j, jp),
-        )
+        (j, jp): render(kernels.psis[(j, jp)], *kernels.band_limits(j, jp))
         for j in kernels.j_range
         for jp in kernels.jp_range
     }
@@ -117,15 +101,12 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
         raise ValueError("decomposition scale indices do not match the kernels")
 
     out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-
-    def collect(grid: BallGrid, window: np.ndarray):
-        part = _extend(flag_forward(grid).coeffs, grid.limits, limits)
-        nonlocal out
-        out += _window_coeffs(part, limits.L, window)
-
-    collect(d.scaling, kernels.phi)
-    for key, grid in d.wavelets.items():
-        collect(grid, kernels.psis[key])
+    parts = [(d.scaling, kernels.phi)]
+    parts += [(grid, kernels.psis[key]) for key, grid in d.wavelets.items()]
+    for grid, window in parts:
+        lj, pj = grid.limits.L, grid.limits.P
+        windowed = window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
+        out += resize_coeffs(windowed, out.shape)
     return FlagCoeffs(limits, out)
 
 

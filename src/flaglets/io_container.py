@@ -26,8 +26,15 @@ import numpy as np
 
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs
 from .flaglet_transform import FlagletDecomposition
-from .kernel_tiling import FlagletKernels, SphereKernels, TilingParams
-from .sphere_harmonics import SphereCoeffs, SphereGrid
+from .kernel_tiling import (
+    FlagletKernels,
+    SphereKernels,
+    TilingParams,
+    scale_band_limit,
+    scale_range,
+)
+from .quadrature import MAX_NODES
+from .sphere_harmonics import MAX_BAND_LIMIT, SphereCoeffs, SphereGrid
 from .sphere_wavelets import SphereDecomposition
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "TruncatedError",
     "LengthMismatchError",
     "KindError",
+    "HeaderError",
     "write_container",
     "read_container",
 ]
@@ -54,6 +62,10 @@ KIND_DECOMPOSITION = 7
 
 _FLAG_MULTIRES = 1
 _FLAG_SPHERE = 2
+
+# payloads are read in pieces of at most this many bytes, so memory grows
+# with the bytes actually present, not with the sizes a header declares
+_READ_CHUNK_BYTES = 1 << 24
 
 
 class ContainerError(Exception):
@@ -80,11 +92,27 @@ class KindError(ContainerError):
     pass
 
 
+class HeaderError(ContainerError, ValueError):
+    """A header field is out of range or describes an invalid object."""
+
+
 def _read_exact(source, n: int, what: str) -> bytes:
-    data = source.read(n)
-    if len(data) != n:
-        raise TruncatedError(f"{what}: expected {n} bytes, got {len(data)}")
-    return data
+    parts, got = [], 0
+    while got < n:
+        part = source.read(min(n - got, _READ_CHUNK_BYTES))
+        if not part:
+            raise TruncatedError(f"{what}: expected {n} bytes, got {got}")
+        parts.append(part)
+        got += len(part)
+    return b"".join(parts)
+
+
+def _check_limits(L: int, P: int = 1):
+    """Reject band limits no library object can have, before any allocation."""
+    if not 1 <= L <= MAX_BAND_LIMIT:
+        raise HeaderError(f"band limit {L} is outside [1, {MAX_BAND_LIMIT}]")
+    if not 1 <= P <= MAX_NODES:
+        raise HeaderError(f"radial band limit {P} is outside [1, {MAX_NODES}]")
 
 
 def _complex_bytes(a: np.ndarray) -> bytes:
@@ -136,60 +164,21 @@ def write_container(obj, sink) -> int:
         for kappa in obj.kappas:
             buf.write(_real_bytes(kappa))
     elif isinstance(obj, FlagletKernels):
-        p = obj.params
-        buf.write(
-            struct.pack(
-                "<IIIIIdd",
-                KIND_FLAGLET_KERNELS,
-                obj.limits.L,
-                obj.limits.P,
-                p.j0_ang,
-                p.j0_rad,
-                p.lam,
-                p.nu,
-            )
-        )
-        buf.write(struct.pack("<d", obj.limits.tau))
+        p, lim = obj.params, obj.limits
+        fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, p.lam, p.nu, lim.tau)
+        buf.write(struct.pack("<IIIIIddd", KIND_FLAGLET_KERNELS, *fields))
         buf.write(_real_bytes(obj.phi))
         for j in obj.j_range:
             for jp in obj.jp_range:
                 buf.write(_real_bytes(obj.psis[(j, jp)]))
-    elif isinstance(obj, SphereDecomposition):
-        flags = _FLAG_SPHERE | (_FLAG_MULTIRES if obj.multires else 0)
-        buf.write(
-            struct.pack(
-                "<IIIIIIddd",
-                KIND_DECOMPOSITION,
-                obj.L,
-                0,
-                obj.j0,
-                0,
-                flags,
-                obj.lam,
-                0.0,
-                0.0,
-            )
-        )
-        buf.write(_complex_bytes(obj.scaling.values))
-        for j in sorted(obj.wavelets):
-            buf.write(_complex_bytes(obj.wavelets[j].values))
-    elif isinstance(obj, FlagletDecomposition):
-        p = obj.params
+    elif isinstance(obj, (SphereDecomposition, FlagletDecomposition)):
         flags = _FLAG_MULTIRES if obj.multires else 0
-        buf.write(
-            struct.pack(
-                "<IIIIIIddd",
-                KIND_DECOMPOSITION,
-                obj.limits.L,
-                obj.limits.P,
-                p.j0_ang,
-                p.j0_rad,
-                flags,
-                p.lam,
-                p.nu,
-                obj.limits.tau,
-            )
-        )
+        if isinstance(obj, SphereDecomposition):
+            fields = (obj.L, 0, obj.j0, 0, flags | _FLAG_SPHERE, obj.lam, 0.0, 0.0)
+        else:
+            p, lim = obj.params, obj.limits
+            fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
+        buf.write(struct.pack("<IIIIIIddd", KIND_DECOMPOSITION, *fields))
         buf.write(_complex_bytes(obj.scaling.values))
         for key in sorted(obj.wavelets):
             buf.write(_complex_bytes(obj.wavelets[key].values))
@@ -220,57 +209,12 @@ def read_container(source):
     if version != VERSION:
         raise VersionError(f"unsupported version {version}")
     (kind,) = struct.unpack("<I", _read_exact(source, 4, "kind"))
-
-    if kind == KIND_SPHERE_GRID:
-        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
-        vals = _read_complex(source, L * (2 * L - 1), "payload")
-        obj = SphereGrid(L, vals.reshape(L, 2 * L - 1))
-    elif kind == KIND_SPHERE_COEFFS:
-        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
-        obj = SphereCoeffs(L, _read_complex(source, L * L, "payload"))
-    elif kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS):
-        L, P, tau = struct.unpack("<IId", _read_exact(source, 16, "header"))
-        limits = BandLimits(L, P, tau)
-        if kind == KIND_BALL_GRID:
-            vals = _read_complex(source, P * L * (2 * L - 1), "payload")
-            obj = BallGrid(limits, vals.reshape(P, L, 2 * L - 1))
-        else:
-            vals = _read_complex(source, P * L * L, "payload")
-            obj = FlagCoeffs(limits, vals.reshape(P, L * L))
-    elif kind == KIND_SPHERE_KERNELS:
-        from .kernel_tiling import build_sphere_kernels, scale_count
-
-        L, j0, lam = struct.unpack("<IId", _read_exact(source, 16, "header"))
-        params = TilingParams(lam=lam, nu=2.0, j0_ang=j0, j0_rad=0)
-        nscales = scale_count(L, lam, j0)
-        eta = _read_real(source, L, "eta payload")
-        kappas = [_read_real(source, L, "kappa payload") for _ in range(nscales)]
-        obj = SphereKernels(L, params, eta, kappas)
-    elif kind == KIND_FLAGLET_KERNELS:
-        L, P, j0a, j0r, lam, nu, tau = struct.unpack(
-            "<IIIIddd", _read_exact(source, 40, "header")
-        )
-        limits = BandLimits(L, P, tau)
-        params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
-        phi = _read_real(source, L * P, "phi payload").reshape(L, P)
-        kernels = FlagletKernels(limits, params, phi, {})
-        psis = {}
-        for j in kernels.j_range:
-            for jp in kernels.jp_range:
-                psis[(j, jp)] = _read_real(source, L * P, "psi payload").reshape(L, P)
-        kernels.psis = psis
-        obj = kernels
-    elif kind == KIND_DECOMPOSITION:
-        L, P, j0a, j0r, flags, lam, nu, tau = struct.unpack(
-            "<IIIIIddd", _read_exact(source, 44, "header")
-        )
-        multires = bool(flags & _FLAG_MULTIRES)
-        if flags & _FLAG_SPHERE:
-            obj = _read_sphere_decomposition(source, L, j0a, lam, multires)
-        else:
-            obj = _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires)
-    else:
-        raise KindError(f"unknown container kind {kind}")
+    try:
+        obj = _read_object(source, kind)
+    except ContainerError:
+        raise
+    except (ValueError, OverflowError) as exc:
+        raise HeaderError(f"invalid header: {exc}") from exc
 
     trailing = source.read(1)
     if trailing:
@@ -278,30 +222,75 @@ def read_container(source):
     return obj
 
 
-def _read_sphere_decomposition(source, L, j0, lam, multires):
-    from .kernel_tiling import build_sphere_kernels
+def _read_object(source, kind: int):
+    if kind == KIND_SPHERE_GRID:
+        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
+        _check_limits(L)
+        vals = _read_complex(source, L * (2 * L - 1), "payload")
+        return SphereGrid(L, vals.reshape(L, 2 * L - 1))
+    if kind == KIND_SPHERE_COEFFS:
+        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
+        _check_limits(L)
+        return SphereCoeffs(L, _read_complex(source, L * L, "payload"))
+    if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS):
+        L, P, tau = struct.unpack("<IId", _read_exact(source, 16, "header"))
+        _check_limits(L, P)
+        limits = BandLimits(L, P, tau)
+        if kind == KIND_BALL_GRID:
+            vals = _read_complex(source, P * L * (2 * L - 1), "payload")
+            return BallGrid(limits, vals.reshape(P, L, 2 * L - 1))
+        vals = _read_complex(source, P * L * L, "payload")
+        return FlagCoeffs(limits, vals.reshape(P, L * L))
+    if kind == KIND_SPHERE_KERNELS:
+        L, j0, lam = struct.unpack("<IId", _read_exact(source, 16, "header"))
+        _check_limits(L)
+        params = TilingParams(lam=lam, nu=2.0, j0_ang=j0, j0_rad=0)
+        eta = _read_real(source, L, "eta payload")
+        kappas = [_read_real(source, L, "kappa payload") for _ in scale_range(L, lam, j0)]
+        return SphereKernels(L, params, eta, kappas)
+    if kind == KIND_FLAGLET_KERNELS:
+        L, P, j0a, j0r, lam, nu, tau = struct.unpack(
+            "<IIIIddd", _read_exact(source, 40, "header")
+        )
+        _check_limits(L, P)
+        limits = BandLimits(L, P, tau)
+        params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
+        phi = _read_real(source, L * P, "phi payload").reshape(L, P)
+        psis = {
+            (j, jp): _read_real(source, L * P, "psi payload").reshape(L, P)
+            for j in scale_range(L, lam, j0a)
+            for jp in scale_range(P, nu, j0r)
+        }
+        return FlagletKernels(limits, params, phi, psis)
+    if kind == KIND_DECOMPOSITION:
+        L, P, j0a, j0r, flags, lam, nu, tau = struct.unpack(
+            "<IIIIIddd", _read_exact(source, 44, "header")
+        )
+        multires = bool(flags & _FLAG_MULTIRES)
+        if flags & _FLAG_SPHERE:
+            _check_limits(L)
+            return _read_sphere_decomposition(source, L, j0a, lam, multires)
+        _check_limits(L, P)
+        return _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires)
+    raise KindError(f"unknown container kind {kind}")
 
-    params = TilingParams(lam=lam, nu=2.0, j0_ang=j0, j0_rad=0)
-    kernels = build_sphere_kernels(L, params)
+
+def _read_sphere_decomposition(source, L, j0, lam, multires):
+    TilingParams(lam=lam, j0_ang=j0)  # validates the header's tiling
 
     def read_grid(band):
         band = band if multires else L
         vals = _read_complex(source, band * (2 * band - 1), "scale payload")
         return SphereGrid(band, vals.reshape(band, 2 * band - 1))
 
-    scaling = read_grid(kernels.scaling_band_limit)
-    wavelets = {
-        j: read_grid(kernels.band_limit(j)) for j in range(kernels.j0, kernels.jmax + 1)
-    }
+    scaling = read_grid(scale_band_limit(j0, lam, L))
+    wavelets = {j: read_grid(scale_band_limit(j, lam, L)) for j in scale_range(L, lam, j0)}
     return SphereDecomposition(L, lam, j0, scaling, wavelets, multires)
 
 
 def _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires):
-    from .kernel_tiling import build_flaglet_kernels
-
     limits = BandLimits(L, P, tau)
     params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
-    kernels = build_flaglet_kernels(limits, params)
 
     def read_grid(lj, pj):
         if not multires:
@@ -311,8 +300,8 @@ def _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires):
 
     scaling = read_grid(L, P)  # scaling part is always stored at full limits
     wavelets = {
-        (j, jp): read_grid(*kernels.band_limits(j, jp))
-        for j in kernels.j_range
-        for jp in kernels.jp_range
+        (j, jp): read_grid(scale_band_limit(j, lam, L), scale_band_limit(jp, nu, P))
+        for j in scale_range(L, lam, j0a)
+        for jp in scale_range(P, nu, j0r)
     }
     return FlagletDecomposition(limits, params, scaling, wavelets, multires)

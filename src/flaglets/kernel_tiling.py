@@ -63,6 +63,21 @@ def scale_count(band_limit: int, dilation: float, j0: int) -> int:
     return max_scale(band_limit, dilation) - j0 + 1
 
 
+def scale_range(band_limit: int, dilation: float, j0: int) -> range:
+    """Scale indices j0..J of the tiling of degrees below band_limit."""
+    jmax = max_scale(band_limit, dilation)
+    if j0 > jmax:
+        raise ValueError(
+            f"minimum scale {j0} exceeds largest scale {jmax} at band limit {band_limit}"
+        )
+    return range(j0, jmax + 1)
+
+
+def scale_band_limit(j: int, dilation: float, band_limit: int) -> int:
+    """Effective band limit of scale j: smallest grid holding its support."""
+    return min(int(math.ceil(dilation ** (j + 1))), band_limit)
+
+
 @dataclass
 class SphereKernels:
     """Harmonic-line windows at band limit L: scaling eta and wavelets kappa_j."""
@@ -82,11 +97,11 @@ class SphereKernels:
 
     def band_limit(self, j: int) -> int:
         """Effective band limit of scale j: smallest grid holding its support."""
-        return min(int(math.ceil(self.params.lam ** (j + 1))), self.L)
+        return scale_band_limit(j, self.params.lam, self.L)
 
     @property
     def scaling_band_limit(self) -> int:
-        return min(int(math.ceil(self.params.lam ** (self.j0 + 1))), self.L)
+        return self.band_limit(self.j0)
 
 
 @dataclass
@@ -100,17 +115,18 @@ class FlagletKernels:
 
     @property
     def j_range(self) -> range:
-        return range(self.params.j0_ang, max_scale(self.limits.L, self.params.lam) + 1)
+        return scale_range(self.limits.L, self.params.lam, self.params.j0_ang)
 
     @property
     def jp_range(self) -> range:
-        return range(self.params.j0_rad, max_scale(self.limits.P, self.params.nu) + 1)
+        return scale_range(self.limits.P, self.params.nu, self.params.j0_rad)
 
     def band_limits(self, j: int, jp: int) -> tuple[int, int]:
         """Effective (L_j, P_j') band limits of scale (j, j')."""
-        lj = min(int(math.ceil(self.params.lam ** (j + 1))), self.limits.L)
-        pj = min(int(math.ceil(self.params.nu ** (jp + 1))), self.limits.P)
-        return lj, pj
+        return (
+            scale_band_limit(j, self.params.lam, self.limits.L),
+            scale_band_limit(jp, self.params.nu, self.limits.P),
+        )
 
     @property
     def scaling_band_limits(self) -> tuple[int, int]:
@@ -188,18 +204,14 @@ def _line_kernels(band_limit: int, dilation: float, j0: int):
     are formed as differences of the same table, so the partition of unity
     holds to rounding error by construction.
     """
-    jmax = max_scale(band_limit, dilation)
-    if j0 > jmax:
-        raise ValueError(
-            f"minimum scale {j0} exceeds largest scale {jmax} at band limit {band_limit}"
-        )
+    scales = scale_range(band_limit, dilation, j0)
     ells = np.arange(band_limit, dtype=np.float64)
     # ktab[j - j0] = k_lambda(l / dilation^j) for j = j0 .. jmax+1
-    ktab = np.empty((jmax - j0 + 2, band_limit))
-    for row, j in enumerate(range(j0, jmax + 2)):
+    ktab = np.empty((len(scales) + 1, band_limit))
+    for row, j in enumerate(range(j0, scales.stop + 1)):
         ktab[row] = k_lambda(dilation, ells / dilation ** j)
     eta = np.sqrt(np.maximum(0.0, ktab[0]))
-    kappas = [np.sqrt(np.maximum(0.0, ktab[r + 1] - ktab[r])) for r in range(jmax - j0 + 1)]
+    kappas = [np.sqrt(np.maximum(0.0, ktab[r + 1] - ktab[r])) for r in range(len(scales))]
     return eta, kappas
 
 

@@ -13,8 +13,9 @@ Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +38,44 @@ MAX_BAND_LIMIT = 4096
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_LOG = math.log(1e250)
 
+# plans for this many band limits stay cached: more than the 9 distinct
+# band limits one multiresolution sphere-wavelet pass at L=288 touches
+_PLAN_CACHE_SIZE = 32
+
+# the forward transform FFTs at most this many bytes of grid rows at a time,
+# so a batch of shells never holds a full-size Fourier copy of its grid
+_FFT_BLOCK_BYTES = 8 << 20
+
 
 def coeff_index(ell: int, m: int) -> int:
     """Flat index of the (ell, m) coefficient: ell^2 + ell + m."""
     return ell * ell + ell + m
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def degree_of_index(L: int) -> np.ndarray:
+    """Degree ell = floor(sqrt(i)) of every flat index i < L^2 (read-only)."""
+    ells = np.repeat(np.arange(L), 2 * np.arange(L) + 1)
+    ells.flags.writeable = False
+    return ells
+
+
+def window_coeffs(coeffs: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Multiply coefficients (..., L^2) by a per-degree window (..., L)."""
+    return coeffs * window[..., degree_of_index(window.shape[-1])]
+
+
+def resize_coeffs(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Truncate or zero-pad coefficients to `shape` (last axis L^2: a new band limit).
+
+    Returns `coeffs` itself when the shape already matches.
+    """
+    if coeffs.shape == shape:
+        return coeffs
+    out = np.zeros(shape, dtype=coeffs.dtype)
+    common = tuple(slice(min(a, b)) for a, b in zip(coeffs.shape, shape))
+    out[common] = coeffs[common]
+    return out
 
 
 @dataclass
@@ -183,14 +218,69 @@ class SpherePlan:
         return self._tables[m]
 
 
-_plan_cache: dict[int, SpherePlan] = {}
-
-
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def get_plan(L: int) -> SpherePlan:
-    plan = _plan_cache.get(L)
-    if plan is None:
-        plan = _plan_cache[L] = SpherePlan(L)
-    return plan
+    return SpherePlan(L)
+
+
+def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Real matrix times complex matrix as one real GEMM over (re, im) pairs."""
+    z = np.ascontiguousarray(z)
+    return (a @ z.view(np.float64)).view(np.complex128)
+
+
+def _sht_forward_batch(values: np.ndarray, plan: SpherePlan) -> np.ndarray:
+    """Forward SHT of every grid in values (..., L, 2L-1); returns (..., L^2).
+
+    Rows are FFT'd a block at a time.  For each m one GEMM projects the +m
+    and -m Fourier columns of every row in the block onto the degrees (at
+    m = 0 both halves are column 0, and both writes store the same values).
+    """
+    L, nphi = plan.L, 2 * plan.L - 1
+    rows = values.reshape(-1, L, nphi)
+    out = np.empty((rows.shape[0], L * L), dtype=np.complex128)
+    # w_i (2 pi / (2L-1)) / sqrt(2 pi): quadrature and harmonic normalisation
+    scale = plan.rule.weights[:, None] * (math.sqrt(2.0 * np.pi) / nphi)
+    ells = np.arange(L)
+    step = max(1, _FFT_BLOCK_BYTES // (16 * L * nphi))
+    for start in range(0, rows.shape[0], step):
+        block = rows[start : start + step]
+        n = block.shape[0]
+        # (m column, colatitude, row) layout: each fm[m] is a contiguous matrix
+        fm = np.empty((nphi, L, n), dtype=np.complex128)
+        np.fft.fft(block.transpose(2, 1, 0), axis=0, out=fm)
+        fm *= scale
+        for m in range(L):
+            proj = _real_matmul(plan.legendre(m), np.hstack((fm[m], fm[-m])))
+            base = ells[m:] * (ells[m:] + 1)
+            out[start : start + n, base + m] = proj[:, :n].T
+            out[start : start + n, base - m] = (-1) ** m * proj[:, n:].T
+    return out.reshape(values.shape[:-2] + (L * L,))
+
+
+def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
+    """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
+
+    For each m one GEMM synthesises the +m and -m Fourier columns of every
+    row (at m = 0 both halves are column 0 and agree); the longitudinal sums
+    are one in-place inverse FFT.
+    """
+    L, nphi = plan.L, 2 * plan.L - 1
+    rows = coeffs.reshape(-1, L * L)
+    n = rows.shape[0]
+    g = np.empty((n, L, nphi), dtype=np.complex128)
+    ells = np.arange(L)
+    for m in range(L):
+        base = ells[m:] * (ells[m:] + 1)
+        stacked = np.empty((L - m, 2 * n), dtype=np.complex128)
+        stacked[:, :n] = rows[:, base + m].T
+        stacked[:, n:] = (-1) ** m * rows[:, base - m].T
+        synth = _real_matmul(plan.legendre(m).T, stacked)  # (L, 2n)
+        g[:, :, m] = synth[:, :n].T
+        g[:, :, -m] = synth[:, n:].T
+    np.fft.ifft(g, axis=-1, out=g)
+    g *= nphi / math.sqrt(2.0 * np.pi)
+    return g.reshape(coeffs.shape[:-1] + (L, nphi))
 
 
 def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeffs:
@@ -199,39 +289,9 @@ def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeff
     f_lm = sum_i sum_k w_i (2 pi / (2L-1)) f(theta_i, phi_k) conj(Y_lm),
     with the k-sum carried out by FFT.
     """
-    L = grid.L
-    if plan is None:
-        plan = get_plan(L)
-    nphi = 2 * L - 1
-    fm = np.fft.fft(grid.values, axis=1) * (2.0 * np.pi / nphi)
-    wfm = plan.rule.weights[:, None] * fm
-
-    coeffs = np.zeros(L * L, dtype=np.complex128)
-    for m in range(L):
-        pm = plan.legendre(m)  # (L - m, L)
-        ells = np.arange(m, L)
-        coeffs[ells * ells + ells + m] = pm @ wfm[:, m] / math.sqrt(2.0 * np.pi)
-        if m > 0:
-            sign = -1.0 if m % 2 else 1.0
-            coeffs[ells * ells + ells - m] = (
-                sign * (pm @ wfm[:, nphi - m]) / math.sqrt(2.0 * np.pi)
-            )
-    return SphereCoeffs(L, coeffs)
+    return SphereCoeffs(grid.L, _sht_forward_batch(grid.values, plan or get_plan(grid.L)))
 
 
 def sht_inverse(coeffs: SphereCoeffs, plan: SpherePlan | None = None) -> SphereGrid:
     """Inverse spherical harmonic transform onto the exact grid."""
-    L = coeffs.L
-    if plan is None:
-        plan = get_plan(L)
-    nphi = 2 * L - 1
-    g = np.zeros((L, nphi), dtype=np.complex128)
-    for m in range(L):
-        pm = plan.legendre(m)
-        ells = np.arange(m, L)
-        g[:, m] = pm.T @ coeffs.coeffs[ells * ells + ells + m]
-        if m > 0:
-            sign = -1.0 if m % 2 else 1.0
-            g[:, nphi - m] = sign * (pm.T @ coeffs.coeffs[ells * ells + ells - m])
-    values = np.fft.ifft(g, axis=1) * (nphi / math.sqrt(2.0 * np.pi))
-    return SphereGrid(L, values)
+    return SphereGrid(coeffs.L, _sht_inverse_batch(coeffs.coeffs, plan or get_plan(coeffs.L)))

@@ -9,15 +9,21 @@ window; admissibility makes the round trip exact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .kernel_tiling import SphereKernels
-from .sphere_harmonics import SphereCoeffs, SphereGrid, sht_forward, sht_inverse
+from .sphere_harmonics import (
+    SphereCoeffs,
+    SphereGrid,
+    resize_coeffs,
+    sht_forward,
+    sht_inverse,
+    window_coeffs,
+)
 
 __all__ = ["SphereDecomposition", "sphere_analyze", "sphere_synthesize"]
-
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -36,27 +42,6 @@ class SphereDecomposition:
         return n + sum(g.values.size for g in self.wavelets.values())
 
 
-def _truncate(coeffs: np.ndarray, L: int, L_out: int) -> np.ndarray:
-    """Restrict flat (ell^2+ell+m)-indexed coefficients to a lower band limit."""
-    if L_out == L:
-        return coeffs.copy()
-    return coeffs[: L_out * L_out].copy()
-
-
-def _extend(coeffs: np.ndarray, L_in: int, L: int) -> np.ndarray:
-    if L_in == L:
-        return coeffs
-    out = np.zeros(L * L, dtype=np.complex128)
-    out[: L_in * L_in] = coeffs
-    return out
-
-
-def _window(coeffs: np.ndarray, L: int, win: np.ndarray) -> np.ndarray:
-    """Multiply coefficients by a per-degree window win[ell]."""
-    ells = np.floor(np.sqrt(np.arange(L * L))).astype(int)
-    return coeffs * win[ells]
-
-
 def sphere_analyze(
     f: SphereCoeffs, kernels: SphereKernels, multires: bool = False
 ) -> SphereDecomposition:
@@ -65,13 +50,14 @@ def sphere_analyze(
     if kernels.L != L:
         raise ValueError(f"kernel band limit {kernels.L} does not match signal {L}")
 
-    def render(windowed: np.ndarray, band: int) -> SphereGrid:
+    def render(window: np.ndarray, band: int) -> SphereGrid:
         band = band if multires else L
-        return sht_inverse(SphereCoeffs(band, _truncate(windowed, L, band)))
+        windowed = window_coeffs(resize_coeffs(f.coeffs, (band * band,)), window[:band])
+        return sht_inverse(SphereCoeffs(band, windowed))
 
-    scaling = render(_window(f.coeffs, L, kernels.eta), kernels.scaling_band_limit)
+    scaling = render(kernels.eta, kernels.scaling_band_limit)
     wavelets = {
-        j: render(_window(f.coeffs, L, kappa), kernels.band_limit(j))
+        j: render(kappa, kernels.band_limit(j))
         for j, kappa in enumerate(kernels.kappas, start=kernels.j0)
     }
     return SphereDecomposition(L, kernels.params.lam, kernels.j0, scaling, wavelets, multires)
@@ -86,13 +72,9 @@ def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereC
         raise ValueError("decomposition scale indices do not match the kernels")
 
     out = np.zeros(L * L, dtype=np.complex128)
-
-    def collect(grid: SphereGrid, win: np.ndarray):
-        part = _extend(sht_forward(grid).coeffs, grid.L, L)
-        nonlocal out
-        out += _window(part, L, win)
-
-    collect(d.scaling, kernels.eta)
-    for j, kappa in enumerate(kernels.kappas, start=kernels.j0):
-        collect(d.wavelets[j], kappa)
+    parts = [(d.scaling, kernels.eta)]
+    parts += [(d.wavelets[j], kappa) for j, kappa in enumerate(kernels.kappas, start=kernels.j0)]
+    for grid, window in parts:
+        windowed = window_coeffs(sht_forward(grid).coeffs, window[: grid.L])
+        out += resize_coeffs(windowed, out.shape)
     return SphereCoeffs(L, out)

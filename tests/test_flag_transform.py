@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from flaglets import sphere_harmonics
 from flaglets.flag_transform import (
     BallGrid,
     BandLimits,
@@ -12,7 +13,7 @@ from flaglets.flag_transform import (
     get_flag_plan,
 )
 from flaglets.radial_laguerre import laguerre_basis, radial_nodes
-from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, sht_inverse
+from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, get_plan, sht_inverse
 
 from oracles import naive_flag_forward, naive_flag_inverse
 
@@ -71,9 +72,45 @@ class TestAgainstNaive:
         slow = naive_flag_inverse(c.coeffs, limits)
         assert np.max(np.abs(fast - slow)) < 1e-11
 
+    @pytest.mark.parametrize("L,P", [(1, 3), (2, 5)])
+    def test_smallest_band_limits_match_direct_sums(self, L, P):
+        limits = BandLimits(L, P, 1.0)
+        rng = np.random.default_rng(13 + L)
+        c = random_flag(limits, rng)
+        grid = flag_inverse(c).values
+        assert np.max(np.abs(grid - naive_flag_inverse(c.coeffs, limits))) < 1e-11
+        fast = flag_forward(BallGrid(limits, grid)).coeffs
+        assert np.max(np.abs(fast - naive_flag_forward(grid, limits))) < 1e-11
+
+    def test_partial_last_forward_block(self, monkeypatch):
+        # 7 shells in blocks of 3 rows: the last block holds a single shell
+        L, P = 4, 7
+        row_bytes = 16 * L * (2 * L - 1)
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * row_bytes)
+        limits = BandLimits(L, P, 1.0)
+        rng = np.random.default_rng(14)
+        values = rng.uniform(-1, 1, (P, L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (P, L, 2 * L - 1))
+        fast = flag_forward(BallGrid(limits, values)).coeffs
+        slow = naive_flag_forward(values, limits)
+        assert np.max(np.abs(fast - slow)) < 1e-11
+
+
+class TestPlanCaches:
+    @pytest.mark.parametrize("get, key", [
+        (get_plan, lambda i: i + 1),
+        (get_flag_plan, lambda i: BandLimits(1, 1, 1.0 + i)),
+    ])
+    def test_bounded_and_shared(self, get, key):
+        assert get(key(0)) is get(key(0))
+        maxsize = get.cache_info().maxsize
+        assert maxsize is not None
+        for i in range(maxsize + 3):
+            get(key(i))
+        assert get.cache_info().currsize <= maxsize
+
 
 class TestRoundTrips:
-    @pytest.mark.parametrize("L,P", [(4, 4), (8, 8), (16, 16), (32, 32), (64, 32)])
+    @pytest.mark.parametrize("L,P", [(4, 4), (8, 8), (16, 16), (32, 32), (64, 32), (1, 3), (2, 5)])
     def test_coeff_roundtrip(self, L, P):
         limits = BandLimits(L, P, 1.0)
         for seed in range(10):

@@ -9,7 +9,9 @@ import pytest
 from flaglets.cli import random_flag_coeffs
 from flaglets.flag_transform import BandLimits, flag_inverse
 from flaglets.flaglet_transform import flaglet_analyze
+from flaglets.cli import main
 from flaglets.io_container import (
+    ContainerError,
     KindError,
     LengthMismatchError,
     MagicError,
@@ -159,3 +161,38 @@ class TestErrors:
         raw = self._bytes() + b"\x00" * 4
         with pytest.raises(LengthMismatchError):
             read_container(io.BytesIO(bytes(raw)))
+
+
+# headers that declare sizes no library object can have; read naively, the
+# first overflows the payload size and the second allocates 8 GiB of kernels
+OVERSIZED_HEADERS = {
+    "sphere_grid_L_2_31": b"FLG1" + struct.pack("<III", 1, 1, 2**31),
+    "decomposition_P_2_30": b"FLG1"
+    + struct.pack("<II", 1, 7)
+    + struct.pack("<IIIIIddd", 8, 2**30, 0, 0, 0, 2.0, 2.0, 1.0),
+}
+
+
+class TestOversizedHeaders:
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_HEADERS))
+    def test_rejected_with_container_error(self, name):
+        raw = OVERSIZED_HEADERS[name]
+        assert len(raw) in (16, 56)
+        with pytest.raises(ContainerError):
+            read_container(io.BytesIO(raw))
+
+    @pytest.mark.parametrize("name", sorted(OVERSIZED_HEADERS))
+    def test_cli_exits_1_without_traceback(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.flg"
+        path.write_bytes(OVERSIZED_HEADERS[name])
+        code = main(["synthesize", "--input", str(path), "--output", str(tmp_path / "out.flg")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_in_range_header_without_payload_is_truncated(self):
+        # the largest limits a header may declare; the payload is read in
+        # bounded pieces, so the missing bytes surface as a typed error
+        raw = b"FLG1" + struct.pack("<II", 1, 3) + struct.pack("<IId", 4096, 100_000, 1.0)
+        with pytest.raises(TruncatedError):
+            read_container(io.BytesIO(raw))
