@@ -18,7 +18,6 @@ zero) rather than ball decomposition.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 
@@ -115,12 +114,12 @@ def _check_limits(L: int, P: int = 1):
         raise HeaderError(f"radial band limit {P} is outside [1, {MAX_NODES}]")
 
 
-def _complex_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<c16").tobytes()
+def _complex_le(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<c16")
 
 
-def _real_bytes(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a, dtype="<f8").tobytes()
+def _real_le(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype="<f8")
 
 
 def _read_complex(source, count: int, what: str) -> np.ndarray:
@@ -142,35 +141,27 @@ def write_container(obj, sink) -> int:
         with open(sink, "wb") as fh:
             return write_container(obj, fh)
 
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", VERSION))
-
     if isinstance(obj, SphereGrid):
-        buf.write(struct.pack("<II", KIND_SPHERE_GRID, obj.L))
-        buf.write(_complex_bytes(obj.values))
+        header = struct.pack("<II", KIND_SPHERE_GRID, obj.L)
+        payload = [_complex_le(obj.values)]
     elif isinstance(obj, SphereCoeffs):
-        buf.write(struct.pack("<II", KIND_SPHERE_COEFFS, obj.L))
-        buf.write(_complex_bytes(obj.coeffs))
+        header = struct.pack("<II", KIND_SPHERE_COEFFS, obj.L)
+        payload = [_complex_le(obj.coeffs)]
     elif isinstance(obj, BallGrid):
-        buf.write(struct.pack("<IIId", KIND_BALL_GRID, obj.limits.L, obj.limits.P, obj.limits.tau))
-        buf.write(_complex_bytes(obj.values))
+        header = struct.pack("<IIId", KIND_BALL_GRID, obj.limits.L, obj.limits.P, obj.limits.tau)
+        payload = [_complex_le(obj.values)]
     elif isinstance(obj, FlagCoeffs):
-        buf.write(struct.pack("<IIId", KIND_FLAG_COEFFS, obj.limits.L, obj.limits.P, obj.limits.tau))
-        buf.write(_complex_bytes(obj.coeffs))
+        header = struct.pack("<IIId", KIND_FLAG_COEFFS, obj.limits.L, obj.limits.P, obj.limits.tau)
+        payload = [_complex_le(obj.coeffs)]
     elif isinstance(obj, SphereKernels):
-        buf.write(struct.pack("<IIId", KIND_SPHERE_KERNELS, obj.L, obj.j0, obj.params.lam))
-        buf.write(_real_bytes(obj.eta))
-        for kappa in obj.kappas:
-            buf.write(_real_bytes(kappa))
+        header = struct.pack("<IIId", KIND_SPHERE_KERNELS, obj.L, obj.j0, obj.params.lam)
+        payload = [_real_le(a) for a in [obj.eta, *obj.kappas]]
     elif isinstance(obj, FlagletKernels):
         p, lim = obj.params, obj.limits
         fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, p.lam, p.nu, lim.tau)
-        buf.write(struct.pack("<IIIIIddd", KIND_FLAGLET_KERNELS, *fields))
-        buf.write(_real_bytes(obj.phi))
-        for j in obj.j_range:
-            for jp in obj.jp_range:
-                buf.write(_real_bytes(obj.psis[(j, jp)]))
+        header = struct.pack("<IIIIIddd", KIND_FLAGLET_KERNELS, *fields)
+        psis = [obj.psis[(j, jp)] for j in obj.j_range for jp in obj.jp_range]
+        payload = [_real_le(a) for a in [obj.phi, *psis]]
     elif isinstance(obj, (SphereDecomposition, FlagletDecomposition)):
         flags = _FLAG_MULTIRES if obj.multires else 0
         if isinstance(obj, SphereDecomposition):
@@ -178,19 +169,20 @@ def write_container(obj, sink) -> int:
         else:
             p, lim = obj.params, obj.limits
             fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
-        buf.write(struct.pack("<IIIIIIddd", KIND_DECOMPOSITION, *fields))
-        buf.write(_complex_bytes(obj.scaling.values))
-        for key in sorted(obj.wavelets):
-            buf.write(_complex_bytes(obj.wavelets[key].values))
+        header = struct.pack("<IIIIIIddd", KIND_DECOMPOSITION, *fields)
+        grids = [obj.scaling] + [obj.wavelets[key] for key in sorted(obj.wavelets)]
+        payload = [_complex_le(g.values) for g in grids]
     else:
         raise KindError(f"object of type {type(obj).__name__} is not serializable")
 
-    data = buf.getvalue()
+    header = MAGIC + struct.pack("<I", VERSION) + header
     try:
-        sink.write(data)
+        sink.write(header)
+        for a in payload:
+            sink.write(a)
     except OSError as exc:
         raise ContainerError(f"write failed: {exc}") from exc
-    return len(data)
+    return len(header) + sum(a.nbytes for a in payload)
 
 
 def read_container(source):

@@ -9,6 +9,9 @@ band-limited at L.
 Conventions: orthonormal harmonics with the Condon-Shortley phase folded
 into the normalized associated Legendre functions,
 Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
+
+The Ptilde_l^m come from one compensated recurrence, _legendre_blocks, run
+on the x >= 0 half of the symmetric nodes; SpherePlan mirrors the other half.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ _PLAN_CACHE_SIZE = 32
 # the forward transform FFTs at most this many bytes of grid rows at a time,
 # so a batch of shells never holds a full-size Fourier copy of its grid
 _FFT_BLOCK_BYTES = 8 << 20
+
+# the Legendre recurrence steps this many bytes of table values in lock step
+_LEGENDRE_BLOCK_BYTES = 2 << 20
 
 
 def coeff_index(ell: int, m: int) -> int:
@@ -130,52 +136,66 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
+def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
+    """Yield (m, Ptilde_l^m(xs) for l = m..L-1) for m = m_first..L-1.
+
+    int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase
+    included.  Values are carried as u e^{c} with a per-point exponent c, so
+    high-m values near the poles underflow to zero instead of poisoning the
+    recurrence.  The sectoral seed is carried from one order to the next; the
+    recurrence over l steps a block of orders in lock step.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    n = xs.size
+    sinx = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    step = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
+    u = np.full(n, 1.0 / math.sqrt(2.0))
+    c = np.zeros(n)
+    m = 0
+    for m0 in range(m_first, L, step):
+        nb, K = min(step, L - m0), L - m0
+        seed_u, seed_c = np.empty((nb, n)), np.empty((nb, n))
+        for i in range(nb):
+            while m < m0 + i:
+                m += 1
+                u = u * (-math.sqrt((2 * m + 1) / (2.0 * m))) * sinx
+                small = (np.abs(u) < 1e-250) & (u != 0.0)
+                if small.any():
+                    u = np.where(small, u * _RESCALE_THRESHOLD, u)
+                    c = c - np.where(small, _RESCALE_LOG, 0.0)
+            seed_u[i], seed_c[i] = u, c
+        # block[i, k] = Ptilde_{m0+i+k}^{m0+i}; rows k >= K-i (l >= L) are unused
+        block = np.empty((nb, K, n))
+        ms = np.arange(m0, m0 + nb, dtype=np.float64)
+        ells = ms + np.arange(2, K, dtype=np.float64)[:, None]  # (K-2, nb)
+        a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - ms * ms))[..., None]
+        b = np.sqrt(((ells - 1.0) ** 2 - ms * ms) / (4.0 * (ells - 1.0) ** 2 - 1.0))[..., None]
+        with np.errstate(under="ignore"):
+            c_blk = seed_c
+            scale = np.exp(c_blk)  # recomputed only when a rescale fires
+            block[:, 0] = seed_u * scale
+            if K > 1:
+                u_prev, u_cur = seed_u, np.sqrt(2.0 * ms + 3.0)[:, None] * xs * seed_u
+                block[:, 1] = u_cur * scale
+            for k in range(2, K):
+                u_prev, u_cur = u_cur, a[k - 2] * (xs * u_cur - b[k - 2] * u_prev)
+                if np.abs(u_cur).max() > _RESCALE_THRESHOLD:
+                    big = np.abs(u_cur) > _RESCALE_THRESHOLD
+                    f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
+                    u_cur, u_prev = u_cur * f, u_prev * f
+                    c_blk = c_blk + np.where(big, _RESCALE_LOG, 0.0)
+                    scale = np.exp(c_blk)
+                block[:, k] = u_cur * scale
+        for i in range(nb):
+            yield m0 + i, block[i, : K - i]
+
+
 def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre values Ptilde_l^m for l = m..L-1.
 
-    Returns shape (L - m, len(xs)).  Normalization is such that
-    int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, with the
-    Condon-Shortley phase included.  The sectoral seed is built
-    multiplicatively with a per-point compensation exponent so that high-m
-    values near the poles underflow gracefully to zero instead of
-    poisoning the recurrence.
+    Returns shape (L - m, len(xs)); see _legendre_blocks.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    npts = xs.size
-    sin2 = np.maximum(0.0, 1.0 - xs * xs)
-    sinx = np.sqrt(sin2)
-
-    out = np.zeros((L - m, npts))
-
-    # sectoral seed Ptilde_m^m, compensated: true = u * e^{c}
-    u = np.full(npts, 1.0 / math.sqrt(2.0))
-    c = np.zeros(npts)
-    for k in range(1, m + 1):
-        u = u * (-math.sqrt((2 * k + 1) / (2.0 * k))) * sinx
-        small = (np.abs(u) < 1e-250) & (u != 0.0)
-        if np.any(small):
-            u = np.where(small, u * _RESCALE_THRESHOLD, u)
-            c = c - np.where(small, _RESCALE_LOG, 0.0)
-
-    with np.errstate(under="ignore"):
-        out[0] = u * np.exp(c)
-    if m + 1 < L:
-        u_prev, u_cur = u, math.sqrt(2 * m + 3.0) * xs * u
-        with np.errstate(under="ignore"):
-            out[1] = u_cur * np.exp(c)
-        for ell in range(m + 2, L):
-            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
-            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
-            u_prev, u_cur = u_cur, a * (xs * u_cur - b * u_prev)
-            big = np.abs(u_cur) > _RESCALE_THRESHOLD
-            if np.any(big):
-                f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
-                u_cur = u_cur * f
-                u_prev = u_prev * f
-                c = c + np.where(big, _RESCALE_LOG, 0.0)
-            with np.errstate(under="ignore"):
-                out[ell - m] = u_cur * np.exp(c)
-    return out
+    return next(_legendre_blocks(L, xs, m))[1].copy()
 
 
 def assoc_legendre_table(L: int, x: float) -> np.ndarray:
@@ -188,19 +208,21 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
         raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
     if abs(x) > 1.0:
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
-    table = np.zeros(L * L)
-    xs = np.array([float(x)])
-    for m in range(L):
-        col = legendre_matrix(L, m, xs)[:, 0]
-        ells = np.arange(m, L)
-        table[ells * L + m] = col
-    return table
+    table = np.zeros((L, L))
+    for m, col in _legendre_blocks(L, np.array([float(x)])):
+        table[m:, m] = col[:, 0]
+    return table.reshape(-1)
 
 
 class SpherePlan:
-    """Cached quadrature rule and per-m Legendre matrices for one L."""
+    """Quadrature rule and streamed per-m Legendre tables for one L.
 
-    # full per-m tables are O(L^3/2) doubles; beyond this, recompute per call
+    tables() recurs on the nodes x >= 0 and mirrors x_i = -x_{L-1-i} (exact in
+    gauss_legendre) by Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x).  Up to
+    _CACHE_LIMIT a complete pass is kept; past it tables are yielded and dropped.
+    """
+
+    # full per-m tables are O(L^3/2) doubles; beyond this, regenerate per pass
     _CACHE_LIMIT = 256
 
     def __init__(self, L: int):
@@ -208,14 +230,23 @@ class SpherePlan:
             raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
         self.L = L
         self.rule = gauss_legendre(L)
-        self._tables = [None] * L if L <= self._CACHE_LIMIT else None
+        self._tables = None
 
-    def legendre(self, m: int) -> np.ndarray:
-        if self._tables is None:
-            return legendre_matrix(self.L, m, self.rule.nodes)
-        if self._tables[m] is None:
-            self._tables[m] = legendre_matrix(self.L, m, self.rule.nodes)
-        return self._tables[m]
+    def tables(self):
+        """Yield (m, Ptilde_l^m at every node for l = m..L-1) for m = 0..L-1."""
+        if self._tables is not None:
+            yield from enumerate(self._tables)
+            return
+        L, half = self.L, self.L // 2
+        kept = []
+        for m, upper in _legendre_blocks(L, self.rule.nodes[half:]):
+            table = np.hstack((upper[:, ::-1][:, :half], upper))
+            table[1::2, :half] *= -1.0
+            if L <= self._CACHE_LIMIT:
+                kept.append(table)
+            yield m, table
+        if kept:
+            self._tables = kept
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -235,6 +266,8 @@ def _sht_forward_batch(values: np.ndarray, plan: SpherePlan) -> np.ndarray:
     Rows are FFT'd a block at a time.  For each m one GEMM projects the +m
     and -m Fourier columns of every row in the block onto the degrees (at
     m = 0 both halves are column 0, and both writes store the same values).
+    Past SpherePlan._CACHE_LIMIT the tables are regenerated per block of rows:
+    generating them once would hold a full-size Fourier copy of the batch.
     """
     L, nphi = plan.L, 2 * plan.L - 1
     rows = values.reshape(-1, L, nphi)
@@ -250,8 +283,8 @@ def _sht_forward_batch(values: np.ndarray, plan: SpherePlan) -> np.ndarray:
         fm = np.empty((nphi, L, n), dtype=np.complex128)
         np.fft.fft(block.transpose(2, 1, 0), axis=0, out=fm)
         fm *= scale
-        for m in range(L):
-            proj = _real_matmul(plan.legendre(m), np.hstack((fm[m], fm[-m])))
+        for m, table in plan.tables():
+            proj = _real_matmul(table, np.hstack((fm[m], fm[-m])))
             base = ells[m:] * (ells[m:] + 1)
             out[start : start + n, base + m] = proj[:, :n].T
             out[start : start + n, base - m] = (-1) ** m * proj[:, n:].T
@@ -270,12 +303,12 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     n = rows.shape[0]
     g = np.empty((n, L, nphi), dtype=np.complex128)
     ells = np.arange(L)
-    for m in range(L):
+    for m, table in plan.tables():
         base = ells[m:] * (ells[m:] + 1)
         stacked = np.empty((L - m, 2 * n), dtype=np.complex128)
         stacked[:, :n] = rows[:, base + m].T
         stacked[:, n:] = (-1) ** m * rows[:, base - m].T
-        synth = _real_matmul(plan.legendre(m).T, stacked)  # (L, 2n)
+        synth = _real_matmul(table.T, stacked)  # (L, 2n)
         g[:, :, m] = synth[:, :n].T
         g[:, :, -m] = synth[:, n:].T
     np.fft.ifft(g, axis=-1, out=g)

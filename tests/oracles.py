@@ -110,8 +110,42 @@ def laguerre_rule_from_moments():
     return np.array([x1, x2]), w
 
 
-def legendre_high_precision(ell, m, x, dps=60):
-    """Orthonormalized associated Legendre value via mpmath recurrence."""
+def legendre_per_order(L, m, xs):
+    """Ptilde_l^m(xs) for l = m..L-1, shape (L - m, len(xs)), one order at a time.
+
+    The library's earlier per-order loop, kept as the reference the streamed
+    tables must match bit for bit: the sectoral seed is rebuilt from k = 1,
+    then the recurrence over l runs for this order alone, with the same
+    1e-250 / 1e250 compensation.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    sinx = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    out = np.zeros((L - m, xs.size))
+    u = np.full(xs.size, 1.0 / math.sqrt(2.0))
+    c = np.zeros(xs.size)
+    for k in range(1, m + 1):
+        u = u * (-math.sqrt((2 * k + 1) / (2.0 * k))) * sinx
+        small = (np.abs(u) < 1e-250) & (u != 0.0)
+        u = np.where(small, u * 1e250, u)
+        c = c - np.where(small, math.log(1e250), 0.0)
+    out[0] = u * np.exp(c)
+    if m + 1 < L:
+        u_prev, u_cur = u, math.sqrt(2 * m + 3.0) * xs * u
+        out[1] = u_cur * np.exp(c)
+        for ell in range(m + 2, L):
+            a = math.sqrt((4.0 * ell * ell - 1.0) / (ell * ell - m * m))
+            b = math.sqrt(((ell - 1.0) ** 2 - m * m) / (4.0 * (ell - 1.0) ** 2 - 1.0))
+            u_prev, u_cur = u_cur, a * (xs * u_cur - b * u_prev)
+            big = np.abs(u_cur) > 1e250
+            f = np.where(big, 1.0 / 1e250, 1.0)
+            u_cur, u_prev = u_cur * f, u_prev * f
+            c = c + np.where(big, math.log(1e250), 0.0)
+            out[ell - m] = u_cur * np.exp(c)
+    return out
+
+
+def legendre_column_high_precision(L, m, x, dps=60):
+    """Orthonormalized Ptilde_l^m(x) for l = m..L-1 via mpmath recurrence."""
     import mpmath as mp
 
     with mp.workdps(dps):
@@ -120,11 +154,16 @@ def legendre_high_precision(ell, m, x, dps=60):
         val = 1 / mp.sqrt(2)
         for k in range(1, m + 1):
             val = val * (-mp.sqrt(mp.mpf(2 * k + 1) / (2 * k))) * sinx
-        if ell == m:
-            return float(val)
-        prev, cur = val, mp.sqrt(mp.mpf(2 * m + 3)) * xm * val
-        for l in range(m + 2, ell + 1):
+        col = [val]
+        if m + 1 < L:
+            col.append(mp.sqrt(mp.mpf(2 * m + 3)) * xm * val)
+        for l in range(m + 2, L):
             a = mp.sqrt(mp.mpf(4 * l * l - 1) / (l * l - m * m))
             b = mp.sqrt((mp.mpf(l - 1) ** 2 - m * m) / (4 * mp.mpf(l - 1) ** 2 - 1))
-            prev, cur = cur, a * (xm * cur - b * prev)
-        return float(cur)
+            col.append(a * (xm * col[-1] - b * col[-2]))
+        return np.array([float(v) for v in col])
+
+
+def legendre_high_precision(ell, m, x, dps=60):
+    """Orthonormalized associated Legendre value via mpmath recurrence."""
+    return float(legendre_column_high_precision(ell + 1, m, x, dps)[-1])

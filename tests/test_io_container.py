@@ -127,12 +127,32 @@ class TestLayout:
         assert struct.unpack("<I", raw[4:8])[0] == 1
         assert np.frombuffer(raw[16:], dtype="<c16")[0] == 1.0 + 2.0j
 
+    def test_payload_goes_to_the_sink_without_a_copy(self):
+        grid = SphereGrid(3, np.arange(15, dtype=np.complex128).reshape(3, 5))
+        pieces = []
+
+        class Sink:
+            def write(self, data):
+                pieces.append(data)
+
+        n = write_container(grid, Sink())
+        assert n == sum(memoryview(p).nbytes for p in pieces) == 16 + 15 * 16
+        assert np.shares_memory(np.asarray(pieces[-1]), grid.values)
+
 
 class TestErrors:
     def _bytes(self):
         buf = io.BytesIO()
         write_container(SphereCoeffs(2, np.arange(4, dtype=np.complex128)), buf)
         return bytearray(buf.getvalue())
+
+    def test_sink_os_error_is_container_error(self):
+        class FullDisk:
+            def write(self, data):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(ContainerError, match="write failed"):
+            write_container(SphereCoeffs(2, np.arange(4, dtype=np.complex128)), FullDisk())
 
     def test_bad_magic(self):
         raw = self._bytes()

@@ -36,6 +36,14 @@ class TestGaussLegendre:
         assert np.all(rule.weights > 0)
         assert abs(rule.weights.sum() - 2.0) < 1e-13
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 288, 513])
+    def test_nodes_exactly_symmetric(self, n):
+        # the sphere transform recurs on x >= 0 only and mirrors the other half
+        nodes = gauss_legendre(n).nodes
+        assert np.array_equal(nodes, -nodes[::-1])
+        if n % 2:
+            assert nodes[n // 2] == 0.0
+
     @pytest.mark.parametrize("n", [0, MAX_NODES + 1])
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):

@@ -5,17 +5,29 @@ import math
 import numpy as np
 import pytest
 
+from flaglets import sphere_harmonics
 from flaglets.sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
+    SpherePlan,
+    _sht_forward_batch,
+    _sht_inverse_batch,
     assoc_legendre_table,
     coeff_index,
+    legendre_matrix,
     sht_forward,
     sht_inverse,
     sphere_sampling,
 )
 
-from oracles import legendre_high_precision, naive_sht_forward, naive_sht_inverse, ylm_point
+from oracles import (
+    legendre_column_high_precision,
+    legendre_high_precision,
+    legendre_per_order,
+    naive_sht_forward,
+    naive_sht_inverse,
+    ylm_point,
+)
 
 
 def random_coeffs(L, rng):
@@ -65,6 +77,114 @@ class TestLegendreValues:
             got = assoc_legendre_table(ell + 1, x)[ell * (ell + 1) + m]
             want = legendre_high_precision(ell, m, x)
             assert abs(got - want) < 1e-11 * max(abs(want), 1e-300), (ell, m, x)
+
+
+class TestStreamedTables:
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 257, 300])
+    def test_plan_tables_match_per_order_loop_bit_for_bit(self, L):
+        # odd L, a last partial block of orders (L = 257), cached and streamed plans
+        plan = SpherePlan(L)
+        nodes = plan.rule.nodes
+        orders = []
+        for m, table in plan.tables():
+            orders.append(m)
+            assert np.array_equal(table, legendre_per_order(L, m, nodes)), (L, m)
+        assert orders == list(range(L))
+        for m in {0, L // 2, L - 1}:
+            assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
+
+    def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
+        L = 300
+        assert L > SpherePlan._CACHE_LIMIT
+        plan = SpherePlan(L)
+        nodes = plan.rule.nodes
+        tables = dict(plan.tables())
+        step = sphere_harmonics._LEGENDRE_BLOCK_BYTES // (8 * L * (L - L // 2))
+        assert 1 < step < L
+        starts = range(step, L, step)
+        compensated = 0
+        for m in sorted({0, *starts, *(m0 - 1 for m0 in starts)}):
+            # the node nearest the pole, where the sectoral seed of large m passes
+            # through the 1e-250 compensation, and a mid-latitude node
+            for i in (L - 1, 3 * L // 4):
+                x = nodes[i]
+                want = legendre_column_high_precision(L, m, x, dps=40)
+                # relative to the largest |value| at this degree or below: fully
+                # relative while a column grows, scaled to its peak past it.
+                # sqrt(1 - x^2) carries a relative error up to about
+                # eps / (2 (1 - x^2)), which the seed raises to the power m
+                # (measured: 0.12 m eps / (1 - x^2) at the polar node).
+                tol = 1e-11 + m * np.finfo(float).eps / (1.0 - x * x)
+                envelope = np.maximum.accumulate(np.abs(want))
+                err = np.abs(tables[m][:, i] - want)
+                assert np.all(err <= tol * envelope + 1e-300), (m, i)
+                compensated += np.count_nonzero((envelope > 1e-300) & (envelope < 1e-250))
+        assert compensated > 0
+        # the last order at every node, from underflow near the pole to O(1)
+        want = np.array([legendre_high_precision(L - 1, L - 1, x, dps=40) for x in nodes])
+        got = tables[L - 1][0]
+        assert want[-1] == 0.0 and got[-1] == 0.0
+        tol = 1e-11 + (L - 1) * np.finfo(float).eps / (1.0 - nodes * nodes)
+        assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-300)
+
+    @pytest.mark.parametrize("m", [260, 300])
+    def test_rising_column_passes_both_rescales(self, m):
+        # at theta = 0.1 the seed of these orders falls below 1e-250, and the
+        # column rises to O(1) by l = 4095, so the stored values also pass 1e250
+        L, x = 4096, math.cos(0.1)
+        got = legendre_matrix(L, m, [x])[:, 0]
+        assert np.array_equal(got, legendre_per_order(L, m, [x])[:, 0])
+        want = legendre_column_high_precision(L, m, x, dps=40)
+        envelope = np.maximum.accumulate(np.abs(want))
+        assert want[0] < 1e-250 and envelope[-1] > 1.0
+        tol = 1e-11 + m * np.finfo(float).eps / (1.0 - x * x)
+        assert np.all(np.abs(got - want) <= tol * envelope + 1e-300)
+
+
+class TestTableGenerations:
+    """How often the Legendre recurrence runs: once per plan up to the cache
+    limit; past it once per inverse call and once per forward FFT block."""
+
+    @pytest.fixture
+    def generations(self, monkeypatch):
+        calls = []
+        real = sphere_harmonics._legendre_blocks
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sphere_harmonics, "_legendre_blocks", counting)
+        return calls
+
+    @staticmethod
+    def coeffs(L, rows):
+        rng = np.random.default_rng(L + rows)
+        return rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
+
+    def test_cached_plan_generates_once(self, generations):
+        plan = SpherePlan(8)
+        c = self.coeffs(8, 3)
+        for _ in range(3):
+            back = _sht_forward_batch(_sht_inverse_batch(c, plan), plan)
+        assert len(generations) == 1
+        assert np.max(np.abs(back - c)) < 1e-12
+
+    def test_streamed_plan_generates_per_inverse_call_and_forward_block(
+        self, generations, monkeypatch
+    ):
+        L, rows = 8, 7
+        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
+        # 7 rows in blocks of 3: three forward FFT blocks
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
+        plan = SpherePlan(L)
+        c = self.coeffs(L, rows)
+        for call in range(1, 3):
+            grids = _sht_inverse_batch(c, plan)
+            assert len(generations) == 4 * call - 3
+            back = _sht_forward_batch(grids, plan)
+            assert len(generations) == 4 * call
+        assert np.max(np.abs(back - c)) < 1e-12
 
 
 class TestAgainstNaiveTransform:
@@ -119,6 +239,23 @@ class TestRoundTrips:
         values = np.cos(thetas)[:, None] * np.ones((1, 2 * L - 1))
         c = sht_forward(SphereGrid(L, values.astype(np.complex128))).coeffs
         assert c[coeff_index(1, 0)] == pytest.approx(math.sqrt(4 * math.pi / 3))
+
+
+class TestAccuracyEnvelope:
+    # The round-trip error grows about linearly in L.  Measured (BLAS on one
+    # thread) as c = err / (eps L), the worst over 20 seeds was 3.2 at L = 64,
+    # 4.0 at L = 128 and 3.5 at L = 256, and 3.05 over 3 seeds at L = 512
+    # (2.84 at L = 1024); C = 12 leaves a margin of 3x over the largest.
+    C = 12.0
+
+    @pytest.mark.parametrize("L, seeds", [(64, 5), (256, 3), (512, 1)])
+    def test_roundtrip_error_within_c_eps_L(self, L, seeds):
+        for seed in range(seeds):
+            rng = np.random.default_rng(1000 * L + seed)
+            c = random_coeffs(L, rng)
+            back = sht_forward(sht_inverse(c)).coeffs
+            rel = np.max(np.abs(back - c.coeffs)) / np.max(np.abs(c.coeffs))
+            assert rel <= self.C * np.finfo(float).eps * L, (L, seed, rel)
 
 
 class TestParseval:
