@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,8 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
         ells = ms + np.arange(2, K, dtype=np.float64)[:, None]  # (K-2, nb)
         a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - ms * ms))[..., None]
         b = np.sqrt(((ells - 1.0) ** 2 - ms * ms) / (4.0 * (ells - 1.0) ** 2 - 1.0))[..., None]
+        # unscaled seeds make u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64: no overflow test
+        may_overflow = seed_c.any()
         with np.errstate(under="ignore"):
             c_blk = seed_c
             scale = np.exp(c_blk)  # recomputed only when a rescale fires
@@ -179,7 +182,7 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
                 block[:, 1] = u_cur * scale
             for k in range(2, K):
                 u_prev, u_cur = u_cur, a[k - 2] * (xs * u_cur - b[k - 2] * u_prev)
-                if np.abs(u_cur).max() > _RESCALE_THRESHOLD:
+                if may_overflow and np.abs(u_cur).max() > _RESCALE_THRESHOLD:
                     big = np.abs(u_cur) > _RESCALE_THRESHOLD
                     f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
                     u_cur, u_prev = u_cur * f, u_prev * f
@@ -260,35 +263,42 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
     return (a @ z.view(np.float64)).view(np.complex128)
 
 
-def _sht_forward_batch(values: np.ndarray, plan: SpherePlan) -> np.ndarray:
-    """Forward SHT of every grid in values (..., L, 2L-1); returns (..., L^2).
+def _fft_block_grids(L: int) -> int:
+    """Grids the forward transform FFTs per block: _FFT_BLOCK_BYTES' worth, at least one."""
+    return max(1, _FFT_BLOCK_BYTES // (16 * L * (2 * L - 1)))
 
-    Rows are FFT'd a block at a time.  For each m one GEMM projects the +m
-    and -m Fourier columns of every row in the block onto the degrees (at
-    m = 0 both halves are column 0, and both writes store the same values).
-    Past SpherePlan._CACHE_LIMIT the tables are regenerated per block of rows:
-    generating them once would hold a full-size Fourier copy of the batch.
+
+def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndarray:
+    """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
+
+    `grids` may be a list of grids or an array of them; it is never stacked.
+    A block of grids at a time is copied row by row into an (n, L, 2L-1)
+    buffer and FFT'd in place along its contiguous last axis.  For each m one
+    GEMM projects the +m and -m Fourier columns of every grid in the block
+    onto the degrees (at m = 0 both halves are column 0, and both writes store
+    the same values).  Past SpherePlan._CACHE_LIMIT the tables are regenerated
+    per block: generating them once would hold a full-size Fourier copy.
     """
     L, nphi = plan.L, 2 * plan.L - 1
-    rows = values.reshape(-1, L, nphi)
-    out = np.empty((rows.shape[0], L * L), dtype=np.complex128)
+    out = np.empty((len(grids), L * L), dtype=np.complex128)
     # w_i (2 pi / (2L-1)) / sqrt(2 pi): quadrature and harmonic normalisation
     scale = plan.rule.weights[:, None] * (math.sqrt(2.0 * np.pi) / nphi)
     ells = np.arange(L)
-    step = max(1, _FFT_BLOCK_BYTES // (16 * L * nphi))
-    for start in range(0, rows.shape[0], step):
-        block = rows[start : start + step]
-        n = block.shape[0]
-        # (m column, colatitude, row) layout: each fm[m] is a contiguous matrix
-        fm = np.empty((nphi, L, n), dtype=np.complex128)
-        np.fft.fft(block.transpose(2, 1, 0), axis=0, out=fm)
+    step = _fft_block_grids(L)
+    for start in range(0, len(grids), step):
+        block = grids[start : start + step]
+        n = len(block)
+        fm = np.empty((n, L, nphi), dtype=np.complex128)
+        for row, grid in zip(fm, block):
+            row[...] = grid
+        np.fft.fft(fm, axis=-1, out=fm)
         fm *= scale
         for m, table in plan.tables():
-            proj = _real_matmul(table, np.hstack((fm[m], fm[-m])))
+            proj = _real_matmul(table, np.hstack((fm[:, :, m].T, fm[:, :, -m].T)))
             base = ells[m:] * (ells[m:] + 1)
             out[start : start + n, base + m] = proj[:, :n].T
             out[start : start + n, base - m] = (-1) ** m * proj[:, n:].T
-    return out.reshape(values.shape[:-2] + (L * L,))
+    return out
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
@@ -322,7 +332,7 @@ def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeff
     f_lm = sum_i sum_k w_i (2 pi / (2L-1)) f(theta_i, phi_k) conj(Y_lm),
     with the k-sum carried out by FFT.
     """
-    return SphereCoeffs(grid.L, _sht_forward_batch(grid.values, plan or get_plan(grid.L)))
+    return SphereCoeffs(grid.L, _sht_forward_batch([grid.values], plan or get_plan(grid.L))[0])
 
 
 def sht_inverse(coeffs: SphereCoeffs, plan: SpherePlan | None = None) -> SphereGrid:

@@ -187,6 +187,20 @@ class TestTableGenerations:
         assert np.max(np.abs(back - c)) < 1e-12
 
 
+class TestForwardBatchInput:
+    def test_list_and_stacked_grids_agree_bit_for_bit(self, monkeypatch):
+        # 7 grids in FFT blocks of 3: the last block holds a single grid
+        L, rows = 8, 7
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
+        rng = np.random.default_rng(31)
+        c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
+        plan = SpherePlan(L)
+        grids = _sht_inverse_batch(c, plan)
+        stacked = _sht_forward_batch(grids, plan)
+        assert np.array_equal(_sht_forward_batch(list(grids), plan), stacked)
+        assert np.max(np.abs(stacked - c)) < 1e-12
+
+
 class TestAgainstNaiveTransform:
     @pytest.mark.parametrize("L", [1, 2, 4, 8])
     def test_forward_matches_quadruple_sum(self, L):
@@ -248,7 +262,10 @@ class TestAccuracyEnvelope:
     # (2.84 at L = 1024); C = 12 leaves a margin of 3x over the largest.
     C = 12.0
 
-    @pytest.mark.parametrize("L, seeds", [(64, 5), (256, 3), (512, 1)])
+    @pytest.mark.parametrize(
+        "L, seeds",
+        [(64, 5), (256, 3), (512, 1), pytest.param(1024, 1, marks=pytest.mark.slow)],
+    )
     def test_roundtrip_error_within_c_eps_L(self, L, seeds):
         for seed in range(seeds):
             rng = np.random.default_rng(1000 * L + seed)

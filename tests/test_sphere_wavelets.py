@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
+from flaglets import sphere_harmonics, sphere_wavelets
 from flaglets.kernel_tiling import TilingParams, build_sphere_kernels
-from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, sht_forward
+from flaglets.sphere_harmonics import (
+    SphereCoeffs,
+    coeff_index,
+    resize_coeffs,
+    sht_forward,
+    sht_inverse,
+    window_coeffs,
+)
 from flaglets.sphere_wavelets import sphere_analyze, sphere_synthesize
 
 
@@ -92,6 +100,63 @@ class TestMultires:
         a = sphere_synthesize(sphere_analyze(f, kernels, multires=True), kernels).coeffs
         b = sphere_synthesize(sphere_analyze(f, kernels, multires=False), kernels).coeffs
         assert np.max(np.abs(a - b)) < 1e-11
+
+
+class TestBandGroups:
+    """Parts sharing a band limit go through one batched transform call."""
+
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_maps_equal_per_scale_inverse_bit_for_bit(self, multires):
+        L = 64
+        kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
+        f = random_coeffs(L, np.random.default_rng(21))
+        d = sphere_analyze(f, kernels, multires=multires)
+        parts = [(d.scaling, kernels.eta)]
+        parts += [(d.wavelets[j], k) for j, k in enumerate(kernels.kappas, start=kernels.j0)]
+        for grid, window in parts:
+            band = grid.L
+            windowed = window_coeffs(resize_coeffs(f.coeffs, (band * band,)), window[:band])
+            assert np.array_equal(grid.values, sht_inverse(SphereCoeffs(band, windowed)).values)
+
+    def test_top_scales_share_one_table_pass_per_direction(self, monkeypatch):
+        # past the 256 table cache every pass regenerates the tables; the two
+        # top scales both sit at band 300, and each direction makes one pass
+        L = 300
+        kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
+        assert kernels.band_limit(kernels.jmax - 1) == kernels.band_limit(kernels.jmax) == L
+        passes = []
+        real = sphere_harmonics._legendre_blocks
+
+        def counting(*args):
+            passes.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(sphere_harmonics, "_legendre_blocks", counting)
+        f = random_coeffs(L, np.random.default_rng(22))
+        d = sphere_analyze(f, kernels, multires=True)
+        assert passes.count(L) == 1
+        back = sphere_synthesize(d, kernels).coeffs
+        assert passes.count(L) == 2
+        assert np.max(np.abs(back - f.coeffs)) < 1e-10 * np.max(np.abs(f.coeffs))
+
+
+    def test_synthesis_calls_hold_at_most_one_fft_block(self, monkeypatch):
+        # full resolution at L = 16: 6 parts at one band, in forward blocks of 4
+        L = 16
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
+        sizes = []
+        real = sphere_wavelets._sht_forward_batch
+
+        def recording(grids, plan):
+            sizes.append(len(grids))
+            return real(grids, plan)
+
+        monkeypatch.setattr(sphere_wavelets, "_sht_forward_batch", recording)
+        kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
+        f = random_coeffs(L, np.random.default_rng(23))
+        back = sphere_synthesize(sphere_analyze(f, kernels), kernels).coeffs
+        assert sizes == [4, 2]
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
 
 class TestValidation:
