@@ -258,6 +258,10 @@ def cmd_bench(args) -> int:
 
 def cmd_kernels(args) -> int:
     params = _tiling_from_args(args)
+    if args.P > 0:
+        limits = _limits_from_args(args)
+    elif args.L < 1:
+        raise UsageError(f"angular band limit must be >= 1, got {args.L}")
     sph = build_sphere_kernels(args.L, params)
     # admissibility sums the squares in scale order, as eta^2 + (k_j0^2 + ...)
     admiss = sph.eta**2 + sum(k * k for k in sph.kappas)
@@ -266,7 +270,6 @@ def cmd_kernels(args) -> int:
     _write_csv(args.output, rows, header)
     printed = f"wrote sphere kernel table to {args.output}"
     if args.P > 0:
-        limits = BandLimits(args.L, args.P, args.tau)
         fk = build_flaglet_kernels(limits, params)
         # rows run over ell, then p: the row-major order of the (L, P) windows
         psis = [fk.psis[key].ravel() for key in sorted(fk.psis)]
@@ -396,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (ContainerError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

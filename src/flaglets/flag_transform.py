@@ -9,7 +9,6 @@ Exact in both directions for signals band-limited at (L, P).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,7 @@ class BandLimits:
     def __post_init__(self):
         if self.L < 1 or self.L > MAX_BAND_LIMIT:
             raise ValueError(f"angular band limit must be in [1, {MAX_BAND_LIMIT}], got {self.L}")
-        if self.P < 1:
-            raise ValueError(f"radial band limit must be >= 1, got {self.P}")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"radial scale must be positive and finite, got {self.tau}")
+        self.radial  # RadialParams checks P and tau
 
     @property
     def radial(self) -> RadialParams:

@@ -44,10 +44,10 @@ class TilingParams:
     j0_rad: int = 0
 
     def __post_init__(self):
-        if not self.lam > 1:
-            raise ValueError(f"angular dilation must exceed 1, got {self.lam}")
-        if not self.nu > 1:
-            raise ValueError(f"radial dilation must exceed 1, got {self.nu}")
+        if not (self.lam > 1 and math.isfinite(self.lam)):
+            raise ValueError(f"angular dilation must be finite and exceed 1, got {self.lam}")
+        if not (self.nu > 1 and math.isfinite(self.nu)):
+            raise ValueError(f"radial dilation must be finite and exceed 1, got {self.nu}")
         if self.j0_ang < 0 or self.j0_rad < 0:
             raise ValueError("minimum scale indices must be non-negative")
 

@@ -7,7 +7,9 @@ ball, alpha = 2 matching the r^2 volume element).
 
 Laguerre weights are returned in *scaled* form, w_i * e^{x_i}, computed
 without overflow so they can be applied directly to integrands that carry
-their own exponential damping.
+their own exponential damping.  One compensated Laguerre recurrence,
+`_laguerre_steps`, polishes the nodes, sums the weights and evaluates the
+radial basis of `radial_laguerre`.
 """
 
 from __future__ import annotations
@@ -95,30 +97,29 @@ def gauss_legendre(n: int) -> QuadRule:
                     np.ascontiguousarray(w[order]))
 
 
-def _laguerre_weighted_recurrence(n: int, alpha: int, x: np.ndarray):
-    """Run the orthonormal weighted Laguerre recurrence up to order n.
+def _laguerre_steps(n: int, alpha: int, x: np.ndarray):
+    """Step the orthonormal weighted Laguerre recurrence from order 0 to n.
 
-    Works with the functions phi_k(x) = N_k L_k^{(alpha)}(x) e^{-x/2},
-    which stay O(1) where the raw polynomials overflow and the damping
-    underflows.  Values are carried as stored * e^{c} with a per-point
-    compensation exponent c, rescaled whenever the stored magnitude grows
-    past 1e250.
+    phi_k(x) = (-1)^k N_k L_k^{(alpha)}(x) e^{-x/2} stays O(1) where the
+    raw polynomials overflow and the damping underflows.  Values are
+    carried as stored * e^{c} with a per-point exponent c, rescaled when
+    the stored magnitude passes 1e140, so the squared sum cannot overflow.
 
-    Returns (u_n, u_nm1, c, christoffel) where u_n, u_nm1 are the stored
-    values of phi_n and phi_{n-1}, c the compensation exponents, and
-    christoffel the stably-accumulated sum_{k<n} phi_k(x)^2 expressed as
-    (T, c) with sum = T * e^{2c}... concretely the function returns the sum
-    already folded: sum_{k<n} phi_k^2 = christoffel * e^{2c}.
+    Yields (u_k, u_{k-1}, c, s_k) for k = 0..n: phi_k = u_k e^{c} and the
+    Christoffel sum sum_{j<k} phi_j^2 = s_k e^{2c}.  Arrays are replaced,
+    never written in place, so yielded values stay valid.
     """
     x = np.asarray(x, dtype=np.float64)
-    # true value = stored * e^{c}; start phi_0 = e^{-x/2} / sqrt(Gamma(alpha+1))
+    # start phi_0 = e^{-x/2} / sqrt(Gamma(alpha+1))
     c = -0.5 * x
     u_prev = np.zeros_like(x)
     u = np.full_like(x, 1.0 / math.sqrt(math.gamma(alpha + 1)))
-    christoffel = u * u  # at current scale
+    s = np.zeros_like(x)
+    yield u, u_prev, c, s
     for k in range(1, n + 1):
+        s = s + u * u
         a_km1 = 2.0 * (k - 1) + alpha + 1.0
-        b_km1 = math.sqrt((k - 1) * (k - 1 + alpha)) if k >= 2 else 0.0
+        b_km1 = math.sqrt((k - 1) * (k - 1 + alpha))
         b_k = math.sqrt(k * (k + alpha))
         u_prev, u = u, ((x - a_km1) * u - b_km1 * u_prev) / b_k
         big = np.abs(u) > 1e140
@@ -126,11 +127,16 @@ def _laguerre_weighted_recurrence(n: int, alpha: int, x: np.ndarray):
             f = np.where(big, 1e-140, 1.0)
             u = u * f
             u_prev = u_prev * f
-            christoffel = christoffel * (f * f)
+            s = s * (f * f)
             c = c + np.where(big, np.log(1e140), 0.0)
-        if k < n:
-            christoffel = christoffel + u * u
-    return u, u_prev, c, christoffel
+        yield u, u_prev, c, s
+
+
+def _laguerre_last(n: int, alpha: int, x: np.ndarray):
+    """Final state (u_n, u_{n-1}, c, s_n) of _laguerre_steps."""
+    for state in _laguerre_steps(n, alpha, x):
+        pass
+    return state
 
 
 def gauss_laguerre_gen(n: int, alpha: int) -> QuadRule:
@@ -165,7 +171,7 @@ def gauss_laguerre_gen(n: int, alpha: int) -> QuadRule:
     # enter a limit cycle of a few ulp once the roots are exhausted)
     prev_step = np.inf
     for it in range(_NEWTON_MAX_ITER):
-        u_n, u_nm1, _, _ = _laguerre_weighted_recurrence(n, alpha, x)
+        u_n, u_nm1, _, _ = _laguerre_last(n, alpha, x)
         dphi = ((n - 0.5 * x) * u_n + b_n * u_nm1) / x
         dx = u_n / dphi
         x = x - dx
@@ -180,7 +186,7 @@ def gauss_laguerre_gen(n: int, alpha: int) -> QuadRule:
         bad = int(np.argmax(np.abs(dx) / (1.0 + x)))
         raise RuntimeError(f"Laguerre root refinement failed to converge at node {bad}")
 
-    _, _, c, christoffel = _laguerre_weighted_recurrence(n, alpha, x)
+    _, _, c, christoffel = _laguerre_last(n, alpha, x)
     if np.any(christoffel <= 0) or not np.all(np.isfinite(christoffel)):
         bad = int(np.argmin(christoffel))
         raise RuntimeError(f"Laguerre weight computation failed at node {bad}")

@@ -3,7 +3,8 @@
 Basis: K_p(r) = sqrt(p! / (p+2)!) tau^{-3/2} e^{-r/(2 tau)} L_p^{(2)}(r / tau),
 orthonormal against the r^2 dr measure.  Sampling at the scaled
 generalized Gauss-Laguerre nodes makes the forward projection exact for
-signals band-limited at P.
+signals band-limited at P.  K_p is evaluated by the quadrature module's
+compensated Laguerre recurrence.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_laguerre_gen
+from .quadrature import MAX_NODES, _laguerre_steps, gauss_laguerre_gen
 
 __all__ = [
     "RadialParams",
@@ -26,9 +27,6 @@ __all__ = [
     "tau_for_boundary",
 ]
 
-_RESCALE_THRESHOLD = 1e250
-_RESCALE_LOG = math.log(1e250)
-
 
 @dataclass(frozen=True)
 class RadialParams:
@@ -38,8 +36,8 @@ class RadialParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.P < 1:
-            raise ValueError(f"radial band limit must be >= 1, got {self.P}")
+        if not 1 <= self.P <= MAX_NODES:
+            raise ValueError(f"radial band limit must be in [1, {MAX_NODES}], got {self.P}")
         if not (self.tau > 0 and math.isfinite(self.tau)):
             raise ValueError(f"radial scale must be positive and finite, got {self.tau}")
 
@@ -62,37 +60,18 @@ class RadialCoeffs:
 def basis_matrix(params: RadialParams, radii: np.ndarray) -> np.ndarray:
     """Evaluate K_p at the given radii; returns shape (P, len(radii)).
 
-    The damping e^{-x/2} is folded into the recurrence with a per-point
-    compensation exponent, keeping the weighted values representable up to
-    P of several hundred where the bare polynomial would overflow.
+    K_p(r) = (-1)^p tau^{-3/2} phi_p(r / tau) for the alpha = 2 weighted
+    Laguerre functions phi_p that also make the quadrature rule.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
     if np.any(radii < 0):
         raise ValueError("radii must be non-negative")
-    P, tau = params.P, params.tau
-    x = radii / tau
-    out = np.zeros((P, radii.size))
-
-    # weighted normalized recurrence; true value = u * e^{c}
-    c = -0.5 * x
-    u_prev = np.zeros_like(x)
-    u = np.full_like(x, 1.0 / math.sqrt(2.0))  # N_0 L_0 = 1/sqrt(0!->2!)
+    out = np.empty((params.P, radii.size))
     with np.errstate(under="ignore"):
-        out[0] = u * np.exp(c)
-    for p in range(1, P):
-        # L_p = ((2p+1-x) L_{p-1} - (p+1) L_{p-2}) / p, prefactors folded in
-        r1 = math.sqrt(p / (p + 2.0))          # N_p / N_{p-1}
-        r2 = math.sqrt(p * (p - 1.0) / ((p + 2.0) * (p + 1.0)))  # N_p / N_{p-2}
-        u_prev, u = u, (r1 * (2 * p + 1 - x) * u - r2 * (p + 1) * u_prev) / p
-        big = np.abs(u) > _RESCALE_THRESHOLD
-        if np.any(big):
-            f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
-            u = u * f
-            u_prev = u_prev * f
-            c = c + np.where(big, _RESCALE_LOG, 0.0)
-        with np.errstate(under="ignore"):
-            out[p] = u * np.exp(c)
-    return out * tau ** -1.5
+        for p, (u, _, c, _) in enumerate(_laguerre_steps(params.P - 1, 2, radii / params.tau)):
+            np.multiply(u, np.exp(c), out=out[p])
+    out[1::2] *= -1.0
+    return out * params.tau ** -1.5
 
 
 def laguerre_basis(params: RadialParams, r: float) -> np.ndarray:

@@ -167,3 +167,24 @@ def legendre_column_high_precision(L, m, x, dps=60):
 def legendre_high_precision(ell, m, x, dps=60):
     """Orthonormalized associated Legendre value via mpmath recurrence."""
     return float(legendre_column_high_precision(ell + 1, m, x, dps)[-1])
+
+
+def laguerre_basis_high_precision(P, tau, r, dps=60):
+    """K_p(r) for p = 0..P-1 via the classical L_p^{(2)} recurrence in mpmath.
+
+    (p + 1) L_{p+1} = (2p + 3 - x) L_p - (p + 2) L_{p-1} at x = r / tau,
+    with K_p = sqrt(p! / (p+2)!) tau^{-3/2} e^{-x/2} L_p^{(2)}(x): no
+    rescaling, no orthonormal form, no sign convention shared with the
+    library.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        x = mp.mpf(r) / mp.mpf(tau)
+        damp = mp.exp(-x / 2) * mp.mpf(tau) ** mp.mpf(-1.5)
+        lag = [mp.mpf(1), 3 - x]
+        for p in range(1, P - 1):
+            lag.append(((2 * p + 3 - x) * lag[p] - (p + 2) * lag[p - 1]) / (p + 1))
+        return np.array(
+            [float(damp * lag[p] / mp.sqrt((p + 1) * (p + 2))) for p in range(P)]
+        )

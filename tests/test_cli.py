@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from flaglets import cli
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward
 from flaglets.io_container import read_container
@@ -32,6 +33,20 @@ class TestRoundtrip:
     def test_bad_band_limit_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "roundtrip", "--L", "0", "--P", "4")
         assert code == 2
+
+    def test_radial_limit_past_quadrature_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "200000")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_memory_error_is_runtime_error(self, capsys, monkeypatch):
+        def exhausted(limits, seed):
+            raise MemoryError("Unable to allocate 15.3 GiB for an array")
+
+        monkeypatch.setattr(cli, "random_flag_coeffs", exhausted)
+        code, _, err = run(capsys, "roundtrip", "--L", "1024", "--P", "1000")
+        assert code == 1
+        assert err.startswith("error:") and "Unable to allocate" in err
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -168,6 +183,19 @@ class TestKernels:
             assert abs(float(ln.split(",")[-1]) - 1.0) < 1e-10
 
 
+    def test_empty_band_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "kernels.csv"
+        code, _, err = run(capsys, "kernels", "--L", "0", "--output", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+
+    def test_infinite_dilation_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "kernels.csv"
+        code, _, err = run(capsys, "kernels", "--L", "8", "--lambda", "inf", "--output", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+
+
 class TestBench:
     def test_reports_both_timings(self, capsys):
         code, out, _ = run(
@@ -178,6 +206,11 @@ class TestBench:
         assert report["full_res_seconds"] > 0
         assert report["multires_seconds"] > 0
         assert report["speedup"] > 0
+
+    def test_infinite_dilation_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", "--lambda", "inf")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSimulate:

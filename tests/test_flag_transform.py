@@ -1,5 +1,7 @@
 """Exact Fourier-Laguerre transform on the ball."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from flaglets.flag_transform import (
     flag_inverse,
     get_flag_plan,
 )
+from flaglets.quadrature import MAX_NODES
 from flaglets.radial_laguerre import laguerre_basis, radial_nodes
 from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, get_plan, sht_inverse
 
@@ -184,6 +187,10 @@ class TestValidation:
             BandLimits(4, 0, 1.0)
         with pytest.raises(ValueError):
             BandLimits(4, 4, -1.0)
+        with pytest.raises(ValueError):
+            BandLimits(4, MAX_NODES + 1, 1.0)
+        with pytest.raises(ValueError):
+            BandLimits(4, 4, math.inf)
 
     def test_rejects_wrong_shapes(self):
         limits = BandLimits(4, 4, 1.0)

@@ -1,17 +1,22 @@
 """Binary container round trips for every serializable object."""
 
 import io
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaglets.cli import random_flag_coeffs
-from flaglets.flag_transform import BandLimits, flag_inverse
-from flaglets.flaglet_transform import flaglet_analyze
+from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_inverse
+from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze
 from flaglets.cli import main
 from flaglets.io_container import (
     ContainerError,
+    HeaderError,
     KindError,
     LengthMismatchError,
     MagicError,
@@ -20,17 +25,26 @@ from flaglets.io_container import (
     read_container,
     write_container,
 )
-from flaglets.kernel_tiling import TilingParams, build_flaglet_kernels, build_sphere_kernels
+from flaglets.kernel_tiling import (
+    FlagletKernels,
+    SphereKernels,
+    TilingParams,
+    build_flaglet_kernels,
+    build_sphere_kernels,
+)
 from flaglets.sphere_harmonics import SphereCoeffs, SphereGrid, sht_inverse
-from flaglets.sphere_wavelets import sphere_analyze
+from flaglets.sphere_wavelets import SphereDecomposition, sphere_analyze
 
 
-def roundtrip(obj):
+def container_bytes(obj) -> bytes:
     buf = io.BytesIO()
     n = write_container(obj, buf)
     assert n == len(buf.getvalue())
-    buf.seek(0)
-    return read_container(buf)
+    return buf.getvalue()
+
+
+def roundtrip(obj):
+    return read_container(io.BytesIO(container_bytes(obj)))
 
 
 class TestRoundTrips:
@@ -216,3 +230,93 @@ class TestOversizedHeaders:
         raw = b"FLG1" + struct.pack("<II", 1, 3) + struct.pack("<IId", 4096, 100_000, 1.0)
         with pytest.raises(TruncatedError):
             read_container(io.BytesIO(raw))
+
+
+class TestNonFiniteHeaders:
+    def test_infinite_dilation_is_header_error(self):
+        # at lam = inf the tiling has one wavelet scale, so cut the payload to
+        # eta plus one kappa: the reader must reject the header, not the length
+        raw = bytearray(container_bytes(build_sphere_kernels(8, TilingParams())))
+        raw[20:28] = struct.pack("<d", math.inf)
+        raw = raw[: 28 + 2 * 8 * 8]
+        with pytest.raises(HeaderError):
+            read_container(io.BytesIO(bytes(raw)))
+
+
+def _valid_containers():
+    """One small valid container per kind (both decomposition flavours)."""
+    rng = np.random.default_rng(11)
+    limits = BandLimits(4, 3, 1.5)
+    coeffs = random_flag_coeffs(limits, 5)
+    sphere = SphereCoeffs(4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    objs = [
+        sht_inverse(sphere),
+        sphere,
+        flag_inverse(coeffs),
+        coeffs,
+        build_sphere_kernels(8, TilingParams(lam=3.0)),
+        build_flaglet_kernels(BandLimits(4, 4, 2.0), TilingParams(nu=3.0, j0_rad=1)),
+        sphere_analyze(sphere, build_sphere_kernels(4, TilingParams()), multires=True),
+        flaglet_analyze(coeffs, build_flaglet_kernels(limits, TilingParams()), multires=False),
+    ]
+    return [container_bytes(obj) for obj in objs]
+
+
+VALID_CONTAINERS = _valid_containers()
+READ_TYPES = (
+    SphereGrid, SphereCoeffs, BallGrid, FlagCoeffs, SphereKernels, FlagletKernels,
+    SphereDecomposition, FlagletDecomposition,
+)
+
+# (offset, struct format) of the header fields after magic and version, by kind
+_PREAMBLE = [(8, "<I")]
+HEADER_FIELDS = {
+    1: _PREAMBLE + [(12, "<I")],
+    2: _PREAMBLE + [(12, "<I")],
+    3: _PREAMBLE + [(12, "<I"), (16, "<I"), (20, "<d")],
+    4: _PREAMBLE + [(12, "<I"), (16, "<I"), (20, "<d")],
+    5: _PREAMBLE + [(12, "<I"), (16, "<I"), (20, "<d")],
+    6: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24)] + [(o, "<d") for o in (28, 36, 44)],
+    7: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24, 28)] + [(o, "<d") for o in (32, 40, 48)],
+}
+FLOAT_VALUES = [math.inf, -math.inf, math.nan, 1e308, 1.0000001, -2.0, 5e-324]
+INT_VALUES = [0, 1, 2, 3, 7, 2**31, 2**32 - 2]  # 2**32 - 2 is -2 as a u32
+
+
+@st.composite
+def mutated_containers(draw):
+    raw = bytearray(draw(st.sampled_from(VALID_CONTAINERS)))
+    kind = struct.unpack_from("<I", raw, 8)[0]
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["truncate", "flip", "field"]))
+        if how == "truncate" and raw:
+            del raw[draw(st.integers(0, len(raw) - 1)):]
+        elif how == "flip" and raw:
+            # half the flips land in the first 64 bytes, where the header is
+            header = st.integers(0, min(len(raw), 64) - 1)
+            pos = draw(st.one_of(header, st.integers(0, len(raw) - 1)))
+            raw[pos] ^= 1 << draw(st.integers(0, 7))
+        elif how == "field":
+            offset, fmt = draw(st.sampled_from(HEADER_FIELDS[kind]))
+            if offset + struct.calcsize(fmt) <= len(raw):
+                values = FLOAT_VALUES if fmt == "<d" else INT_VALUES
+                struct.pack_into(fmt, raw, offset, draw(st.sampled_from(values)))
+    return bytes(raw)
+
+
+class TestFuzz:
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(mutated_containers())
+    def test_typed_error_or_object_with_bounded_memory(self, raw):
+        tracemalloc.start()
+        try:
+            try:
+                obj = read_container(io.BytesIO(raw))
+            except ContainerError:
+                pass
+            else:
+                assert isinstance(obj, READ_TYPES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(raw) + (1 << 18), (peak, len(raw))

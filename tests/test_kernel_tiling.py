@@ -108,6 +108,11 @@ class TestScaleBookkeeping:
             TilingParams(nu=0.5)
         with pytest.raises(ValueError):
             TilingParams(j0_ang=-1)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TilingParams(lam=bad)
+            with pytest.raises(ValueError):
+                TilingParams(nu=bad)
 
 
 class TestSphereKernels:
