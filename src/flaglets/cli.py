@@ -23,7 +23,7 @@ from .flaglet_transform import (
     threshold_denoise,
 )
 from .io_container import ContainerError, read_container, write_container
-from .kernel_tiling import TilingParams, build_flaglet_kernels, build_sphere_kernels
+from .kernel_tiling import TilingParams, build_flaglet_kernels, build_sphere_kernels, scale_range
 from .radial_laguerre import radial_nodes
 from .sphere_harmonics import sphere_sampling
 
@@ -90,9 +90,14 @@ def _limits_from_args(args) -> BandLimits:
         raise UsageError(str(exc)) from exc
 
 
-def _tiling_from_args(args) -> TilingParams:
+def _tiling_from_args(args, L: int, P: int = 0) -> TilingParams:
+    """Tiling from the options, checked against the band limits it will tile."""
     try:
-        return TilingParams(args.lam, args.nu, args.j0_ang, args.j0_rad)
+        params = TilingParams(args.lam, args.nu, args.j0_ang, args.j0_rad)
+        scale_range(L, params.lam, params.j0_ang)
+        if P > 0:
+            scale_range(P, params.nu, params.j0_rad)
+        return params
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -155,7 +160,7 @@ def cmd_analyze(args) -> int:
         coeffs = flag_forward(obj)
     else:
         coeffs = obj
-    params = _tiling_from_args(args)
+    params = _tiling_from_args(args, coeffs.limits.L, coeffs.limits.P)
     kernels = build_flaglet_kernels(coeffs.limits, params)
     d = flaglet_analyze(coeffs, kernels, multires=args.multires)
     write_container(d, args.output)
@@ -228,7 +233,7 @@ def cmd_slice(args) -> int:
 
 def cmd_bench(args) -> int:
     limits = _limits_from_args(args)
-    params = _tiling_from_args(args)
+    params = _tiling_from_args(args, limits.L, limits.P)
     kernels = build_flaglet_kernels(limits, params)
     coeffs = random_flag_coeffs(limits, args.seed)
 
@@ -257,7 +262,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_kernels(args) -> int:
-    params = _tiling_from_args(args)
+    params = _tiling_from_args(args, args.L, args.P)
     if args.P > 0:
         limits = _limits_from_args(args)
     elif args.L < 1:

@@ -33,6 +33,10 @@ __all__ = [
 
 _NEG_RESIDUAL_LIMIT = -1e-12
 
+# largest scale index of a tiling: every dilation >= 1.14 stays within it up to
+# MAX_BAND_LIMIT, and a dilation just above 1 cannot ask for millions of windows
+MAX_SCALE = 64
+
 
 @dataclass(frozen=True)
 class TilingParams:
@@ -66,6 +70,11 @@ def scale_count(band_limit: int, dilation: float, j0: int) -> int:
 def scale_range(band_limit: int, dilation: float, j0: int) -> range:
     """Scale indices j0..J of the tiling of degrees below band_limit."""
     jmax = max_scale(band_limit, dilation)
+    if jmax > MAX_SCALE:
+        raise ValueError(
+            f"dilation {dilation} needs scale {jmax} at band limit {band_limit};"
+            f" at most {MAX_SCALE} is supported"
+        )
     if j0 > jmax:
         raise ValueError(
             f"minimum scale {j0} exceeds largest scale {jmax} at band limit {band_limit}"

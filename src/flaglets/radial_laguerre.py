@@ -9,7 +9,6 @@ compensated Laguerre recurrence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,10 @@ __all__ = [
 ]
 
 
+# radial scales tau in this range keep tau^3 and tau^(-3/2) normal doubles
+TAU_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class RadialParams:
     """Radial band limit P and scale tau."""
@@ -38,8 +41,9 @@ class RadialParams:
     def __post_init__(self):
         if not 1 <= self.P <= MAX_NODES:
             raise ValueError(f"radial band limit must be in [1, {MAX_NODES}], got {self.P}")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError(f"radial scale must be positive and finite, got {self.tau}")
+        lo, hi = TAU_RANGE
+        if not lo <= self.tau <= hi:
+            raise ValueError(f"radial scale must be in [{lo:g}, {hi:g}], got {self.tau}")
 
 
 @dataclass

@@ -10,8 +10,12 @@ Conventions: orthonormal harmonics with the Condon-Shortley phase folded
 into the normalized associated Legendre functions,
 Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
 
-The Ptilde_l^m come from one compensated recurrence, _legendre_blocks, run
-on the x >= 0 half of the symmetric nodes; SpherePlan mirrors the other half.
+The Ptilde_l^m come from one compensated recurrence, _legendre_blocks, in
+blocks of orders on the x >= 0 half of the symmetric nodes.  The engine
+never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds
+a grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even
+and the odd degrees of an order project onto, and unfolds the synthesised
+sums the same way.
 """
 
 from __future__ import annotations
@@ -137,19 +141,27 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
-def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
-    """Yield (m, Ptilde_l^m(xs) for l = m..L-1) for m = m_first..L-1.
+def _orders_per_block(L: int, n: int) -> int:
+    """Orders per Legendre block: _LEGENDRE_BLOCK_BYTES of values at n nodes, at least one."""
+    return max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
 
+
+def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
+    """Yield (m0, block) for consecutive blocks of orders from m_first to L-1.
+
+    block[i, k, j] = Ptilde_{m0+i+k}^{m0+i}(xs[j]), shape (nb, L - m0, len(xs));
+    the rows k >= L - m0 - i (degree l >= L) are zero.
     int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase
     included.  Values are carried as u e^{c} with a per-point exponent c, so
     high-m values near the poles underflow to zero instead of poisoning the
     recurrence.  The sectoral seed is carried from one order to the next; the
-    recurrence over l steps a block of orders in lock step.
+    recurrence over l steps the orders of a block in lock step.  sin(theta) is
+    taken as sqrt((1 - x)(1 + x)), which keeps its last bits near the poles.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = xs.size
-    sinx = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    step = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
+    sinx = np.sqrt(np.maximum(0.0, (1.0 - xs) * (1.0 + xs)))
+    step = _orders_per_block(L, n)
     u = np.full(n, 1.0 / math.sqrt(2.0))
     c = np.zeros(n)
     m = 0
@@ -165,7 +177,6 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
                     u = np.where(small, u * _RESCALE_THRESHOLD, u)
                     c = c - np.where(small, _RESCALE_LOG, 0.0)
             seed_u[i], seed_c[i] = u, c
-        # block[i, k] = Ptilde_{m0+i+k}^{m0+i}; rows k >= K-i (l >= L) are unused
         block = np.empty((nb, K, n))
         ms = np.arange(m0, m0 + nb, dtype=np.float64)
         ells = ms + np.arange(2, K, dtype=np.float64)[:, None]  # (K-2, nb)
@@ -189,8 +200,9 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
                     c_blk = c_blk + np.where(big, _RESCALE_LOG, 0.0)
                     scale = np.exp(c_blk)
                 block[:, k] = u_cur * scale
-        for i in range(nb):
-            yield m0 + i, block[i, : K - i]
+        for i in range(1, nb):
+            block[i, K - i :] = 0.0
+        yield m0, block
 
 
 def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
@@ -198,7 +210,7 @@ def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
 
     Returns shape (L - m, len(xs)); see _legendre_blocks.
     """
-    return next(_legendre_blocks(L, xs, m))[1].copy()
+    return next(_legendre_blocks(L, xs, m))[1][0].copy()
 
 
 def assoc_legendre_table(L: int, x: float) -> np.ndarray:
@@ -212,44 +224,86 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     if abs(x) > 1.0:
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
     table = np.zeros((L, L))
-    for m, col in _legendre_blocks(L, np.array([float(x)])):
-        table[m:, m] = col[:, 0]
+    for m0, block in _legendre_blocks(L, np.array([float(x)])):
+        for i, col in enumerate(block[:, :, 0], start=m0):
+            table[i:, i] = col[: L - i]
     return table.reshape(-1)
 
 
 class SpherePlan:
-    """Quadrature rule and streamed per-m Legendre tables for one L.
+    """Quadrature rule, folded Legendre blocks and their index maps for one L.
 
-    tables() recurs on the nodes x >= 0 and mirrors x_i = -x_{L-1-i} (exact in
-    gauss_legendre) by Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x).  Up to
-    _CACHE_LIMIT a complete pass is kept; past it tables are yielded and dropped.
+    The nodes are symmetric, x_{half+j} = -x_{L-1-half-j} with half = L // 2
+    (exact in gauss_legendre), so tables() yields the blocks of
+    _legendre_blocks on the L - half nodes x >= 0 only.  In block[i, k] the
+    rows of even k (l + m even) are even in x and those of odd k odd; at odd
+    L the odd rows vanish at x = 0.  Up to _CACHE_LIMIT a complete pass is
+    kept; past it blocks are yielded and dropped.
+
+    maps[b][p] serves parity p of the b-th block as int32 arrays:
+    `index[i, k', s]` is the flat coefficient index of (l, m) =
+    (m0+i+2k'+p, +-(m0+i)) for s = 0, 1, and 0 past the band limit, where
+    the table rows are zero; `valid` lists the flat positions in `index`
+    that the forward transform stores, each coefficient once, in
+    coefficient order; `dest` = index.flat[valid].
     """
 
-    # full per-m tables are O(L^3/2) doubles; beyond this, regenerate per pass
+    # folded blocks are O(L^3/4) doubles; beyond this, regenerate per pass
     _CACHE_LIMIT = 256
 
     def __init__(self, L: int):
         if L < 1 or L > MAX_BAND_LIMIT:
             raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
         self.L = L
+        self.half = L // 2
         self.rule = gauss_legendre(L)
-        self._tables = None
+        nphi, odd = 2 * L - 1, L % 2
+        # Y_l^-m = (-1)^m conj(Y_l^m): the -m Fourier columns of odd m change sign
+        cols = np.arange(nphi)
+        self.signs = np.where((cols >= L) & ((nphi - cols) % 2 == 1), -1.0, 1.0)
+        # rows of a folded grid: f(x_j) + f(-x_j) for the L - half nodes x_j >= 0,
+        # then f(x_j) - f(-x_j) for those x_j > 0; their weights w (2 pi / (2L-1))
+        # / sqrt(2 pi), halved at the x = 0 node of odd L, which folds onto itself
+        weights = self.rule.weights[self.half :] * (math.sqrt(2.0 * np.pi) / nphi)
+        self.fold_weights = np.concatenate((weights, weights[odd:]))
+        if odd:
+            self.fold_weights[0] *= 0.5
+        # orders in the first, largest block
+        self.block_orders = min(_orders_per_block(L, L - self.half), L)
+        self.maps = [
+            self._block_maps(m0, min(self.block_orders, L - m0))
+            for m0 in range(0, L, self.block_orders)
+        ]
+        self._blocks = None
+
+    def _block_maps(self, m0: int, nb: int):
+        ms = np.arange(m0, m0 + nb)[:, None, None]
+        ells = ms + np.arange(self.L - m0)[:, None]  # (nb, K, 1)
+        signed = ms * np.array([1, -1])  # (nb, 1, 2)
+        index = np.where(ells < self.L, ells * (ells + 1) + signed, 0)
+        # -0 is +0: order 0 is stored once
+        stored = (ells < self.L) & ((ms > 0) | (np.arange(2) == 0))
+        maps = []
+        for p in (0, 1):
+            parity = index[:, p::2].astype(np.int32)
+            # stored entries in coefficient order: the scatter then writes runs
+            valid = np.flatnonzero(stored[:, p::2]).astype(np.int32)
+            valid = valid[np.argsort(parity.reshape(-1)[valid])]
+            maps.append((parity, valid, parity.reshape(-1)[valid]))
+        return maps
 
     def tables(self):
-        """Yield (m, Ptilde_l^m at every node for l = m..L-1) for m = 0..L-1."""
-        if self._tables is not None:
-            yield from enumerate(self._tables)
+        """Yield (m0, block) over all orders; see _legendre_blocks."""
+        if self._blocks is not None:
+            yield from self._blocks
             return
-        L, half = self.L, self.L // 2
         kept = []
-        for m, upper in _legendre_blocks(L, self.rule.nodes[half:]):
-            table = np.hstack((upper[:, ::-1][:, :half], upper))
-            table[1::2, :half] *= -1.0
-            if L <= self._CACHE_LIMIT:
-                kept.append(table)
-            yield m, table
+        for m0, block in _legendre_blocks(self.L, self.rule.nodes[self.half :]):
+            if self.L <= self._CACHE_LIMIT:
+                kept.append((m0, block))
+            yield m0, block
         if kept:
-            self._tables = kept
+            self._blocks = kept
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -264,65 +318,112 @@ def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _fft_block_grids(L: int) -> int:
-    """Grids the forward transform FFTs per block: _FFT_BLOCK_BYTES' worth, at least one."""
+    """Grids per block of a batch: _FFT_BLOCK_BYTES of Fourier buffer, at least one."""
     return max(1, _FFT_BLOCK_BYTES // (16 * L * (2 * L - 1)))
+
+
+def _column_ranges(L: int, m0: int, nb: int):
+    """(first order, Fourier columns) of the +m and of the -m columns of a block.
+
+    The -m columns of orders m0..m0+nb-1 run down from 2L-1-m0; order 0 has
+    only column 0, which is its +m column.
+    """
+    nphi, skip = 2 * L - 1, int(m0 == 0)
+    return (0, slice(m0, m0 + nb)), (skip, slice(nphi - m0 - skip, nphi - m0 - nb, -1))
 
 
 def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndarray:
     """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
 
     `grids` may be a list of grids or an array of them; it is never stacked.
-    A block of grids at a time is copied row by row into an (n, L, 2L-1)
-    buffer and FFT'd in place along its contiguous last axis.  For each m one
-    GEMM projects the +m and -m Fourier columns of every grid in the block
-    onto the degrees (at m = 0 both halves are column 0, and both writes store
-    the same values).  Past SpherePlan._CACHE_LIMIT the tables are regenerated
-    per block: generating them once would hold a full-size Fourier copy.
+    A block of grids at a time is folded about the equator into an
+    (n, L, 2L-1) buffer, rows f(x) + f(-x) then f(x) - f(-x) on the half
+    nodes, and FFT'd in place along its contiguous last axis.  For each block
+    of orders and each parity, the +m and -m Fourier columns of the sums (even
+    rows of the block) or the differences (odd rows) are copied out weighted,
+    projected by one stacked GEMM over the orders, and the stored degrees
+    scattered through the plan's maps.  Past SpherePlan._CACHE_LIMIT the
+    tables are regenerated per block of grids: generating them once would hold
+    a full-size Fourier copy.
     """
-    L, nphi = plan.L, 2 * plan.L - 1
+    L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
+    nh, odd = L - half, L % 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
-    # w_i (2 pi / (2L-1)) / sqrt(2 pi): quadrature and harmonic normalisation
-    scale = plan.rule.weights[:, None] * (math.sqrt(2.0 * np.pi) / nphi)
-    ells = np.arange(L)
-    step = _fft_block_grids(L)
+    step = min(_fft_block_grids(L), max(len(grids), 1))
+    # work space reused by every block of grids: the Fourier buffer, and room
+    # for the folded columns and the projections of any (block of orders, parity)
+    fm_buf = np.empty((step, L, nphi), dtype=np.complex128)
+    folded_buf = np.empty(plan.block_orders * nh * 2 * step, dtype=np.complex128)
+    proj_buf = np.empty_like(folded_buf)
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        fm = np.empty((n, L, nphi), dtype=np.complex128)
-        for row, grid in zip(fm, block):
-            row[...] = grid
+        fm = fm_buf[:n]
+        for dst, src in [(fm, block)] if isinstance(block, np.ndarray) else zip(fm, block):
+            north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
+            np.add(north, south, out=dst[..., :nh, :])
+            np.subtract(north[..., odd:, :], south[..., odd:, :], out=dst[..., nh:, :])
         np.fft.fft(fm, axis=-1, out=fm)
-        fm *= scale
-        for m, table in plan.tables():
-            proj = _real_matmul(table, np.hstack((fm[:, :, m].T, fm[:, :, -m].T)))
-            base = ells[m:] * (ells[m:] + 1)
-            out[start : start + n, base + m] = proj[:, :n].T
-            out[start : start + n, base - m] = (-1) ** m * proj[:, n:].T
+        out_t = out[start : start + n].T
+        for (m0, table), maps in zip(plan.tables(), plan.maps):
+            nb = table.shape[0]
+            for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
+                nodes = fold.stop - fold.start
+                # folded[i, j, s, r]: order m0+i, folded row j, sign s, grid r
+                folded = folded_buf[: nb * nodes * 2 * n].reshape(nb, nodes, 2, n)
+                for s, (lo, cols) in enumerate(_column_ranges(L, m0, nb)):
+                    weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[fold])
+                    columns = fm[:, fold, cols].transpose(2, 1, 0)
+                    np.multiply(columns, weights[..., None], out=folded[lo:, :, s])
+                if m0 == 0:
+                    folded[0, :, 1] = 0.0
+                proj = proj_buf[: index.size * n].reshape(-1, n)
+                np.matmul(
+                    table[:, p::2, odd * p :],
+                    folded.view(np.float64).reshape(nb, nodes, 4 * n),
+                    out=proj.view(np.float64).reshape(nb, -1, 4 * n),
+                )
+                stored = folded_buf[: valid.size * n].reshape(-1, n)
+                np.take(proj, valid, axis=0, out=stored, mode="clip")
+                out_t[dest] = stored
     return out
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
 
-    For each m one GEMM synthesises the +m and -m Fourier columns of every
-    row (at m = 0 both halves are column 0 and agree); the longitudinal sums
-    are one in-place inverse FFT.
+    For each block of orders, and within it for each block of at most
+    _fft_block_grids rows, the plan's maps gather the +m and -m coefficients
+    of each parity, and one stacked GEMM per parity synthesises the even and
+    the odd sums S_even, S_odd on the half nodes.  f(+-x) = S_even +- S_odd
+    goes straight into the block's Fourier columns, which are then signed and
+    scaled and inverse-FFT'd in place.
     """
-    L, nphi = plan.L, 2 * plan.L - 1
+    L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
+    nh = L - half
     rows = coeffs.reshape(-1, L * L)
-    n = rows.shape[0]
-    g = np.empty((n, L, nphi), dtype=np.complex128)
-    ells = np.arange(L)
-    for m, table in plan.tables():
-        base = ells[m:] * (ells[m:] + 1)
-        stacked = np.empty((L - m, 2 * n), dtype=np.complex128)
-        stacked[:, :n] = rows[:, base + m].T
-        stacked[:, n:] = (-1) ** m * rows[:, base - m].T
-        synth = _real_matmul(table.T, stacked)  # (L, 2n)
-        g[:, :, m] = synth[:, :n].T
-        g[:, :, -m] = synth[:, n:].T
-    np.fft.ifft(g, axis=-1, out=g)
-    g *= nphi / math.sqrt(2.0 * np.pi)
+    g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
+    north, south = g[:, half:], g[:, nh - 1 :: -1]
+    step = min(_fft_block_grids(L), max(len(rows), 1))
+    synth_buf = np.empty(2 * plan.block_orders * nh * 2 * step, dtype=np.complex128)
+    for (m0, table), maps in zip(plan.tables(), plan.maps):
+        nb = table.shape[0]
+        for start in range(0, len(rows), step):
+            chunk = rows[start : start + step]
+            n = len(chunk)
+            synth = synth_buf[: 2 * nb * nh * 2 * n].reshape(2, nb, nh, 2, n)
+            for p, (index, _, _) in enumerate(maps):
+                np.matmul(
+                    table[:, p::2].transpose(0, 2, 1),
+                    chunk.T[index].view(np.float64).reshape(nb, -1, 4 * n),
+                    out=synth[p].view(np.float64).reshape(nb, nh, 4 * n),
+                )
+            for s, (lo, cols) in enumerate(_column_ranges(L, m0, nb)):
+                even, odd = synth[:, lo:, :, s].transpose(0, 2, 3, 1)
+                np.add(even, odd, out=north[start : start + n, :, cols].transpose(1, 0, 2))
+                np.subtract(even, odd, out=south[start : start + n, :, cols].transpose(1, 0, 2))
+    g *= plan.signs / math.sqrt(2.0 * np.pi)
+    np.fft.ifft(g, axis=-1, norm="forward", out=g)
     return g.reshape(coeffs.shape[:-1] + (L, nphi))
 
 

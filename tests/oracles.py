@@ -116,10 +116,10 @@ def legendre_per_order(L, m, xs):
     The library's earlier per-order loop, kept as the reference the streamed
     tables must match bit for bit: the sectoral seed is rebuilt from k = 1,
     then the recurrence over l runs for this order alone, with the same
-    1e-250 / 1e250 compensation.
+    1e-250 / 1e250 compensation and the same sin(theta) = sqrt((1 - x)(1 + x)).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    sinx = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
+    sinx = np.sqrt(np.maximum(0.0, (1.0 - xs) * (1.0 + xs)))
     out = np.zeros((L - m, xs.size))
     u = np.full(xs.size, 1.0 / math.sqrt(2.0))
     c = np.zeros(xs.size)
@@ -142,6 +142,40 @@ def legendre_per_order(L, m, xs):
             c = c + np.where(big, math.log(1e250), 0.0)
             out[ell - m] = u_cur * np.exp(c)
     return out
+
+
+def _direct_tables(L):
+    """Gauss-Legendre weights, longitudes and the per-order tables at every node."""
+    rule = gauss_legendre(L)
+    _, phis = sphere_sampling(L)
+    return rule.weights, phis, [legendre_per_order(L, m, rule.nodes) for m in range(L)]
+
+
+def direct_sht_forward(values, L):
+    """Forward SHT by direct sums: an explicit DFT matrix over phi, then the
+    per-order reference tables at every node; no FFT, fold or blocks."""
+    w, phis, tables = _direct_tables(L)
+    ms = np.arange(-(L - 1), L)
+    dft = np.exp(-1j * np.outer(phis, ms)) * (2.0 * np.pi / (2 * L - 1)) / math.sqrt(2.0 * np.pi)
+    fm = (values @ dft) * w[:, None]  # (node, m + L - 1)
+    coeffs = np.zeros(L * L, dtype=np.complex128)
+    for m, table in enumerate(tables):
+        ells = np.arange(m, L)
+        coeffs[ells * (ells + 1) + m] = table @ fm[:, L - 1 + m]
+        coeffs[ells * (ells + 1) - m] = (-1) ** m * (table @ fm[:, L - 1 - m])
+    return coeffs
+
+
+def direct_sht_inverse(coeffs, L):
+    """Synthesis by direct sums, the adjoint of direct_sht_forward's path."""
+    _, phis, tables = _direct_tables(L)
+    ms = np.arange(-(L - 1), L)
+    fm = np.zeros((L, 2 * L - 1), dtype=np.complex128)
+    for m, table in enumerate(tables):
+        ells = np.arange(m, L)
+        fm[:, L - 1 + m] = coeffs[ells * (ells + 1) + m] @ table
+        fm[:, L - 1 - m] = (-1) ** m * (coeffs[ells * (ells + 1) - m] @ table)
+    return fm @ np.exp(1j * np.outer(ms, phis)) / math.sqrt(2.0 * np.pi)
 
 
 def legendre_column_high_precision(L, m, x, dps=60):

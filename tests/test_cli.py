@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, reports, and file pipelines."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,12 @@ class TestRoundtrip:
     def test_bad_band_limit_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "roundtrip", "--L", "0", "--P", "4")
         assert code == 2
+
+    @pytest.mark.parametrize("tau", ["1e-300", "1e300"])
+    def test_extreme_radial_scale_is_usage_error(self, capsys, tau):
+        code, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "4", "--tau", tau)
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_radial_limit_past_quadrature_is_usage_error(self, capsys):
         code, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "200000")
@@ -192,6 +199,18 @@ class TestKernels:
     def test_infinite_dilation_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "kernels.csv"
         code, _, err = run(capsys, "kernels", "--L", "8", "--lambda", "inf", "--output", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+
+
+    def test_dilation_just_above_one_is_usage_error(self, tmp_path, capsys):
+        # 19,459,104 scales at L = 8: rejected before any window is built
+        out = tmp_path / "kernels.csv"
+        t0 = time.perf_counter()
+        code, _, err = run(
+            capsys, "kernels", "--L", "8", "--lambda", "1.0000001", "--output", str(out)
+        )
+        assert time.perf_counter() - t0 < 1.0
         assert code == 2 and err.startswith("error:")
         assert not out.exists()
 

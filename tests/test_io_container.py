@@ -243,6 +243,28 @@ class TestNonFiniteHeaders:
             read_container(io.BytesIO(bytes(raw)))
 
 
+class TestOutOfRangeHeaders:
+    def test_extreme_radial_scale_is_header_error(self):
+        # tau sits at bytes 20..28 of a ball grid container
+        grid = flag_inverse(random_flag_coeffs(BandLimits(4, 3, 1.5), 5))
+        raw = bytearray(container_bytes(grid))
+        assert struct.unpack("<d", raw[20:28]) == (1.5,)
+        raw[20:28] = struct.pack("<d", 1e308)
+        with pytest.raises(HeaderError):
+            read_container(io.BytesIO(bytes(raw)))
+
+    def test_dilation_just_above_one_is_header_error(self):
+        # lam sits at bytes 32..40 of a decomposition container; at 1.0000001
+        # the header declares 19,459,104 angular scales
+        coeffs = random_flag_coeffs(BandLimits(8, 4, 1.0), 5)
+        d = flaglet_analyze(coeffs, build_flaglet_kernels(coeffs.limits, TilingParams()))
+        raw = bytearray(container_bytes(d))
+        assert struct.unpack("<d", raw[32:40]) == (2.0,)
+        raw[32:40] = struct.pack("<d", 1.0000001)
+        with pytest.raises(HeaderError):
+            read_container(io.BytesIO(bytes(raw)))
+
+
 def _valid_containers():
     """One small valid container per kind (both decomposition flavours)."""
     rng = np.random.default_rng(11)

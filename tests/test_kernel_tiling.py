@@ -7,6 +7,7 @@ import pytest
 
 from flaglets.flag_transform import BandLimits
 from flaglets.kernel_tiling import (
+    MAX_SCALE,
     TilingParams,
     build_flaglet_kernels,
     build_sphere_kernels,
@@ -14,9 +15,11 @@ from flaglets.kernel_tiling import (
     kappa_eta,
     max_scale,
     scale_count,
+    scale_range,
     smooth_bump,
 )
 from flaglets.quadrature import gauss_legendre
+from flaglets.sphere_harmonics import MAX_BAND_LIMIT
 
 
 class TestBump:
@@ -100,6 +103,18 @@ class TestScaleBookkeeping:
         # exact powers do not pick up a spurious extra scale
         assert max_scale(33, 2.0) == 5
         assert scale_count(64, 2.0, 2) == 5
+
+    def test_scale_range_caps_the_largest_scale(self):
+        # a dilation just above 1 would ask for 19,459,104 scales at L = 8
+        assert scale_count(8, 1.0000001, 0) > 1e7
+        with pytest.raises(ValueError):
+            scale_range(8, 1.0000001, 0)
+        with pytest.raises(ValueError):
+            build_sphere_kernels(8, TilingParams(lam=1.0001))
+        # every dilation >= 1.14 stays within the cap up to MAX_BAND_LIMIT
+        assert scale_range(MAX_BAND_LIMIT, 1.14, 0) == range(0, MAX_SCALE + 1)
+        for dilation in (2.0, 3.0):
+            assert scale_range(MAX_BAND_LIMIT, dilation, 0).stop <= MAX_SCALE + 1
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -142,6 +142,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             RadialParams(MAX_NODES + 1, 1.0)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e300, 5e-324, 1e308])
+    def test_rejects_scale_whose_powers_leave_the_doubles(self, tau):
+        # tau^3 overflows at 1e300 and tau^(-3/2) at 1e-300
+        with pytest.raises(ValueError):
+            RadialParams(4, tau)
+
+    @pytest.mark.parametrize("tau", [1e-100, 1e100])
+    def test_extreme_scales_in_range_round_trip(self, tau):
+        params = RadialParams(8, tau)
+        radii, _ = radial_nodes(params)
+        c = RadialCoeffs(params, np.random.default_rng(3).uniform(-1, 1, 8))
+        back = slag_forward(slag_inverse(c, radii), params).coeffs
+        assert np.max(np.abs(back - c.coeffs)) < 1e-12
+
     def test_rejects_wrong_coeff_length(self):
         with pytest.raises(ValueError):
             RadialCoeffs(RadialParams(4, 1.0), np.zeros(5))

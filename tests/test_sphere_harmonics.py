@@ -21,6 +21,8 @@ from flaglets.sphere_harmonics import (
 )
 
 from oracles import (
+    direct_sht_forward,
+    direct_sht_inverse,
     legendre_column_high_precision,
     legendre_high_precision,
     legendre_per_order,
@@ -28,6 +30,10 @@ from oracles import (
     naive_sht_inverse,
     ylm_point,
 )
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
 
 def random_coeffs(L, rng):
@@ -82,23 +88,39 @@ class TestLegendreValues:
 class TestStreamedTables:
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 257, 300])
     def test_plan_tables_match_per_order_loop_bit_for_bit(self, L):
-        # odd L, a last partial block of orders (L = 257), cached and streamed plans
+        # odd L, a last partial block of orders (L = 257), cached and streamed
+        # plans; the blocks hold the half nodes x >= 0, zero past degree L - 1
         plan = SpherePlan(L)
-        nodes = plan.rule.nodes
+        half_nodes = plan.rule.nodes[L // 2 :]
         orders = []
-        for m, table in plan.tables():
-            orders.append(m)
-            assert np.array_equal(table, legendre_per_order(L, m, nodes)), (L, m)
+        for m0, block in plan.tables():
+            assert block.shape[1:] == (L - m0, L - L // 2)
+            for i, table in enumerate(block):
+                m = m0 + i
+                orders.append(m)
+                assert np.array_equal(table[: L - m], legendre_per_order(L, m, half_nodes)), (L, m)
+                assert not table[L - m :].any(), (L, m)
         assert orders == list(range(L))
+        nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
+
+    def test_cached_blocks_hold_half_nodes_only(self):
+        # full-node tables at L = 256 take 67.4 MB; the folded blocks about half,
+        # plus the zero rows past degree L - 1 in each block of 8 orders
+        plan = SpherePlan(256)
+        nbytes = sum(block.nbytes for _, block in plan.tables())
+        assert nbytes <= 36e6
+        assert all(a is b for (_, a), (_, b) in zip(plan.tables(), plan.tables()))
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
         L = 300
         assert L > SpherePlan._CACHE_LIMIT
         plan = SpherePlan(L)
-        nodes = plan.rule.nodes
-        tables = dict(plan.tables())
+        half_nodes = plan.rule.nodes[L // 2 :]
+        tables = {
+            m0 + i: t[: L - m0 - i] for m0, block in plan.tables() for i, t in enumerate(block)
+        }
         step = sphere_harmonics._LEGENDRE_BLOCK_BYTES // (8 * L * (L - L // 2))
         assert 1 < step < L
         starts = range(step, L, step)
@@ -106,8 +128,8 @@ class TestStreamedTables:
         for m in sorted({0, *starts, *(m0 - 1 for m0 in starts)}):
             # the node nearest the pole, where the sectoral seed of large m passes
             # through the 1e-250 compensation, and a mid-latitude node
-            for i in (L - 1, 3 * L // 4):
-                x = nodes[i]
+            for j in (len(half_nodes) - 1, 3 * L // 4 - L // 2):
+                x = half_nodes[j]
                 want = legendre_column_high_precision(L, m, x, dps=40)
                 # relative to the largest |value| at this degree or below: fully
                 # relative while a column grows, scaled to its peak past it.
@@ -116,16 +138,27 @@ class TestStreamedTables:
                 # (measured: 0.12 m eps / (1 - x^2) at the polar node).
                 tol = 1e-11 + m * np.finfo(float).eps / (1.0 - x * x)
                 envelope = np.maximum.accumulate(np.abs(want))
-                err = np.abs(tables[m][:, i] - want)
-                assert np.all(err <= tol * envelope + 1e-300), (m, i)
+                err = np.abs(tables[m][:, j] - want)
+                assert np.all(err <= tol * envelope + 1e-300), (m, j)
                 compensated += np.count_nonzero((envelope > 1e-300) & (envelope < 1e-250))
         assert compensated > 0
         # the last order at every node, from underflow near the pole to O(1)
-        want = np.array([legendre_high_precision(L - 1, L - 1, x, dps=40) for x in nodes])
+        want = np.array([legendre_high_precision(L - 1, L - 1, x, dps=40) for x in half_nodes])
         got = tables[L - 1][0]
         assert want[-1] == 0.0 and got[-1] == 0.0
-        tol = 1e-11 + (L - 1) * np.finfo(float).eps / (1.0 - nodes * nodes)
+        tol = 1e-11 + (L - 1) * np.finfo(float).eps / (1.0 - half_nodes * half_nodes)
         assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-300)
+
+    @pytest.mark.parametrize("m", [25, 150])
+    def test_polar_node_sine_keeps_full_accuracy(self, m):
+        # at the polar node of L = 300, 1 - x^2 = 8.5e-5 cancels 4 digits; the
+        # sine sqrt((1 - x)(1 + x)) does not, so no m eps / (1 - x^2) allowance
+        L = 300
+        x = SpherePlan(L).rule.nodes[-1]
+        want = legendre_column_high_precision(L, m, x, dps=40)
+        envelope = np.maximum.accumulate(np.abs(want))
+        got = legendre_matrix(L, m, [x])[:, 0]
+        assert np.all(np.abs(got - want) <= 1e-12 * envelope + 1e-300)
 
     @pytest.mark.parametrize("m", [260, 300])
     def test_rising_column_passes_both_rescales(self, m):
@@ -210,6 +243,38 @@ class TestAgainstNaiveTransform:
         fast = sht_forward(SphereGrid(L, values)).coeffs
         slow = naive_sht_forward(values, L)
         assert np.max(np.abs(fast - slow)) < 1e-11
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 33])
+    def test_batched_engine_matches_direct_sums(self, L):
+        # odd L folds the x = 0 node onto itself; L = 33 is one block of orders
+        rng = np.random.default_rng(200 + L)
+        plan = SpherePlan(L)
+        c = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L))
+        grids = _sht_inverse_batch(c, plan)
+        back = _sht_forward_batch(grids + 0.5j, plan)
+        for row, grid, coeffs in zip(c, grids, back):
+            assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
+            assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
+
+    def test_blocks_of_one_two_and_three_orders_match_direct_sums(self, monkeypatch):
+        # L = 257 streams its tables; 257 = 128 * 2 + 1 = 85 * 3 + 2 orders leave
+        # a partial last block at two and three orders per block
+        L = 257
+        rng = np.random.default_rng(257)
+        c = rng.uniform(-1, 1, (2, L * L)) + 1j * rng.uniform(-1, 1, (2, L * L))
+        values = rng.uniform(-1, 1, (L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (L, 2 * L - 1))
+        grid_want = direct_sht_inverse(c[1], L)
+        coeffs_want = direct_sht_forward(values, L)
+        for orders in (1, 2, 3):
+            per_order = 8 * L * (L - L // 2)
+            monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", orders * per_order)
+            plan = SpherePlan(L)
+            assert [m0 for m0, _ in plan.tables()] == list(range(0, L, orders))
+            grids = _sht_inverse_batch(c, plan)
+            assert rel_err(grids[1], grid_want) < 1e-12, orders
+            coeffs = _sht_forward_batch([grids[0], values], plan)
+            assert rel_err(coeffs[0], c[0]) < 1e-12, orders
+            assert rel_err(coeffs[1], coeffs_want) < 1e-12, orders
 
     def test_inverse_matches_direct_synthesis(self):
         L = 8
