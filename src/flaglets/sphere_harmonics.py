@@ -141,11 +141,6 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
-def _orders_per_block(L: int, n: int) -> int:
-    """Orders per Legendre block: _LEGENDRE_BLOCK_BYTES of values at n nodes, at least one."""
-    return max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
-
-
 def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
     """Yield (m0, block) for consecutive blocks of orders from m_first to L-1.
 
@@ -161,7 +156,7 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = xs.size
     sinx = np.sqrt(np.maximum(0.0, (1.0 - xs) * (1.0 + xs)))
-    step = _orders_per_block(L, n)
+    step = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
     u = np.full(n, 1.0 / math.sqrt(2.0))
     c = np.zeros(n)
     m = 0
@@ -231,16 +226,16 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
 
 
 class SpherePlan:
-    """Quadrature rule, folded Legendre blocks and their index maps for one L.
+    """Quadrature rule and folded Legendre blocks with their index maps for one L.
 
     The nodes are symmetric, x_{half+j} = -x_{L-1-half-j} with half = L // 2
     (exact in gauss_legendre), so tables() yields the blocks of
     _legendre_blocks on the L - half nodes x >= 0 only.  In block[i, k] the
     rows of even k (l + m even) are even in x and those of odd k odd; at odd
     L the odd rows vanish at x = 0.  Up to _CACHE_LIMIT a complete pass is
-    kept; past it blocks are yielded and dropped.
+    kept, maps included; past it blocks and maps are yielded and dropped.
 
-    maps[b][p] serves parity p of the b-th block as int32 arrays:
+    maps[p] serves parity p of a block of nb orders from m0 as int32 arrays:
     `index[i, k', s]` is the flat coefficient index of (l, m) =
     (m0+i+2k'+p, +-(m0+i)) for s = 0, 1, and 0 past the band limit, where
     the table rows are zero; `valid` lists the flat positions in `index`
@@ -268,40 +263,37 @@ class SpherePlan:
         self.fold_weights = np.concatenate((weights, weights[odd:]))
         if odd:
             self.fold_weights[0] *= 0.5
-        # orders in the first, largest block
-        self.block_orders = min(_orders_per_block(L, L - self.half), L)
-        self.maps = [
-            self._block_maps(m0, min(self.block_orders, L - m0))
-            for m0 in range(0, L, self.block_orders)
-        ]
         self._blocks = None
 
     def _block_maps(self, m0: int, nb: int):
-        ms = np.arange(m0, m0 + nb)[:, None, None]
-        ells = ms + np.arange(self.L - m0)[:, None]  # (nb, K, 1)
-        signed = ms * np.array([1, -1])  # (nb, 1, 2)
-        index = np.where(ells < self.L, ells * (ells + 1) + signed, 0)
-        # -0 is +0: order 0 is stored once
-        stored = (ells < self.L) & ((ms > 0) | (np.arange(2) == 0))
+        ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
         maps = []
         for p in (0, 1):
-            parity = index[:, p::2].astype(np.int32)
+            ells = ms + np.arange(p, self.L - m0, 2, dtype=np.int32)  # (nb, K')
+            inside = ells < self.L
+            index = (ells * (ells + 1))[..., None] + ms[..., None] * np.array([1, -1], np.int32)
+            index[~inside] = 0
+            stored = np.repeat(inside, 2, axis=1).reshape(index.shape)
+            if m0 == 0:
+                stored[0, :, 1] = False  # -0 is +0: order 0 is stored once
+            flat = index.reshape(-1)
             # stored entries in coefficient order: the scatter then writes runs
-            valid = np.flatnonzero(stored[:, p::2]).astype(np.int32)
-            valid = valid[np.argsort(parity.reshape(-1)[valid])]
-            maps.append((parity, valid, parity.reshape(-1)[valid]))
+            valid = np.flatnonzero(stored).astype(np.int32)
+            valid = valid[np.argsort(flat[valid])]
+            maps.append((index, valid, flat[valid]))
         return maps
 
     def tables(self):
-        """Yield (m0, block) over all orders; see _legendre_blocks."""
+        """Yield (m0, block, maps) over all orders; see _legendre_blocks."""
         if self._blocks is not None:
             yield from self._blocks
             return
         kept = []
         for m0, block in _legendre_blocks(self.L, self.rule.nodes[self.half :]):
+            entry = (m0, block, self._block_maps(m0, block.shape[0]))
             if self.L <= self._CACHE_LIMIT:
-                kept.append((m0, block))
-            yield m0, block
+                kept.append(entry)
+            yield entry
         if kept:
             self._blocks = kept
 
@@ -342,7 +334,7 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     of orders and each parity, the +m and -m Fourier columns of the sums (even
     rows of the block) or the differences (odd rows) are copied out weighted,
     projected by one stacked GEMM over the orders, and the stored degrees
-    scattered through the plan's maps.  Past SpherePlan._CACHE_LIMIT the
+    scattered through the block's maps.  Past SpherePlan._CACHE_LIMIT the
     tables are regenerated per block of grids: generating them once would hold
     a full-size Fourier copy.
     """
@@ -351,22 +343,25 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
     # work space reused by every block of grids: the Fourier buffer, and room
-    # for the folded columns and the projections of any (block of orders, parity)
+    # for the folded columns and the projections of any (block of orders,
+    # parity), sized at the first block of orders, which is the largest
     fm_buf = np.empty((step, L, nphi), dtype=np.complex128)
-    folded_buf = np.empty(plan.block_orders * nh * 2 * step, dtype=np.complex128)
-    proj_buf = np.empty_like(folded_buf)
+    folded_buf = proj_buf = None
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
         fm = fm_buf[:n]
-        for dst, src in [(fm, block)] if isinstance(block, np.ndarray) else zip(fm, block):
-            north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
-            np.add(north, south, out=dst[..., :nh, :])
-            np.subtract(north[..., odd:, :], south[..., odd:, :], out=dst[..., nh:, :])
+        for dst, src in zip(fm, block):
+            north, south = src[half:], src[nh - 1 :: -1]
+            np.add(north, south, out=dst[:nh])
+            np.subtract(north[odd:], south[odd:], out=dst[nh:])
         np.fft.fft(fm, axis=-1, out=fm)
         out_t = out[start : start + n].T
-        for (m0, table), maps in zip(plan.tables(), plan.maps):
+        for m0, table, maps in plan.tables():
             nb = table.shape[0]
+            if folded_buf is None:
+                folded_buf = np.empty(nb * nh * 2 * step, dtype=np.complex128)
+                proj_buf = np.empty_like(folded_buf)
             for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
                 nodes = fold.stop - fold.start
                 # folded[i, j, s, r]: order m0+i, folded row j, sign s, grid r
@@ -393,11 +388,11 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
 
     For each block of orders, and within it for each block of at most
-    _fft_block_grids rows, the plan's maps gather the +m and -m coefficients
-    of each parity, and one stacked GEMM per parity synthesises the even and
-    the odd sums S_even, S_odd on the half nodes.  f(+-x) = S_even +- S_odd
-    goes straight into the block's Fourier columns, which are then signed and
-    scaled and inverse-FFT'd in place.
+    _fft_block_grids rows, the maps of the block of orders gather the +m and
+    -m coefficients of each parity, and one stacked GEMM per parity
+    synthesises the even and the odd sums S_even, S_odd on the half nodes.
+    f(+-x) = S_even +- S_odd goes straight into the block's Fourier columns,
+    which are then signed and scaled and inverse-FFT'd in place.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh = L - half
@@ -405,9 +400,11 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
-    synth_buf = np.empty(2 * plan.block_orders * nh * 2 * step, dtype=np.complex128)
-    for (m0, table), maps in zip(plan.tables(), plan.maps):
+    synth_buf = None
+    for m0, table, maps in plan.tables():
         nb = table.shape[0]
+        if synth_buf is None:  # the first block of orders is the largest
+            synth_buf = np.empty(2 * nb * nh * 2 * step, dtype=np.complex128)
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
             n = len(chunk)

@@ -1,6 +1,7 @@
 """Exact spherical harmonic transform on the Gauss-Legendre grid."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,7 +94,7 @@ class TestStreamedTables:
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
         orders = []
-        for m0, block in plan.tables():
+        for m0, block, _ in plan.tables():
             assert block.shape[1:] == (L - m0, L - L // 2)
             for i, table in enumerate(block):
                 m = m0 + i
@@ -109,9 +110,24 @@ class TestStreamedTables:
         # full-node tables at L = 256 take 67.4 MB; the folded blocks about half,
         # plus the zero rows past degree L - 1 in each block of 8 orders
         plan = SpherePlan(256)
-        nbytes = sum(block.nbytes for _, block in plan.tables())
+        nbytes = sum(block.nbytes for _, block, _ in plan.tables())
         assert nbytes <= 36e6
-        assert all(a is b for (_, a), (_, b) in zip(plan.tables(), plan.tables()))
+        assert all(a is b for (_, a, _), (_, b, _) in zip(plan.tables(), plan.tables()))
+
+    def test_streamed_plan_holds_no_per_order_arrays(self):
+        # past the cache a plan keeps O(L) arrays: its blocks and their index
+        # maps are made per pass (the maps alone would be 12 MiB at L = 1024)
+        L = 1024
+        assert L > SpherePlan._CACHE_LIMIT
+        tracemalloc.start()
+        try:
+            plan = SpherePlan(L)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * L * 8
+        m0, block, maps = next(plan.tables())
+        assert [index.shape for index, _, _ in maps] == [(block.shape[0], L // 2, 2)] * 2
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
         L = 300
@@ -119,7 +135,7 @@ class TestStreamedTables:
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
         tables = {
-            m0 + i: t[: L - m0 - i] for m0, block in plan.tables() for i, t in enumerate(block)
+            m0 + i: t[: L - m0 - i] for m0, block, _ in plan.tables() for i, t in enumerate(block)
         }
         step = sphere_harmonics._LEGENDRE_BLOCK_BYTES // (8 * L * (L - L // 2))
         assert 1 < step < L
@@ -258,18 +274,19 @@ class TestAgainstNaiveTransform:
 
     def test_blocks_of_one_two_and_three_orders_match_direct_sums(self, monkeypatch):
         # L = 257 streams its tables; 257 = 128 * 2 + 1 = 85 * 3 + 2 orders leave
-        # a partial last block at two and three orders per block
+        # a partial last block at two and three orders per block.  One plan
+        # serves every block size: its maps follow the blocks of each pass
         L = 257
         rng = np.random.default_rng(257)
         c = rng.uniform(-1, 1, (2, L * L)) + 1j * rng.uniform(-1, 1, (2, L * L))
         values = rng.uniform(-1, 1, (L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (L, 2 * L - 1))
         grid_want = direct_sht_inverse(c[1], L)
         coeffs_want = direct_sht_forward(values, L)
+        plan = SpherePlan(L)
         for orders in (1, 2, 3):
             per_order = 8 * L * (L - L // 2)
             monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", orders * per_order)
-            plan = SpherePlan(L)
-            assert [m0 for m0, _ in plan.tables()] == list(range(0, L, orders))
+            assert [m0 for m0, _, _ in plan.tables()] == list(range(0, L, orders))
             grids = _sht_inverse_batch(c, plan)
             assert rel_err(grids[1], grid_want) < 1e-12, orders
             coeffs = _sht_forward_batch([grids[0], values], plan)
