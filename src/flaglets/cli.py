@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -307,6 +308,30 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, what: str, ok):
+    """An argparse type: `convert`, then a usage error unless `ok(value)`."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_count = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_finite = _checked(float, "a finite number", math.isfinite)
+_positive_finite = _checked(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_non_negative_finite = _checked(
+    float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0
+)
+_non_negative = _checked(float, "a number >= 0", lambda v: v >= 0)  # NaN fails v >= 0
+
+
 def _add_limits_args(p: argparse.ArgumentParser):
     p.add_argument("--L", type=int, required=True, help="angular band limit")
     p.add_argument("--P", type=int, required=True, help="radial band limit")
@@ -348,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="threshold wavelet coefficients of a decomposition")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--threshold", type=float, required=True)
+    p.add_argument("--threshold", type=_non_negative, required=True)
     p.add_argument("--mode", choices=["hard", "soft"], default="hard")
     p.set_defaults(func=cmd_denoise)
 
@@ -370,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernels", help="emit kernel tables as CSV for plotting")
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--P", type=int, default=0, help="if > 0, also emit the ball windows")
+    p.add_argument("--P", type=_count, default=0, help="if > 0, also emit the ball windows")
     p.add_argument("--tau", type=float, default=1.0)
     _add_tiling_args(p)
     p.add_argument("--output", required=True)
@@ -379,11 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic Gaussian-blob field")
     _add_limits_args(p)
-    p.add_argument("--blobs", type=int, default=8)
-    p.add_argument("--width-ang", dest="width_ang", type=float, default=0.3)
-    p.add_argument("--width-rad", dest="width_rad", type=float, default=0.5)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--blobs", type=_count, default=8)
+    p.add_argument("--width-ang", dest="width_ang", type=_positive_finite, default=0.3)
+    p.add_argument("--width-rad", dest="width_rad", type=_positive_finite, default=0.5)
+    p.add_argument("--amplitude", type=_finite, default=1.0)
+    p.add_argument("--noise", type=_non_negative_finite, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_simulate)

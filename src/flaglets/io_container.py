@@ -8,8 +8,16 @@ little-endian, complex values interleaved re, im):
     kind    u32      1 SphereGrid, 2 SphereCoeffs, 3 BallGrid,
                      4 FlagCoeffs, 5 SphereKernels, 6 FlagletKernels,
                      7 Decomposition
-    header  kind-specific fixed fields (see _HEADERS below)
-    payload float64 array data, in the exact in-memory layout of the type
+    header  kind-specific fixed fields, packed by _HEADERS[kind]
+    payload float64/complex128 arrays back to back, each in the exact
+            in-memory layout of the object (dict parts in sorted key order)
+
+Each kind is described once for both directions: _describe(obj) gives the
+kind, header fields and payload arrays of an object, and _layout(kind,
+fields) gives the (dtype, shape) of each array a header declares plus the
+builder of the object. _layout validates the header before anything is
+allocated. The writer refuses arrays that do not match their header's
+layout, but does not look at values; the reader rejects NaN and Inf.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
@@ -18,6 +26,8 @@ zero) rather than ball decomposition.
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import struct
 
@@ -26,14 +36,9 @@ import numpy as np
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs
 from .flaglet_transform import FlagletDecomposition
 from .kernel_tiling import (
-    FlagletKernels,
-    SphereKernels,
-    TilingParams,
-    scale_band_limit,
-    scale_range,
+    FlagletKernels, SphereKernels, TilingParams, scale_band_limit, scale_range,
 )
-from .quadrature import MAX_NODES
-from .sphere_harmonics import MAX_BAND_LIMIT, SphereCoeffs, SphereGrid
+from .sphere_harmonics import SphereCoeffs, SphereGrid
 from .sphere_wavelets import SphereDecomposition
 
 __all__ = [
@@ -44,6 +49,7 @@ __all__ = [
     "LengthMismatchError",
     "KindError",
     "HeaderError",
+    "PayloadError",
     "write_container",
     "read_container",
 ]
@@ -61,6 +67,17 @@ KIND_DECOMPOSITION = 7
 
 _FLAG_MULTIRES = 1
 _FLAG_SPHERE = 2
+
+# header fields after the kind word
+_HEADERS = {
+    KIND_SPHERE_GRID: struct.Struct("<I"),  # L
+    KIND_SPHERE_COEFFS: struct.Struct("<I"),  # L
+    KIND_BALL_GRID: struct.Struct("<IId"),  # L, P, tau
+    KIND_FLAG_COEFFS: struct.Struct("<IId"),  # L, P, tau
+    KIND_SPHERE_KERNELS: struct.Struct("<IId"),  # L, j0, lam
+    KIND_FLAGLET_KERNELS: struct.Struct("<IIIIddd"),  # L, P, j0_ang, j0_rad, lam, nu, tau
+    KIND_DECOMPOSITION: struct.Struct("<IIIIIddd"),  # ... j0_rad, flags, lam, nu, tau
+}
 
 # payloads are read in pieces of at most this many bytes, so memory grows
 # with the bytes actually present, not with the sizes a header declares
@@ -95,6 +112,123 @@ class HeaderError(ContainerError, ValueError):
     """A header field is out of range or describes an invalid object."""
 
 
+class PayloadError(ContainerError, ValueError):
+    """A payload holds NaN or infinite values."""
+
+
+def _describe(obj):
+    """(kind, header fields, payload arrays in order) of a library object."""
+    if isinstance(obj, SphereGrid):
+        return KIND_SPHERE_GRID, (obj.L,), [obj.values]
+    if isinstance(obj, SphereCoeffs):
+        return KIND_SPHERE_COEFFS, (obj.L,), [obj.coeffs]
+    if isinstance(obj, BallGrid):
+        lim = obj.limits
+        return KIND_BALL_GRID, (lim.L, lim.P, lim.tau), [obj.values]
+    if isinstance(obj, FlagCoeffs):
+        lim = obj.limits
+        return KIND_FLAG_COEFFS, (lim.L, lim.P, lim.tau), [obj.coeffs]
+    if isinstance(obj, SphereKernels):
+        return KIND_SPHERE_KERNELS, (obj.L, obj.j0, obj.params.lam), [obj.eta, *obj.kappas]
+    if isinstance(obj, FlagletKernels):
+        p, lim = obj.params, obj.limits
+        fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, p.lam, p.nu, lim.tau)
+        return KIND_FLAGLET_KERNELS, fields, [obj.phi, *(obj.psis[k] for k in sorted(obj.psis))]
+    if isinstance(obj, (SphereDecomposition, FlagletDecomposition)):
+        flags = _FLAG_MULTIRES if obj.multires else 0
+        if isinstance(obj, SphereDecomposition):
+            fields = (obj.L, 0, obj.j0, 0, flags | _FLAG_SPHERE, obj.lam, 0.0, 0.0)
+        else:
+            p, lim = obj.params, obj.limits
+            fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
+        grids = [obj.scaling, *(obj.wavelets[k] for k in sorted(obj.wavelets))]
+        return KIND_DECOMPOSITION, fields, [g.values for g in grids]
+    raise KindError(f"object of type {type(obj).__name__} is not serializable")
+
+
+def _ball_tiling(L, P, j0a, j0r, lam, nu, tau):
+    """Band limits, tiling and (j, j') scale keys a ball header names."""
+    limits = BandLimits(L, P, tau)
+    params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
+    keys = [(j, jp) for j in scale_range(L, lam, j0a) for jp in scale_range(P, nu, j0r)]
+    return limits, params, keys
+
+
+def _layout(kind: int, fields: tuple):
+    """The (dtype, shape) of each payload array a header declares, in order,
+    and the builder of its object from those arrays.
+
+    Raises ValueError (or OverflowError) for a header no library object can
+    have, before anything is allocated.
+    """
+    if kind in (KIND_SPHERE_GRID, KIND_SPHERE_COEFFS):
+        (L,) = fields
+        BandLimits(L, 1)  # checks L
+        if kind == KIND_SPHERE_GRID:
+            return [("<c16", (L, 2 * L - 1))], lambda a: SphereGrid(L, a[0])
+        return [("<c16", (L * L,))], lambda a: SphereCoeffs(L, a[0])
+    if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS):
+        limits = BandLimits(*fields)
+        L, P = limits.L, limits.P
+        if kind == KIND_BALL_GRID:
+            return [("<c16", (P, L, 2 * L - 1))], lambda a: BallGrid(limits, a[0])
+        return [("<c16", (P, L * L))], lambda a: FlagCoeffs(limits, a[0])
+    if kind == KIND_SPHERE_KERNELS:
+        L, j0, lam = fields
+        BandLimits(L, 1)
+        params = TilingParams(lam=lam, j0_ang=j0)
+        count = 1 + len(scale_range(L, lam, j0))
+        return [("<f8", (L,))] * count, lambda a: SphereKernels(L, params, a[0], a[1:])
+    if kind == KIND_FLAGLET_KERNELS:
+        L, P, j0a, j0r, lam, nu, tau = fields
+        limits, params, keys = _ball_tiling(L, P, j0a, j0r, lam, nu, tau)
+        specs = [("<f8", (L, P))] * (1 + len(keys))
+        return specs, lambda a: FlagletKernels(limits, params, a[0], dict(zip(keys, a[1:])))
+    # KIND_DECOMPOSITION, the last kind of _HEADERS
+    L, P, j0a, j0r, flags, lam, nu, tau = fields
+    multires = bool(flags & _FLAG_MULTIRES)
+    if flags & _FLAG_SPHERE:
+        BandLimits(L, 1)
+        TilingParams(lam=lam, j0_ang=j0a)
+        scales = scale_range(L, lam, j0a)
+        bands = [scale_band_limit(j, lam, L) for j in (j0a, *scales)]
+        bands = bands if multires else [L] * len(bands)
+
+        def build(a):
+            grids = [SphereGrid(band, v) for band, v in zip(bands, a)]
+            wavelets = dict(zip(scales, grids[1:]))
+            return SphereDecomposition(L, lam, j0a, grids[0], wavelets, multires)
+
+        return [("<c16", (b, 2 * b - 1)) for b in bands], build
+    limits, params, keys = _ball_tiling(L, P, j0a, j0r, lam, nu, tau)
+    # the scaling part is always stored at full limits
+    bands = [(L, P)] + [
+        (scale_band_limit(j, lam, L), scale_band_limit(jp, nu, P)) for j, jp in keys
+    ]
+    bands = bands if multires else [(L, P)] * len(bands)
+
+    def build(a):
+        grids = [BallGrid(BandLimits(lj, pj, tau), v) for (lj, pj), v in zip(bands, a)]
+        wavelets = dict(zip(keys, grids[1:]))
+        return FlagletDecomposition(limits, params, grids[0], wavelets, multires)
+
+    return [("<c16", (pj, lj, 2 * lj - 1)) for lj, pj in bands], build
+
+
+def _checked_layout(kind: int, fields: tuple):
+    try:
+        return _layout(kind, fields)
+    except (ValueError, OverflowError) as exc:
+        raise HeaderError(f"invalid header: {exc}") from exc
+
+
+def _opened(target, mode: str):
+    """A path opened in `mode`, or a file-like object as it is."""
+    if isinstance(target, (str, bytes, os.PathLike)):
+        return open(target, mode)
+    return contextlib.nullcontext(target)
+
+
 def _read_exact(source, n: int, what: str) -> bytes:
     parts, got = [], 0
     while got < n:
@@ -106,82 +240,36 @@ def _read_exact(source, n: int, what: str) -> bytes:
     return b"".join(parts)
 
 
-def _check_limits(L: int, P: int = 1):
-    """Reject band limits no library object can have, before any allocation."""
-    if not 1 <= L <= MAX_BAND_LIMIT:
-        raise HeaderError(f"band limit {L} is outside [1, {MAX_BAND_LIMIT}]")
-    if not 1 <= P <= MAX_NODES:
-        raise HeaderError(f"radial band limit {P} is outside [1, {MAX_NODES}]")
-
-
-def _complex_le(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype="<c16")
-
-
-def _real_le(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype="<f8")
-
-
-def _read_complex(source, count: int, what: str) -> np.ndarray:
-    raw = _read_exact(source, 16 * count, what)
-    return np.frombuffer(raw, dtype="<c16").astype(np.complex128)
-
-
-def _read_real(source, count: int, what: str) -> np.ndarray:
-    raw = _read_exact(source, 8 * count, what)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+def _read_payload(source, code: str, shape: tuple) -> np.ndarray:
+    dtype = np.dtype(code)
+    raw = _read_exact(source, dtype.itemsize * math.prod(shape), "payload")
+    a = np.frombuffer(raw, dtype=dtype).astype(dtype.type).reshape(shape)
+    if not np.isfinite(a.view(np.float64)).all():
+        raise PayloadError(f"payload of shape {shape} holds NaN or infinite values")
+    return a
 
 
 def write_container(obj, sink) -> int:
     """Serialize an object to a binary sink; returns the byte count written.
 
     `sink` may be a file-like object opened in binary mode or a path.
+    Nothing is written for an object whose arrays do not match its header.
     """
-    if isinstance(sink, (str, bytes, os.PathLike)):
-        with open(sink, "wb") as fh:
-            return write_container(obj, fh)
+    kind, fields, arrays = _describe(obj)
+    specs, _ = _checked_layout(kind, fields)
+    shapes, declared = [np.shape(a) for a in arrays], [shape for _, shape in specs]
+    if shapes != declared:
+        raise LengthMismatchError(f"payload shapes {shapes}, header declares {declared}")
+    payload = [np.ascontiguousarray(a, dtype=code) for a, (code, _) in zip(arrays, specs)]
+    header = MAGIC + struct.pack("<II", VERSION, kind) + _HEADERS[kind].pack(*fields)
 
-    if isinstance(obj, SphereGrid):
-        header = struct.pack("<II", KIND_SPHERE_GRID, obj.L)
-        payload = [_complex_le(obj.values)]
-    elif isinstance(obj, SphereCoeffs):
-        header = struct.pack("<II", KIND_SPHERE_COEFFS, obj.L)
-        payload = [_complex_le(obj.coeffs)]
-    elif isinstance(obj, BallGrid):
-        header = struct.pack("<IIId", KIND_BALL_GRID, obj.limits.L, obj.limits.P, obj.limits.tau)
-        payload = [_complex_le(obj.values)]
-    elif isinstance(obj, FlagCoeffs):
-        header = struct.pack("<IIId", KIND_FLAG_COEFFS, obj.limits.L, obj.limits.P, obj.limits.tau)
-        payload = [_complex_le(obj.coeffs)]
-    elif isinstance(obj, SphereKernels):
-        header = struct.pack("<IIId", KIND_SPHERE_KERNELS, obj.L, obj.j0, obj.params.lam)
-        payload = [_real_le(a) for a in [obj.eta, *obj.kappas]]
-    elif isinstance(obj, FlagletKernels):
-        p, lim = obj.params, obj.limits
-        fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, p.lam, p.nu, lim.tau)
-        header = struct.pack("<IIIIIddd", KIND_FLAGLET_KERNELS, *fields)
-        psis = [obj.psis[(j, jp)] for j in obj.j_range for jp in obj.jp_range]
-        payload = [_real_le(a) for a in [obj.phi, *psis]]
-    elif isinstance(obj, (SphereDecomposition, FlagletDecomposition)):
-        flags = _FLAG_MULTIRES if obj.multires else 0
-        if isinstance(obj, SphereDecomposition):
-            fields = (obj.L, 0, obj.j0, 0, flags | _FLAG_SPHERE, obj.lam, 0.0, 0.0)
-        else:
-            p, lim = obj.params, obj.limits
-            fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
-        header = struct.pack("<IIIIIIddd", KIND_DECOMPOSITION, *fields)
-        grids = [obj.scaling] + [obj.wavelets[key] for key in sorted(obj.wavelets)]
-        payload = [_complex_le(g.values) for g in grids]
-    else:
-        raise KindError(f"object of type {type(obj).__name__} is not serializable")
-
-    header = MAGIC + struct.pack("<I", VERSION) + header
-    try:
-        sink.write(header)
-        for a in payload:
-            sink.write(a)
-    except OSError as exc:
-        raise ContainerError(f"write failed: {exc}") from exc
+    with _opened(sink, "wb") as fh:
+        try:
+            fh.write(header)
+            for a in payload:
+                fh.write(a)
+        except OSError as exc:
+            raise ContainerError(f"write failed: {exc}") from exc
     return len(header) + sum(a.nbytes for a in payload)
 
 
@@ -190,110 +278,18 @@ def read_container(source):
 
     `source` may be a binary file-like object or a path.
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source, "rb") as fh:
-            return read_container(fh)
-
-    magic = _read_exact(source, 4, "magic")
-    if magic != MAGIC:
-        raise MagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack("<I", _read_exact(source, 4, "version"))
-    if version != VERSION:
-        raise VersionError(f"unsupported version {version}")
-    (kind,) = struct.unpack("<I", _read_exact(source, 4, "kind"))
-    try:
-        obj = _read_object(source, kind)
-    except ContainerError:
-        raise
-    except (ValueError, OverflowError) as exc:
-        raise HeaderError(f"invalid header: {exc}") from exc
-
-    trailing = source.read(1)
-    if trailing:
-        raise LengthMismatchError("trailing bytes after declared payload")
+    with _opened(source, "rb") as fh:
+        magic = _read_exact(fh, 4, "magic")
+        if magic != MAGIC:
+            raise MagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        version, kind = struct.unpack("<II", _read_exact(fh, 8, "version and kind"))
+        if version != VERSION:
+            raise VersionError(f"unsupported version {version}")
+        header = _HEADERS.get(kind)
+        if header is None:
+            raise KindError(f"unknown container kind {kind}")
+        specs, build = _checked_layout(kind, header.unpack(_read_exact(fh, header.size, "header")))
+        obj = build([_read_payload(fh, code, shape) for code, shape in specs])
+        if fh.read(1):
+            raise LengthMismatchError("trailing bytes after declared payload")
     return obj
-
-
-def _read_object(source, kind: int):
-    if kind == KIND_SPHERE_GRID:
-        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
-        _check_limits(L)
-        vals = _read_complex(source, L * (2 * L - 1), "payload")
-        return SphereGrid(L, vals.reshape(L, 2 * L - 1))
-    if kind == KIND_SPHERE_COEFFS:
-        (L,) = struct.unpack("<I", _read_exact(source, 4, "header"))
-        _check_limits(L)
-        return SphereCoeffs(L, _read_complex(source, L * L, "payload"))
-    if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS):
-        L, P, tau = struct.unpack("<IId", _read_exact(source, 16, "header"))
-        _check_limits(L, P)
-        limits = BandLimits(L, P, tau)
-        if kind == KIND_BALL_GRID:
-            vals = _read_complex(source, P * L * (2 * L - 1), "payload")
-            return BallGrid(limits, vals.reshape(P, L, 2 * L - 1))
-        vals = _read_complex(source, P * L * L, "payload")
-        return FlagCoeffs(limits, vals.reshape(P, L * L))
-    if kind == KIND_SPHERE_KERNELS:
-        L, j0, lam = struct.unpack("<IId", _read_exact(source, 16, "header"))
-        _check_limits(L)
-        params = TilingParams(lam=lam, nu=2.0, j0_ang=j0, j0_rad=0)
-        eta = _read_real(source, L, "eta payload")
-        kappas = [_read_real(source, L, "kappa payload") for _ in scale_range(L, lam, j0)]
-        return SphereKernels(L, params, eta, kappas)
-    if kind == KIND_FLAGLET_KERNELS:
-        L, P, j0a, j0r, lam, nu, tau = struct.unpack(
-            "<IIIIddd", _read_exact(source, 40, "header")
-        )
-        _check_limits(L, P)
-        limits = BandLimits(L, P, tau)
-        params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
-        phi = _read_real(source, L * P, "phi payload").reshape(L, P)
-        psis = {
-            (j, jp): _read_real(source, L * P, "psi payload").reshape(L, P)
-            for j in scale_range(L, lam, j0a)
-            for jp in scale_range(P, nu, j0r)
-        }
-        return FlagletKernels(limits, params, phi, psis)
-    if kind == KIND_DECOMPOSITION:
-        L, P, j0a, j0r, flags, lam, nu, tau = struct.unpack(
-            "<IIIIIddd", _read_exact(source, 44, "header")
-        )
-        multires = bool(flags & _FLAG_MULTIRES)
-        if flags & _FLAG_SPHERE:
-            _check_limits(L)
-            return _read_sphere_decomposition(source, L, j0a, lam, multires)
-        _check_limits(L, P)
-        return _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires)
-    raise KindError(f"unknown container kind {kind}")
-
-
-def _read_sphere_decomposition(source, L, j0, lam, multires):
-    TilingParams(lam=lam, j0_ang=j0)  # validates the header's tiling
-
-    def read_grid(band):
-        band = band if multires else L
-        vals = _read_complex(source, band * (2 * band - 1), "scale payload")
-        return SphereGrid(band, vals.reshape(band, 2 * band - 1))
-
-    scaling = read_grid(scale_band_limit(j0, lam, L))
-    wavelets = {j: read_grid(scale_band_limit(j, lam, L)) for j in scale_range(L, lam, j0)}
-    return SphereDecomposition(L, lam, j0, scaling, wavelets, multires)
-
-
-def _read_flaglet_decomposition(source, L, P, j0a, j0r, lam, nu, tau, multires):
-    limits = BandLimits(L, P, tau)
-    params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
-
-    def read_grid(lj, pj):
-        if not multires:
-            lj, pj = L, P
-        vals = _read_complex(source, pj * lj * (2 * lj - 1), "scale payload")
-        return BallGrid(BandLimits(lj, pj, tau), vals.reshape(pj, lj, 2 * lj - 1))
-
-    scaling = read_grid(L, P)  # scaling part is always stored at full limits
-    wavelets = {
-        (j, jp): read_grid(scale_band_limit(j, lam, L), scale_band_limit(jp, nu, P))
-        for j in scale_range(L, lam, j0a)
-        for jp in scale_range(P, nu, j0r)
-    }
-    return FlagletDecomposition(limits, params, scaling, wavelets, multires)

@@ -109,6 +109,18 @@ class TestPipeline:
         for key in a.wavelets:
             assert np.array_equal(a.wavelets[key].values, b.wavelets[key].values)
 
+    @pytest.mark.parametrize("threshold", ["nan", "-1"])
+    def test_invalid_threshold_is_usage_error(self, tmp_path, capsys, threshold):
+        field, deco, deno = (tmp_path / name for name in ("field.flg", "deco.flg", "deno.flg"))
+        run(capsys, "simulate", "--L", "4", "--P", "4", "--output", str(field))
+        run(capsys, "analyze", "--input", str(field), "--output", str(deco))
+        code, _, err = run(
+            capsys, "denoise", "--input", str(deco), "--output", str(deno),
+            "--threshold", threshold,
+        )
+        assert code == 2 and "error:" in err and "Traceback" not in err
+        assert not deno.exists()
+
     def test_wrong_input_type_is_runtime_error(self, tmp_path, capsys):
         field = tmp_path / "field.flg"
         run(capsys, "simulate", "--L", "4", "--P", "4", "--output", str(field))
@@ -203,6 +215,12 @@ class TestKernels:
         assert not out.exists()
 
 
+    def test_negative_radial_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "kernels.csv"
+        code, _, err = run(capsys, "kernels", "--L", "8", "--P", "-3", "--output", str(out))
+        assert code == 2 and "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_dilation_just_above_one_is_usage_error(self, tmp_path, capsys):
         # 19,459,104 scales at L = 8: rejected before any window is built
         out = tmp_path / "kernels.csv"
@@ -252,3 +270,25 @@ class TestSimulate:
         assert not np.array_equal(ga.values, gb.values)
         # the noisy field still analyzes cleanly
         assert np.all(np.isfinite(flag_forward(gb).coeffs))
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--amplitude", "nan"),
+            ("--amplitude", "inf"),
+            ("--noise", "nan"),
+            ("--noise", "-1"),
+            ("--blobs", "-3"),
+            ("--width-ang", "0"),
+            ("--width-ang", "nan"),
+            ("--width-rad", "-0.5"),
+            ("--width-rad", "inf"),
+        ],
+    )
+    def test_invalid_number_is_usage_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "field.flg"
+        code, _, err = run(
+            capsys, "simulate", "--L", "4", "--P", "4", option, value, "--output", str(out)
+        )
+        assert code == 2 and "error:" in err and "Traceback" not in err
+        assert not out.exists()

@@ -1,5 +1,6 @@
 """Binary container round trips for every serializable object."""
 
+import hashlib
 import io
 import math
 import struct
@@ -20,6 +21,7 @@ from flaglets.io_container import (
     KindError,
     LengthMismatchError,
     MagicError,
+    PayloadError,
     TruncatedError,
     VersionError,
     read_container,
@@ -154,6 +156,81 @@ class TestLayout:
         assert np.shares_memory(np.asarray(pieces[-1]), grid.values)
 
 
+def payload_arrays(obj) -> list[np.ndarray]:
+    """Every array an object stores, in the order its container holds them."""
+    if isinstance(obj, (SphereGrid, BallGrid)):
+        return [obj.values]
+    if isinstance(obj, (SphereCoeffs, FlagCoeffs)):
+        return [obj.coeffs]
+    if isinstance(obj, SphereKernels):
+        return [obj.eta, *obj.kappas]
+    if isinstance(obj, FlagletKernels):
+        return [obj.phi, *(obj.psis[key] for key in sorted(obj.psis))]
+    return [obj.scaling.values, *(obj.wavelets[key].values for key in sorted(obj.wavelets))]
+
+
+def _pinned_objects() -> dict:
+    """One small object per container flavour, every payload value seeded and
+    exactly representable, so the bytes do not depend on transform rounding."""
+    limits = BandLimits(4, 3, 1.5)
+    coeffs = random_flag_coeffs(limits, 5)
+    sphere = SphereCoeffs(4, np.zeros(16, dtype=np.complex128))
+    sk = build_sphere_kernels(4, TilingParams())
+    fk = build_flaglet_kernels(limits, TilingParams(nu=3.0, j0_rad=1))
+    objs = {
+        "sphere_grid": sht_inverse(sphere),
+        "sphere_coeffs": sphere,
+        "ball_grid": flag_inverse(coeffs),
+        "flag_coeffs": coeffs,
+        "sphere_kernels": build_sphere_kernels(8, TilingParams(lam=3.0, j0_ang=1)),
+        "flaglet_kernels": fk,
+        "sphere_decomposition": sphere_analyze(sphere, sk, multires=False),
+        "sphere_decomposition_multires": sphere_analyze(sphere, sk, multires=True),
+        "flaglet_decomposition": flaglet_analyze(coeffs, fk, multires=False),
+        "flaglet_decomposition_multires": flaglet_analyze(coeffs, fk, multires=True),
+    }
+    rng = np.random.default_rng(2013)
+    for obj in objs.values():
+        for a in payload_arrays(obj):
+            a[...] = rng.integers(-(2**20), 2**20, a.shape) / 1024
+            if np.iscomplexobj(a):
+                a.imag = rng.integers(-(2**20), 2**20, a.shape) / 1024
+    return objs
+
+
+# (byte length, SHA-256) of each flavour's container, as the format defines it
+PINNED_CONTAINERS = {
+    "ball_grid": (1372, "2a9f5848caa8039628304a09649cd97b8171fc4b82e5b2a5510ff5c249d9ab9a"),
+    "flag_coeffs": (796, "734c1d4055d0e9d8b6953241993834e3cdcfc2ef518ed73af0e2dd6cbac96620"),
+    "flaglet_decomposition": (
+        5432, "0bf640855ada1025582e1a092fd1ccc61ee4304b9345095ecdd90aa597437ea8"
+    ),
+    "flaglet_decomposition_multires": (
+        4376, "9de343fda324062f0c3fcb62530bed998b8fd32063527d02b1591366a08b4c18"
+    ),
+    "flaglet_kernels": (436, "37e305939c7677b10f0efaf9674c36db8dd2a906edfff43f7acebb4f29345369"),
+    "sphere_coeffs": (272, "38c3dc7d2cf7d65c32c2c0dd4ef4d6b5636ccc41aa2049349c396c7a0f6e136f"),
+    "sphere_decomposition": (
+        1848, "39468a7e0daf014889e67ab1ffb4c41a125a4479556bf15067fe1600015a4b22"
+    ),
+    "sphere_decomposition_multires": (
+        1144, "ec0fa114d3772424fa8095e5052385a982a850a09837668f5b97ac0f9935376a"
+    ),
+    "sphere_grid": (464, "0f79ba8dbaf2741eca19a1d8a85e7905b9daf0808a8f2cd3f005b58bece248bd"),
+    "sphere_kernels": (220, "99e6a4061441f0fac12e2e373ceb975d5e4873b569c4f5f009a16c93edd8495a"),
+}
+
+
+class TestPinnedFormat:
+    @pytest.mark.parametrize("flavour", sorted(PINNED_CONTAINERS))
+    def test_bytes_match_the_pinned_digest(self, flavour):
+        raw = container_bytes(_pinned_objects()[flavour])
+        assert (len(raw), hashlib.sha256(raw).hexdigest()) == PINNED_CONTAINERS[flavour]
+
+    def test_every_flavour_is_pinned(self):
+        assert set(_pinned_objects()) == set(PINNED_CONTAINERS)
+
+
 class TestErrors:
     def _bytes(self):
         buf = io.BytesIO()
@@ -195,6 +272,103 @@ class TestErrors:
         raw = self._bytes() + b"\x00" * 4
         with pytest.raises(LengthMismatchError):
             read_container(io.BytesIO(bytes(raw)))
+
+
+class RecordingSink:
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, data):
+        self.pieces.append(data)
+
+
+def _flaglet_decomposition(multires):
+    limits = BandLimits(8, 4, 1.0)
+    kernels = build_flaglet_kernels(limits, TilingParams())
+    return flaglet_analyze(random_flag_coeffs(limits, 3), kernels, multires=multires)
+
+
+def _sphere_decomposition(multires):
+    f = SphereCoeffs(8, np.arange(64, dtype=np.complex128))
+    return sphere_analyze(f, build_sphere_kernels(8, TilingParams()), multires=multires)
+
+
+class TestWriterRefusesUnreadableObjects:
+    """Objects whose arrays do not match their own header are not written."""
+
+    def _refused(self, obj, error):
+        sink = RecordingSink()
+        with pytest.raises(error):
+            write_container(obj, sink)
+        assert sink.pieces == []
+
+    def test_mislabelled_multires_flaglet_decomposition(self):
+        d = _flaglet_decomposition(multires=True)
+        d.multires = False
+        self._refused(d, LengthMismatchError)
+
+    def test_mislabelled_full_resolution_sphere_decomposition(self):
+        d = _sphere_decomposition(multires=False)
+        d.multires = True
+        self._refused(d, LengthMismatchError)
+
+    def test_missing_wavelet_key(self):
+        d = _flaglet_decomposition(multires=False)
+        del d.wavelets[max(d.wavelets)]
+        self._refused(d, LengthMismatchError)
+
+    def test_extra_wavelet_key(self):
+        d = _sphere_decomposition(multires=False)
+        d.wavelets[max(d.wavelets) + 1] = d.scaling
+        self._refused(d, LengthMismatchError)
+
+    def test_wrong_kappa_count(self):
+        sk = build_sphere_kernels(16, TilingParams())
+        sk.kappas.pop()
+        self._refused(sk, LengthMismatchError)
+
+    def test_wrong_window_shape(self):
+        fk = build_flaglet_kernels(BandLimits(4, 4, 1.0), TilingParams())
+        fk.phi = fk.phi[:, :3]
+        self._refused(fk, LengthMismatchError)
+
+    def test_invalid_dilation_is_header_error(self):
+        d = _sphere_decomposition(multires=False)
+        d.lam = 1.0
+        self._refused(d, HeaderError)
+
+    def test_minimum_scale_past_the_tiling_is_header_error(self):
+        sk = build_sphere_kernels(8, TilingParams())
+        sk.params = TilingParams(j0_ang=9)
+        self._refused(sk, HeaderError)
+
+    def test_refused_object_leaves_no_file(self, tmp_path):
+        d = _flaglet_decomposition(multires=True)
+        d.multires = False
+        path = tmp_path / "d.flg"
+        with pytest.raises(LengthMismatchError):
+            write_container(d, path)
+        assert not path.exists()
+
+
+class TestNonFinitePayloads:
+    """The writer stores any values; the reader rejects NaN and Inf."""
+
+    def test_nan_in_complex_grid(self):
+        grid = SphereGrid(3, np.ones((3, 5), dtype=np.complex128))
+        grid.values[1, 2] = complex(1.0, math.nan)
+        with pytest.raises(PayloadError):
+            roundtrip(grid)
+
+    def test_inf_in_real_kernel(self):
+        sk = build_sphere_kernels(8, TilingParams())
+        sk.kappas[-1][3] = -math.inf
+        with pytest.raises(PayloadError):
+            roundtrip(sk)
+
+    def test_payload_error_is_a_value_error(self):
+        assert issubclass(PayloadError, ContainerError)
+        assert issubclass(PayloadError, ValueError)
 
 
 # headers that declare sizes no library object can have; read naively, the
@@ -301,6 +475,11 @@ HEADER_FIELDS = {
     6: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24)] + [(o, "<d") for o in (28, 36, 44)],
     7: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24, 28)] + [(o, "<d") for o in (32, 40, 48)],
 }
+# first payload byte, by kind: the header fields end there
+PAYLOAD_START = {
+    kind: max(offset + struct.calcsize(fmt) for offset, fmt in fields)
+    for kind, fields in HEADER_FIELDS.items()
+}
 FLOAT_VALUES = [math.inf, -math.inf, math.nan, 1e308, 1.0000001, -2.0, 5e-324]
 INT_VALUES = [0, 1, 2, 3, 7, 2**31, 2**32 - 2]  # 2**32 - 2 is -2 as a u32
 
@@ -310,7 +489,7 @@ def mutated_containers(draw):
     raw = bytearray(draw(st.sampled_from(VALID_CONTAINERS)))
     kind = struct.unpack_from("<I", raw, 8)[0]
     for _ in range(draw(st.integers(1, 3))):
-        how = draw(st.sampled_from(["truncate", "flip", "field"]))
+        how = draw(st.sampled_from(["truncate", "flip", "field", "value"]))
         if how == "truncate" and raw:
             del raw[draw(st.integers(0, len(raw) - 1)):]
         elif how == "flip" and raw:
@@ -323,6 +502,13 @@ def mutated_containers(draw):
             if offset + struct.calcsize(fmt) <= len(raw):
                 values = FLOAT_VALUES if fmt == "<d" else INT_VALUES
                 struct.pack_into(fmt, raw, offset, draw(st.sampled_from(values)))
+        elif how == "value":
+            # one float64 of the payload (or one part of a complex value)
+            start = PAYLOAD_START[kind]
+            if len(raw) >= start + 8:
+                pos = start + 8 * draw(st.integers(0, (len(raw) - start) // 8 - 1))
+                value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+                struct.pack_into("<d", raw, pos, value)
     return bytes(raw)
 
 
@@ -338,6 +524,7 @@ class TestFuzz:
                 pass
             else:
                 assert isinstance(obj, READ_TYPES)
+                assert all(np.isfinite(a).all() for a in payload_arrays(obj))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
