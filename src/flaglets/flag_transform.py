@@ -16,7 +16,6 @@ import numpy as np
 from .radial_laguerre import RadialParams, basis_matrix, radial_nodes
 from .sphere_harmonics import (
     MAX_BAND_LIMIT,
-    SpherePlan,
     _real_matmul,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -81,14 +80,14 @@ class FlagCoeffs:
 
 
 class FlagPlan:
-    """Precomputed quadrature rules and basis tables for one BandLimits.
+    """Precomputed radial quadrature rule and basis tables for one BandLimits.
 
-    Immutable after construction; safe to share across transforms.
+    Immutable after construction; safe to share across transforms.  It holds
+    no SpherePlan, so this cache does not keep evicted sphere plans alive.
     """
 
     def __init__(self, limits: BandLimits):
         self.limits = limits
-        self.sphere: SpherePlan = get_plan(limits.L)
         self.radii, self.radial_weights = radial_nodes(limits.radial)
         # K[p, i] = K_p(r_i)
         self.kbasis = basis_matrix(limits.radial, self.radii)
@@ -104,7 +103,7 @@ def get_flag_plan(limits: BandLimits) -> FlagPlan:
 def flag_forward(grid: BallGrid, plan: FlagPlan | None = None) -> FlagCoeffs:
     """Forward Fourier-Laguerre transform; exact for band-limited signals."""
     plan = plan or get_flag_plan(grid.limits)
-    shell_coeffs = _sht_forward_batch(grid.values, plan.sphere)  # (shells, L^2)
+    shell_coeffs = _sht_forward_batch(grid.values, get_plan(grid.limits.L))  # (shells, L^2)
     return FlagCoeffs(grid.limits, _real_matmul(plan.kforward, shell_coeffs))
 
 
@@ -113,4 +112,4 @@ def flag_inverse(coeffs: FlagCoeffs, plan: FlagPlan | None = None) -> BallGrid:
     plan = plan or get_flag_plan(coeffs.limits)
     # radial synthesis at the sampling nodes, then angular synthesis of all shells
     shell_coeffs = _real_matmul(plan.kbasis.T, coeffs.coeffs)  # (shells, L^2)
-    return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, plan.sphere))
+    return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, get_plan(coeffs.limits.L)))

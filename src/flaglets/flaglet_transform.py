@@ -3,7 +3,8 @@
 Wavelet coefficients are held as spatial BallGrids (the form in which
 they are inspected and thresholded); windowing itself happens in
 Fourier-Laguerre space.  With the multiresolution flag each scale is
-rendered on the smallest exact grid containing its harmonic support.
+rendered on the smallest exact grid containing its harmonic support; the
+layout of the parts comes from kernel_tiling.flaglet_parts.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .flag_transform import (
     flag_inverse,
     get_flag_plan,
 )
-from .kernel_tiling import FlagletKernels, TilingParams
-from .sphere_harmonics import resize_coeffs, window_coeffs
+from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
+from .sphere_harmonics import get_plan, window_coeffs
 
 __all__ = [
     "FlagletDecomposition",
@@ -56,10 +57,11 @@ class FlagletDecomposition:
 
 def _grid_energy(grid: BallGrid) -> float:
     """Quadrature estimate of the integral of |f|^2 over the ball."""
-    plan = get_flag_plan(grid.limits)
+    radial_weights = get_flag_plan(grid.limits).radial_weights
+    angular_weights = get_plan(grid.limits.L).rule.weights
     dphi = 2.0 * np.pi / (2 * grid.limits.L - 1)
     sq = np.abs(grid.values) ** 2
-    return float(np.einsum("p,i,pij->", plan.radial_weights, plan.sphere.rule.weights, sq) * dphi)
+    return float(np.einsum("p,i,pij->", radial_weights, angular_weights, sq) * dphi)
 
 
 def flaglet_analyze(
@@ -72,41 +74,39 @@ def flaglet_analyze(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
 
-    def render(window: np.ndarray, lj: int, pj: int) -> BallGrid:
-        if not multires:
-            lj, pj = limits.L, limits.P
-        sub = resize_coeffs(f.coeffs, (pj, lj * lj))
-        windowed = window_coeffs(sub, window.T[:pj, :lj])
-        return flag_inverse(FlagCoeffs(BandLimits(lj, pj, limits.tau), windowed))
-
-    # the residual scaling window is supported on the whole L-shaped
-    # low-frequency region (all ell at small p and vice versa), so the
-    # scaling part always stays at full band limits
-    scaling = render(kernels.phi, limits.L, limits.P)
-    wavelets = {
-        (j, jp): render(kernels.psis[(j, jp)], *kernels.band_limits(j, jp))
-        for j in kernels.j_range
-        for jp in kernels.jp_range
-    }
-    return FlagletDecomposition(limits, kernels.params, scaling, wavelets, multires)
+    keys, bands = flaglet_parts(limits, kernels.params, multires)
+    windows = [kernels.phi, *(kernels.psis[key] for key in keys)]
+    grids = []
+    for window, (lj, pj) in zip(windows, bands):
+        # the first lj^2 flat indices hold exactly the degrees below lj
+        windowed = window_coeffs(f.coeffs[:pj, : lj * lj], window.T[:pj, :lj])
+        grids.append(flag_inverse(FlagCoeffs(BandLimits(lj, pj, limits.tau), windowed)))
+    wavelets = dict(zip(keys, grids[1:]))
+    return FlagletDecomposition(limits, kernels.params, grids[0], wavelets, multires)
 
 
 def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> FlagCoeffs:
-    """Recombine flaglet coefficient maps (exact inverse of the analysis)."""
+    """Recombine flaglet coefficient maps (exact inverse of the analysis).
+
+    Raises ValueError if a part is not stored at the limits the layout of
+    kernel_tiling.flaglet_parts gives it.
+    """
     limits = kernels.limits
     if d.limits != limits or d.params != kernels.params:
         raise ValueError("decomposition and kernels were built with different parameters")
-    expected = {(j, jp) for j in kernels.j_range for jp in kernels.jp_range}
-    if set(d.wavelets) != expected:
+    keys, bands = flaglet_parts(limits, kernels.params, d.multires)
+    if set(d.wavelets) != set(keys):
         raise ValueError("decomposition scale indices do not match the kernels")
+    parts = [("scaling", d.scaling, kernels.phi)]
+    parts += [(key, d.wavelets[key], kernels.psis[key]) for key in keys]
+    for (name, grid, _), (lj, pj) in zip(parts, bands):
+        want = BandLimits(lj, pj, limits.tau)
+        if grid.limits != want:
+            raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
 
     out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-    parts = [(d.scaling, kernels.phi)]
-    parts += [(grid, kernels.psis[key]) for key, grid in d.wavelets.items()]
-    for grid, window in parts:
-        lj, pj = grid.limits.L, grid.limits.P
-        windowed = window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
-        out += resize_coeffs(windowed, out.shape)
+    for (_, grid, window), (lj, pj) in zip(parts, bands):
+        out[:pj, : lj * lj] += window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
     return FlagCoeffs(limits, out)
 
 

@@ -21,7 +21,9 @@ layout, but does not look at values; the reader rejects NaN and Inf.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
-zero) rather than ball decomposition.
+zero) rather than ball decomposition.  Which parts a decomposition or a
+flaglet kernel set holds, in which order and at which band limits, is
+defined in kernel_tiling (sphere_part_bands, flaglet_parts).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs
 from .flaglet_transform import FlagletDecomposition
 from .kernel_tiling import (
-    FlagletKernels, SphereKernels, TilingParams, scale_band_limit, scale_range,
+    FlagletKernels, SphereKernels, TilingParams, flaglet_parts, scale_range, sphere_part_bands,
 )
 from .sphere_harmonics import SphereCoeffs, SphereGrid
 from .sphere_wavelets import SphereDecomposition
@@ -146,14 +148,6 @@ def _describe(obj):
     raise KindError(f"object of type {type(obj).__name__} is not serializable")
 
 
-def _ball_tiling(L, P, j0a, j0r, lam, nu, tau):
-    """Band limits, tiling and (j, j') scale keys a ball header names."""
-    limits = BandLimits(L, P, tau)
-    params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
-    keys = [(j, jp) for j in scale_range(L, lam, j0a) for jp in scale_range(P, nu, j0r)]
-    return limits, params, keys
-
-
 def _layout(kind: int, fields: tuple):
     """The (dtype, shape) of each payload array a header declares, in order,
     and the builder of its object from those arrays.
@@ -181,7 +175,9 @@ def _layout(kind: int, fields: tuple):
         return [("<f8", (L,))] * count, lambda a: SphereKernels(L, params, a[0], a[1:])
     if kind == KIND_FLAGLET_KERNELS:
         L, P, j0a, j0r, lam, nu, tau = fields
-        limits, params, keys = _ball_tiling(L, P, j0a, j0r, lam, nu, tau)
+        limits = BandLimits(L, P, tau)
+        params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
+        keys, _ = flaglet_parts(limits, params, False)
         specs = [("<f8", (L, P))] * (1 + len(keys))
         return specs, lambda a: FlagletKernels(limits, params, a[0], dict(zip(keys, a[1:])))
     # KIND_DECOMPOSITION, the last kind of _HEADERS
@@ -189,10 +185,8 @@ def _layout(kind: int, fields: tuple):
     multires = bool(flags & _FLAG_MULTIRES)
     if flags & _FLAG_SPHERE:
         BandLimits(L, 1)
-        TilingParams(lam=lam, j0_ang=j0a)
+        bands = sphere_part_bands(L, TilingParams(lam=lam, j0_ang=j0a), multires)
         scales = scale_range(L, lam, j0a)
-        bands = [scale_band_limit(j, lam, L) for j in (j0a, *scales)]
-        bands = bands if multires else [L] * len(bands)
 
         def build(a):
             grids = [SphereGrid(band, v) for band, v in zip(bands, a)]
@@ -200,12 +194,9 @@ def _layout(kind: int, fields: tuple):
             return SphereDecomposition(L, lam, j0a, grids[0], wavelets, multires)
 
         return [("<c16", (b, 2 * b - 1)) for b in bands], build
-    limits, params, keys = _ball_tiling(L, P, j0a, j0r, lam, nu, tau)
-    # the scaling part is always stored at full limits
-    bands = [(L, P)] + [
-        (scale_band_limit(j, lam, L), scale_band_limit(jp, nu, P)) for j, jp in keys
-    ]
-    bands = bands if multires else [(L, P)] * len(bands)
+    limits = BandLimits(L, P, tau)
+    params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
+    keys, bands = flaglet_parts(limits, params, multires)
 
     def build(a):
         grids = [BallGrid(BandLimits(lj, pj, tau), v) for (lj, pj), v in zip(bands, a)]

@@ -7,6 +7,10 @@ windows form an exact resolution of identity:
 
     eta^2(l) + sum_j kappa_j^2(l) = 1        for all l < L,
     Phi^2(l,p) + sum_{jj'} Psi^2(l,p) = 1    for all l < L, p < P.
+
+The layout of a decomposition, which parts in which order at which band
+limits, is defined here once (sphere_part_bands, flaglet_parts) for
+analysis, synthesis and the container format alike.
 """
 
 from __future__ import annotations
@@ -87,6 +91,33 @@ def scale_band_limit(j: int, dilation: float, band_limit: int) -> int:
     return min(int(math.ceil(dilation ** (j + 1))), band_limit)
 
 
+def sphere_part_bands(L: int, params: TilingParams, multires: bool) -> list[int]:
+    """Band limit of each sphere-wavelet part in storage order: the scaling
+    part, then scales j0..J.  The scaling part shares the band of scale j0;
+    without multires every part is at L."""
+    scales = scale_range(L, params.lam, params.j0_ang)
+    return [scale_band_limit(j, params.lam, L) if multires else L for j in (scales[0], *scales)]
+
+
+def flaglet_parts(limits: BandLimits, params: TilingParams, multires: bool):
+    """(j, j') keys of the flaglet wavelet parts in storage order (j outer),
+    and the (L_j, P_j') of every part, the scaling part first.
+
+    The residual scaling window is supported on the whole L-shaped
+    low-frequency region (all ell at small p and vice versa), so the scaling
+    part is always at full (L, P).
+    """
+    L, P = limits.L, limits.P
+    radial = scale_range(P, params.nu, params.j0_rad)
+    keys = [(j, jp) for j in scale_range(L, params.lam, params.j0_ang) for jp in radial]
+    bands = [
+        (scale_band_limit(j, params.lam, L), scale_band_limit(jp, params.nu, P))
+        if multires else (L, P)
+        for j, jp in keys
+    ]
+    return keys, [(L, P), *bands]
+
+
 @dataclass
 class SphereKernels:
     """Harmonic-line windows at band limit L: scaling eta and wavelets kappa_j."""
@@ -108,10 +139,6 @@ class SphereKernels:
         """Effective band limit of scale j: smallest grid holding its support."""
         return scale_band_limit(j, self.params.lam, self.L)
 
-    @property
-    def scaling_band_limit(self) -> int:
-        return self.band_limit(self.j0)
-
 
 @dataclass
 class FlagletKernels:
@@ -121,25 +148,6 @@ class FlagletKernels:
     params: TilingParams
     phi: np.ndarray                      # (L, P)
     psis: dict[tuple[int, int], np.ndarray]  # (j, j') -> (L, P)
-
-    @property
-    def j_range(self) -> range:
-        return scale_range(self.limits.L, self.params.lam, self.params.j0_ang)
-
-    @property
-    def jp_range(self) -> range:
-        return scale_range(self.limits.P, self.params.nu, self.params.j0_rad)
-
-    def band_limits(self, j: int, jp: int) -> tuple[int, int]:
-        """Effective (L_j, P_j') band limits of scale (j, j')."""
-        return (
-            scale_band_limit(j, self.params.lam, self.limits.L),
-            scale_band_limit(jp, self.params.nu, self.limits.P),
-        )
-
-    @property
-    def scaling_band_limits(self) -> tuple[int, int]:
-        return self.band_limits(self.params.j0_ang, self.params.j0_rad)
 
 
 def smooth_bump(t):

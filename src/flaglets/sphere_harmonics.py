@@ -63,30 +63,10 @@ def coeff_index(ell: int, m: int) -> int:
     return ell * ell + ell + m
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def degree_of_index(L: int) -> np.ndarray:
-    """Degree ell = floor(sqrt(i)) of every flat index i < L^2 (read-only)."""
-    ells = np.repeat(np.arange(L), 2 * np.arange(L) + 1)
-    ells.flags.writeable = False
-    return ells
-
-
 def window_coeffs(coeffs: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Multiply coefficients (..., L^2) by a per-degree window (..., L)."""
-    return coeffs * window[..., degree_of_index(window.shape[-1])]
-
-
-def resize_coeffs(coeffs: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Truncate or zero-pad coefficients to `shape` (last axis L^2: a new band limit).
-
-    Returns `coeffs` itself when the shape already matches.
-    """
-    if coeffs.shape == shape:
-        return coeffs
-    out = np.zeros(shape, dtype=coeffs.dtype)
-    common = tuple(slice(min(a, b)) for a, b in zip(coeffs.shape, shape))
-    out[common] = coeffs[common]
-    return out
+    L = window.shape[-1]
+    return coeffs * np.repeat(window, 2 * np.arange(L) + 1, axis=-1)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Analysis multiplies harmonic coefficients by the tiling windows and maps
 every part to the spatial grid; with the multiresolution flag each scale
 is held at its effective band limit (the smallest grid containing the
 window's support).  Synthesis re-projects each part and re-applies its
-window; admissibility makes the round trip exact.
+window; admissibility makes the round trip exact.  The parts, their order
+and their band limits come from kernel_tiling.sphere_part_bands.
 
 Parts that share a band limit (the scaling part and the first scale, the
 top scales capped at L, or every part at full resolution) go through one
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel_tiling import SphereKernels
+from .kernel_tiling import SphereKernels, sphere_part_bands
 from .sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
@@ -71,9 +72,7 @@ def sphere_analyze(
 
     scales = range(kernels.j0, kernels.jmax + 1)
     windows = [kernels.eta, *kernels.kappas]
-    bands = [kernels.scaling_band_limit] + [kernels.band_limit(j) for j in scales]
-    if not multires:
-        bands = [L] * len(bands)
+    bands = sphere_part_bands(L, kernels.params, multires)
     grids = []
     for band, part in _runs(bands):
         # the first band^2 flat indices hold exactly the degrees below band
@@ -85,19 +84,28 @@ def sphere_analyze(
 
 
 def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereCoeffs:
-    """Recombine a decomposition into harmonic coefficients (exact inverse)."""
+    """Recombine a decomposition into harmonic coefficients (exact inverse).
+
+    Raises ValueError if a part is not stored at the band limit the layout
+    of kernel_tiling.sphere_part_bands gives it.
+    """
     L = kernels.L
     if d.L != L or d.j0 != kernels.j0 or d.lam != kernels.params.lam:
         raise ValueError("decomposition and kernels were built with different parameters")
-    if set(d.wavelets) != set(range(kernels.j0, kernels.jmax + 1)):
+    scales = range(kernels.j0, kernels.jmax + 1)
+    if set(d.wavelets) != set(scales):
         raise ValueError("decomposition scale indices do not match the kernels")
+    grids = [d.scaling, *(d.wavelets[j] for j in scales)]
+    bands = sphere_part_bands(L, kernels.params, d.multires)
+    for name, grid, band in zip(["scaling", *scales], grids, bands):
+        if grid.L != band:
+            raise ValueError(f"part {name} is stored at band {grid.L}; the layout needs {band}")
 
     out = np.zeros(L * L, dtype=np.complex128)
     windows = [kernels.eta, *kernels.kappas]
-    grids = [d.scaling] + [d.wavelets[j] for j in range(kernels.j0, kernels.jmax + 1)]
     # the engine regenerates streamed tables per FFT block anyway, so a call
     # larger than one block would only hold more coefficient rows
-    for band, part in _runs([g.L for g in grids], _fft_block_grids):
+    for band, part in _runs(bands, _fft_block_grids):
         coeffs = _sht_forward_batch([g.values for g in grids[part]], get_plan(band))
         for c, w in zip(coeffs, windows[part]):
             out[: band * band] += window_coeffs(c, w[:band])

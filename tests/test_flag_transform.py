@@ -1,6 +1,8 @@
 """Exact Fourier-Laguerre transform on the ball."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,19 @@ class TestPlanCaches:
         for i in range(maxsize + 3):
             get(key(i))
         assert get.cache_info().currsize <= maxsize
+
+    def test_flag_plans_do_not_keep_evicted_sphere_plans_alive(self):
+        # a cached FlagPlan must not pin the SpherePlan of its L once the
+        # (smaller) sphere-plan cache has evicted it
+        limits = BandLimits(3, 2, 7.25)
+        flag_inverse(FlagCoeffs(limits, np.ones((2, 9))))
+        plan = get_flag_plan(limits)
+        sphere_plan = weakref.ref(get_plan(3))
+        for L in range(4, 4 + get_plan.cache_info().maxsize):
+            get_plan(L)
+        gc.collect()
+        assert get_flag_plan(limits) is plan
+        assert sphere_plan() is None
 
 
 class TestRoundTrips:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from flaglets.cli import blob_field, random_flag_coeffs
-from flaglets.flag_transform import BandLimits, FlagCoeffs, flag_forward
+from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
 from flaglets.flaglet_transform import (
     flaglet_analyze,
     flaglet_synthesize,
     threshold_denoise,
 )
-from flaglets.kernel_tiling import TilingParams, build_flaglet_kernels
+from flaglets.kernel_tiling import TilingParams, build_flaglet_kernels, flaglet_parts
 
 
 def rel_err(a, b):
@@ -78,8 +78,10 @@ class TestMultires:
         full = flaglet_analyze(f, kernels, multires=False)
         small = flaglet_analyze(f, kernels, multires=True)
         assert small.sample_count() < full.sample_count()
-        for key, grid in small.wavelets.items():
-            assert (grid.limits.L, grid.limits.P) == kernels.band_limits(*key)
+        keys, bands = flaglet_parts(limits, kernels.params, True)
+        assert list(small.wavelets) == keys
+        for grid, band in zip(small.wavelets.values(), bands[1:]):
+            assert (grid.limits.L, grid.limits.P) == band
         # residual scaling support is L-shaped: the grid stays at full size
         assert (small.scaling.limits.L, small.scaling.limits.P) == (32, 32)
 
@@ -198,3 +200,23 @@ class TestValidation:
         d = flaglet_analyze(random_flag_coeffs(limits, 0), k1)
         with pytest.raises(ValueError):
             flaglet_synthesize(d, k2)
+
+    def test_rejects_part_at_other_tau(self):
+        limits = BandLimits(8, 8, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams())
+        d = flaglet_analyze(random_flag_coeffs(limits, 4), kernels)
+        grid = d.wavelets[(1, 2)]
+        d.wavelets[(1, 2)] = BallGrid(BandLimits(8, 8, 2.0), grid.values)
+        with pytest.raises(ValueError, match=r"part \(1, 2\)"):
+            flaglet_synthesize(d, kernels)
+
+    def test_rejects_full_resolution_part_at_smaller_limits(self):
+        # the (2, 2) window reaches ell, p < 8; cut to (4, 4) the part loses
+        # coefficients that synthesis would otherwise silently drop
+        limits = BandLimits(8, 8, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams())
+        d = flaglet_analyze(random_flag_coeffs(limits, 5), kernels)
+        cut = flag_forward(d.wavelets[(2, 2)]).coeffs[:4, :16]
+        d.wavelets[(2, 2)] = flag_inverse(FlagCoeffs(BandLimits(4, 4, 1.0), cut))
+        with pytest.raises(ValueError, match=r"part \(2, 2\)"):
+            flaglet_synthesize(d, kernels)

@@ -1,25 +1,32 @@
 """Scale-discretised tiling windows and their resolution of identity."""
 
+import io
 import math
 
 import numpy as np
 import pytest
 
+from flaglets.cli import random_flag_coeffs
 from flaglets.flag_transform import BandLimits
+from flaglets.flaglet_transform import flaglet_analyze
+from flaglets.io_container import read_container, write_container
 from flaglets.kernel_tiling import (
     MAX_SCALE,
     TilingParams,
     build_flaglet_kernels,
     build_sphere_kernels,
+    flaglet_parts,
     k_lambda,
     kappa_eta,
     max_scale,
     scale_count,
     scale_range,
     smooth_bump,
+    sphere_part_bands,
 )
 from flaglets.quadrature import gauss_legendre
-from flaglets.sphere_harmonics import MAX_BAND_LIMIT
+from flaglets.sphere_harmonics import MAX_BAND_LIMIT, SphereCoeffs
+from flaglets.sphere_wavelets import sphere_analyze
 
 
 class TestBump:
@@ -140,7 +147,9 @@ class TestSphereKernels:
         assert k.kappas[0][9] > 0
         assert k.band_limit(2) == 27
         assert k.band_limit(4) == 64
-        assert k.scaling_band_limit == 27
+        # the scaling part shares the band of scale j0
+        assert sphere_part_bands(64, k.params, True) == [27, 27, 64, 64]
+        assert sphere_part_bands(64, k.params, False) == [64] * 4
 
     @pytest.mark.parametrize("L,lam,j0", [(16, 2.0, 0), (64, 2.0, 1), (128, 3.0, 2), (32, 1.5, 0)])
     def test_admissibility(self, L, lam, j0):
@@ -174,17 +183,66 @@ class TestFlagletKernels:
     def test_scale_ranges_and_band_limits(self):
         limits = BandLimits(32, 16, 1.0)
         k = build_flaglet_kernels(limits, TilingParams())
-        assert list(k.j_range) == [0, 1, 2, 3, 4, 5]
-        assert list(k.jp_range) == [0, 1, 2, 3, 4]
-        assert k.band_limits(1, 3) == (4, 16)
-        assert k.band_limits(4, 3) == (32, 16)
-        assert k.scaling_band_limits == (2, 2)
+        keys, bands = flaglet_parts(limits, k.params, True)
+        assert keys == [(j, jp) for j in range(6) for jp in range(5)]
+        assert list(k.psis) == keys
+        parts = dict(zip(["scaling", *keys], bands))
+        assert parts[(1, 3)] == (4, 16)
+        assert parts[(4, 3)] == (32, 16)
+        # the scaling window reaches every ell at small p: stored at full limits
+        assert parts["scaling"] == (32, 16)
+        assert flaglet_parts(limits, k.params, False) == (keys, [(32, 16)] * 31)
 
     def test_windows_nonnegative(self):
         k = build_flaglet_kernels(BandLimits(16, 16, 1.0), TilingParams())
         assert np.all(k.phi >= 0)
         for psi in k.psis.values():
             assert np.all(psi >= 0)
+
+
+TILINGS = [
+    (16, 16, TilingParams()),
+    (16, 8, TilingParams(lam=3.0, nu=2.0, j0_ang=1, j0_rad=0)),
+    (12, 10, TilingParams(lam=1.5, nu=2.5, j0_ang=2, j0_rad=1)),
+    (9, 5, TilingParams(lam=2.0, nu=3.0, j0_ang=0, j0_rad=1)),
+]
+
+
+def _roundtrip(obj):
+    buf = io.BytesIO()
+    write_container(obj, buf)
+    buf.seek(0)
+    return read_container(buf)
+
+
+class TestPartLayout:
+    """Analysis, the container reader and the layout agree on every part."""
+
+    @pytest.mark.parametrize("multires", [False, True])
+    @pytest.mark.parametrize("L, P, params", TILINGS)
+    def test_flaglet_parts_match_analysis_and_reader(self, L, P, params, multires):
+        limits = BandLimits(L, P, 1.5)
+        kernels = build_flaglet_kernels(limits, params)
+        keys, bands = flaglet_parts(limits, params, multires)
+        d = flaglet_analyze(random_flag_coeffs(limits, 3), kernels, multires=multires)
+        for back in (d, _roundtrip(d)):
+            assert list(back.wavelets) == keys
+            grids = [back.scaling, *back.wavelets.values()]
+            assert [g.limits for g in grids] == [BandLimits(lj, pj, 1.5) for lj, pj in bands]
+        assert list(_roundtrip(kernels).psis) == keys
+
+    @pytest.mark.parametrize("multires", [False, True])
+    @pytest.mark.parametrize("L, P, params", TILINGS)
+    def test_sphere_part_bands_match_analysis_and_reader(self, L, P, params, multires):
+        kernels = build_sphere_kernels(L, params)
+        bands = sphere_part_bands(L, params, multires)
+        rng = np.random.default_rng(L)
+        f = SphereCoeffs(L, rng.standard_normal(L * L) + 1j * rng.standard_normal(L * L))
+        d = sphere_analyze(f, kernels, multires=multires)
+        scales = list(scale_range(L, params.lam, params.j0_ang))
+        for back in (d, _roundtrip(d)):
+            assert list(back.wavelets) == scales
+            assert [g.L for g in [back.scaling, *back.wavelets.values()]] == bands
 
 
 class TestQuadraturePanels:

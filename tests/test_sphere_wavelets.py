@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from flaglets import sphere_harmonics, sphere_wavelets
-from flaglets.kernel_tiling import TilingParams, build_sphere_kernels
+from flaglets.kernel_tiling import TilingParams, build_sphere_kernels, sphere_part_bands
 from flaglets.sphere_harmonics import (
     SphereCoeffs,
+    SphereGrid,
     coeff_index,
-    resize_coeffs,
     sht_forward,
     sht_inverse,
     window_coeffs,
@@ -90,7 +90,10 @@ class TestMultires:
         # every scale grid matches its effective band limit
         for j, grid in small.wavelets.items():
             assert grid.L == kernels.band_limit(j)
-        assert small.scaling.L == kernels.scaling_band_limit
+        # the scaling part shares the band of scale j0
+        grids = [small.scaling, *small.wavelets.values()]
+        assert [g.L for g in grids] == sphere_part_bands(L, kernels.params, True)
+        assert small.scaling.L == kernels.band_limit(kernels.j0)
 
     def test_multires_equals_full_after_synthesis(self):
         L = 32
@@ -115,7 +118,7 @@ class TestBandGroups:
         parts += [(d.wavelets[j], k) for j, k in enumerate(kernels.kappas, start=kernels.j0)]
         for grid, window in parts:
             band = grid.L
-            windowed = window_coeffs(resize_coeffs(f.coeffs, (band * band,)), window[:band])
+            windowed = window_coeffs(f.coeffs[: band * band], window[:band])
             assert np.array_equal(grid.values, sht_inverse(SphereCoeffs(band, windowed)).values)
 
     def test_top_scales_share_one_table_pass_per_direction(self, monkeypatch):
@@ -173,3 +176,19 @@ class TestValidation:
         d = sphere_analyze(f, k16)
         with pytest.raises(ValueError):
             sphere_synthesize(d, k16b)
+
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_rejects_part_at_wrong_band(self, multires):
+        # scale 3 of L = 16, lam = 2 reaches ell < 16 and is stored at 16 either
+        # way; cut to band 8 it loses degrees synthesis would silently drop
+        kernels = build_sphere_kernels(16, TilingParams())
+        d = sphere_analyze(random_coeffs(16, np.random.default_rng(2)), kernels, multires)
+        cut = sht_forward(d.wavelets[3]).coeffs[:64]
+        d.wavelets[3] = sht_inverse(SphereCoeffs(8, cut))
+        with pytest.raises(ValueError, match="part 3 is stored at band 8"):
+            sphere_synthesize(d, kernels)
+        # a multiresolution scaling part belongs at the band of scale j0
+        d = sphere_analyze(random_coeffs(16, np.random.default_rng(3)), kernels, True)
+        d.scaling = SphereGrid(4, np.zeros((4, 7)))
+        with pytest.raises(ValueError, match="part scaling"):
+            sphere_synthesize(d, kernels)
