@@ -100,16 +100,35 @@ def get_flag_plan(limits: BandLimits) -> FlagPlan:
     return FlagPlan(limits)
 
 
+def _radial_plan(limits: BandLimits, plan: FlagPlan | None) -> FlagPlan:
+    """`plan`, checked against the radial limits (P, tau), or the cached plan."""
+    if plan is None:
+        return get_flag_plan(limits)
+    if plan.limits.radial != limits.radial:
+        have = plan.limits
+        raise ValueError(
+            f"plan radial limits (P={have.P}, tau={have.tau}) do not match the data's "
+            f"(P={limits.P}, tau={limits.tau})"
+        )
+    return plan
+
+
 def flag_forward(grid: BallGrid, plan: FlagPlan | None = None) -> FlagCoeffs:
-    """Forward Fourier-Laguerre transform; exact for band-limited signals."""
-    plan = plan or get_flag_plan(grid.limits)
+    """Forward Fourier-Laguerre transform; exact for band-limited signals.
+
+    Raises ValueError if `plan` was built for another (P, tau).
+    """
+    plan = _radial_plan(grid.limits, plan)
     shell_coeffs = _sht_forward_batch(grid.values, get_plan(grid.limits.L))  # (shells, L^2)
     return FlagCoeffs(grid.limits, _real_matmul(plan.kforward, shell_coeffs))
 
 
 def flag_inverse(coeffs: FlagCoeffs, plan: FlagPlan | None = None) -> BallGrid:
-    """Inverse Fourier-Laguerre transform onto the exact ball grid."""
-    plan = plan or get_flag_plan(coeffs.limits)
+    """Inverse Fourier-Laguerre transform onto the exact ball grid.
+
+    Raises ValueError if `plan` was built for another (P, tau).
+    """
+    plan = _radial_plan(coeffs.limits, plan)
     # radial synthesis at the sampling nodes, then angular synthesis of all shells
     shell_coeffs = _real_matmul(plan.kbasis.T, coeffs.coeffs)  # (shells, L^2)
     return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, get_plan(coeffs.limits.L)))

@@ -10,8 +10,13 @@ Conventions: orthonormal harmonics with the Condon-Shortley phase folded
 into the normalized associated Legendre functions,
 Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
 
-The Ptilde_l^m come from one compensated recurrence, _legendre_blocks, in
-blocks of orders on the x >= 0 half of the symmetric nodes.  The engine
+The Ptilde_l^m come from one compensated recurrence, _legendre_tiles, on
+the x >= 0 half of the symmetric nodes.  It steps a group of orders together
+over k = l - m and yields tiles of orders by degrees: up to the table cache,
+blocks of orders with all their degrees, which the plan keeps; past it, every
+order at once in tiles of a few degrees, so a pass takes O(L) recurrence
+steps and holds a tile of about one grid (an inverse of many rows still
+steps blocks of orders, which write each output column once).  The engine
 never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds
 a grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even
 and the odd degrees of an order project onto, and unfolds the synthesised
@@ -50,12 +55,18 @@ _RESCALE_LOG = math.log(1e250)
 # band limits one multiresolution sphere-wavelet pass at L=288 touches
 _PLAN_CACHE_SIZE = 32
 
-# the forward transform FFTs at most this many bytes of grid rows at a time,
+# the forward transform works on blocks of at most this many bytes of grids,
 # so a batch of shells never holds a full-size Fourier copy of its grid
 _FFT_BLOCK_BYTES = 8 << 20
 
-# the Legendre recurrence steps this many bytes of table values in lock step
+# within a block it folds and FFTs this many bytes of grid rows at a time
+_FOLD_CHUNK_BYTES = 1 << 20
+
+# a cached plan steps blocks of this many bytes of table values in lock step
 _LEGENDRE_BLOCK_BYTES = 2 << 20
+
+# past the cache every order is stepped at once, in tiles of this many degrees
+_LEGENDRE_TILE_DEPTH = 10
 
 
 def coeff_index(ell: int, m: int) -> int:
@@ -121,27 +132,30 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
-def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
-    """Yield (m0, block) for consecutive blocks of orders from m_first to L-1.
+def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int | None, m_first: int = 0):
+    """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
 
-    block[i, k, j] = Ptilde_{m0+i+k}^{m0+i}(xs[j]), shape (nb, L - m0, len(xs));
-    the rows k >= L - m0 - i (degree l >= L) are zero.
+    tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(xs[j]), zero where the degree
+    passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
+    step over k = l - m, and an order drops out once it passes degree L - 1,
+    so a tile holds the orders still running at k0.  depth=None yields each
+    group as one tile, a fresh array with k0 = 0; otherwise tiles of `depth`
+    degrees, views of one buffer per group that the next tile overwrites.
     int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase
     included.  Values are carried as u e^{c} with a per-point exponent c, so
     high-m values near the poles underflow to zero instead of poisoning the
-    recurrence.  The sectoral seed is carried from one order to the next; the
-    recurrence over l steps the orders of a block in lock step.  sin(theta) is
-    taken as sqrt((1 - x)(1 + x)), which keeps its last bits near the poles.
+    recurrence.  The sectoral seed is carried from one order to the next.
+    sin(theta) is taken as sqrt((1 - x)(1 + x)), which keeps its last bits
+    near the poles.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = xs.size
     sinx = np.sqrt(np.maximum(0.0, (1.0 - xs) * (1.0 + xs)))
-    step = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * max(n, 1)))
     u = np.full(n, 1.0 / math.sqrt(2.0))
     c = np.zeros(n)
     m = 0
-    for m0 in range(m_first, L, step):
-        nb, K = min(step, L - m0), L - m0
+    for m0 in range(m_first, L, orders):
+        nb, K = min(orders, L - m0), L - m0
         seed_u, seed_c = np.empty((nb, n)), np.empty((nb, n))
         for i in range(nb):
             while m < m0 + i:
@@ -152,75 +166,109 @@ def _legendre_blocks(L: int, xs: np.ndarray, m_first: int = 0):
                     u = np.where(small, u * _RESCALE_THRESHOLD, u)
                     c = c - np.where(small, _RESCALE_LOG, 0.0)
             seed_u[i], seed_c[i] = u, c
-        block = np.empty((nb, K, n))
+        # u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64, wherever the seed is unscaled:
+        # only in the box [r0:, c0:c1] around the scaled seeds does u carry an
+        # exponent c, and only there can it pass the threshold
+        rows, cols = np.flatnonzero(seed_c.any(axis=1)), np.flatnonzero(seed_c.any(axis=0))
+        r0, c0, c1 = (rows[0], cols[0], cols[-1] + 1) if rows.size else (nb, 0, 0)
+        c_box = seed_c[r0:, c0:c1].copy()
+        del seed_c
         ms = np.arange(m0, m0 + nb, dtype=np.float64)
-        ells = ms + np.arange(2, K, dtype=np.float64)[:, None]  # (K-2, nb)
-        a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - ms * ms))[..., None]
-        b = np.sqrt(((ells - 1.0) ** 2 - ms * ms) / (4.0 * (ells - 1.0) ** 2 - 1.0))[..., None]
-        # unscaled seeds make u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64: no overflow test
-        may_overflow = seed_c.any()
+        d = K if depth is None else min(depth, K)
+        buf = None if depth is None else np.empty((nb, d, n))
+        u_prev, u_cur = None, seed_u
         with np.errstate(under="ignore"):
-            c_blk = seed_c
-            scale = np.exp(c_blk)  # recomputed only when a rescale fires
-            block[:, 0] = seed_u * scale
-            if K > 1:
-                u_prev, u_cur = seed_u, np.sqrt(2.0 * ms + 3.0)[:, None] * xs * seed_u
-                block[:, 1] = u_cur * scale
-            for k in range(2, K):
-                u_prev, u_cur = u_cur, a[k - 2] * (xs * u_cur - b[k - 2] * u_prev)
-                if may_overflow and np.abs(u_cur).max() > _RESCALE_THRESHOLD:
-                    big = np.abs(u_cur) > _RESCALE_THRESHOLD
-                    f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
-                    u_cur, u_prev = u_cur * f, u_prev * f
-                    c_blk = c_blk + np.where(big, _RESCALE_LOG, 0.0)
-                    scale = np.exp(c_blk)
-                block[:, k] = u_cur * scale
-        for i in range(1, nb):
-            block[i, K - i :] = 0.0
-        yield m0, block
+            scale = np.exp(c_box)  # recomputed only when a rescale fires
+            for k0 in range(0, K, d):
+                dk, active = min(d, K - k0), min(nb, K - k0)
+                tile = np.empty((nb, dk, n)) if buf is None else buf[:active, :dk]
+                lo = max(k0, 2)
+                ells = ms[:active] + np.arange(lo, k0 + dk, dtype=np.float64)[:, None]
+                mm = ms[:active] * ms[:active]
+                a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - mm))[..., None]
+                b = np.sqrt(((ells - 1.0) ** 2 - mm) / (4.0 * (ells - 1.0) ** 2 - 1.0))[..., None]
+                for k in range(k0, k0 + dk):
+                    run = min(nb, K - k)  # orders with degree m + k <= L - 1
+                    row = tile[:, k - k0]
+                    if k == 1:
+                        np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=row[:run])
+                        u_prev, u_cur = u_cur, row[:run] * u_cur[:run]
+                    elif k >= 2:
+                        # u_prev <- a (x u_cur - b u_prev) in place, then swap;
+                        # the tile row holds x u_cur until it takes the new values
+                        u_prev, u_cur = u_prev[:run], u_cur[:run]
+                        np.multiply(xs, u_cur, out=row[:run])
+                        np.multiply(b[k - lo, :run], u_prev, out=u_prev)
+                        np.subtract(row[:run], u_prev, out=u_prev)
+                        np.multiply(a[k - lo, :run], u_prev, out=u_prev)
+                        u_prev, u_cur = u_cur, u_prev
+                        if r0 < run and np.abs(u_cur[r0:, c0:c1]).max() > _RESCALE_THRESHOLD:
+                            big = np.abs(u_cur[r0:, c0:c1]) > _RESCALE_THRESHOLD
+                            f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
+                            u_cur[r0:, c0:c1] *= f
+                            u_prev[r0:, c0:c1] *= f
+                            c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
+                            scale = np.exp(c_box)
+                    row[:run] = u_cur[:run]
+                    row[run:] = 0.0
+                    if r0 < run:
+                        np.multiply(u_cur[r0:run, c0:c1], scale[: run - r0], out=row[r0:run, c0:c1])
+                yield m0, k0, tile
 
 
 def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
     """Normalized associated Legendre values Ptilde_l^m for l = m..L-1.
 
-    Returns shape (L - m, len(xs)); see _legendre_blocks.
+    Returns shape (L - m, len(xs)); see _legendre_tiles.
     """
-    return next(_legendre_blocks(L, xs, m))[1][0].copy()
+    return next(_legendre_tiles(L, xs, 1, None, m))[2][0]
 
 
 def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     """Table of Ptilde_l^m(x) for 0 <= m <= l < L at a single point.
 
     Returns a flat array of length L^2 addressed by l * L + m; entries
-    with m > l are zero.
+    with m > l are zero.  All orders are stepped together, so this takes
+    O(L) recurrence steps.
     """
     if L < 1 or L > MAX_BAND_LIMIT:
         raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
     if abs(x) > 1.0:
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
-    table = np.zeros((L, L))
-    for m0, block in _legendre_blocks(L, np.array([float(x)])):
-        for i, col in enumerate(block[:, :, 0], start=m0):
-            table[i:, i] = col[: L - i]
-    return table.reshape(-1)
+    table = np.zeros(L * L)
+    for _, k, tile in _legendre_tiles(L, np.array([float(x)]), L, 1):
+        # degree l = m + k of every order m: the k-th diagonal below the main one
+        table[k * L :: L + 1] = tile[:, 0, 0]
+    return table
 
 
 class SpherePlan:
-    """Quadrature rule and folded Legendre blocks with their index maps for one L.
+    """Quadrature rule and folded Legendre tiles with their index maps for one L.
 
     The nodes are symmetric, x_{half+j} = -x_{L-1-half-j} with half = L // 2
-    (exact in gauss_legendre), so tables() yields the blocks of
-    _legendre_blocks on the L - half nodes x >= 0 only.  In block[i, k] the
-    rows of even k (l + m even) are even in x and those of odd k odd; at odd
-    L the odd rows vanish at x = 0.  Up to _CACHE_LIMIT a complete pass is
-    kept, maps included; past it blocks and maps are yielded and dropped.
+    (exact in gauss_legendre), so tables() yields the tiles of
+    _legendre_tiles on the L - half nodes x >= 0 only.  Row k of a tile from
+    k0 is even in x when k0 + k (that is l + m) is even, odd otherwise; at odd
+    L the odd rows vanish at x = 0.  Tiles come in two kinds:
 
-    maps[p] serves parity p of a block of nb orders from m0 as int32 arrays:
-    `index[i, k', s]` is the flat coefficient index of (l, m) =
-    (m0+i+2k'+p, +-(m0+i)) for s = 0, 1, and 0 past the band limit, where
-    the table rows are zero; `valid` lists the flat positions in `index`
-    that the forward transform stores, each coefficient once, in
-    coefficient order; `dest` = index.flat[valid].
+    - blocks of orders of about _LEGENDRE_BLOCK_BYTES, each with all of its
+      degrees (k0 = 0).  Up to _CACHE_LIMIT a complete pass is kept, maps
+      included.  The inverse writes a block's output columns once, where
+      all-order tiles add into every column once per tile: with 64 rows at
+      L = 128 that made the inverse about twice as slow.  So past the cache
+      an inverse of more rows than one forward FFT block steps blocks too.
+    - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
+      degrees, made per pass in one reused buffer with their maps: L
+      recurrence steps per pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2
+      bytes, about 1.25 grids.
+
+    maps[p] serves parity p of a tile of nb orders from m0 and degrees from
+    k0 as int32 arrays: `index[i, k', s]` is the flat coefficient index of
+    (l, m) = (m0+i+k0+k, +-(m0+i)) for the k'-th row k of parity p (k0 + k = p
+    mod 2) and s = 0, 1, and 0 past the band limit, where the table rows are
+    zero; `valid` lists the flat positions in `index` that the forward
+    transform stores, each coefficient once, in coefficient order; `dest` =
+    index.flat[valid].
     """
 
     # folded blocks are O(L^3/4) doubles; beyond this, regenerate per pass
@@ -243,39 +291,53 @@ class SpherePlan:
         self.fold_weights = np.concatenate((weights, weights[odd:]))
         if odd:
             self.fold_weights[0] *= 0.5
-        self._blocks = None
+        self._tiles = None
 
-    def _block_maps(self, m0: int, nb: int):
+    def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
         maps = []
         for p in (0, 1):
-            ells = ms + np.arange(p, self.L - m0, 2, dtype=np.int32)  # (nb, K')
+            ells = ms + np.arange(k0 + (p - k0) % 2, k0 + depth, 2, dtype=np.int32)  # (nb, K')
             inside = ells < self.L
-            index = (ells * (ells + 1))[..., None] + ms[..., None] * np.array([1, -1], np.int32)
+            index = np.empty(ells.shape + (2,), dtype=np.int32)
+            base = ells * (ells + 1)
+            np.add(base, ms, out=index[..., 0])
+            np.subtract(base, ms, out=index[..., 1])
             index[~inside] = 0
-            stored = np.repeat(inside, 2, axis=1).reshape(index.shape)
+            # stored entries in coefficient order, so the scatter writes runs; taken
+            # in (sign, row, order) order they are 2K' ascending runs to merge
+            stored = np.array(np.broadcast_to(inside.T, (2,) + inside.T.shape))
             if m0 == 0:
-                stored[0, :, 1] = False  # -0 is +0: order 0 is stored once
-            flat = index.reshape(-1)
-            # stored entries in coefficient order: the scatter then writes runs
-            valid = np.flatnonzero(stored).astype(np.int32)
-            valid = valid[np.argsort(flat[valid])]
-            maps.append((index, valid, flat[valid]))
+                stored[1, :, 0] = False  # -0 is +0: order 0 is stored once
+            flat = np.arange(index.size, dtype=np.int32).reshape(index.shape)
+            valid, dest = flat.transpose(2, 1, 0)[stored], index.transpose(2, 1, 0)[stored]
+            order = np.argsort(dest, kind="stable")
+            maps.append((index, valid[order], dest[order]))
         return maps
 
-    def tables(self):
-        """Yield (m0, block, maps) over all orders; see _legendre_blocks."""
-        if self._blocks is not None:
-            yield from self._blocks
+    def tables(self, rows: int = 1):
+        """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
+
+        Past _CACHE_LIMIT, a pass for `rows` rows, at most one forward FFT
+        block, yields all-order tiles, each overwritten by the next one.
+        """
+        if self._tiles is not None:
+            yield from self._tiles
             return
+        L, nodes = self.L, self.rule.nodes[self.half :]
+        cached = L <= self._CACHE_LIMIT
+        if cached or rows > _fft_block_grids(L):
+            orders, depth = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * nodes.size)), None
+        else:
+            orders, depth = L, _LEGENDRE_TILE_DEPTH
         kept = []
-        for m0, block in _legendre_blocks(self.L, self.rule.nodes[self.half :]):
-            entry = (m0, block, self._block_maps(m0, block.shape[0]))
-            if self.L <= self._CACHE_LIMIT:
+        for m0, k0, tile in _legendre_tiles(L, nodes, orders, depth):
+            entry = (m0, k0, tile, self._tile_maps(m0, k0, *tile.shape[:2]))
+            if cached:
                 kept.append(entry)
             yield entry
-        if kept:
-            self._blocks = kept
+        if cached:
+            self._tiles = kept
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -308,57 +370,63 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
 
     `grids` may be a list of grids or an array of them; it is never stacked.
-    A block of grids at a time is folded about the equator into an
-    (n, L, 2L-1) buffer, rows f(x) + f(-x) then f(x) - f(-x) on the half
-    nodes, and FFT'd in place along its contiguous last axis.  For each block
-    of orders and each parity, the +m and -m Fourier columns of the sums (even
-    rows of the block) or the differences (odd rows) are copied out weighted,
-    projected by one stacked GEMM over the orders, and the stored degrees
-    scattered through the block's maps.  Past SpherePlan._CACHE_LIMIT the
-    tables are regenerated per block of grids: generating them once would hold
-    a full-size Fourier copy.
+    Per block of grids, chunks of rows are folded about the equator, f(x) +
+    f(-x) then f(x) - f(-x) on the half nodes, FFT'd in place along their
+    contiguous last axis, and their +m and -m Fourier columns copied out
+    weighted, order by order: one buffer of the size of the block's grids
+    holds the columns every tile reads.  Per tile and parity, the sums (even
+    l + m) or the differences (odd l + m) are projected by one stacked GEMM
+    over the orders, and the stored degrees scattered through the tile's maps.
+    Past SpherePlan._CACHE_LIMIT the tables are regenerated per block of
+    grids: generating them once would hold a full-size Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
-    # work space reused by every block of grids: the Fourier buffer, and room
-    # for the folded columns and the projections of any (block of orders,
-    # parity), sized at the first block of orders, which is the largest
-    fm_buf = np.empty((step, L, nphi), dtype=np.complex128)
-    folded_buf = proj_buf = None
+    rows = max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step))
+    # work space reused by every block of grids: the weighted columns, a chunk
+    # of folded rows, and room for the projections of the first tile, which
+    # is the largest
+    columns_buf = np.empty(L * L * 2 * step, dtype=np.complex128)
+    chunk_buf = np.empty(min(rows, L) * nphi * step, dtype=np.complex128)
+    proj_buf = stored_buf = None
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        fm = fm_buf[:n]
-        for dst, src in zip(fm, block):
-            north, south = src[half:], src[nh - 1 :: -1]
-            np.add(north, south, out=dst[:nh])
-            np.subtract(north[odd:], south[odd:], out=dst[nh:])
-        np.fft.fft(fm, axis=-1, out=fm)
+        # columns[m, j, s, r]: order m, folded row j, sign s, grid r
+        columns = columns_buf[: L * L * 2 * n].reshape(L, L, 2, n)
+        for combine, first, stop, shift in ((np.add, 0, nh, 0), (np.subtract, nh, L, odd - nh)):
+            for j0 in range(first, stop, rows):
+                j1 = min(j0 + rows, stop)
+                fm = chunk_buf[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
+                for dst, src in zip(fm, block):
+                    north, south = src[half + shift :], src[nh - 1 - shift :: -1]
+                    combine(north[j0:j1], south[j0:j1], out=dst)
+                np.fft.fft(fm, axis=-1, out=fm)
+                for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
+                    weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
+                    np.multiply(
+                        fm[:, :, cols].transpose(2, 1, 0),
+                        weights[..., None],
+                        out=columns[lo:, j0:j1, s],
+                    )
+        columns[0, :, 1] = 0.0
         out_t = out[start : start + n].T
-        for m0, table, maps in plan.tables():
-            nb = table.shape[0]
-            if folded_buf is None:
-                folded_buf = np.empty(nb * nh * 2 * step, dtype=np.complex128)
-                proj_buf = np.empty_like(folded_buf)
+        for m0, k0, tile, maps in plan.tables():
+            nb = tile.shape[0]
+            if proj_buf is None:
+                proj_buf = np.empty(maps[0][0].size * step, dtype=np.complex128)
+                stored_buf = np.empty_like(proj_buf)
             for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
                 nodes = fold.stop - fold.start
-                # folded[i, j, s, r]: order m0+i, folded row j, sign s, grid r
-                folded = folded_buf[: nb * nodes * 2 * n].reshape(nb, nodes, 2, n)
-                for s, (lo, cols) in enumerate(_column_ranges(L, m0, nb)):
-                    weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[fold])
-                    columns = fm[:, fold, cols].transpose(2, 1, 0)
-                    np.multiply(columns, weights[..., None], out=folded[lo:, :, s])
-                if m0 == 0:
-                    folded[0, :, 1] = 0.0
                 proj = proj_buf[: index.size * n].reshape(-1, n)
                 np.matmul(
-                    table[:, p::2, odd * p :],
-                    folded.view(np.float64).reshape(nb, nodes, 4 * n),
+                    tile[:, (p - k0) % 2 :: 2, odd * p :],
+                    columns[m0 : m0 + nb, fold].view(np.float64).reshape(nb, nodes, 4 * n),
                     out=proj.view(np.float64).reshape(nb, -1, 4 * n),
                 )
-                stored = folded_buf[: valid.size * n].reshape(-1, n)
+                stored = stored_buf[: valid.size * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
                 out_t[dest] = stored
     return out
@@ -367,52 +435,91 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
 
-    For each block of orders, and within it for each block of at most
-    _fft_block_grids rows, the maps of the block of orders gather the +m and
-    -m coefficients of each parity, and one stacked GEMM per parity
-    synthesises the even and the odd sums S_even, S_odd on the half nodes.
-    f(+-x) = S_even +- S_odd goes straight into the block's Fourier columns,
-    which are then signed and scaled and inverse-FFT'd in place.
+    For each tile, and within it for each block of at most _fft_block_grids
+    rows, the tile's maps gather the +m and -m coefficients of each parity,
+    and one stacked GEMM per parity synthesises the even and the odd sums
+    S_even, S_odd on the half nodes.  A block of orders with all their
+    degrees writes f(+-x) = S_even +- S_odd straight into their Fourier
+    columns.  All-order tiles (past the cache, at most one FFT block of
+    rows) add S_even into the x >= 0 rows and S_odd into the x < 0 rows, and
+    each order's columns are unfolded after its last tile.  The columns are
+    then signed and scaled and inverse-FFT'd in place.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
-    nh = L - half
+    nh, odd_l = L - half, L % 2
     rows = coeffs.reshape(-1, L * L)
     g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
     synth_buf = None
-    for m0, table, maps in plan.tables():
-        nb = table.shape[0]
-        if synth_buf is None:  # the first block of orders is the largest
-            synth_buf = np.empty(2 * nb * nh * 2 * step, dtype=np.complex128)
+    for m0, k0, tile, maps in plan.tables(len(rows)):
+        nb, depth = tile.shape[:2]
+        # only a tile with every degree of its orders needs both sums at once
+        whole = k0 == 0 and depth == L - m0
+        sums = 2 if whole else 1
+        if synth_buf is None:  # the first tile is the largest
+            synth_buf = np.empty(sums * nb * nh * 2 * step, dtype=np.complex128)
+        ranges = _column_ranges(L, m0, nb)
         for start in range(0, len(rows), step):
             chunk = rows[start : start + step]
             n = len(chunk)
-            synth = synth_buf[: 2 * nb * nh * 2 * n].reshape(2, nb, nh, 2, n)
+            here = slice(start, start + n)
+            synth = synth_buf[: sums * nb * nh * 2 * n].reshape(sums, nb, nh, 2, n)
             for p, (index, _, _) in enumerate(maps):
                 np.matmul(
-                    table[:, p::2].transpose(0, 2, 1),
+                    tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1),
                     chunk.T[index].view(np.float64).reshape(nb, -1, 4 * n),
-                    out=synth[p].view(np.float64).reshape(nb, nh, 4 * n),
+                    out=synth[p % sums].view(np.float64).reshape(nb, nh, 4 * n),
                 )
-            for s, (lo, cols) in enumerate(_column_ranges(L, m0, nb)):
-                even, odd = synth[:, lo:, :, s].transpose(0, 2, 3, 1)
-                np.add(even, odd, out=north[start : start + n, :, cols].transpose(1, 0, 2))
-                np.subtract(even, odd, out=south[start : start + n, :, cols].transpose(1, 0, 2))
+                if not whole:
+                    half_grid, first_row = (north, 0) if p == 0 else (south, odd_l)
+                    for s, (lo, cols) in enumerate(ranges):
+                        part = synth[0, lo:, first_row:, s].transpose(1, 2, 0)
+                        dst = half_grid[here, first_row:, cols].transpose(1, 0, 2)
+                        if k0 == 0:
+                            dst[...] = part
+                        else:
+                            dst += part
+            if whole:
+                for s, (lo, cols) in enumerate(ranges):
+                    even, odd = synth[:, lo:, :, s].transpose(0, 2, 3, 1)
+                    np.add(even, odd, out=north[here, :, cols].transpose(1, 0, 2))
+                    np.subtract(even, odd, out=south[here, :, cols].transpose(1, 0, 2))
+        if not whole:
+            # orders whose last degree L - 1 is in this tile: f(+-x) = S_even +- S_odd
+            done = max(0, L - m0 - k0 - depth)
+            for _, cols in _column_ranges(L, m0 + done, nb - done):
+                even, odd = north[:, odd_l:, cols], south[:, odd_l:, cols]
+                diff = even - odd
+                even += odd
+                odd[...] = diff
     g *= plan.signs / math.sqrt(2.0 * np.pi)
     np.fft.ifft(g, axis=-1, norm="forward", out=g)
     return g.reshape(coeffs.shape[:-1] + (L, nphi))
+
+
+def _plan_for(L: int, plan: SpherePlan | None) -> SpherePlan:
+    """`plan`, checked against band limit L, or the cached plan for L."""
+    if plan is None:
+        return get_plan(L)
+    if plan.L != L:
+        raise ValueError(f"plan band limit {plan.L} does not match the data's band limit {L}")
+    return plan
 
 
 def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeffs:
     """Forward spherical harmonic transform, exact for band-limited input.
 
     f_lm = sum_i sum_k w_i (2 pi / (2L-1)) f(theta_i, phi_k) conj(Y_lm),
-    with the k-sum carried out by FFT.
+    with the k-sum carried out by FFT.  Raises ValueError if `plan` was
+    built for another band limit.
     """
-    return SphereCoeffs(grid.L, _sht_forward_batch([grid.values], plan or get_plan(grid.L))[0])
+    return SphereCoeffs(grid.L, _sht_forward_batch([grid.values], _plan_for(grid.L, plan))[0])
 
 
 def sht_inverse(coeffs: SphereCoeffs, plan: SpherePlan | None = None) -> SphereGrid:
-    """Inverse spherical harmonic transform onto the exact grid."""
-    return SphereGrid(coeffs.L, _sht_inverse_batch(coeffs.coeffs, plan or get_plan(coeffs.L)))
+    """Inverse spherical harmonic transform onto the exact grid.
+
+    Raises ValueError if `plan` was built for another band limit.
+    """
+    return SphereGrid(coeffs.L, _sht_inverse_batch(coeffs.coeffs, _plan_for(coeffs.L, plan)))

@@ -12,6 +12,7 @@ from flaglets.flag_transform import (
     BallGrid,
     BandLimits,
     FlagCoeffs,
+    FlagPlan,
     flag_forward,
     flag_inverse,
     get_flag_plan,
@@ -213,3 +214,21 @@ class TestValidation:
             BallGrid(limits, np.zeros((4, 4, 8)))
         with pytest.raises(ValueError):
             FlagCoeffs(limits, np.zeros((4, 15), dtype=np.complex128))
+
+    def test_forward_rejects_plan_of_other_radial_limits(self):
+        # a tau = 2 plan on a tau = 1 grid used to return wrong coefficients
+        # labelled tau = 1; the radial plan does not depend on L
+        grid = flag_inverse(random_flag(BandLimits(8, 4, 1.0), np.random.default_rng(3)))
+        with pytest.raises(ValueError, match=r"P=4, tau=2.0.*P=4, tau=1.0"):
+            flag_forward(grid, FlagPlan(BandLimits(8, 4, 2.0)))
+        with pytest.raises(ValueError, match=r"P=5, tau=1.0.*P=4, tau=1.0"):
+            flag_forward(grid, FlagPlan(BandLimits(8, 5, 1.0)))
+        back = flag_forward(grid, FlagPlan(BandLimits(3, 4, 1.0)))
+        assert np.array_equal(back.coeffs, flag_forward(grid).coeffs)
+
+    def test_inverse_rejects_plan_of_other_radial_limits(self):
+        coeffs = random_flag(BandLimits(8, 4, 1.0), np.random.default_rng(4))
+        with pytest.raises(ValueError, match=r"P=4, tau=2.0.*P=4, tau=1.0"):
+            flag_inverse(coeffs, FlagPlan(BandLimits(8, 4, 2.0)))
+        with pytest.raises(ValueError, match=r"P=3, tau=1.0.*P=4, tau=1.0"):
+            flag_inverse(coeffs, FlagPlan(BandLimits(8, 3, 1.0)))

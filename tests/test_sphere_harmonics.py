@@ -1,5 +1,6 @@
 """Exact spherical harmonic transform on the Gauss-Legendre grid."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -87,21 +88,24 @@ class TestLegendreValues:
 
 
 class TestStreamedTables:
-    @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 257, 300])
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 257, 288, 300, 513])
     def test_plan_tables_match_per_order_loop_bit_for_bit(self, L):
-        # odd L, a last partial block of orders (L = 257), cached and streamed
-        # plans; the blocks hold the half nodes x >= 0, zero past degree L - 1
+        # odd L, cached blocks of orders with a last partial block, and past the
+        # cache all-order tiles whose depth divides neither 257 nor 513; tiles
+        # hold the half nodes x >= 0 and are zero past degree L - 1.  Each
+        # order's column is hashed tile by tile, so no pass is held whole
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
-        orders = []
-        for m0, block, _ in plan.tables():
-            assert block.shape[1:] == (L - m0, L - L // 2)
-            for i, table in enumerate(block):
-                m = m0 + i
-                orders.append(m)
-                assert np.array_equal(table[: L - m], legendre_per_order(L, m, half_nodes)), (L, m)
-                assert not table[L - m :].any(), (L, m)
-        assert orders == list(range(L))
+        columns = [hashlib.sha256() for _ in range(L)]
+        for m0, k0, tile, _ in plan.tables():
+            assert tile.shape[2] == L - L // 2
+            for m, rows in enumerate(tile, start=m0):
+                assert m + k0 < L, (L, m, k0)  # an order leaves once past L - 1
+                columns[m].update(rows[: L - m - k0].tobytes())
+                assert not rows[L - m - k0 :].any(), (L, m, k0)
+        for m, column in enumerate(columns):
+            want = hashlib.sha256(legendre_per_order(L, m, half_nodes).tobytes())
+            assert column.digest() == want.digest(), (L, m)
         nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
@@ -110,12 +114,13 @@ class TestStreamedTables:
         # full-node tables at L = 256 take 67.4 MB; the folded blocks about half,
         # plus the zero rows past degree L - 1 in each block of 8 orders
         plan = SpherePlan(256)
-        nbytes = sum(block.nbytes for _, block, _ in plan.tables())
+        nbytes = sum(block.nbytes for _, _, block, _ in plan.tables())
         assert nbytes <= 36e6
-        assert all(a is b for (_, a, _), (_, b, _) in zip(plan.tables(), plan.tables()))
+        assert all(k0 == 0 for _, k0, _, _ in plan.tables())
+        assert all(a is b for (_, _, a, _), (_, _, b, _) in zip(plan.tables(), plan.tables()))
 
     def test_streamed_plan_holds_no_per_order_arrays(self):
-        # past the cache a plan keeps O(L) arrays: its blocks and their index
+        # past the cache a plan keeps O(L) arrays: its tiles and their index
         # maps are made per pass (the maps alone would be 12 MiB at L = 1024)
         L = 1024
         assert L > SpherePlan._CACHE_LIMIT
@@ -126,25 +131,35 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert kept < 64 * L * 8
-        m0, block, maps = next(plan.tables())
-        assert [index.shape for index, _, _ in maps] == [(block.shape[0], L // 2, 2)] * 2
+        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
+        m0, k0, tile, maps = next(plan.tables())
+        assert (m0, k0, tile.shape) == (0, 0, (L, depth, L // 2))
+        assert [index.shape for index, _, _ in maps] == [(L, depth // 2, 2)] * 2
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
+        # every order crosses every tile boundary k0 of a streamed pass: whole
+        # columns of the first and last orders, of middle orders and of orders
+        # whose seed passes through the 1e-250 compensation at the polar node
         L = 300
         assert L > SpherePlan._CACHE_LIMIT
+        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
-        tables = {
-            m0 + i: t[: L - m0 - i] for m0, block, _ in plan.tables() for i, t in enumerate(block)
-        }
-        step = sphere_harmonics._LEGENDRE_BLOCK_BYTES // (8 * L * (L - L // 2))
-        assert 1 < step < L
-        starts = range(step, L, step)
+        # the node nearest the pole and a mid-latitude node
+        nodes = [len(half_nodes) - 1, 3 * L // 4 - L // 2]
+        orders = sorted({0, 1, 2, 3, L // 2, 200, 250, L - depth - 1, L - depth, L - 3, L - 2, L - 1})
+        got = {m: np.empty((L - m, len(nodes))) for m in orders}
+        starts = []
+        for m0, k0, tile, _ in plan.tables():
+            starts.append(k0)
+            for m in orders:
+                if m0 <= m < m0 + tile.shape[0]:
+                    rows = tile[m - m0, : L - m - k0]
+                    got[m][k0 : k0 + len(rows)] = rows[:, nodes]
+        assert starts == list(range(0, L, depth))
         compensated = 0
-        for m in sorted({0, *starts, *(m0 - 1 for m0 in starts)}):
-            # the node nearest the pole, where the sectoral seed of large m passes
-            # through the 1e-250 compensation, and a mid-latitude node
-            for j in (len(half_nodes) - 1, 3 * L // 4 - L // 2):
+        for m in orders:
+            for col, j in enumerate(nodes):
                 x = half_nodes[j]
                 want = legendre_column_high_precision(L, m, x, dps=40)
                 # relative to the largest |value| at this degree or below: fully
@@ -154,16 +169,17 @@ class TestStreamedTables:
                 # (measured: 0.12 m eps / (1 - x^2) at the polar node).
                 tol = 1e-11 + m * np.finfo(float).eps / (1.0 - x * x)
                 envelope = np.maximum.accumulate(np.abs(want))
-                err = np.abs(tables[m][:, j] - want)
+                err = np.abs(got[m][:, col] - want)
                 assert np.all(err <= tol * envelope + 1e-300), (m, j)
                 compensated += np.count_nonzero((envelope > 1e-300) & (envelope < 1e-250))
         assert compensated > 0
         # the last order at every node, from underflow near the pole to O(1)
         want = np.array([legendre_high_precision(L - 1, L - 1, x, dps=40) for x in half_nodes])
-        got = tables[L - 1][0]
-        assert want[-1] == 0.0 and got[-1] == 0.0
+        _, _, tile, _ = next(plan.tables())  # all orders, degrees from k0 = 0
+        last = tile[L - 1, 0]
+        assert want[-1] == 0.0 and last[-1] == 0.0
         tol = 1e-11 + (L - 1) * np.finfo(float).eps / (1.0 - half_nodes * half_nodes)
-        assert np.all(np.abs(got - want) <= tol * np.abs(want) + 1e-300)
+        assert np.all(np.abs(last - want) <= tol * np.abs(want) + 1e-300)
 
     @pytest.mark.parametrize("m", [25, 150])
     def test_polar_node_sine_keeps_full_accuracy(self, m):
@@ -197,13 +213,13 @@ class TestTableGenerations:
     @pytest.fixture
     def generations(self, monkeypatch):
         calls = []
-        real = sphere_harmonics._legendre_blocks
+        real = sphere_harmonics._legendre_tiles
 
         def counting(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(sphere_harmonics, "_legendre_blocks", counting)
+        monkeypatch.setattr(sphere_harmonics, "_legendre_tiles", counting)
         return calls
 
     @staticmethod
@@ -234,6 +250,33 @@ class TestTableGenerations:
             back = _sht_forward_batch(grids, plan)
             assert len(generations) == 4 * call
         assert np.max(np.abs(back - c)) < 1e-12
+
+
+class TestStreamedWorkSpace:
+    @pytest.mark.slow
+    def test_one_row_passes_hold_about_three_grids(self):
+        # past the cache a pass holds a tile of 4 depth L^2 bytes, the
+        # recurrence state and, forward, the weighted Fourier columns of every
+        # order; all told about 3 grids beside the output
+        L = 1024
+        assert L > SpherePlan._CACHE_LIMIT
+        grid_bytes = 16 * L * (2 * L - 1)
+        plan = SpherePlan(L)
+        c = random_coeffs(L, np.random.default_rng(1024)).coeffs[None]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grids = _sht_inverse_batch(c, plan)
+            inverse = tracemalloc.get_traced_memory()[1] - start - grids.nbytes
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            back = _sht_forward_batch(grids, plan)
+            forward = tracemalloc.get_traced_memory()[1] - start - back.nbytes
+        finally:
+            tracemalloc.stop()
+        assert inverse <= 3 * grid_bytes, inverse / grid_bytes
+        assert forward <= 3 * grid_bytes, forward / grid_bytes
+        assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
 
 
 class TestForwardBatchInput:
@@ -273,25 +316,51 @@ class TestAgainstNaiveTransform:
             assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
 
     def test_blocks_of_one_two_and_three_orders_match_direct_sums(self, monkeypatch):
-        # L = 257 streams its tables; 257 = 128 * 2 + 1 = 85 * 3 + 2 orders leave
-        # a partial last block at two and three orders per block.  One plan
-        # serves every block size: its maps follow the blocks of each pass
-        L = 257
+        # a cached plan steps blocks of orders; 7 = 3 * 2 + 1 = 2 * 3 + 1 orders
+        # leave a partial last block at two and three orders per block
+        L = 7
         rng = np.random.default_rng(257)
         c = rng.uniform(-1, 1, (2, L * L)) + 1j * rng.uniform(-1, 1, (2, L * L))
         values = rng.uniform(-1, 1, (L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (L, 2 * L - 1))
         grid_want = direct_sht_inverse(c[1], L)
         coeffs_want = direct_sht_forward(values, L)
-        plan = SpherePlan(L)
         for orders in (1, 2, 3):
             per_order = 8 * L * (L - L // 2)
             monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", orders * per_order)
-            assert [m0 for m0, _, _ in plan.tables()] == list(range(0, L, orders))
+            plan = SpherePlan(L)
+            assert [(m0, k0) for m0, k0, _, _ in plan.tables()] == [(m, 0) for m in range(0, L, orders)]
             grids = _sht_inverse_batch(c, plan)
-            assert rel_err(grids[1], grid_want) < 1e-12, orders
+            assert rel_err(grids[1], grid_want) < 1e-13, orders
             coeffs = _sht_forward_batch([grids[0], values], plan)
-            assert rel_err(coeffs[0], c[0]) < 1e-12, orders
-            assert rel_err(coeffs[1], coeffs_want) < 1e-12, orders
+            assert rel_err(coeffs[0], c[0]) < 1e-13, orders
+            assert rel_err(coeffs[1], coeffs_want) < 1e-13, orders
+
+    @pytest.mark.parametrize("L", [8, 9])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 5, None])
+    def test_streamed_tiles_match_direct_sums(self, monkeypatch, L, depth):
+        # all-order tiles past the cache, at depths that alternate the parity of
+        # k0 (1, 3, 5), do not divide L, or (the module's depth) hold every degree
+        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
+        if depth is not None:
+            monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_TILE_DEPTH", depth)
+        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
+        # forward blocks of 2 grids: each forward block and an inverse of up to
+        # 2 rows step every order at once; an inverse of 3 rows, blocks of orders
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 2 * 16 * L * (2 * L - 1))
+        plan = SpherePlan(L)
+        tiles = [(m0, k0, tile.shape[0]) for m0, k0, tile, _ in plan.tables(2)]
+        assert tiles == [(0, k0, L - k0) for k0 in range(0, L, depth)]
+        assert {k0 for _, k0, _, _ in plan.tables(3)} == {0}
+        rng = np.random.default_rng(10 * L + depth)
+        c = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L))
+        tiled = _sht_inverse_batch(c[:2], plan)
+        grids = _sht_inverse_batch(c, plan)
+        back = _sht_forward_batch(grids + 0.5j, plan)
+        for row, grid, coeffs in zip(c, grids, back):
+            assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
+            assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
+        for row, grid in zip(c, tiled):
+            assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
 
     def test_inverse_matches_direct_synthesis(self):
         L = 8
@@ -399,6 +468,20 @@ class TestValidation:
             SphereGrid(4, np.zeros((4, 4)))
         with pytest.raises(ValueError):
             SphereCoeffs(4, np.zeros(15, dtype=np.complex128))
+
+    def test_forward_rejects_plan_of_other_band_limit(self):
+        grid = SphereGrid(8, np.ones((8, 15)))
+        with pytest.raises(ValueError, match="plan band limit 9 .* band limit 8"):
+            sht_forward(grid, SpherePlan(9))
+        with pytest.raises(ValueError, match="plan band limit 7 .* band limit 8"):
+            sht_forward(grid, SpherePlan(7))
+
+    def test_inverse_rejects_plan_of_other_band_limit(self):
+        coeffs = SphereCoeffs(8, np.ones(64))
+        with pytest.raises(ValueError, match="plan band limit 9 .* band limit 8"):
+            sht_inverse(coeffs, SpherePlan(9))
+        with pytest.raises(ValueError, match="plan band limit 7 .* band limit 8"):
+            sht_inverse(coeffs, SpherePlan(7))
 
     def test_single_point_oracle(self):
         # conjugation symmetry Y_l^{-m} = (-1)^m conj(Y_l^m) at the same point

@@ -128,13 +128,13 @@ class TestBandGroups:
         kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
         assert kernels.band_limit(kernels.jmax - 1) == kernels.band_limit(kernels.jmax) == L
         passes = []
-        real = sphere_harmonics._legendre_blocks
+        real = sphere_harmonics._legendre_tiles
 
         def counting(*args):
             passes.append(args[0])
             return real(*args)
 
-        monkeypatch.setattr(sphere_harmonics, "_legendre_blocks", counting)
+        monkeypatch.setattr(sphere_harmonics, "_legendre_tiles", counting)
         f = random_coeffs(L, np.random.default_rng(22))
         d = sphere_analyze(f, kernels, multires=True)
         assert passes.count(L) == 1
