@@ -210,7 +210,8 @@ def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int | None, m_fi
                             c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
                             scale = np.exp(c_box)
                     row[:run] = u_cur[:run]
-                    row[run:] = 0.0
+                    if run < len(row):
+                        row[run:] = 0.0
                     if r0 < run:
                         np.multiply(u_cur[r0:run, c0:c1], scale[: run - r0], out=row[r0:run, c0:c1])
                 yield m0, k0, tile
@@ -318,8 +319,9 @@ class SpherePlan:
     def tables(self, rows: int = 1):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
-        Past _CACHE_LIMIT, a pass for `rows` rows, at most one forward FFT
-        block, yields all-order tiles, each overwritten by the next one.
+        Past _CACHE_LIMIT a pass for at most one forward FFT block of `rows`
+        yields all-order tiles, each overwritten by the next one, and a pass
+        for more rows blocks of orders.
         """
         if self._tiles is not None:
             yield from self._tiles
@@ -396,21 +398,22 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
         n = len(block)
         # columns[m, j, s, r]: order m, folded row j, sign s, grid r
         columns = columns_buf[: L * L * 2 * n].reshape(L, L, 2, n)
-        for combine, first, stop, shift in ((np.add, 0, nh, 0), (np.subtract, nh, L, odd - nh)):
-            for j0 in range(first, stop, rows):
-                j1 = min(j0 + rows, stop)
-                fm = chunk_buf[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
-                for dst, src in zip(fm, block):
-                    north, south = src[half + shift :], src[nh - 1 - shift :: -1]
-                    combine(north[j0:j1], south[j0:j1], out=dst)
-                np.fft.fft(fm, axis=-1, out=fm)
-                for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
-                    weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
-                    np.multiply(
-                        fm[:, :, cols].transpose(2, 1, 0),
-                        weights[..., None],
-                        out=columns[lo:, j0:j1, s],
-                    )
+        for j0 in range(0, L, rows):
+            j1 = min(j0 + rows, L)
+            fm = chunk_buf[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
+            # folded rows j0..add_end are sums, sub_start..j1 differences
+            add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
+            d0, d1 = sub_start - nh + odd, j1 - nh + odd
+            for dst, src in zip(fm, block):
+                north, south = src[half:], src[nh - 1 :: -1]
+                np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
+                np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
+            np.fft.fft(fm, axis=-1, out=fm)
+            for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
+                weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
+                np.multiply(
+                    fm[:, :, cols].transpose(2, 1, 0), weights[..., None], out=columns[lo:, j0:j1, s]
+                )
         columns[0, :, 1] = 0.0
         out_t = out[start : start + n].T
         for m0, k0, tile, maps in plan.tables():
