@@ -373,31 +373,36 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
 
     `grids` may be a list of grids or an array of them; it is never stacked.
     Per block of grids, chunks of rows are folded about the equator, f(x) +
-    f(-x) then f(x) - f(-x) on the half nodes, FFT'd in place along their
-    contiguous last axis, and their +m and -m Fourier columns copied out
-    weighted, order by order: one buffer of the size of the block's grids
-    holds the columns every tile reads.  Per tile and parity, the sums (even
-    l + m) or the differences (odd l + m) are projected by one stacked GEMM
-    over the orders, and the stored degrees scattered through the tile's maps.
-    Past SpherePlan._CACHE_LIMIT the tables are regenerated per block of
-    grids: generating them once would hold a full-size Fourier copy.
+    f(-x) then f(x) - f(-x) on the half nodes, and FFT'd in place along their
+    contiguous last axis.  Per tile and parity, the +m and -m Fourier columns
+    of the sums (even l + m) or the differences (odd l + m) of the tile's
+    orders are projected by one stacked GEMM over the orders, and the stored
+    degrees scattered through the tile's maps.  A cached plan's blocks of
+    orders copy their columns out weighted from one chunk of all rows, block
+    by block, as their work space is smallest that way.  Past
+    SpherePlan._CACHE_LIMIT every tile reads every order, so each chunk's
+    columns are copied out weighted for all orders at once, into one buffer
+    of the size of the block's grids; the tables are regenerated per block of
+    grids, since generating them once would hold a full-size Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
-    rows = max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step))
-    # work space reused by every block of grids: the weighted columns, a chunk
-    # of folded rows, and room for the projections of the first tile, which
-    # is the largest
-    columns_buf = np.empty(L * L * 2 * step, dtype=np.complex128)
+    by_block = L <= plan._CACHE_LIMIT
+    rows = L if by_block else max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step))
+    # work space reused by every block of grids: a chunk of folded rows, the
+    # weighted columns (of all orders past the cache), and room for the
+    # projections of the first tile, which is the largest
     chunk_buf = np.empty(min(rows, L) * nphi * step, dtype=np.complex128)
-    proj_buf = stored_buf = None
+    columns_buf = None if by_block else np.empty(L * L * 2 * step, dtype=np.complex128)
+    folded_buf = proj_buf = None
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        # columns[m, j, s, r]: order m, folded row j, sign s, grid r
-        columns = columns_buf[: L * L * 2 * n].reshape(L, L, 2, n)
+        if not by_block:
+            # columns[m, j, s, r]: order m, folded row j, sign s, grid r
+            columns = columns_buf[: L * L * 2 * n].reshape(L, L, 2, n)
         for j0 in range(0, L, rows):
             j1 = min(j0 + rows, L)
             fm = chunk_buf[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
@@ -409,30 +414,43 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
                 np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
                 np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
             np.fft.fft(fm, axis=-1, out=fm)
-            for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
-                weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
-                np.multiply(
-                    fm[:, :, cols].transpose(2, 1, 0), weights[..., None], out=columns[lo:, j0:j1, s]
-                )
-        columns[0, :, 1] = 0.0
+            if not by_block:
+                _weighted_columns(plan, fm, 0, L, slice(j0, j1), columns[:, j0:j1])
         out_t = out[start : start + n].T
         for m0, k0, tile, maps in plan.tables():
             nb = tile.shape[0]
             if proj_buf is None:
-                proj_buf = np.empty(maps[0][0].size * step, dtype=np.complex128)
-                stored_buf = np.empty_like(proj_buf)
+                folded_buf = np.empty(maps[0][0].size * step, dtype=np.complex128)
+                proj_buf = np.empty_like(folded_buf)
             for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
                 nodes = fold.stop - fold.start
+                if by_block:
+                    folded = folded_buf[: nb * nodes * 2 * n].reshape(nb, nodes, 2, n)
+                    _weighted_columns(plan, fm[:, fold], m0, nb, fold, folded)
+                else:
+                    folded = columns[m0 : m0 + nb, fold]
                 proj = proj_buf[: index.size * n].reshape(-1, n)
                 np.matmul(
                     tile[:, (p - k0) % 2 :: 2, odd * p :],
-                    columns[m0 : m0 + nb, fold].view(np.float64).reshape(nb, nodes, 4 * n),
+                    folded.view(np.float64).reshape(nb, nodes, 4 * n),
                     out=proj.view(np.float64).reshape(nb, -1, 4 * n),
                 )
-                stored = stored_buf[: valid.size * n].reshape(-1, n)
+                # a block's folded columns are spent: they take the compaction
+                stored = folded_buf[: valid.size * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
                 out_t[dest] = stored
     return out
+
+
+def _weighted_columns(plan: SpherePlan, fm: np.ndarray, m0: int, nb: int, fold: slice, out: np.ndarray):
+    """Copy the +m and -m Fourier columns of orders m0..m0+nb-1 out of fm
+    (n, rows, 2L-1) into out[i, j, s, r], weighted by the folded rows `fold`
+    and signed; the -0 column of order 0 is zero."""
+    for s, (lo, cols) in enumerate(_column_ranges(plan.L, m0, nb)):
+        weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[fold])
+        np.multiply(fm[:, :, cols].transpose(2, 1, 0), weights[..., None], out=out[lo:, :, s])
+    if m0 == 0:
+        out[0, :, 1] = 0.0
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
