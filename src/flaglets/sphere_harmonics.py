@@ -435,14 +435,16 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
                     folded.view(np.float64).reshape(nb, nodes, 4 * n),
                     out=proj.view(np.float64).reshape(nb, -1, 4 * n),
                 )
-                # a block's folded columns are spent: they take the compaction
+                # folded_buf takes the compaction: a block's columns are spent
                 stored = folded_buf[: valid.size * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
                 out_t[dest] = stored
     return out
 
 
-def _weighted_columns(plan: SpherePlan, fm: np.ndarray, m0: int, nb: int, fold: slice, out: np.ndarray):
+def _weighted_columns(
+    plan: SpherePlan, fm: np.ndarray, m0: int, nb: int, fold: slice, out: np.ndarray
+):
     """Copy the +m and -m Fourier columns of orders m0..m0+nb-1 out of fm
     (n, rows, 2L-1) into out[i, j, s, r], weighted by the folded rows `fold`
     and signed; the -0 column of order 0 is zero."""

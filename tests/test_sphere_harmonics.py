@@ -147,7 +147,7 @@ class TestStreamedTables:
         half_nodes = plan.rule.nodes[L // 2 :]
         # the node nearest the pole and a mid-latitude node
         nodes = [len(half_nodes) - 1, 3 * L // 4 - L // 2]
-        orders = sorted({0, 1, 2, 3, L // 2, 200, 250, L - depth - 1, L - depth, L - 3, L - 2, L - 1})
+        orders = sorted({0, 1, 2, 3, L // 2, 200, 250, L - depth - 1, L - depth, *range(L - 3, L)})
         got = {m: np.empty((L - m, len(nodes))) for m in orders}
         starts = []
         for m0, k0, tile, _ in plan.tables():
@@ -328,7 +328,8 @@ class TestAgainstNaiveTransform:
             per_order = 8 * L * (L - L // 2)
             monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", orders * per_order)
             plan = SpherePlan(L)
-            assert [(m0, k0) for m0, k0, _, _ in plan.tables()] == [(m, 0) for m in range(0, L, orders)]
+            starts = [(m0, k0) for m0, k0, _, _ in plan.tables()]
+            assert starts == [(m, 0) for m in range(0, L, orders)]
             grids = _sht_inverse_batch(c, plan)
             assert rel_err(grids[1], grid_want) < 1e-13, orders
             coeffs = _sht_forward_batch([grids[0], values], plan)
