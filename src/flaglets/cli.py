@@ -240,7 +240,7 @@ def cmd_bench(args) -> int:
 
     def median_time(multires: bool) -> float:
         times = []
-        for _ in range(max(args.runs, 5)):
+        for _ in range(args.runs):
             t0 = time.perf_counter()
             d = flaglet_analyze(coeffs, kernels, multires=multires)
             flaglet_synthesize(d, kernels)
@@ -324,6 +324,7 @@ def _checked(convert, what: str, ok):
 
 
 _count = _checked(int, "an integer >= 0", lambda v: v >= 0)
+_positive_count = _checked(int, "an integer >= 1", lambda v: v >= 1)
 _finite = _checked(float, "a finite number", math.isfinite)
 _positive_finite = _checked(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 _non_negative_finite = _checked(
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roundtrip", help="inverse->forward accuracy report")
     _add_limits_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_roundtrip)
 
@@ -388,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time full-resolution vs multiresolution transforms")
     _add_limits_args(p)
     _add_tiling_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=5)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--runs", type=_positive_count, default=5)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_bench)
 
@@ -409,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width-rad", dest="width_rad", type=_positive_finite, default=0.5)
     p.add_argument("--amplitude", type=_finite, default=1.0)
     p.add_argument("--noise", type=_non_negative_finite, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -191,7 +191,7 @@ def k_lambda(lam: float, t) -> np.ndarray | float:
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # NaN fails too
         raise ValueError("argument must be non-negative")
     out = np.empty_like(t)
     out[t <= 1.0 / lam] = 1.0

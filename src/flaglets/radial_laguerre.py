@@ -98,7 +98,7 @@ def radial_nodes(params: RadialParams):
 
 def tau_for_boundary(P: int, boundary: float) -> float:
     """Radial scale placing the outermost sampling node at `boundary`."""
-    if boundary <= 0:
+    if not boundary > 0:  # NaN fails too
         raise ValueError(f"boundary radius must be positive, got {boundary}")
     rule = gauss_laguerre_gen(P, 2)
     return boundary / rule.nodes[-1]

@@ -12,15 +12,17 @@ Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
 
 The Ptilde_l^m come from one compensated recurrence, _legendre_tiles, on
 the x >= 0 half of the symmetric nodes.  It steps a group of orders together
-over k = l - m and yields tiles of orders by degrees: up to the table cache,
-blocks of orders with all their degrees, which the plan keeps; past it, every
-order at once in tiles of a few degrees, so a pass takes O(L) recurrence
-steps and holds a tile of about one grid (an inverse of many rows still
-steps blocks of orders, which write each output column once).  The engine
-never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds
-a grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even
-and the odd degrees of an order project onto, and unfolds the synthesised
-sums the same way.
+over k = l - m and yields tiles of orders by degrees, whose shape only
+SpherePlan chooses: up to the table cache, blocks of orders with all their
+degrees, which the plan keeps; past it, every order at once in tiles of a
+few degrees, so a pass takes O(L) recurrence steps and holds a tile of about
+one grid (an inverse of many rows still steps blocks of orders, which write
+each output column once).  The engine never mirrors them: Ptilde_l^m(-x) =
+(-1)^{l+m} Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) -
+f(-x) on the half nodes, which the even and the odd degrees of an order
+project onto, and unfolds the synthesised sums the same way.  The forward
+copies the folded Fourier columns of every order once per block of grids,
+and every tile reads them there.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ _PLAN_CACHE_SIZE = 32
 # so a batch of shells never holds a full-size Fourier copy of its grid
 _FFT_BLOCK_BYTES = 8 << 20
 
-# within a block it folds and FFTs this many bytes of grid rows at a time
+# within a block it folds and FFTs this many bytes of grid rows at a time, then
+# copies their columns out, so a chunk never holds the block's whole grids
 _FOLD_CHUNK_BYTES = 1 << 20
 
 # a cached plan steps blocks of this many bytes of table values in lock step
@@ -132,15 +135,15 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
-def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int | None, m_first: int = 0):
+def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0):
     """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
 
     tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(xs[j]), zero where the degree
     passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
     step over k = l - m, and an order drops out once it passes degree L - 1,
-    so a tile holds the orders still running at k0.  depth=None yields each
-    group as one tile, a fresh array with k0 = 0; otherwise tiles of `depth`
-    degrees, views of one buffer per group that the next tile overwrites.
+    so a tile holds the orders still running at k0.  Tiles hold `depth`
+    degrees and are views of one buffer per group, which the next tile
+    overwrites; with depth >= L - m_first a group is one tile from k0 = 0.
     int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase
     included.  Values are carried as u e^{c} with a per-point exponent c, so
     high-m values near the poles underflow to zero instead of poisoning the
@@ -174,14 +177,14 @@ def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int | None, m_fi
         c_box = seed_c[r0:, c0:c1].copy()
         del seed_c
         ms = np.arange(m0, m0 + nb, dtype=np.float64)
-        d = K if depth is None else min(depth, K)
-        buf = None if depth is None else np.empty((nb, d, n))
+        d = min(depth, K)
+        buf = np.empty((nb, d, n))
         u_prev, u_cur = None, seed_u
         with np.errstate(under="ignore"):
             scale = np.exp(c_box)  # recomputed only when a rescale fires
             for k0 in range(0, K, d):
                 dk, active = min(d, K - k0), min(nb, K - k0)
-                tile = np.empty((nb, dk, n)) if buf is None else buf[:active, :dk]
+                tile = buf[:active, :dk]
                 lo = max(k0, 2)
                 ells = ms[:active] + np.arange(lo, k0 + dk, dtype=np.float64)[:, None]
                 mm = ms[:active] * ms[:active]
@@ -222,7 +225,7 @@ def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
 
     Returns shape (L - m, len(xs)); see _legendre_tiles.
     """
-    return next(_legendre_tiles(L, xs, 1, None, m))[2][0]
+    return next(_legendre_tiles(L, xs, 1, L, m))[2][0]
 
 
 def assoc_legendre_table(L: int, x: float) -> np.ndarray:
@@ -234,7 +237,7 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     """
     if L < 1 or L > MAX_BAND_LIMIT:
         raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
-    if abs(x) > 1.0:
+    if not abs(x) <= 1.0:  # NaN fails too
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
     table = np.zeros(L * L)
     for _, k, tile in _legendre_tiles(L, np.array([float(x)]), L, 1):
@@ -262,6 +265,9 @@ class SpherePlan:
       degrees, made per pass in one reused buffer with their maps: L
       recurrence steps per pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2
       bytes, about 1.25 grids.
+
+    _tile_shape() chooses between them for tables() and for the forward's
+    work space.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0 as int32 arrays: `index[i, k', s]` is the flat coefficient index of
@@ -316,6 +322,13 @@ class SpherePlan:
             maps.append((index, valid[order], dest[order]))
         return maps
 
+    def _tile_shape(self, rows: int = 1) -> tuple[int, int]:
+        """(orders, degrees) of the first and largest tile of a pass for `rows` rows."""
+        L = self.L
+        if L <= self._CACHE_LIMIT or rows > _fft_block_grids(L):
+            return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * (L - self.half)))), L
+        return L, min(L, _LEGENDRE_TILE_DEPTH)
+
     def tables(self, rows: int = 1):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
@@ -328,12 +341,8 @@ class SpherePlan:
             return
         L, nodes = self.L, self.rule.nodes[self.half :]
         cached = L <= self._CACHE_LIMIT
-        if cached or rows > _fft_block_grids(L):
-            orders, depth = max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * nodes.size)), None
-        else:
-            orders, depth = L, _LEGENDRE_TILE_DEPTH
         kept = []
-        for m0, k0, tile in _legendre_tiles(L, nodes, orders, depth):
+        for m0, k0, tile in _legendre_tiles(L, nodes, *self._tile_shape(rows)):
             entry = (m0, k0, tile, self._tile_maps(m0, k0, *tile.shape[:2]))
             if cached:
                 kept.append(entry)
@@ -372,40 +381,38 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
 
     `grids` may be a list of grids or an array of them; it is never stacked.
-    Per block of grids, chunks of rows are folded about the equator, f(x) +
-    f(-x) then f(x) - f(-x) on the half nodes, and FFT'd in place along their
-    contiguous last axis.  Per tile and parity, the +m and -m Fourier columns
-    of the sums (even l + m) or the differences (odd l + m) of the tile's
-    orders are projected by one stacked GEMM over the orders, and the stored
-    degrees scattered through the tile's maps.  A cached plan's blocks of
-    orders copy their columns out weighted from one chunk of all rows, block
-    by block, as their work space is smallest that way.  Past
-    SpherePlan._CACHE_LIMIT every tile reads every order, so each chunk's
-    columns are copied out weighted for all orders at once, into one buffer
-    of the size of the block's grids; the tables are regenerated per block of
-    grids, since generating them once would hold a full-size Fourier copy.
+    Per block of grids, chunks of at most _FOLD_CHUNK_BYTES of rows are
+    folded about the equator, f(x) + f(-x) then f(x) - f(-x) on the half
+    nodes, FFT'd in place along their contiguous last axis, and the +m and -m
+    Fourier columns of every order copied out of them weighted and signed.
+    Per tile and parity, the columns of the sums (even l + m) or the
+    differences (odd l + m) of the tile's orders are projected by one stacked
+    GEMM over the orders, and the stored degrees scattered through the tile's
+    maps.  Past the table cache the tiles are regenerated per block of grids,
+    since generating them once would hold a full-size Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
-    by_block = L <= plan._CACHE_LIMIT
-    rows = L if by_block else max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step))
-    # work space reused by every block of grids: a chunk of folded rows, the
-    # weighted columns (of all orders past the cache), and room for the
-    # projections of the first tile, which is the largest
-    chunk_buf = np.empty(min(rows, L) * nphi * step, dtype=np.complex128)
-    columns_buf = None if by_block else np.empty(L * L * 2 * step, dtype=np.complex128)
-    folded_buf = proj_buf = None
+    rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step)))
+    # one allocation holds a block's columns[m, j, s, r] (order m, folded row j,
+    # sign s, grid r) and the work space for a chunk of folded rows or a tile's
+    # projections and stored degrees (the first tile's are the largest).  Two
+    # allocations of about a grid block each upset glibc's dynamic mmap
+    # threshold: a cold L = P = 32 flaglet denoising pass faulted 56k pages, not 39k
+    orders, depth = plan._tile_shape()
+    ncols = L * L * 2 * step
+    proj_size = orders * ((depth + 1) // 2) * 2 * step
+    buf = np.empty(ncols + max(rows * nphi * step, 2 * proj_size), dtype=np.complex128)
+    work = buf[ncols:]
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        if not by_block:
-            # columns[m, j, s, r]: order m, folded row j, sign s, grid r
-            columns = columns_buf[: L * L * 2 * n].reshape(L, L, 2, n)
+        columns = buf[: L * L * 2 * n].reshape(L, L, 2, n)
         for j0 in range(0, L, rows):
             j1 = min(j0 + rows, L)
-            fm = chunk_buf[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
+            fm = work[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
@@ -414,45 +421,30 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
                 np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
                 np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
             np.fft.fft(fm, axis=-1, out=fm)
-            if not by_block:
-                _weighted_columns(plan, fm, 0, L, slice(j0, j1), columns[:, j0:j1])
+            # weighted, signed +m and -m columns; the -0 column of order 0 is zero
+            for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
+                weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
+                np.multiply(
+                    fm[:, :, cols].transpose(2, 1, 0),
+                    weights[..., None],
+                    out=columns[lo:, j0:j1, s],
+                )
+            columns[0, j0:j1, 1] = 0.0
         out_t = out[start : start + n].T
         for m0, k0, tile, maps in plan.tables():
             nb = tile.shape[0]
-            if proj_buf is None:
-                folded_buf = np.empty(maps[0][0].size * step, dtype=np.complex128)
-                proj_buf = np.empty_like(folded_buf)
             for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
                 nodes = fold.stop - fold.start
-                if by_block:
-                    folded = folded_buf[: nb * nodes * 2 * n].reshape(nb, nodes, 2, n)
-                    _weighted_columns(plan, fm[:, fold], m0, nb, fold, folded)
-                else:
-                    folded = columns[m0 : m0 + nb, fold]
-                proj = proj_buf[: index.size * n].reshape(-1, n)
+                proj = work[: index.size * n].reshape(-1, n)
                 np.matmul(
                     tile[:, (p - k0) % 2 :: 2, odd * p :],
-                    folded.view(np.float64).reshape(nb, nodes, 4 * n),
+                    columns[m0 : m0 + nb, fold].view(np.float64).reshape(nb, nodes, 4 * n),
                     out=proj.view(np.float64).reshape(nb, -1, 4 * n),
                 )
-                # folded_buf takes the compaction: a block's columns are spent
-                stored = folded_buf[: valid.size * n].reshape(-1, n)
+                stored = work[index.size * n : (index.size + valid.size) * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
                 out_t[dest] = stored
     return out
-
-
-def _weighted_columns(
-    plan: SpherePlan, fm: np.ndarray, m0: int, nb: int, fold: slice, out: np.ndarray
-):
-    """Copy the +m and -m Fourier columns of orders m0..m0+nb-1 out of fm
-    (n, rows, 2L-1) into out[i, j, s, r], weighted by the folded rows `fold`
-    and signed; the -0 column of order 0 is zero."""
-    for s, (lo, cols) in enumerate(_column_ranges(plan.L, m0, nb)):
-        weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[fold])
-        np.multiply(fm[:, :, cols].transpose(2, 1, 0), weights[..., None], out=out[lo:, :, s])
-    if m0 == 0:
-        out[0, :, 1] = 0.0
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:

@@ -35,6 +35,11 @@ class TestRoundtrip:
         code, _, _ = run(capsys, "roundtrip", "--L", "0", "--P", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_invalid_seed_is_usage_error(self, capsys, seed):
+        code, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "4", "--seed", seed)
+        assert code == 2 and "error:" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tau", ["1e-300", "1e300"])
     def test_extreme_radial_scale_is_usage_error(self, capsys, tau):
         code, _, err = run(capsys, "roundtrip", "--L", "4", "--P", "4", "--tau", tau)
@@ -249,6 +254,26 @@ class TestBench:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_runs_as_many_times_as_asked(self, capsys, monkeypatch):
+        analyses = []
+        real = cli.flaglet_analyze
+
+        def counting(*args, **kwargs):
+            analyses.append(kwargs["multires"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "flaglet_analyze", counting)
+        code, _, _ = run(capsys, "bench", "--L", "4", "--P", "4", "--runs", "2")
+        assert code == 0
+        assert analyses == [False, False, True, True]
+
+    @pytest.mark.parametrize(
+        "option, value", [("--runs", "0"), ("--runs", "-3"), ("--runs", "2.5"), ("--seed", "-1")]
+    )
+    def test_invalid_count_is_usage_error(self, capsys, option, value):
+        code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", option, value)
+        assert code == 2 and "error:" in err and "Traceback" not in err
+
 
 class TestSimulate:
     def test_deterministic_output(self, tmp_path, capsys):
@@ -279,6 +304,7 @@ class TestSimulate:
             ("--noise", "nan"),
             ("--noise", "-1"),
             ("--blobs", "-3"),
+            ("--seed", "-1"),
             ("--width-ang", "0"),
             ("--width-ang", "nan"),
             ("--width-rad", "-0.5"),

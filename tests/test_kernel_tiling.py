@@ -83,6 +83,14 @@ class TestTransition:
         with pytest.raises(ValueError):
             k_lambda(2.0, -0.1)
 
+    def test_rejects_nan_argument(self):
+        # a NaN t once skipped every branch and returned uninitialised memory
+        for t in (math.nan, np.array([math.nan, math.nan]), np.array([0.5, math.nan])):
+            with pytest.raises(ValueError, match="non-negative"):
+                k_lambda(2.0, t)
+            with pytest.raises(ValueError, match="non-negative"):
+                kappa_eta(2.0, t)
+
 
 class TestGenerators:
     def test_kappa_eta_support(self):

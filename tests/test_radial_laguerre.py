@@ -96,6 +96,11 @@ class TestNodes:
         radii, _ = radial_nodes(RadialParams(16, tau))
         assert radii[-1] == pytest.approx(10.0, rel=1e-12)
 
+    @pytest.mark.parametrize("boundary", [0.0, -1.0, math.nan])
+    def test_tau_for_boundary_rejects_non_positive_radius(self, boundary):
+        with pytest.raises(ValueError, match="must be positive"):
+            tau_for_boundary(4, boundary)
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("P", [1, 2, 4, 16, 64, 128])

@@ -279,6 +279,28 @@ class TestStreamedWorkSpace:
         assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
 
 
+class TestForwardWorkSpace:
+    def test_cached_forward_holds_its_block_of_columns_and_one_work_buffer(self):
+        # at L = 32 one block of 32 grids holds every order's weighted columns
+        # (1 MiB) and the work space for a fold chunk or the first tile's
+        # projections and stored degrees (1 MiB): within 2% of the 2.37 MiB
+        # that copying each block of orders' columns out of one FFT'd block of
+        # rows took
+        L, n = 32, 32
+        rng = np.random.default_rng(32)
+        grids = rng.uniform(-1, 1, (n, L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (n, L, 2 * L - 1))
+        plan = SpherePlan(L)
+        _sht_forward_batch(grids[:1], plan)  # keeps the plan's tables
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = _sht_forward_batch(grids, plan)
+            transient = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert transient <= 1.02 * 2.37 * 2**20, transient / 2**20
+
+
 class TestForwardBatchInput:
     def test_list_and_stacked_grids_agree_bit_for_bit(self, monkeypatch):
         # 7 grids in FFT blocks of 3: the last block holds a single grid
@@ -362,6 +384,20 @@ class TestAgainstNaiveTransform:
             assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
         for row, grid in zip(c, tiled):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
+
+    @pytest.mark.parametrize("L", [8, 9])
+    @pytest.mark.parametrize("grids", [1, 3])
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_fold_chunks_of_cached_plans_match_direct_sums(self, monkeypatch, L, grids, rows):
+        # chunks of 1, 2 or 3 folded rows straddle the boundary between the
+        # L - L // 2 sum rows and the difference rows, at even and odd L
+        assert L <= SpherePlan._CACHE_LIMIT
+        monkeypatch.setattr(sphere_harmonics, "_FOLD_CHUNK_BYTES", rows * 16 * (2 * L - 1) * grids)
+        rng = np.random.default_rng(100 * L + 10 * grids + rows)
+        shape = (grids, L, 2 * L - 1)
+        values = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+        for grid, coeffs in zip(values, _sht_forward_batch(values, SpherePlan(L))):
+            assert rel_err(coeffs, direct_sht_forward(grid, L)) < 1e-13 * L
 
     def test_inverse_matches_direct_synthesis(self):
         L = 8
@@ -469,6 +505,11 @@ class TestValidation:
             SphereGrid(4, np.zeros((4, 4)))
         with pytest.raises(ValueError):
             SphereCoeffs(4, np.zeros(15, dtype=np.complex128))
+
+    @pytest.mark.parametrize("x", [1.5, -1.0000001, math.nan])
+    def test_legendre_table_rejects_argument_outside_unit_interval(self, x):
+        with pytest.raises(ValueError, match="must satisfy"):
+            assoc_legendre_table(4, x)
 
     def test_forward_rejects_plan_of_other_band_limit(self):
         grid = SphereGrid(8, np.ones((8, 15)))
