@@ -117,9 +117,7 @@ def cmd_roundtrip(args) -> int:
     t0 = time.perf_counter()
     recovered = flag_forward(flag_inverse(coeffs))
     seconds = time.perf_counter() - t0
-    err = np.abs(recovered.coeffs - coeffs.coeffs)
-    max_abs = float(np.max(err))
-    rel = max_abs / float(np.max(np.abs(coeffs.coeffs)))
+    max_abs, rel = _roundtrip_errors(recovered, coeffs)
     _emit(
         {
             "L": limits.L,
@@ -133,6 +131,13 @@ def cmd_roundtrip(args) -> int:
         args.format,
     )
     return EXIT_OK if rel < 1e-9 else EXIT_RUNTIME
+
+
+def _roundtrip_errors(recovered: FlagCoeffs, coeffs: FlagCoeffs) -> tuple[float, float]:
+    """Largest absolute error of a round trip, and that error relative to the
+    largest coefficient magnitude."""
+    max_abs = float(np.max(np.abs(recovered.coeffs - coeffs.coeffs)))
+    return max_abs, max_abs / float(np.max(np.abs(coeffs.coeffs)))
 
 
 def _load(path, expected_types, what: str):
@@ -238,28 +243,35 @@ def cmd_bench(args) -> int:
     kernels = build_flaglet_kernels(limits, params)
     coeffs = random_flag_coeffs(limits, args.seed)
 
-    def median_time(multires: bool) -> float:
+    def timed_roundtrip(multires: bool) -> tuple[float, float, float]:
+        """Median seconds of the analysis-synthesis round trip, and the
+        absolute and relative errors of the last one."""
         times = []
         for _ in range(args.runs):
             t0 = time.perf_counter()
             d = flaglet_analyze(coeffs, kernels, multires=multires)
-            flaglet_synthesize(d, kernels)
+            recovered = flaglet_synthesize(d, kernels)
             times.append(time.perf_counter() - t0)
-        return float(np.median(times))
+        return (float(np.median(times)), *_roundtrip_errors(recovered, coeffs))
 
-    t_full = median_time(False)
-    t_multi = median_time(True)
+    t_full, full_abs, full_rel = timed_roundtrip(False)
+    t_multi, multi_abs, multi_rel = timed_roundtrip(True)
     _emit(
         {
             "L": limits.L,
             "P": limits.P,
             "full_res_seconds": t_full,
+            "full_res_max_abs_err": full_abs,
+            "full_res_rel_err": full_rel,
             "multires_seconds": t_multi,
+            "multires_max_abs_err": multi_abs,
+            "multires_rel_err": multi_rel,
             "speedup": t_full / t_multi if t_multi > 0 else float("inf"),
         },
         args.format,
     )
-    return EXIT_OK
+    # as roundtrip: a relative error of 1e-9 or more is a failure
+    return EXIT_OK if max(full_rel, multi_rel) < 1e-9 else EXIT_RUNTIME
 
 
 def cmd_kernels(args) -> int:
@@ -386,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", choices=["re", "im", "abs"], default="re")
     p.set_defaults(func=cmd_slice)
 
-    p = sub.add_parser("bench", help="time full-resolution vs multiresolution transforms")
+    p = sub.add_parser(
+        "bench", help="time and check full-resolution vs multiresolution round trips"
+    )
     _add_limits_args(p)
     _add_tiling_args(p)
     p.add_argument("--seed", type=_count, default=0)

@@ -1,14 +1,21 @@
 """Flaglet analysis and synthesis on the ball, plus wavelet-domain denoising.
 
 Wavelet coefficients are held as spatial BallGrids (the form in which
-they are inspected and thresholded); windowing itself happens in
-Fourier-Laguerre space.  With the multiresolution flag each scale is
-rendered on the smallest exact grid containing its harmonic support; the
-layout of the parts comes from kernel_tiling.flaglet_parts.
+they are inspected and thresholded).  The windows are separable,
+Psi^{jj'}(l, p) = kappa_j(l) kappa_j'(p), and so is the Fourier-Laguerre
+transform, so each angular scale j takes one batched SHT at its band limit
+L_j per direction: the angular window kappa_j is applied to the
+coefficients, and the radial window kappa_j' is folded into the radial
+GEMM of each part.  The residual scaling window Phi is not separable and
+takes one full Fourier-Laguerre transform per direction.  With the
+multiresolution flag each scale is rendered on the smallest exact grid
+containing its harmonic support; the layout of the parts comes from
+kernel_tiling.flaglet_parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +30,13 @@ from .flag_transform import (
     get_flag_plan,
 )
 from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
-from .sphere_harmonics import get_plan, window_coeffs
+from .sphere_harmonics import (
+    _real_matmul,
+    _sht_forward_batch,
+    _sht_inverse_batch,
+    get_plan,
+    window_coeffs,
+)
 
 __all__ = [
     "FlagletDecomposition",
@@ -60,33 +73,65 @@ def _grid_energy(grid: BallGrid) -> float:
     radial_weights = get_flag_plan(grid.limits).radial_weights
     angular_weights = get_plan(grid.limits.L).rule.weights
     dphi = 2.0 * np.pi / (2 * grid.limits.L - 1)
-    sq = np.abs(grid.values) ** 2
-    return float(np.einsum("p,i,pij->", radial_weights, angular_weights, sq) * dphi)
+    # re^2 + im^2 summed along each row of the float64 view: no square root
+    v = grid.values.view(np.float64)
+    rows = np.einsum("pij,pij->pi", v, v)
+    return float(radial_weights @ rows @ angular_weights * dphi)
+
+
+def _angular_scales(kernels: FlagletKernels, keys, bands):
+    """Per angular scale j, in storage order: kappa_j on the degrees below its
+    band limit L_j, the number of radial rows its parts reach, and for each of
+    its parts (j, j') the key, the limits, the rows p where kappa_j' is
+    nonzero (an interval that ends below P_j') and kappa_j' on them as a
+    column."""
+    params, tau = kernels.params, kernels.limits.tau
+    for j, group in itertools.groupby(zip(keys, bands), key=lambda part: part[0][0]):
+        parts = []
+        for (_, jp), (lj, pj) in group:
+            kappa = kernels.kappas_rad[jp - params.j0_rad]
+            nonzero = np.flatnonzero(kappa)
+            rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+            parts.append(((j, jp), BandLimits(lj, pj, tau), rows, kappa[rows, None]))
+        nrows = max(rows.stop for _, _, rows, _ in parts)
+        yield kernels.kappas_ang[j - params.j0_ang][:lj], nrows, parts
 
 
 def flaglet_analyze(
     f: FlagCoeffs, kernels: FlagletKernels, multires: bool = False
 ) -> FlagletDecomposition:
-    """Decompose Fourier-Laguerre coefficients into flaglet coefficient maps."""
+    """Decompose Fourier-Laguerre coefficients into flaglet coefficient maps.
+
+    Per angular scale j, one inverse SHT at L_j of the kappa_j-windowed
+    coefficients of every radial row its parts need; per part (j, j'), one
+    real GEMM of the kappa_j'-weighted Laguerre basis with those shells.
+    """
     limits = f.limits
     if kernels.limits != limits:
         raise ValueError(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
-
     keys, bands = flaglet_parts(limits, kernels.params, multires)
-    windows = [kernels.phi, *(kernels.psis[key] for key in keys)]
-    grids = []
-    for window, (lj, pj) in zip(windows, bands):
+    scaling = flag_inverse(FlagCoeffs(limits, window_coeffs(f.coeffs, kernels.phi.T)))
+    wavelets = {}
+    for kappa, nrows, parts in _angular_scales(kernels, keys, bands[1:]):
+        lj = kappa.size
         # the first lj^2 flat indices hold exactly the degrees below lj
-        windowed = window_coeffs(f.coeffs[:pj, : lj * lj], window.T[:pj, :lj])
-        grids.append(flag_inverse(FlagCoeffs(BandLimits(lj, pj, limits.tau), windowed)))
-    wavelets = dict(zip(keys, grids[1:]))
-    return FlagletDecomposition(limits, kernels.params, grids[0], wavelets, multires)
+        windowed = window_coeffs(f.coeffs[:nrows, : lj * lj], kappa)
+        shells = _sht_inverse_batch(windowed, get_plan(lj))
+        for key, part_limits, rows, weights in parts:
+            synth = (get_flag_plan(part_limits).kbasis[rows] * weights).T
+            values = _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)))
+            wavelets[key] = BallGrid(part_limits, values.reshape(-1, lj, 2 * lj - 1))
+    return FlagletDecomposition(limits, kernels.params, scaling, wavelets, multires)
 
 
 def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> FlagCoeffs:
     """Recombine flaglet coefficient maps (exact inverse of the analysis).
+
+    Per angular scale j, the kappa_j'-weighted radial projections of its
+    parts are added up on the shells of one grid, which one forward SHT at
+    L_j takes to coefficients before kappa_j windows them.
 
     Raises ValueError if a part is not stored at the limits the layout of
     kernel_tiling.flaglet_parts gives it.
@@ -97,16 +142,22 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
     keys, bands = flaglet_parts(limits, kernels.params, d.multires)
     if set(d.wavelets) != set(keys):
         raise ValueError("decomposition scale indices do not match the kernels")
-    parts = [("scaling", d.scaling, kernels.phi)]
-    parts += [(key, d.wavelets[key], kernels.psis[key]) for key in keys]
-    for (name, grid, _), (lj, pj) in zip(parts, bands):
+    stored = [("scaling", d.scaling), *((key, d.wavelets[key]) for key in keys)]
+    for (name, grid), (lj, pj) in zip(stored, bands):
         want = BandLimits(lj, pj, limits.tau)
         if grid.limits != want:
             raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
 
-    out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-    for (_, grid, window), (lj, pj) in zip(parts, bands):
-        out[:pj, : lj * lj] += window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
+    out = window_coeffs(flag_forward(d.scaling).coeffs, kernels.phi.T)
+    for kappa, nrows, parts in _angular_scales(kernels, keys, bands[1:]):
+        lj = kappa.size
+        shells = np.zeros((nrows, lj, 2 * lj - 1), dtype=np.complex128)
+        for key, part_limits, rows, weights in parts:
+            project = get_flag_plan(part_limits).kforward[rows] * weights
+            values = d.wavelets[key].values.reshape(part_limits.P, -1)
+            shells[rows] += _real_matmul(project, values).reshape(-1, lj, 2 * lj - 1)
+        coeffs = _sht_forward_batch(shells, get_plan(lj))
+        out[:nrows, : lj * lj] += window_coeffs(coeffs, kappa)
     return FlagCoeffs(limits, out)
 
 

@@ -17,7 +17,9 @@ kind, header fields and payload arrays of an object, and _layout(kind,
 fields) gives the (dtype, shape) of each array a header declares plus the
 builder of the object. _layout validates the header before anything is
 allocated. The writer refuses arrays that do not match their header's
-layout, but does not look at values; the reader rejects NaN and Inf.
+layout, but does not look at values; the reader rejects NaN and Inf, and
+flaglet windows Psi^{jj'} that are not the products of the line windows it
+rebuilds from the header's tiling.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
@@ -38,7 +40,13 @@ import numpy as np
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs
 from .flaglet_transform import FlagletDecomposition
 from .kernel_tiling import (
-    FlagletKernels, SphereKernels, TilingParams, flaglet_parts, scale_range, sphere_part_bands,
+    FlagletKernels,
+    SphereKernels,
+    TilingParams,
+    flaglet_line_windows,
+    flaglet_parts,
+    scale_range,
+    sphere_part_bands,
 )
 from .sphere_harmonics import SphereCoeffs, SphereGrid
 from .sphere_wavelets import SphereDecomposition
@@ -115,7 +123,8 @@ class HeaderError(ContainerError, ValueError):
 
 
 class PayloadError(ContainerError, ValueError):
-    """A payload holds NaN or infinite values."""
+    """A payload holds NaN or infinite values, or flaglet windows that are not
+    the separable windows of their header's tiling."""
 
 
 def _describe(obj):
@@ -178,8 +187,22 @@ def _layout(kind: int, fields: tuple):
         limits = BandLimits(L, P, tau)
         params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
         keys, _ = flaglet_parts(limits, params, False)
-        specs = [("<f8", (L, P))] * (1 + len(keys))
-        return specs, lambda a: FlagletKernels(limits, params, a[0], dict(zip(keys, a[1:])))
+
+        def build(a):
+            # the transforms window with the line windows of the tiling, so
+            # the stored Psi must be their products; rounding leaves a few 1e-16
+            kappas_a, kappas_r = flaglet_line_windows(limits, params)
+            for (j, jp), psi in zip(keys, a[1:]):
+                outer = np.outer(kappas_a[j - j0a], kappas_r[jp - j0r])
+                if not np.max(np.abs(psi - outer)) <= 1e-12:
+                    raise PayloadError(
+                        f"window {(j, jp)} is not the product of its tiling's line windows"
+                    )
+            return FlagletKernels(
+                limits, params, a[0], dict(zip(keys, a[1:])), kappas_a, kappas_r
+            )
+
+        return [("<f8", (L, P))] * (1 + len(keys)), build
     # KIND_DECOMPOSITION, the last kind of _HEADERS
     L, P, j0a, j0r, flags, lam, nu, tau = fields
     multires = bool(flags & _FLAG_MULTIRES)

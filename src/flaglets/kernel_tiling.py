@@ -142,12 +142,19 @@ class SphereKernels:
 
 @dataclass
 class FlagletKernels:
-    """Separable 2D windows on the (l, p) harmonic grid of the ball."""
+    """Separable 2D windows on the (l, p) harmonic grid of the ball.
+
+    Psi^{jj'} is the outer product of the line windows kappas_ang[j - j0_ang]
+    on l and kappas_rad[j' - j0_rad] on p, which the transforms apply one axis
+    at a time.
+    """
 
     limits: BandLimits
     params: TilingParams
     phi: np.ndarray                      # (L, P)
     psis: dict[tuple[int, int], np.ndarray]  # (j, j') -> (L, P)
+    kappas_ang: list[np.ndarray]         # one (L,) array per j in [j0_ang, J]
+    kappas_rad: list[np.ndarray]         # one (P,) array per j' in [j0_rad, J']
 
 
 def smooth_bump(t):
@@ -238,10 +245,16 @@ def build_sphere_kernels(L: int, params: TilingParams) -> SphereKernels:
     return SphereKernels(L, params, eta, kappas)
 
 
+def flaglet_line_windows(limits: BandLimits, params: TilingParams):
+    """The angular windows kappa_j(l) and the radial windows kappa_j'(p)."""
+    _, kappas_a = _line_kernels(limits.L, params.lam, params.j0_ang)
+    _, kappas_r = _line_kernels(limits.P, params.nu, params.j0_rad)
+    return kappas_a, kappas_r
+
+
 def build_flaglet_kernels(limits: BandLimits, params: TilingParams) -> FlagletKernels:
     """Separable flaglet windows Psi^{jj'} and residual scaling window Phi."""
-    eta_a, kappas_a = _line_kernels(limits.L, params.lam, params.j0_ang)
-    eta_r, kappas_r = _line_kernels(limits.P, params.nu, params.j0_rad)
+    kappas_a, kappas_r = flaglet_line_windows(limits, params)
 
     psis: dict[tuple[int, int], np.ndarray] = {}
     total = np.zeros((limits.L, limits.P))
@@ -256,4 +269,4 @@ def build_flaglet_kernels(limits: BandLimits, params: TilingParams) -> FlagletKe
             f"tiling residual fell to {np.min(residual):.3e}; admissibility is broken"
         )
     phi = np.sqrt(np.maximum(0.0, residual))
-    return FlagletKernels(limits, params, phi, psis)
+    return FlagletKernels(limits, params, phi, psis, kappas_a, kappas_r)

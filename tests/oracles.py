@@ -2,16 +2,22 @@
 
 Everything here deliberately avoids the library's FFT/quadrature code
 paths: naive quadruple sums, high-precision recurrences, and symbolic
-moment systems.
+moment systems.  The one exception is the per-part flaglet path, which
+checks the separable flaglet transforms against the Fourier-Laguerre
+transform they are built from: one full FLAG transform per part, windowed
+by the 2D window Psi^{jj'} itself.
 """
 
 import math
 
 import numpy as np
 
+from flaglets.flag_transform import BandLimits, FlagCoeffs, flag_forward, flag_inverse
+from flaglets.flaglet_transform import FlagletDecomposition
+from flaglets.kernel_tiling import flaglet_parts
 from flaglets.quadrature import gauss_legendre
 from flaglets.radial_laguerre import RadialParams, basis_matrix, radial_nodes
-from flaglets.sphere_harmonics import assoc_legendre_table, sphere_sampling
+from flaglets.sphere_harmonics import assoc_legendre_table, sphere_sampling, window_coeffs
 
 
 _TABLE_CACHE = {}
@@ -222,3 +228,28 @@ def laguerre_basis_high_precision(P, tau, r, dps=60):
         return np.array(
             [float(damp * lag[p] / mp.sqrt((p + 1) * (p + 2))) for p in range(P)]
         )
+
+
+def per_part_flaglet_analyze(f, kernels, multires=False):
+    """Flaglet analysis with one windowed flag_inverse per part."""
+    limits = f.limits
+    keys, bands = flaglet_parts(limits, kernels.params, multires)
+    windows = [kernels.phi, *(kernels.psis[key] for key in keys)]
+    grids = []
+    for window, (lj, pj) in zip(windows, bands):
+        # the first lj^2 flat indices hold exactly the degrees below lj
+        windowed = window_coeffs(f.coeffs[:pj, : lj * lj], window.T[:pj, :lj])
+        grids.append(flag_inverse(FlagCoeffs(BandLimits(lj, pj, limits.tau), windowed)))
+    wavelets = dict(zip(keys, grids[1:]))
+    return FlagletDecomposition(limits, kernels.params, grids[0], wavelets, multires)
+
+
+def per_part_flaglet_synthesize(d, kernels):
+    """Flaglet synthesis with one flag_forward per part, windowed by Psi."""
+    limits = kernels.limits
+    keys, bands = flaglet_parts(limits, kernels.params, d.multires)
+    parts = [(d.scaling, kernels.phi), *((d.wavelets[key], kernels.psis[key]) for key in keys)]
+    out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
+    for (grid, window), (lj, pj) in zip(parts, bands):
+        out[:pj, : lj * lj] += window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
+    return FlagCoeffs(limits, out)

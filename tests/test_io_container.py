@@ -90,6 +90,10 @@ class TestRoundTrips:
         assert np.array_equal(back.phi, fk.phi)
         assert set(back.psis) == set(fk.psis)
         assert all(np.array_equal(back.psis[k], fk.psis[k]) for k in fk.psis)
+        # the transforms window with the line windows, which the reader rebuilds
+        for got, want in [(back.kappas_ang, fk.kappas_ang), (back.kappas_rad, fk.kappas_rad)]:
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("multires", [False, True])
     def test_sphere_decomposition(self, multires):
@@ -365,6 +369,14 @@ class TestNonFinitePayloads:
         sk.kappas[-1][3] = -math.inf
         with pytest.raises(PayloadError):
             roundtrip(sk)
+
+    def test_flaglet_window_off_its_tiling(self):
+        # finite, but no longer the product of the line windows the reader
+        # rebuilds from the header, with which the transforms would window
+        fk = build_flaglet_kernels(BandLimits(8, 8, 1.0), TilingParams())
+        fk.psis[(2, 1)][3, 1] += 1e-9
+        with pytest.raises(PayloadError, match=r"\(2, 1\)"):
+            roundtrip(fk)
 
     def test_payload_error_is_a_value_error(self):
         assert issubclass(PayloadError, ContainerError)

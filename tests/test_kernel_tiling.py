@@ -201,6 +201,18 @@ class TestFlagletKernels:
         assert parts["scaling"] == (32, 16)
         assert flaglet_parts(limits, k.params, False) == (keys, [(32, 16)] * 31)
 
+    def test_windows_are_products_of_the_line_windows(self):
+        limits = BandLimits(16, 12, 1.0)
+        params = TilingParams(lam=3.0, nu=2.0, j0_ang=1, j0_rad=0)
+        k = build_flaglet_kernels(limits, params)
+        assert len(k.kappas_ang) == len(scale_range(16, 3.0, 1))
+        assert len(k.kappas_rad) == len(scale_range(12, 2.0, 0))
+        # the angular line windows are the sphere windows of the same tiling
+        for ka, want in zip(k.kappas_ang, build_sphere_kernels(16, params).kappas):
+            assert np.array_equal(ka, want)
+        for (j, jp), psi in k.psis.items():
+            assert np.array_equal(psi, np.outer(k.kappas_ang[j - 1], k.kappas_rad[jp]))
+
     def test_windows_nonnegative(self):
         k = build_flaglet_kernels(BandLimits(16, 16, 1.0), TilingParams())
         assert np.all(k.phi >= 0)
