@@ -80,7 +80,6 @@ class TestSeparableMatchesPerPart:
         ref = per_part_flaglet_synthesize(d, kernels).coeffs
         assert np.max(np.abs(back - ref)) < 1e-13 * np.max(np.abs(ref))
 
-
     @pytest.mark.parametrize("L, P", [(6, 1), (1, 6)])
     def test_a_band_limit_of_one(self, L, P):
         # every wavelet window vanishes on a line of length 1 (kappa_0(0) = 0)
