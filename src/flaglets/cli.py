@@ -278,9 +278,10 @@ def cmd_kernels(args) -> int:
     params = _tiling_from_args(args, args.L, args.P)
     if args.P > 0:
         limits = _limits_from_args(args)
-    elif args.L < 1:
-        raise UsageError(f"angular band limit must be >= 1, got {args.L}")
-    sph = build_sphere_kernels(args.L, params)
+    try:
+        sph = build_sphere_kernels(args.L, params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # admissibility sums the squares in scale order, as eta^2 + (k_j0^2 + ...)
     admiss = sph.eta**2 + sum(k * k for k in sph.kappas)
     rows = np.column_stack([np.arange(args.L), sph.eta, *sph.kappas, admiss])

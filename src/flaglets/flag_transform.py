@@ -16,6 +16,7 @@ import numpy as np
 from .radial_laguerre import RadialParams, basis_matrix, radial_nodes
 from .sphere_harmonics import (
     MAX_BAND_LIMIT,
+    _PLAN_CACHE_SIZE,
     _real_matmul,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -23,10 +24,6 @@ from .sphere_harmonics import (
 )
 
 __all__ = ["BandLimits", "BallGrid", "FlagCoeffs", "FlagPlan", "flag_forward", "flag_inverse"]
-
-# plans for this many limits stay cached: more than the at most 36 scale
-# limits (L_j, P_j') plus full limits of multiresolution flaglets at L=P=32
-_PLAN_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -80,32 +77,32 @@ class FlagCoeffs:
 
 
 class FlagPlan:
-    """Precomputed radial quadrature rule and basis tables for one BandLimits.
+    """Radial quadrature rule and basis tables for one radial limit (P, tau).
 
-    Immutable after construction; safe to share across transforms.  It holds
-    no SpherePlan, so this cache does not keep evicted sphere plans alive.
+    The tables do not depend on L, so one plan serves every angular band
+    limit.  Immutable after construction; safe to share across transforms.
     """
 
-    def __init__(self, limits: BandLimits):
-        self.limits = limits
-        self.radii, self.radial_weights = radial_nodes(limits.radial)
+    def __init__(self, radial: RadialParams):
+        self.radial = radial
+        self.radii, self.radial_weights = radial_nodes(radial)
         # K[p, i] = K_p(r_i)
-        self.kbasis = basis_matrix(limits.radial, self.radii)
+        self.kbasis = basis_matrix(radial, self.radii)
         # forward radial operator: (p, i) entries weight_i * K_p(r_i)
         self.kforward = self.kbasis * self.radial_weights[None, :]
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def get_flag_plan(limits: BandLimits) -> FlagPlan:
-    return FlagPlan(limits)
+def get_flag_plan(radial: RadialParams) -> FlagPlan:
+    return FlagPlan(radial)
 
 
 def _radial_plan(limits: BandLimits, plan: FlagPlan | None) -> FlagPlan:
     """`plan`, checked against the radial limits (P, tau), or the cached plan."""
     if plan is None:
-        return get_flag_plan(limits)
-    if plan.limits.radial != limits.radial:
-        have = plan.limits
+        return get_flag_plan(limits.radial)
+    if plan.radial != limits.radial:
+        have = plan.radial
         raise ValueError(
             f"plan radial limits (P={have.P}, tau={have.tau}) do not match the data's "
             f"(P={limits.P}, tau={limits.tau})"

@@ -1,16 +1,15 @@
 """Flaglet analysis and synthesis on the ball, plus wavelet-domain denoising.
 
-Wavelet coefficients are held as spatial BallGrids (the form in which
-they are inspected and thresholded).  The windows are separable,
-Psi^{jj'}(l, p) = kappa_j(l) kappa_j'(p), and so is the Fourier-Laguerre
-transform, so each angular scale j takes one batched SHT at its band limit
-L_j per direction: the angular window kappa_j is applied to the
-coefficients, and the radial window kappa_j' is folded into the radial
-GEMM of each part.  The residual scaling window Phi is not separable and
-takes one full Fourier-Laguerre transform per direction.  With the
-multiresolution flag each scale is rendered on the smallest exact grid
-containing its harmonic support; the layout of the parts comes from
-kernel_tiling.flaglet_parts.
+Wavelet coefficients are held as spatial BallGrids (the form in which they
+are inspected and thresholded).  Every part windows the Fourier-Laguerre
+coefficients and takes one angular and one radial transform.  The wavelet
+windows are separable, Psi^{jj'}(l, p) = kappa_j(l) kappa_j'(p), so the
+parts of angular scale j share one batched SHT at its band limit L_j per
+direction, and kappa_j' is folded into each part's radial GEMM.  The
+scaling part is one more such group, the first: its 2-D window Phi at band
+L, all P rows, unit radial weights.  With the multiresolution flag each
+scale is rendered on the smallest exact grid containing its harmonic
+support; the layout of the parts comes from kernel_tiling.flaglet_parts.
 """
 
 from __future__ import annotations
@@ -21,14 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flag_transform import (
-    BallGrid,
-    BandLimits,
-    FlagCoeffs,
-    flag_forward,
-    flag_inverse,
-    get_flag_plan,
-)
+from .flag_transform import BallGrid, BandLimits, FlagCoeffs, get_flag_plan
 from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
 from .sphere_harmonics import (
     _real_matmul,
@@ -70,7 +62,7 @@ class FlagletDecomposition:
 
 def _grid_energy(grid: BallGrid) -> float:
     """Quadrature estimate of the integral of |f|^2 over the ball."""
-    radial_weights = get_flag_plan(grid.limits).radial_weights
+    radial_weights = get_flag_plan(grid.limits.radial).radial_weights
     angular_weights = get_plan(grid.limits.L).rule.weights
     dphi = 2.0 * np.pi / (2 * grid.limits.L - 1)
     # re^2 + im^2 summed along each row of the float64 view: no square root
@@ -80,21 +72,22 @@ def _grid_energy(grid: BallGrid) -> float:
 
 
 def _angular_scales(kernels: FlagletKernels, keys, bands):
-    """Per angular scale j, in storage order: kappa_j on the degrees below its
-    band limit L_j, the number of radial rows its parts reach, and for each of
-    its parts (j, j') the key, the limits, the rows p where kappa_j' is
-    nonzero (an interval that ends below P_j') and kappa_j' on them as a
-    column."""
-    params, tau = kernels.params, kernels.limits.tau
-    for j, group in itertools.groupby(zip(keys, bands), key=lambda part: part[0][0]):
+    """Per angular transform, in storage order: its window on the degrees
+    below its band limit, and per part the key, the limits, the rows p it
+    reaches (an interval) and its radial weights on them as a column.  First
+    the scaling part: Phi on (p, l) at band L, all P rows, unit weights; then
+    per angular scale j, kappa_j below L_j and, per part (j, j'), the rows
+    where kappa_j' is nonzero (ending below P_j') and kappa_j' on them."""
+    limits, params = kernels.limits, kernels.params
+    yield kernels.phi.T, [("scaling", limits, slice(0, limits.P), np.ones((limits.P, 1)))]
+    for j, group in itertools.groupby(zip(keys, bands[1:]), key=lambda part: part[0][0]):
         parts = []
         for (_, jp), (lj, pj) in group:
             kappa = kernels.kappas_rad[jp - params.j0_rad]
             nonzero = np.flatnonzero(kappa)
             rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
-            parts.append(((j, jp), BandLimits(lj, pj, tau), rows, kappa[rows, None]))
-        nrows = max(rows.stop for _, _, rows, _ in parts)
-        yield kernels.kappas_ang[j - params.j0_ang][:lj], nrows, parts
+            parts.append(((j, jp), BandLimits(lj, pj, limits.tau), rows, kappa[rows, None]))
+        yield kernels.kappas_ang[j - params.j0_ang][:lj], parts
 
 
 def flaglet_analyze(
@@ -102,9 +95,10 @@ def flaglet_analyze(
 ) -> FlagletDecomposition:
     """Decompose Fourier-Laguerre coefficients into flaglet coefficient maps.
 
-    Per angular scale j, one inverse SHT at L_j of the kappa_j-windowed
-    coefficients of every radial row its parts need; per part (j, j'), one
-    real GEMM of the kappa_j'-weighted Laguerre basis with those shells.
+    Per group of _angular_scales (the scaling part, then each angular scale
+    j), one inverse SHT of the windowed coefficients at its band limit; per
+    part, one real GEMM of the radially weighted Laguerre basis with the
+    shells it reaches.
     """
     limits = f.limits
     if kernels.limits != limits:
@@ -112,26 +106,25 @@ def flaglet_analyze(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
     keys, bands = flaglet_parts(limits, kernels.params, multires)
-    scaling = flag_inverse(FlagCoeffs(limits, window_coeffs(f.coeffs, kernels.phi.T)))
-    wavelets = {}
-    for kappa, nrows, parts in _angular_scales(kernels, keys, bands[1:]):
-        lj = kappa.size
+    grids = {}
+    for window, parts in _angular_scales(kernels, keys, bands):
+        lj = window.shape[-1]
         # the first lj^2 flat indices hold exactly the degrees below lj
-        windowed = window_coeffs(f.coeffs[:nrows, : lj * lj], kappa)
-        shells = _sht_inverse_batch(windowed, get_plan(lj))
+        shells = _sht_inverse_batch(window_coeffs(f.coeffs[:, : lj * lj], window), get_plan(lj))
         for key, part_limits, rows, weights in parts:
-            synth = (get_flag_plan(part_limits).kbasis[rows] * weights).T
+            synth = (get_flag_plan(part_limits.radial).kbasis[rows] * weights).T
             values = _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)))
-            wavelets[key] = BallGrid(part_limits, values.reshape(-1, lj, 2 * lj - 1))
-    return FlagletDecomposition(limits, kernels.params, scaling, wavelets, multires)
+            grids[key] = BallGrid(part_limits, values.reshape(-1, lj, 2 * lj - 1))
+    scaling = grids.pop("scaling")
+    return FlagletDecomposition(limits, kernels.params, scaling, grids, multires)
 
 
 def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> FlagCoeffs:
     """Recombine flaglet coefficient maps (exact inverse of the analysis).
 
-    Per angular scale j, the kappa_j'-weighted radial projections of its
+    Per group of _angular_scales, the radially weighted projections of its
     parts are added up on the shells of one grid, which one forward SHT at
-    L_j takes to coefficients before kappa_j windows them.
+    its band limit takes to coefficients before its window weights them.
 
     Raises ValueError if a part is not stored at the limits the layout of
     kernel_tiling.flaglet_parts gives it.
@@ -142,22 +135,22 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
     keys, bands = flaglet_parts(limits, kernels.params, d.multires)
     if set(d.wavelets) != set(keys):
         raise ValueError("decomposition scale indices do not match the kernels")
-    stored = [("scaling", d.scaling), *((key, d.wavelets[key]) for key in keys)]
-    for (name, grid), (lj, pj) in zip(stored, bands):
+    stored = {"scaling": d.scaling, **{key: d.wavelets[key] for key in keys}}
+    for (name, grid), (lj, pj) in zip(stored.items(), bands):
         want = BandLimits(lj, pj, limits.tau)
         if grid.limits != want:
             raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
 
-    out = window_coeffs(flag_forward(d.scaling).coeffs, kernels.phi.T)
-    for kappa, nrows, parts in _angular_scales(kernels, keys, bands[1:]):
-        lj = kappa.size
-        shells = np.zeros((nrows, lj, 2 * lj - 1), dtype=np.complex128)
+    out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
+    for window, parts in _angular_scales(kernels, keys, bands):
+        lj = window.shape[-1]
+        shells = np.zeros((limits.P, lj, 2 * lj - 1), dtype=np.complex128)
         for key, part_limits, rows, weights in parts:
-            project = get_flag_plan(part_limits).kforward[rows] * weights
-            values = d.wavelets[key].values.reshape(part_limits.P, -1)
+            project = get_flag_plan(part_limits.radial).kforward[rows] * weights
+            values = stored[key].values.reshape(part_limits.P, -1)
             shells[rows] += _real_matmul(project, values).reshape(-1, lj, 2 * lj - 1)
         coeffs = _sht_forward_batch(shells, get_plan(lj))
-        out[:nrows, : lj * lj] += window_coeffs(coeffs, kappa)
+        out[:, : lj * lj] += window_coeffs(coeffs, window)
     return FlagCoeffs(limits, out)
 
 

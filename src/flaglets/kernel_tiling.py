@@ -22,6 +22,7 @@ import numpy as np
 
 from .flag_transform import BandLimits
 from .quadrature import gauss_legendre
+from .sphere_harmonics import _check_band_limit
 
 __all__ = [
     "TilingParams",
@@ -241,6 +242,7 @@ def _line_kernels(band_limit: int, dilation: float, j0: int):
 
 def build_sphere_kernels(L: int, params: TilingParams) -> SphereKernels:
     """Scaling and wavelet windows on the harmonic line at band limit L."""
+    _check_band_limit(L)
     eta, kappas = _line_kernels(L, params.lam, params.j0_ang)
     return SphereKernels(L, params, eta, kappas)
 

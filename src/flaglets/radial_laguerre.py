@@ -68,8 +68,8 @@ def basis_matrix(params: RadialParams, radii: np.ndarray) -> np.ndarray:
     Laguerre functions phi_p that also make the quadrature rule.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=np.float64))
-    if np.any(radii < 0):
-        raise ValueError("radii must be non-negative")
+    if not np.all((radii >= 0) & (radii < np.inf)):  # NaN fails too
+        raise ValueError("radii must be finite and non-negative")
     out = np.empty((params.P, radii.size))
     with np.errstate(under="ignore"):
         for p, (u, _, c, _) in enumerate(_laguerre_steps(params.P - 1, 2, radii / params.tau)):
@@ -80,8 +80,6 @@ def basis_matrix(params: RadialParams, radii: np.ndarray) -> np.ndarray:
 
 def laguerre_basis(params: RadialParams, r: float) -> np.ndarray:
     """Basis values K_0(r) .. K_{P-1}(r) at a single radius."""
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
     return basis_matrix(params, np.array([float(r)]))[:, 0]
 
 

@@ -53,8 +53,9 @@ MAX_BAND_LIMIT = 4096
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_LOG = math.log(1e250)
 
-# plans for this many band limits stay cached: more than the 9 distinct
-# band limits one multiresolution sphere-wavelet pass at L=288 touches
+# sphere plans for this many L, and ball plans for this many (P, tau), stay
+# cached: more than the 9 band limits of a multiresolution sphere-wavelet pass
+# at L=288, or the 5 radial limits of a multiresolution flaglet pass at P=32
 _PLAN_CACHE_SIZE = 32
 
 # the forward transform works on blocks of at most this many bytes of grids,
@@ -70,6 +71,11 @@ _LEGENDRE_BLOCK_BYTES = 2 << 20
 
 # past the cache every order is stepped at once, in tiles of this many degrees
 _LEGENDRE_TILE_DEPTH = 10
+
+
+def _check_band_limit(L: int) -> None:
+    if not 1 <= L <= MAX_BAND_LIMIT:
+        raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
 
 
 def coeff_index(ell: int, m: int) -> int:
@@ -95,8 +101,7 @@ class SphereGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.L <= MAX_BAND_LIMIT:
-            raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {self.L}")
+        _check_band_limit(self.L)
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.L, 2 * self.L - 1):
             raise ValueError(
@@ -112,8 +117,7 @@ class SphereCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.L <= MAX_BAND_LIMIT:
-            raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {self.L}")
+        _check_band_limit(self.L)
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if self.coeffs.shape != (self.L * self.L,):
             raise ValueError(
@@ -127,8 +131,7 @@ def sphere_sampling(L: int):
     Returns (thetas, phis) with thetas descending (x = cos theta ascending,
     matching the Gauss-Legendre node order) and phis = 2 pi k / (2L - 1).
     """
-    if L < 1 or L > MAX_BAND_LIMIT:
-        raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
+    _check_band_limit(L)
     rule = gauss_legendre(L)
     thetas = np.arccos(rule.nodes)
     phis = 2.0 * np.pi * np.arange(2 * L - 1) / (2 * L - 1)
@@ -225,6 +228,11 @@ def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
 
     Returns shape (L - m, len(xs)); see _legendre_tiles.
     """
+    _check_band_limit(L)
+    if not 0 <= m < L:
+        raise ValueError(f"order must be in [0, {L - 1}], got {m}")
+    if not np.all(np.abs(np.asarray(xs, dtype=np.float64)) <= 1.0):  # NaN fails too
+        raise ValueError("arguments must satisfy |x| <= 1")
     return next(_legendre_tiles(L, xs, 1, L, m))[2][0]
 
 
@@ -235,8 +243,7 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     with m > l are zero.  All orders are stepped together, so this takes
     O(L) recurrence steps.
     """
-    if L < 1 or L > MAX_BAND_LIMIT:
-        raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
+    _check_band_limit(L)
     if not abs(x) <= 1.0:  # NaN fails too
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
     table = np.zeros(L * L)
@@ -282,8 +289,7 @@ class SpherePlan:
     _CACHE_LIMIT = 256
 
     def __init__(self, L: int):
-        if L < 1 or L > MAX_BAND_LIMIT:
-            raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
+        _check_band_limit(L)
         self.L = L
         self.half = L // 2
         self.rule = gauss_legendre(L)

@@ -213,6 +213,14 @@ class TestKernels:
         assert code == 2 and err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("ball", [[], ["--P", "2"]])
+    def test_band_limit_past_the_maximum_is_usage_error(self, tmp_path, capsys, ball):
+        # without --P this wrote a 5,001-row table and exited 0
+        out = tmp_path / "kernels.csv"
+        code, _, err = run(capsys, "kernels", "--L", "5000", *ball, "--output", str(out))
+        assert code == 2 and err.startswith("error:") and "4096" in err
+        assert not out.exists()
+
     def test_infinite_dilation_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "kernels.csv"
         code, _, err = run(capsys, "kernels", "--L", "8", "--lambda", "inf", "--output", str(out))

@@ -18,7 +18,7 @@ from flaglets.flag_transform import (
     get_flag_plan,
 )
 from flaglets.quadrature import MAX_NODES
-from flaglets.radial_laguerre import laguerre_basis, radial_nodes
+from flaglets.radial_laguerre import RadialParams, laguerre_basis, radial_nodes
 from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, get_plan, sht_inverse
 
 from oracles import naive_flag_forward, naive_flag_inverse
@@ -104,7 +104,7 @@ class TestAgainstNaive:
 class TestPlanCaches:
     @pytest.mark.parametrize("get, key", [
         (get_plan, lambda i: i + 1),
-        (get_flag_plan, lambda i: BandLimits(1, 1, 1.0 + i)),
+        (get_flag_plan, lambda i: RadialParams(1, 1.0 + i)),
     ])
     def test_bounded_and_shared(self, get, key):
         assert get(key(0)) is get(key(0))
@@ -119,12 +119,12 @@ class TestPlanCaches:
         # (smaller) sphere-plan cache has evicted it
         limits = BandLimits(3, 2, 7.25)
         flag_inverse(FlagCoeffs(limits, np.ones((2, 9))))
-        plan = get_flag_plan(limits)
+        plan = get_flag_plan(limits.radial)
         sphere_plan = weakref.ref(get_plan(3))
         for L in range(4, 4 + get_plan.cache_info().maxsize):
             get_plan(L)
         gc.collect()
-        assert get_flag_plan(limits) is plan
+        assert get_flag_plan(limits.radial) is plan
         assert sphere_plan() is None
 
 
@@ -154,7 +154,7 @@ class TestStructure:
         c = random_flag(limits, rng)
         grid = flag_inverse(c)
 
-        plan = get_flag_plan(limits)
+        plan = get_flag_plan(limits.radial)
         from flaglets.quadrature import gauss_legendre
 
         wang = gauss_legendre(limits.L).weights
@@ -183,7 +183,7 @@ class TestStructure:
         rng = np.random.default_rng(44)
         c = random_flag(limits, rng)
 
-        plan = get_flag_plan(limits)
+        plan = get_flag_plan(limits.radial)
         # path A: library order (radial synthesis then per-shell angular)
         via_library = flag_inverse(c, plan).values
 
@@ -217,18 +217,18 @@ class TestValidation:
 
     def test_forward_rejects_plan_of_other_radial_limits(self):
         # a tau = 2 plan on a tau = 1 grid used to return wrong coefficients
-        # labelled tau = 1; the radial plan does not depend on L
+        # labelled tau = 1; the radial plan serves every L
         grid = flag_inverse(random_flag(BandLimits(8, 4, 1.0), np.random.default_rng(3)))
         with pytest.raises(ValueError, match=r"P=4, tau=2.0.*P=4, tau=1.0"):
-            flag_forward(grid, FlagPlan(BandLimits(8, 4, 2.0)))
+            flag_forward(grid, FlagPlan(RadialParams(4, 2.0)))
         with pytest.raises(ValueError, match=r"P=5, tau=1.0.*P=4, tau=1.0"):
-            flag_forward(grid, FlagPlan(BandLimits(8, 5, 1.0)))
-        back = flag_forward(grid, FlagPlan(BandLimits(3, 4, 1.0)))
+            flag_forward(grid, FlagPlan(RadialParams(5, 1.0)))
+        back = flag_forward(grid, FlagPlan(RadialParams(4, 1.0)))
         assert np.array_equal(back.coeffs, flag_forward(grid).coeffs)
 
     def test_inverse_rejects_plan_of_other_radial_limits(self):
         coeffs = random_flag(BandLimits(8, 4, 1.0), np.random.default_rng(4))
         with pytest.raises(ValueError, match=r"P=4, tau=2.0.*P=4, tau=1.0"):
-            flag_inverse(coeffs, FlagPlan(BandLimits(8, 4, 2.0)))
+            flag_inverse(coeffs, FlagPlan(RadialParams(4, 2.0)))
         with pytest.raises(ValueError, match=r"P=3, tau=1.0.*P=4, tau=1.0"):
-            flag_inverse(coeffs, FlagPlan(BandLimits(8, 3, 1.0)))
+            flag_inverse(coeffs, FlagPlan(RadialParams(3, 1.0)))

@@ -20,6 +20,7 @@ from flaglets.kernel_tiling import (
     scale_band_limit,
     scale_range,
 )
+from flaglets.radial_laguerre import RadialParams
 from flaglets.sphere_harmonics import get_plan
 
 
@@ -93,8 +94,8 @@ class TestSeparableMatchesPerPart:
 
 
 class TestEngineCalls:
-    """One batched SHT per angular scale and direction, one FLAG call for the
-    scaling part."""
+    """One batched SHT per angular group and direction, the scaling part's at
+    L first, each made by flaglet_transform itself: no FLAG transform."""
 
     @pytest.mark.parametrize("multires", [False, True])
     def test_one_sht_per_angular_scale(self, monkeypatch, multires):
@@ -103,17 +104,16 @@ class TestEngineCalls:
         def record(module, name):
             real = getattr(module, name)
 
-            def wrapped(data, *plan):
-                calls.append((name, plan[0].L if plan else None))
-                return real(data, *plan)
+            def wrapped(data, plan):
+                calls.append((module.__name__, name, plan.L))
+                return real(data, plan)
 
             monkeypatch.setattr(module, name, wrapped)
 
+        # a FLAG transform's engine calls are made, and recorded, in flag_transform
         for module in (flag_transform, flaglet_transform):
             record(module, "_sht_inverse_batch")
             record(module, "_sht_forward_batch")
-        record(flaglet_transform, "flag_inverse")
-        record(flaglet_transform, "flag_forward")
 
         L, P = 32, 16
         limits = BandLimits(L, P, 1.0)
@@ -123,14 +123,28 @@ class TestEngineCalls:
         bands = [scale_band_limit(j, params.lam, L) if multires else L for j in scales]
 
         d = flaglet_analyze(random_flag_coeffs(limits, 3), kernels, multires=multires)
-        assert calls == [("flag_inverse", None), ("_sht_inverse_batch", L)] + [
-            ("_sht_inverse_batch", lj) for lj in bands
-        ]
+        here = flaglet_transform.__name__
+        assert calls == [(here, "_sht_inverse_batch", lj) for lj in (L, *bands)]
         calls.clear()
         flaglet_synthesize(d, kernels)
-        assert calls == [("flag_forward", None), ("_sht_forward_batch", L)] + [
-            ("_sht_forward_batch", lj) for lj in bands
-        ]
+        assert calls == [(here, "_sht_forward_batch", lj) for lj in (L, *bands)]
+
+
+class TestRadialPlans:
+    def test_a_multires_round_trip_caches_one_plan_per_radial_limit(self):
+        # radial limits P_j' = 2, 4, 8, 16 and 32 (the scaling part and the
+        # top scales); keyed by (L, P, tau) this took 25 plans
+        get_flag_plan = flag_transform.get_flag_plan
+        limits = BandLimits(32, 32, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams(lam=2.0, nu=2.0))
+        get_flag_plan.cache_clear()
+        d = flaglet_analyze(random_flag_coeffs(limits, 5), kernels, multires=True)
+        flaglet_synthesize(d, kernels)
+        assert get_flag_plan.cache_info().currsize == 5
+        misses = get_flag_plan.cache_info().misses
+        for P in (2, 4, 8, 16, 32):
+            assert get_flag_plan(RadialParams(P, 1.0)).radial == RadialParams(P, 1.0)
+        assert get_flag_plan.cache_info().misses == misses
 
 
 class TestGridEnergy:
@@ -140,7 +154,7 @@ class TestGridEnergy:
         d = flaglet_analyze(random_flag_coeffs(limits, 8), kernels, multires=True)
         for grid in _parts(d):
             lim = grid.limits
-            radial = flag_transform.get_flag_plan(lim).radial_weights
+            radial = flag_transform.get_flag_plan(lim.radial).radial_weights
             angular = get_plan(lim.L).rule.weights
             sq = np.abs(grid.values) ** 2
             want = np.einsum("p,i,pij->", radial, angular, sq) * 2 * np.pi / (2 * lim.L - 1)

@@ -169,6 +169,13 @@ class TestSphereKernels:
         with pytest.raises(ValueError):
             build_sphere_kernels(8, TilingParams(lam=2.0, j0_ang=7))
 
+    @pytest.mark.parametrize("L", [0, -3, MAX_BAND_LIMIT + 1])
+    def test_rejects_band_limits_outside_the_library_range(self, L):
+        # L = 0 built empty windows, L = -3 failed inside numpy, and L = 5000
+        # built kernels that no container could hold
+        with pytest.raises(ValueError, match=r"band limit must be in \[1, 4096\]"):
+            build_sphere_kernels(L, TilingParams())
+
 
 class TestFlagletKernels:
     def test_admissibility(self):

@@ -165,6 +165,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             RadialCoeffs(RadialParams(4, 1.0), np.zeros(5))
 
-    def test_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            basis_matrix(RadialParams(4, 1.0), np.array([-1.0]))
+    @pytest.mark.parametrize("r", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_radius(self, r):
+        # a NaN or infinite radius used to give NaN values and RuntimeWarnings
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            basis_matrix(RadialParams(4, 1.0), np.array([r]))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            laguerre_basis(RadialParams(4, 1.0), r)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            slag_inverse(RadialCoeffs(RadialParams(4, 1.0), np.ones(4)), np.array([0.5, r]))

@@ -9,6 +9,7 @@ import pytest
 
 from flaglets import sphere_harmonics
 from flaglets.sphere_harmonics import (
+    MAX_BAND_LIMIT,
     SphereCoeffs,
     SphereGrid,
     SpherePlan,
@@ -510,6 +511,16 @@ class TestValidation:
     def test_legendre_table_rejects_argument_outside_unit_interval(self, x):
         with pytest.raises(ValueError, match="must satisfy"):
             assoc_legendre_table(4, x)
+
+    @pytest.mark.parametrize("L, m, x", [
+        (0, 0, 0.5), (MAX_BAND_LIMIT + 1, 0, 0.5),  # band limit outside [1, 4096]
+        (4, 4, 0.5), (4, -1, 0.5),  # order outside [0, L - 1]
+        (4, 1, 2.0), (4, 1, -1.0000001), (4, 1, math.nan),  # |x| > 1 or NaN
+    ])
+    def test_legendre_matrix_checks_its_arguments(self, L, m, x):
+        # m = L leaked StopIteration, m = -1 gave -inf and x = 2 zeros
+        with pytest.raises(ValueError, match="must be in|must satisfy"):
+            legendre_matrix(L, m, np.array([0.0, x]))
 
     def test_forward_rejects_plan_of_other_band_limit(self):
         grid = SphereGrid(8, np.ones((8, 15)))
