@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quadrature import _check_integer
 from .radial_laguerre import RadialParams, basis_matrix, radial_nodes
 from .sphere_harmonics import (
     MAX_BAND_LIMIT,
@@ -35,8 +36,7 @@ class BandLimits:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.L < 1 or self.L > MAX_BAND_LIMIT:
-            raise ValueError(f"angular band limit must be in [1, {MAX_BAND_LIMIT}], got {self.L}")
+        _check_integer(self.L, 1, MAX_BAND_LIMIT, "angular band limit")
         self.radial  # RadialParams checks P and tau
 
     @property

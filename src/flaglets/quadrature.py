@@ -15,6 +15,7 @@ radial basis of `radial_laguerre`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,17 @@ MAX_NODES = 100_000
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+
+
+def _check_integer(value, lo: int, hi: int, what: str) -> None:
+    """Raise ValueError unless `value` is a Python or numpy integer in [lo, hi].
+
+    A bool is refused: True would pass as a count of 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ValueError(f"{what} must be in [{lo}, {hi}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -69,8 +81,7 @@ def gauss_legendre(n: int) -> QuadRule:
     follow from the derivative formula w = 2 / ((1 - x^2) P_n'(x)^2).
     Exact for polynomials of degree <= 2n - 1.
     """
-    if n < 1 or n > MAX_NODES:
-        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
+    _check_integer(n, 1, MAX_NODES, "node count")
     if n == 1:
         return QuadRule("legendre", 0, np.zeros(1), np.full(1, 2.0))
 
@@ -150,10 +161,8 @@ def gauss_laguerre_gen(n: int, alpha: int) -> QuadRule:
     overflow/underflow pair affecting raw weights for n of a few hundred
     and up.
     """
-    if alpha not in (0, 1, 2):
-        raise ValueError(f"alpha must be 0, 1 or 2, got {alpha}")
-    if n < 1 or n > MAX_NODES:
-        raise ValueError(f"node count must be in [1, {MAX_NODES}], got {n}")
+    _check_integer(alpha, 0, 2, "alpha")
+    _check_integer(n, 1, MAX_NODES, "node count")
 
     if n == 1:
         x = np.array([alpha + 1.0])

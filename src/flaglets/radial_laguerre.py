@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import MAX_NODES, _laguerre_steps, gauss_laguerre_gen
+from .quadrature import MAX_NODES, _check_integer, _laguerre_steps, gauss_laguerre_gen
 
 __all__ = [
     "RadialParams",
@@ -39,8 +39,7 @@ class RadialParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not 1 <= self.P <= MAX_NODES:
-            raise ValueError(f"radial band limit must be in [1, {MAX_NODES}], got {self.P}")
+        _check_integer(self.P, 1, MAX_NODES, "radial band limit")
         lo, hi = TAU_RANGE
         if not lo <= self.tau <= hi:
             raise ValueError(f"radial scale must be in [{lo:g}, {hi:g}], got {self.tau}")

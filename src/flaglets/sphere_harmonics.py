@@ -16,13 +16,14 @@ over k = l - m and yields tiles of orders by degrees, whose shape only
 SpherePlan chooses: up to the table cache, blocks of orders with all their
 degrees, which the plan keeps; past it, every order at once in tiles of a
 few degrees, so a pass takes O(L) recurrence steps and holds a tile of about
-one grid (an inverse of many rows still steps blocks of orders, which write
-each output column once).  The engine never mirrors them: Ptilde_l^m(-x) =
-(-1)^{l+m} Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) -
-f(-x) on the half nodes, which the even and the odd degrees of an order
-project onto, and unfolds the synthesised sums the same way.  The forward
-copies the folded Fourier columns of every order once per block of grids,
-and every tile reads them there.
+one grid (an inverse of many rows still steps blocks of orders, whose sums it
+holds for one block of rows at a time, not about a grid per row).  The engine
+never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a
+grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and
+the odd degrees of an order project onto.  The inverse sums the tiles of a
+group of orders in one order-major buffer and unfolds it the same way, into
+each Fourier column once.  The forward copies the folded Fourier columns of
+every order once per block of grids, and every tile reads them there.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_legendre
+from .quadrature import _check_integer, gauss_legendre
 
 __all__ = [
     "MAX_BAND_LIMIT",
@@ -74,8 +75,7 @@ _LEGENDRE_TILE_DEPTH = 10
 
 
 def _check_band_limit(L: int) -> None:
-    if not 1 <= L <= MAX_BAND_LIMIT:
-        raise ValueError(f"band limit must be in [1, {MAX_BAND_LIMIT}], got {L}")
+    _check_integer(L, 1, MAX_BAND_LIMIT, "band limit")
 
 
 def coeff_index(ell: int, m: int) -> int:
@@ -264,10 +264,10 @@ class SpherePlan:
 
     - blocks of orders of about _LEGENDRE_BLOCK_BYTES, each with all of its
       degrees (k0 = 0).  Up to _CACHE_LIMIT a complete pass is kept, maps
-      included.  The inverse writes a block's output columns once, where
-      all-order tiles add into every column once per tile: with 64 rows at
-      L = 128 that made the inverse about twice as slow.  So past the cache
-      an inverse of more rows than one forward FFT block steps blocks too.
+      included.  The inverse holds a group's sums for every row it steps at
+      once: for a block that is one FFT block of rows, for all orders about a
+      grid per row.  So past the cache an inverse of more rows than one
+      forward FFT block steps blocks too.
     - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
       degrees, made per pass in one reused buffer with their maps: L
       recurrence steps per pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2
@@ -456,64 +456,60 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
 
-    For each tile, and within it for each block of at most _fft_block_grids
-    rows, the tile's maps gather the +m and -m coefficients of each parity,
-    and one stacked GEMM per parity synthesises the even and the odd sums
-    S_even, S_odd on the half nodes.  A block of orders with all their
-    degrees writes f(+-x) = S_even +- S_odd straight into their Fourier
-    columns.  All-order tiles (past the cache, at most one FFT block of
-    rows) add S_even into the x >= 0 rows and S_odd into the x < 0 rows, and
-    each order's columns are unfolded after its last tile.  The columns are
-    then signed and scaled and inverse-FFT'd in place.
+    A tile from k0 = 0 starts a group of orders, and the later tiles of a
+    pass hold those of its orders that still run.  For each tile, and within
+    it for each block of at most _fft_block_grids rows, the tile's maps
+    gather the +m and -m coefficients of each parity, and one stacked GEMM
+    per parity synthesises the even and the odd sums S_even, S_odd on the
+    half nodes into one order-major buffer sums[parity, order, node, +-m,
+    row]: a tile from k0 = 0 writes it, and a later tile adds its GEMM there
+    through a scratch of _FOLD_CHUNK_BYTES, block of orders by block of
+    orders.  After a group's last tile f(+-x) = S_even +- S_odd is written
+    into the Fourier columns of its orders once; the columns are then signed
+    and scaled and inverse-FFT'd in place.  A group of several tiles holds
+    its sums for every row, about a grid per row for all orders, so only an
+    inverse of at most one block of rows steps all orders at once
+    (SpherePlan._tile_shape); one of more rows steps blocks of orders.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
-    nh, odd_l = L - half, L % 2
+    nh = L - half
     rows = coeffs.reshape(-1, L * L)
     g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
-    synth_buf = None
+    # one allocation holds the sums of the first and largest group and, when a
+    # group spans several tiles, the scratch their later GEMMs go through
+    orders, depth = plan._tile_shape(len(rows))
+    per_order = nh * 2 * step
+    chunk = min(orders, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if depth < L else 0
+    buf = np.empty((2 * orders + chunk) * per_order, dtype=np.complex128)
+    scratch = buf[2 * orders * per_order :].view(np.float64)
     for m0, k0, tile, maps in plan.tables(len(rows)):
-        nb, depth = tile.shape[:2]
-        # only a tile with every degree of its orders needs both sums at once
-        whole = k0 == 0 and depth == L - m0
-        sums = 2 if whole else 1
-        if synth_buf is None:  # the first tile is the largest
-            synth_buf = np.empty(sums * nb * nh * 2 * step, dtype=np.complex128)
-        ranges = _column_ranges(L, m0, nb)
+        nb, dk = tile.shape[:2]
+        if k0 == 0:
+            group = nb
         for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            n = len(chunk)
-            here = slice(start, start + n)
-            synth = synth_buf[: sums * nb * nh * 2 * n].reshape(sums, nb, nh, 2, n)
+            block = rows[start : start + step]
+            n = len(block)
+            sums = buf[: 2 * group * nh * 2 * n].reshape(2, group, nh, 2, n)
             for p, (index, _, _) in enumerate(maps):
-                np.matmul(
-                    tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1),
-                    chunk.T[index].view(np.float64).reshape(nb, -1, 4 * n),
-                    out=synth[p % sums].view(np.float64).reshape(nb, nh, 4 * n),
-                )
-                if not whole:
-                    half_grid, first_row = (north, 0) if p == 0 else (south, odd_l)
-                    for s, (lo, cols) in enumerate(ranges):
-                        part = synth[0, lo:, first_row:, s].transpose(1, 2, 0)
-                        dst = half_grid[here, first_row:, cols].transpose(1, 0, 2)
-                        if k0 == 0:
-                            dst[...] = part
-                        else:
-                            dst += part
-            if whole:
-                for s, (lo, cols) in enumerate(ranges):
-                    even, odd = synth[:, lo:, :, s].transpose(0, 2, 3, 1)
+                values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
+                gathered = block.T[index].view(np.float64).reshape(nb, -1, 4 * n)
+                out = sums[p].view(np.float64).reshape(group, nh, 4 * n)
+                if k0 == 0:
+                    np.matmul(values, gathered, out=out)
+                    continue
+                for i in range(0, nb, chunk):
+                    j = min(i + chunk, nb)
+                    part = scratch[: (j - i) * nh * 4 * n].reshape(j - i, nh, 4 * n)
+                    np.matmul(values[i:j], gathered[i:j], out=part)
+                    out[i:j] += part
+            if k0 + dk == L - m0:  # the group's last tile
+                here = slice(start, start + n)
+                for s, (lo, cols) in enumerate(_column_ranges(L, m0, group)):
+                    even, odd = sums[:, lo:, :, s].transpose(0, 2, 3, 1)
                     np.add(even, odd, out=north[here, :, cols].transpose(1, 0, 2))
                     np.subtract(even, odd, out=south[here, :, cols].transpose(1, 0, 2))
-        if not whole:
-            # orders whose last degree L - 1 is in this tile: f(+-x) = S_even +- S_odd
-            done = max(0, L - m0 - k0 - depth)
-            for _, cols in _column_ranges(L, m0 + done, nb - done):
-                even, odd = north[:, odd_l:, cols], south[:, odd_l:, cols]
-                diff = even - odd
-                even += odd
-                odd[...] = diff
     g *= plan.signs / math.sqrt(2.0 * np.pi)
     np.fft.ifft(g, axis=-1, norm="forward", out=g)
     return g.reshape(coeffs.shape[:-1] + (L, nphi))

@@ -207,6 +207,11 @@ class TestValidation:
             BandLimits(4, MAX_NODES + 1, 1.0)
         with pytest.raises(ValueError):
             BandLimits(4, 4, math.inf)
+        # L = 4.5 used to construct, and P = 4.5 to fail late with a TypeError
+        for L, P in ((4.5, 4), (4.0, 4), (True, 4), (4, 4.5), (4, np.float64(4))):
+            with pytest.raises(ValueError, match="band limit must be an integer"):
+                BandLimits(L, P, 1.0)
+        assert BandLimits(np.int64(4), np.int32(4)).radial == RadialParams(4, 1.0)
 
     def test_rejects_wrong_shapes(self):
         limits = BandLimits(4, 4, 1.0)

@@ -176,6 +176,11 @@ class TestSphereKernels:
         with pytest.raises(ValueError, match=r"band limit must be in \[1, 4096\]"):
             build_sphere_kernels(L, TilingParams())
 
+    @pytest.mark.parametrize("L", [8.0, 8.5, True])
+    def test_rejects_band_limits_that_are_not_integers(self, L):
+        with pytest.raises(ValueError, match="band limit must be an integer"):
+            build_sphere_kernels(L, TilingParams())
+
 
 class TestFlagletKernels:
     def test_admissibility(self):

@@ -44,10 +44,14 @@ class TestGaussLegendre:
         if n % 2:
             assert nodes[n // 2] == 0.0
 
-    @pytest.mark.parametrize("n", [0, MAX_NODES + 1])
+    @pytest.mark.parametrize("n", [0, MAX_NODES + 1, 2.5, 3.0, np.float64(3), True])
     def test_rejects_bad_n(self, n):
-        with pytest.raises(ValueError):
+        # True used to give a 1-node rule
+        with pytest.raises(ValueError, match="node count must be"):
             gauss_legendre(n)
+
+    def test_accepts_numpy_integers(self):
+        assert np.array_equal(gauss_legendre(np.int32(5)).nodes, gauss_legendre(5).nodes)
 
     def test_deterministic(self):
         a, b = gauss_legendre(97), gauss_legendre(97)
@@ -98,6 +102,11 @@ class TestGaussLaguerre:
             gauss_laguerre_gen(4, 3)
         with pytest.raises(ValueError):
             gauss_laguerre_gen(0, 2)
+        for n, alpha in ((4.0, 2), (True, 2), (4, 2.0), (4, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                gauss_laguerre_gen(n, alpha)
+        rule = gauss_laguerre_gen(np.int64(4), np.uint8(2))
+        assert np.array_equal(rule.nodes, gauss_laguerre_gen(4, 2).nodes)
 
     def test_deterministic(self):
         a, b = gauss_laguerre_gen(64, 2), gauss_laguerre_gen(64, 2)

@@ -146,6 +146,10 @@ class TestValidation:
             RadialParams(4, -2.0)
         with pytest.raises(ValueError):
             RadialParams(MAX_NODES + 1, 1.0)
+        for P in (4.5, 4.0, True):
+            with pytest.raises(ValueError, match="radial band limit must be an integer"):
+                RadialParams(P, 1.0)
+        assert RadialParams(np.int64(4)) == RadialParams(4)
 
     @pytest.mark.parametrize("tau", [1e-300, 1e300, 5e-324, 1e308])
     def test_rejects_scale_whose_powers_leave_the_doubles(self, tau):

@@ -13,6 +13,7 @@ from flaglets.sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
     SpherePlan,
+    _fft_block_grids,
     _sht_forward_batch,
     _sht_inverse_batch,
     assoc_legendre_table,
@@ -386,6 +387,19 @@ class TestAgainstNaiveTransform:
         for row, grid in zip(c, tiled):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
 
+    @pytest.mark.parametrize("L", [257, 300])
+    def test_all_order_tiles_match_blocks_of_orders_past_the_cache(self, L):
+        # one FFT block of rows steps every order in tiles of a few degrees and
+        # sums them across tiles; one row more steps blocks of all their degrees
+        plan = SpherePlan(L)
+        rows = _fft_block_grids(L)
+        assert plan._tile_shape(rows)[0] == L and plan._tile_shape(rows + 1)[1] == L
+        rng = np.random.default_rng(L)
+        c = rng.uniform(-1, 1, (rows + 1, L * L)) + 1j * rng.uniform(-1, 1, (rows + 1, L * L))
+        tiled = _sht_inverse_batch(c[:rows], plan)
+        blocked = _sht_inverse_batch(c, plan)[:rows]
+        assert rel_err(tiled, blocked) <= 1e-14
+
     @pytest.mark.parametrize("L", [8, 9])
     @pytest.mark.parametrize("grids", [1, 3])
     @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -500,6 +514,15 @@ class TestValidation:
             SphereGrid(0, np.zeros((0, 0)))
         with pytest.raises(ValueError):
             SphereCoeffs(-1, np.zeros(1))
+        # L = 4.0 used to construct a grid and fail inside the engine
+        for L in (4.0, np.float64(4), 4.5, True):
+            with pytest.raises(ValueError, match="band limit must be an integer"):
+                SphereGrid(L, np.zeros((4, 7)))
+            with pytest.raises(ValueError, match="band limit must be an integer"):
+                SphereCoeffs(L, np.zeros(16))
+        c = np.arange(16, dtype=np.complex128)
+        assert np.array_equal(sht_inverse(SphereCoeffs(np.int64(4), c)).values,
+                              sht_inverse(SphereCoeffs(4, c)).values)
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError):
