@@ -264,10 +264,10 @@ class SpherePlan:
 
     - blocks of orders of about _LEGENDRE_BLOCK_BYTES, each with all of its
       degrees (k0 = 0).  Up to _CACHE_LIMIT a complete pass is kept, maps
-      included.  The inverse holds a group's sums for every row it steps at
-      once: for a block that is one FFT block of rows, for all orders about a
-      grid per row.  So past the cache an inverse of more rows than one
-      forward FFT block steps blocks too.
+      included.  The inverse holds the sums of a group of orders until its
+      last tile: those of a block for one FFT block of rows at a time, those
+      of all orders for every row, about a grid per row.  So past the cache
+      an inverse of more rows than one forward FFT block steps blocks too.
     - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
       degrees, made per pass in one reused buffer with their maps: L
       recurrence steps per pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2
@@ -456,20 +456,19 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
 
-    A tile from k0 = 0 starts a group of orders, and the later tiles of a
-    pass hold those of its orders that still run.  For each tile, and within
-    it for each block of at most _fft_block_grids rows, the tile's maps
-    gather the +m and -m coefficients of each parity, and one stacked GEMM
-    per parity synthesises the even and the odd sums S_even, S_odd on the
-    half nodes into one order-major buffer sums[parity, order, node, +-m,
-    row]: a tile from k0 = 0 writes it, and a later tile adds its GEMM there
-    through a scratch of _FOLD_CHUNK_BYTES, block of orders by block of
-    orders.  After a group's last tile f(+-x) = S_even +- S_odd is written
-    into the Fourier columns of its orders once; the columns are then signed
-    and scaled and inverse-FFT'd in place.  A group of several tiles holds
-    its sums for every row, about a grid per row for all orders, so only an
-    inverse of at most one block of rows steps all orders at once
-    (SpherePlan._tile_shape); one of more rows steps blocks of orders.
+    A tile from k0 = 0 starts a group of orders; the later tiles of a pass
+    hold those of its orders that still run.  For each tile and block of at
+    most _fft_block_grids rows, the tile's maps gather the +m and -m
+    coefficients of each parity, and one stacked GEMM per parity synthesises
+    the even and odd sums S_even, S_odd on the half nodes into the
+    order-major buffer sums[parity, order, node, +-m, row].  A tile from
+    k0 = 0 writes it; a later tile adds its GEMM there through a scratch of
+    _FOLD_CHUNK_BYTES, block of orders by block of orders.  After a group's
+    last tile f(+-x) = S_even +- S_odd is written into its orders' Fourier
+    columns once, which are then signed, scaled and inverse-FFT'd in place.
+    A group of several tiles holds its sums for every row, about a grid per
+    row, so only an inverse of at most one block of rows steps all orders at
+    once (SpherePlan._tile_shape).
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh = L - half
@@ -477,33 +476,37 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
     g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
-    # one allocation holds the sums of the first and largest group and, when a
-    # group spans several tiles, the scratch their later GEMMs go through
-    orders, depth = plan._tile_shape(len(rows))
-    per_order = nh * 2 * step
-    chunk = min(orders, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if depth < L else 0
-    buf = np.empty((2 * orders + chunk) * per_order, dtype=np.complex128)
-    scratch = buf[2 * orders * per_order :].view(np.float64)
+    per_order, buf = nh * 2 * step, None
     for m0, k0, tile, maps in plan.tables(len(rows)):
         nb, dk = tile.shape[:2]
+        if buf is None:
+            # one allocation for the first (largest) group's sums and the GEMM scratch
+            chunk = min(nb, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if dk < L else 0
+            buf = np.empty((2 * nb + chunk) * per_order, dtype=np.complex128)
+            scratch = buf[2 * nb * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             n = len(block)
             sums = buf[: 2 * group * nh * 2 * n].reshape(2, group, nh, 2, n)
+            part = scratch[: chunk * nh * 4 * n].reshape(chunk, nh, 4 * n)
             for p, (index, _, _) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
-                gathered = block.T[index].view(np.float64).reshape(nb, -1, 4 * n)
-                out = sums[p].view(np.float64).reshape(group, nh, 4 * n)
-                if k0 == 0:
-                    np.matmul(values, gathered, out=out)
-                    continue
-                for i in range(0, nb, chunk):
-                    j = min(i + chunk, nb)
-                    part = scratch[: (j - i) * nh * 4 * n].reshape(j - i, nh, 4 * n)
-                    np.matmul(values[i:j], gathered[i:j], out=part)
-                    out[i:j] += part
+                sums_p = sums[p].view(np.float64).reshape(group, nh, 4 * n)
+                width = chunk if k0 else nb
+                for i in range(0, nb, width):
+                    j = min(i + width, nb)
+                    out = part[: j - i] if k0 else sums_p
+                    # the gather is freed before the next one: holding two at once
+                    # raised the peak RSS of a 64-shell inverse at L = 128 by 1.5 MB
+                    np.matmul(
+                        values[i:j],
+                        block.T[index[i:j]].view(np.float64).reshape(j - i, -1, 4 * n),
+                        out=out,
+                    )
+                    if k0:
+                        sums_p[i:j] += out
             if k0 + dk == L - m0:  # the group's last tile
                 here = slice(start, start + n)
                 for s, (lo, cols) in enumerate(_column_ranges(L, m0, group)):
