@@ -3,7 +3,9 @@
 Separable composition of the spherical harmonic transform and the
 spherical Laguerre transform.  Each direction is one batched SHT pass over
 all P radial shells plus one radial GEMM over all L^2 harmonic indices.
-Exact in both directions for signals band-limited at (L, P).
+Exact in both directions for signals band-limited at (L, P).  Real grids
+and Hermitian coefficients take the engine's real-signal path, and the
+radial GEMM of real shells is a real GEMM.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .radial_laguerre import RadialParams, basis_matrix, radial_nodes
 from .sphere_harmonics import (
     MAX_BAND_LIMIT,
     _PLAN_CACHE_SIZE,
+    _fill_negative_orders,
+    _grid_dtype,
+    _is_hermitian,
     _real_matmul,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -36,8 +41,10 @@ class BandLimits:
     tau: float = 1.0
 
     def __post_init__(self):
-        _check_integer(self.L, 1, MAX_BAND_LIMIT, "angular band limit")
-        self.radial  # RadialParams checks P and tau
+        # frozen: the checked limits are stored, as Python ints, through object.__setattr__
+        L = _check_integer(self.L, 1, MAX_BAND_LIMIT, "angular band limit")
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "P", self.radial.P)  # RadialParams checks P and tau
 
     @property
     def radial(self) -> RadialParams:
@@ -46,14 +53,15 @@ class BandLimits:
 
 @dataclass
 class BallGrid:
-    """Samples on the exact ball grid: (P shells, L colatitudes, 2L-1 longitudes)."""
+    """Samples on the exact ball grid: (P shells, L colatitudes, 2L-1 longitudes);
+    float64 for real samples, complex128 otherwise."""
 
     limits: BandLimits
     values: np.ndarray
 
     def __post_init__(self):
         L, P = self.limits.L, self.limits.P
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        self.values = np.ascontiguousarray(self.values, dtype=_grid_dtype(self.values))
         if self.values.shape != (P, L, 2 * L - 1):
             raise ValueError(
                 f"grid shape {self.values.shape} does not match limits (L={L}, P={P})"
@@ -113,19 +121,28 @@ def _radial_plan(limits: BandLimits, plan: FlagPlan | None) -> FlagPlan:
 def flag_forward(grid: BallGrid, plan: FlagPlan | None = None) -> FlagCoeffs:
     """Forward Fourier-Laguerre transform; exact for band-limited signals.
 
-    Raises ValueError if `plan` was built for another (P, tau).
+    The coefficients of a real grid are exactly Hermitian.  Raises
+    ValueError if `plan` was built for another (P, tau).
     """
     plan = _radial_plan(grid.limits, plan)
-    shell_coeffs = _sht_forward_batch(grid.values, get_plan(grid.limits.L))  # (shells, L^2)
-    return FlagCoeffs(grid.limits, _real_matmul(plan.kforward, shell_coeffs))
+    L = grid.limits.L
+    shell_coeffs = _sht_forward_batch(grid.values, get_plan(L))  # (shells, L^2)
+    coeffs = _real_matmul(plan.kforward, shell_coeffs)
+    if not np.iscomplexobj(grid.values):
+        # a GEMM need not round its columns alike: make -m from +m after it
+        _fill_negative_orders(coeffs, L)
+    return FlagCoeffs(grid.limits, coeffs)
 
 
 def flag_inverse(coeffs: FlagCoeffs, plan: FlagPlan | None = None) -> BallGrid:
     """Inverse Fourier-Laguerre transform onto the exact ball grid.
 
-    Raises ValueError if `plan` was built for another (P, tau).
+    Exactly Hermitian coefficients give a real (float64) grid.  Raises
+    ValueError if `plan` was built for another (P, tau).
     """
     plan = _radial_plan(coeffs.limits, plan)
+    L = coeffs.limits.L
+    real = _is_hermitian(coeffs.coeffs, L)
     # radial synthesis at the sampling nodes, then angular synthesis of all shells
     shell_coeffs = _real_matmul(plan.kbasis.T, coeffs.coeffs)  # (shells, L^2)
-    return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, get_plan(coeffs.limits.L)))
+    return BallGrid(coeffs.limits, _sht_inverse_batch(shell_coeffs, get_plan(L), real))

@@ -10,6 +10,8 @@ scaling part is one more such group, the first: its 2-D window Phi at band
 L, all P rows, unit radial weights.  With the multiresolution flag each
 scale is rendered on the smallest exact grid containing its harmonic
 support; the layout of the parts comes from kernel_tiling.flaglet_parts.
+The windows and the K_p are real, so the maps of a real field (Hermitian
+coefficients) are real, and are held, thresholded and stored as float64.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs, get_flag_plan
 from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
 from .sphere_harmonics import (
+    _is_hermitian,
     _real_matmul,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -65,7 +68,8 @@ def _grid_energy(grid: BallGrid) -> float:
     radial_weights = get_flag_plan(grid.limits.radial).radial_weights
     angular_weights = get_plan(grid.limits.L).rule.weights
     dphi = 2.0 * np.pi / (2 * grid.limits.L - 1)
-    # re^2 + im^2 summed along each row of the float64 view: no square root
+    # re^2 + im^2 (a real sample's square) summed along each row of the
+    # float64 view: no square root
     v = grid.values.view(np.float64)
     rows = np.einsum("pij,pij->pi", v, v)
     return float(radial_weights @ rows @ angular_weights * dphi)
@@ -98,7 +102,8 @@ def flaglet_analyze(
     Per group of _angular_scales (the scaling part, then each angular scale
     j), one inverse SHT of the windowed coefficients at its band limit; per
     part, one real GEMM of the radially weighted Laguerre basis with the
-    shells it reaches.
+    shells it reaches.  The maps of exactly Hermitian coefficients are real
+    (float64).
     """
     limits = f.limits
     if kernels.limits != limits:
@@ -106,11 +111,14 @@ def flaglet_analyze(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
     keys, bands = flaglet_parts(limits, kernels.params, multires)
+    # the windows are real, so windowed Hermitian coefficients stay Hermitian
+    real = _is_hermitian(f.coeffs, limits.L)
     grids = {}
     for window, parts in _angular_scales(kernels, keys, bands):
         lj = window.shape[-1]
         # the first lj^2 flat indices hold exactly the degrees below lj
-        shells = _sht_inverse_batch(window_coeffs(f.coeffs[:, : lj * lj], window), get_plan(lj))
+        windowed = window_coeffs(f.coeffs[:, : lj * lj], window)
+        shells = _sht_inverse_batch(windowed, get_plan(lj), real)
         for key, part_limits, rows, weights in parts:
             synth = (get_flag_plan(part_limits.radial).kbasis[rows] * weights).T
             values = _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)))
@@ -125,6 +133,8 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
     Per group of _angular_scales, the radially weighted projections of its
     parts are added up on the shells of one grid, which one forward SHT at
     its band limit takes to coefficients before its window weights them.
+    The shells are real when every stored part is, and the coefficients of
+    real parts exactly Hermitian.
 
     Raises ValueError if a part is not stored at the limits the layout of
     kernel_tiling.flaglet_parts gives it.
@@ -141,10 +151,11 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
         if grid.limits != want:
             raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
 
+    dtype = np.result_type(*{grid.values.dtype for grid in stored.values()})
     out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
     for window, parts in _angular_scales(kernels, keys, bands):
         lj = window.shape[-1]
-        shells = np.zeros((limits.P, lj, 2 * lj - 1), dtype=np.complex128)
+        shells = np.zeros((limits.P, lj, 2 * lj - 1), dtype=dtype)
         for key, part_limits, rows, weights in parts:
             project = get_flag_plan(part_limits.radial).kforward[rows] * weights
             values = stored[key].values.reshape(part_limits.P, -1)

@@ -7,10 +7,13 @@ little-endian, complex values interleaved re, im):
     version u32      currently 1
     kind    u32      1 SphereGrid, 2 SphereCoeffs, 3 BallGrid,
                      4 FlagCoeffs, 5 SphereKernels, 6 FlagletKernels,
-                     7 Decomposition
+                     7 Decomposition, 8 real SphereGrid, 9 real BallGrid
     header  kind-specific fixed fields, packed by _HEADERS[kind]
     payload float64/complex128 arrays back to back, each in the exact
             in-memory layout of the object (dict parts in sorted key order)
+
+A grid is real when its values are float64 (the grids keep real samples
+real); kinds 8 and 9 store them as float64 and read back float64.
 
 Each kind is described once for both directions: _describe(obj) gives the
 kind, header fields and payload arrays of an object, and _layout(kind,
@@ -23,7 +26,9 @@ rebuilds from the header's tiling.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
-zero) rather than ball decomposition.  Which parts a decomposition or a
+zero) rather than ball decomposition, bit 2 = real parts (float64
+payloads, set when every part is real); any other bit is a HeaderError.
+Which parts a decomposition or a
 flaglet kernel set holds, in which order and at which band limits, is
 defined in kernel_tiling (sphere_part_bands, flaglet_parts).
 """
@@ -74,9 +79,12 @@ KIND_FLAG_COEFFS = 4
 KIND_SPHERE_KERNELS = 5
 KIND_FLAGLET_KERNELS = 6
 KIND_DECOMPOSITION = 7
+KIND_REAL_SPHERE_GRID = 8
+KIND_REAL_BALL_GRID = 9
 
 _FLAG_MULTIRES = 1
 _FLAG_SPHERE = 2
+_FLAG_REAL = 4
 
 # header fields after the kind word
 _HEADERS = {
@@ -87,6 +95,8 @@ _HEADERS = {
     KIND_SPHERE_KERNELS: struct.Struct("<IId"),  # L, j0, lam
     KIND_FLAGLET_KERNELS: struct.Struct("<IIIIddd"),  # L, P, j0_ang, j0_rad, lam, nu, tau
     KIND_DECOMPOSITION: struct.Struct("<IIIIIddd"),  # ... j0_rad, flags, lam, nu, tau
+    KIND_REAL_SPHERE_GRID: struct.Struct("<I"),  # L
+    KIND_REAL_BALL_GRID: struct.Struct("<IId"),  # L, P, tau
 }
 
 # payloads are read in pieces of at most this many bytes, so memory grows
@@ -130,12 +140,14 @@ class PayloadError(ContainerError, ValueError):
 def _describe(obj):
     """(kind, header fields, payload arrays in order) of a library object."""
     if isinstance(obj, SphereGrid):
-        return KIND_SPHERE_GRID, (obj.L,), [obj.values]
+        kind = KIND_SPHERE_GRID if np.iscomplexobj(obj.values) else KIND_REAL_SPHERE_GRID
+        return kind, (obj.L,), [obj.values]
     if isinstance(obj, SphereCoeffs):
         return KIND_SPHERE_COEFFS, (obj.L,), [obj.coeffs]
     if isinstance(obj, BallGrid):
         lim = obj.limits
-        return KIND_BALL_GRID, (lim.L, lim.P, lim.tau), [obj.values]
+        kind = KIND_BALL_GRID if np.iscomplexobj(obj.values) else KIND_REAL_BALL_GRID
+        return kind, (lim.L, lim.P, lim.tau), [obj.values]
     if isinstance(obj, FlagCoeffs):
         lim = obj.limits
         return KIND_FLAG_COEFFS, (lim.L, lim.P, lim.tau), [obj.coeffs]
@@ -146,14 +158,16 @@ def _describe(obj):
         fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, p.lam, p.nu, lim.tau)
         return KIND_FLAGLET_KERNELS, fields, [obj.phi, *(obj.psis[k] for k in sorted(obj.psis))]
     if isinstance(obj, (SphereDecomposition, FlagletDecomposition)):
+        arrays = [obj.scaling.values, *(obj.wavelets[k].values for k in sorted(obj.wavelets))]
         flags = _FLAG_MULTIRES if obj.multires else 0
+        if not any(np.iscomplexobj(a) for a in arrays):
+            flags |= _FLAG_REAL
         if isinstance(obj, SphereDecomposition):
             fields = (obj.L, 0, obj.j0, 0, flags | _FLAG_SPHERE, obj.lam, 0.0, 0.0)
         else:
             p, lim = obj.params, obj.limits
             fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
-        grids = [obj.scaling, *(obj.wavelets[k] for k in sorted(obj.wavelets))]
-        return KIND_DECOMPOSITION, fields, [g.values for g in grids]
+        return KIND_DECOMPOSITION, fields, arrays
     raise KindError(f"object of type {type(obj).__name__} is not serializable")
 
 
@@ -164,18 +178,20 @@ def _layout(kind: int, fields: tuple):
     Raises ValueError (or OverflowError) for a header no library object can
     have, before anything is allocated.
     """
-    if kind in (KIND_SPHERE_GRID, KIND_SPHERE_COEFFS):
+    if kind in (KIND_SPHERE_GRID, KIND_SPHERE_COEFFS, KIND_REAL_SPHERE_GRID):
         (L,) = fields
         BandLimits(L, 1)  # checks L
-        if kind == KIND_SPHERE_GRID:
-            return [("<c16", (L, 2 * L - 1))], lambda a: SphereGrid(L, a[0])
-        return [("<c16", (L * L,))], lambda a: SphereCoeffs(L, a[0])
-    if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS):
+        if kind == KIND_SPHERE_COEFFS:
+            return [("<c16", (L * L,))], lambda a: SphereCoeffs(L, a[0])
+        code = "<f8" if kind == KIND_REAL_SPHERE_GRID else "<c16"
+        return [(code, (L, 2 * L - 1))], lambda a: SphereGrid(L, a[0])
+    if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS, KIND_REAL_BALL_GRID):
         limits = BandLimits(*fields)
         L, P = limits.L, limits.P
-        if kind == KIND_BALL_GRID:
-            return [("<c16", (P, L, 2 * L - 1))], lambda a: BallGrid(limits, a[0])
-        return [("<c16", (P, L * L))], lambda a: FlagCoeffs(limits, a[0])
+        if kind == KIND_FLAG_COEFFS:
+            return [("<c16", (P, L * L))], lambda a: FlagCoeffs(limits, a[0])
+        code = "<f8" if kind == KIND_REAL_BALL_GRID else "<c16"
+        return [(code, (P, L, 2 * L - 1))], lambda a: BallGrid(limits, a[0])
     if kind == KIND_SPHERE_KERNELS:
         L, j0, lam = fields
         BandLimits(L, 1)
@@ -203,9 +219,12 @@ def _layout(kind: int, fields: tuple):
             )
 
         return [("<f8", (L, P))] * (1 + len(keys)), build
-    # KIND_DECOMPOSITION, the last kind of _HEADERS
+    # KIND_DECOMPOSITION, the one kind left in _HEADERS
     L, P, j0a, j0r, flags, lam, nu, tau = fields
+    if flags & ~(_FLAG_MULTIRES | _FLAG_SPHERE | _FLAG_REAL):
+        raise ValueError(f"unknown decomposition flag bits in {flags:#010x}")
     multires = bool(flags & _FLAG_MULTIRES)
+    code = "<f8" if flags & _FLAG_REAL else "<c16"
     if flags & _FLAG_SPHERE:
         BandLimits(L, 1)
         bands = sphere_part_bands(L, TilingParams(lam=lam, j0_ang=j0a), multires)
@@ -216,7 +235,7 @@ def _layout(kind: int, fields: tuple):
             wavelets = dict(zip(scales, grids[1:]))
             return SphereDecomposition(L, lam, j0a, grids[0], wavelets, multires)
 
-        return [("<c16", (b, 2 * b - 1)) for b in bands], build
+        return [(code, (b, 2 * b - 1)) for b in bands], build
     limits = BandLimits(L, P, tau)
     params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
     keys, bands = flaglet_parts(limits, params, multires)
@@ -226,7 +245,7 @@ def _layout(kind: int, fields: tuple):
         wavelets = dict(zip(keys, grids[1:]))
         return FlagletDecomposition(limits, params, grids[0], wavelets, multires)
 
-    return [("<c16", (pj, lj, 2 * lj - 1)) for lj, pj in bands], build
+    return [(code, (pj, lj, 2 * lj - 1)) for lj, pj in bands], build
 
 
 def _checked_layout(kind: int, fields: tuple):

@@ -29,15 +29,19 @@ _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
 
 
-def _check_integer(value, lo: int, hi: int, what: str) -> None:
-    """Raise ValueError unless `value` is a Python or numpy integer in [lo, hi].
+def _check_integer(value, lo: int, hi: int, what: str) -> int:
+    """`value` as a Python int; ValueError unless it is a Python or numpy
+    integer in [lo, hi].
 
-    A bool is refused: True would pass as a count of 1.
+    A bool is refused: True would pass as a count of 1.  The Python int is
+    what callers store, so a narrow numpy type cannot overflow later (L * L
+    of a uint8 20 wraps).
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     if not lo <= value <= hi:
         raise ValueError(f"{what} must be in [{lo}, {hi}], got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,8 @@ class RadialParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        _check_integer(self.P, 1, MAX_NODES, "radial band limit")
+        # frozen: the checked value is stored through object.__setattr__
+        object.__setattr__(self, "P", _check_integer(self.P, 1, MAX_NODES, "radial band limit"))
         lo, hi = TAU_RANGE
         if not lo <= self.tau <= hi:
             raise ValueError(f"radial scale must be in [{lo:g}, {hi:g}], got {self.tau}")

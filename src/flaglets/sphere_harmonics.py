@@ -24,6 +24,16 @@ the odd degrees of an order project onto.  The inverse sums the tiles of a
 group of orders in one order-major buffer and unfolds it the same way, into
 each Fourier column once.  The forward copies the folded Fourier columns of
 every order once per block of grids, and every tile reads them there.
+
+Real signals take the same loops with the +-m axis cut to the +m half.  A
+grid is real when its dtype is real (SphereGrid keeps float64 samples), and
+coefficients are those of real signals exactly when they are Hermitian,
+f_{l,-m} = (-1)^m conj f_lm with Im f_l0 = 0, which each public entry point
+checks once on its input (_is_hermitian).  The forward then folds in
+float64, takes an rfft, projects the m >= 0 columns only and makes the -m
+coefficients from the +m ones; the inverse gathers m >= 0 only and takes an
+irfft of the half spectrum.  That halves the FFT work, the GEMM columns and
+the scatter, and a real grid is half the bytes of a complex one.
 """
 
 from __future__ import annotations
@@ -74,8 +84,8 @@ _LEGENDRE_BLOCK_BYTES = 2 << 20
 _LEGENDRE_TILE_DEPTH = 10
 
 
-def _check_band_limit(L: int) -> None:
-    _check_integer(L, 1, MAX_BAND_LIMIT, "band limit")
+def _check_band_limit(L: int) -> int:
+    return _check_integer(L, 1, MAX_BAND_LIMIT, "band limit")
 
 
 def coeff_index(ell: int, m: int) -> int:
@@ -89,20 +99,56 @@ def window_coeffs(coeffs: np.ndarray, window: np.ndarray) -> np.ndarray:
     return coeffs * np.repeat(window, 2 * np.arange(L) + 1, axis=-1)
 
 
+def _negative_orders(L: int):
+    """Flat indices of (l, -m) and of (l, m) for 1 <= m <= l < L, and (-1)^m."""
+    ells = np.repeat(np.arange(L), np.arange(L))  # degree l once for each m = 1..l
+    ms = np.arange(ells.size) - ells * (ells - 1) // 2 + 1
+    centre = ells * (ells + 1)
+    return centre - ms, centre + ms, 1.0 - 2.0 * (ms % 2)
+
+
+def _is_hermitian(coeffs: np.ndarray, L: int) -> bool:
+    """True when every row of coeffs (..., L^2) is the expansion of a real
+    signal: Im f_l0 == 0 and f_{l,-m} == (-1)^m conj f_lm, compared with ==.
+
+    Order 0 is read first, so complex input is told apart after O(L) reads
+    per row; NaN is never Hermitian.
+    """
+    rows = coeffs.reshape(-1, L * L)
+    ells = np.arange(L)
+    if np.any(rows[:, ells * (ells + 1)].imag != 0.0):
+        return False
+    neg, pos, sign = _negative_orders(L)
+    return all(np.array_equal(row[neg], sign * row[pos].conj()) for row in rows)
+
+
+def _fill_negative_orders(coeffs: np.ndarray, L: int) -> None:
+    """Set f_{l,-m} = (-1)^m conj f_lm for m >= 1 in place, in every row of
+    coeffs (..., L^2): exactly Hermitian wherever Im f_l0 == 0."""
+    neg, pos, sign = _negative_orders(L)
+    coeffs[..., neg] = sign * coeffs[..., pos].conj()
+
+
+def _grid_dtype(values) -> type:
+    """float64 for real samples, complex128 for complex ones."""
+    return np.complex128 if np.iscomplexobj(values) else np.float64
+
+
 @dataclass
 class SphereGrid:
     """Samples of a function on the exact sphere grid at band limit L.
 
     values has shape (L, 2L-1), row i holding the equispaced longitudes at
-    colatitude theta_i (theta descending).
+    colatitude theta_i (theta descending); float64 for real samples,
+    complex128 otherwise.
     """
 
     L: int
     values: np.ndarray
 
     def __post_init__(self):
-        _check_band_limit(self.L)
-        self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
+        self.L = _check_band_limit(self.L)
+        self.values = np.ascontiguousarray(self.values, dtype=_grid_dtype(self.values))
         if self.values.shape != (self.L, 2 * self.L - 1):
             raise ValueError(
                 f"grid shape {self.values.shape} does not match band limit {self.L}"
@@ -117,7 +163,7 @@ class SphereCoeffs:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        _check_band_limit(self.L)
+        self.L = _check_band_limit(self.L)
         self.coeffs = np.ascontiguousarray(self.coeffs, dtype=np.complex128)
         if self.coeffs.shape != (self.L * self.L,):
             raise ValueError(
@@ -282,7 +328,9 @@ class SpherePlan:
     mod 2) and s = 0, 1, and 0 past the band limit, where the table rows are
     zero; `valid` lists the flat positions in `index` that the forward
     transform stores, each coefficient once, in coefficient order; `dest` =
-    index.flat[valid].
+    index.flat[valid].  The maps of a real pass keep the +m entries (s = 0)
+    of valid and dest only, at their positions in index[..., :1]; a cached
+    plan makes them at its first real pass and keeps them too.
     """
 
     # folded blocks are O(L^3/4) doubles; beyond this, regenerate per pass
@@ -304,7 +352,7 @@ class SpherePlan:
         self.fold_weights = np.concatenate((weights, weights[odd:]))
         if odd:
             self.fold_weights[0] *= 0.5
-        self._tiles = None
+        self._tiles = self._real_tiles = None
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
@@ -335,26 +383,39 @@ class SpherePlan:
             return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * (L - self.half)))), L
         return L, min(L, _LEGENDRE_TILE_DEPTH)
 
-    def tables(self, rows: int = 1):
+    def tables(self, rows: int = 1, real: bool = False):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
         Past _CACHE_LIMIT a pass for at most one forward FFT block of `rows`
         yields all-order tiles, each overwritten by the next one, and a pass
-        for more rows blocks of orders.
+        for more rows blocks of orders.  With `real` the maps serve the
+        forward of real grids (+m entries only).
         """
         if self._tiles is not None:
-            yield from self._tiles
+            if real and self._real_tiles is None:
+                self._real_tiles = [(*entry[:3], _real_maps(entry[3])) for entry in self._tiles]
+            yield from self._real_tiles if real else self._tiles
             return
         L, nodes = self.L, self.rule.nodes[self.half :]
         cached = L <= self._CACHE_LIMIT
         kept = []
         for m0, k0, tile in _legendre_tiles(L, nodes, *self._tile_shape(rows)):
-            entry = (m0, k0, tile, self._tile_maps(m0, k0, *tile.shape[:2]))
+            maps = self._tile_maps(m0, k0, *tile.shape[:2])
             if cached:
-                kept.append(entry)
-            yield entry
+                kept.append((m0, k0, tile, maps))
+            yield m0, k0, tile, _real_maps(maps) if real else maps
         if cached:
             self._tiles = kept
+
+
+def _real_maps(maps):
+    """The maps of a real pass: the stored +m entries, which sit at the even
+    flat positions 2q of index and at q of index[..., :1]."""
+    out = []
+    for index, valid, dest in maps:
+        plus = valid % 2 == 0
+        out.append((index, valid[plus] // 2, dest[plus]))
+    return out
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -363,8 +424,11 @@ def get_plan(L: int) -> SpherePlan:
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Real matrix times complex matrix as one real GEMM over (re, im) pairs."""
+    """Real matrix times a matrix of z's dtype as one real GEMM: a complex z
+    is taken as (re, im) pairs."""
     z = np.ascontiguousarray(z)
+    if not np.iscomplexobj(z):
+        return a @ z
     return (a @ z.view(np.float64)).view(np.complex128)
 
 
@@ -389,16 +453,22 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     `grids` may be a list of grids or an array of them; it is never stacked.
     Per block of grids, chunks of at most _FOLD_CHUNK_BYTES of rows are
     folded about the equator, f(x) + f(-x) then f(x) - f(-x) on the half
-    nodes, FFT'd in place along their contiguous last axis, and the +m and -m
-    Fourier columns of every order copied out of them weighted and signed.
-    Per tile and parity, the columns of the sums (even l + m) or the
-    differences (odd l + m) of the tile's orders are projected by one stacked
-    GEMM over the orders, and the stored degrees scattered through the tile's
-    maps.  Past the table cache the tiles are regenerated per block of grids,
-    since generating them once would hold a full-size Fourier copy.
+    nodes, FFT'd along their contiguous last axis, and the Fourier columns of
+    every order copied out of them weighted and signed: +m and -m for complex
+    grids (S = 2), and for real grids only +m, from an rfft of rows folded in
+    float64 (S = 1).  Per tile and parity, the columns of the sums (even
+    l + m) or the differences (odd l + m) of the tile's orders are projected
+    by one stacked GEMM over the orders, on 2 S float columns per grid, and
+    the stored degrees scattered through the tile's maps.  The -m
+    coefficients of real grids are then made from the +m ones, so they are
+    exactly Hermitian.  Past the table cache the tiles are regenerated per
+    block of grids, since generating them once would hold a full-size
+    Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
+    real = not any(np.iscomplexobj(g) for g in grids)
+    S = 1 if real else 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
     rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step)))
@@ -406,77 +476,95 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     # sign s, grid r) and the work space for a chunk of folded rows or a tile's
     # projections and stored degrees (the first tile's are the largest).  Two
     # allocations of about a grid block each upset glibc's dynamic mmap
-    # threshold: a cold L = P = 32 flaglet denoising pass faulted 56k pages, not 39k
+    # threshold: a cold L = P = 32 flaglet denoising pass faulted 56k pages, not 39k.
+    # A real chunk is folded in float64 and its L rfft columns written after it
     orders, depth = plan._tile_shape()
-    ncols = L * L * 2 * step
-    proj_size = orders * ((depth + 1) // 2) * 2 * step
-    buf = np.empty(ncols + max(rows * nphi * step, 2 * proj_size), dtype=np.complex128)
+    ncols = L * L * S * step
+    proj_size = orders * ((depth + 1) // 2) * S * step
+    fold_size = rows * step * ((nphi + 1) // 2 + L if real else nphi)
+    buf = np.empty(ncols + max(fold_size, 2 * proj_size), dtype=np.complex128)
     work = buf[ncols:]
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        columns = buf[: L * L * 2 * n].reshape(L, L, 2, n)
+        columns = buf[: L * L * S * n].reshape(L, L, S, n)
         for j0 in range(0, L, rows):
             j1 = min(j0 + rows, L)
-            fm = work[: n * (j1 - j0) * nphi].reshape(n, j1 - j0, nphi)
+            size = n * (j1 - j0) * nphi
+            if real:
+                folded = work.view(np.float64)[:size].reshape(n, j1 - j0, nphi)
+                fm = work[(size + 1) // 2 :][: n * (j1 - j0) * L].reshape(n, j1 - j0, L)
+            else:
+                folded = fm = work[:size].reshape(n, j1 - j0, nphi)
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
-            for dst, src in zip(fm, block):
+            for dst, src in zip(folded, block):
                 north, south = src[half:], src[nh - 1 :: -1]
                 np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
                 np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
-            np.fft.fft(fm, axis=-1, out=fm)
+            if real:
+                np.fft.rfft(folded, axis=-1, out=fm)
+            else:
+                np.fft.fft(fm, axis=-1, out=fm)
             # weighted, signed +m and -m columns; the -0 column of order 0 is zero
-            for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)):
+            for s, (lo, cols) in enumerate(_column_ranges(L, 0, L)[:S]):
                 weights = np.multiply.outer(plan.signs[cols], plan.fold_weights[j0:j1])
                 np.multiply(
                     fm[:, :, cols].transpose(2, 1, 0),
                     weights[..., None],
                     out=columns[lo:, j0:j1, s],
                 )
-            columns[0, j0:j1, 1] = 0.0
+            if not real:
+                columns[0, j0:j1, 1] = 0.0
         out_t = out[start : start + n].T
-        for m0, k0, tile, maps in plan.tables():
+        for m0, k0, tile, maps in plan.tables(real=real):
             nb = tile.shape[0]
             for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
                 nodes = fold.stop - fold.start
-                proj = work[: index.size * n].reshape(-1, n)
+                size = index.size // 2 * S * n
+                proj = work[:size].reshape(-1, n)
                 np.matmul(
                     tile[:, (p - k0) % 2 :: 2, odd * p :],
-                    columns[m0 : m0 + nb, fold].view(np.float64).reshape(nb, nodes, 4 * n),
-                    out=proj.view(np.float64).reshape(nb, -1, 4 * n),
+                    columns[m0 : m0 + nb, fold].view(np.float64).reshape(nb, nodes, 2 * S * n),
+                    out=proj.view(np.float64).reshape(nb, -1, 2 * S * n),
                 )
-                stored = work[index.size * n : (index.size + valid.size) * n].reshape(-1, n)
+                stored = work[size : size + valid.size * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
                 out_t[dest] = stored
+    if real:
+        _fill_negative_orders(out, L)
     return out
 
 
-def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
-    """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1).
+def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.ndarray:
+    """Inverse SHT of every row of coeffs (..., L^2); returns (..., L, 2L-1),
+    float64 when `real` says the rows are Hermitian (_is_hermitian), complex
+    otherwise.
 
     A tile from k0 = 0 starts a group of orders; the later tiles of a pass
     hold those of its orders that still run.  For each tile and block of at
     most _fft_block_grids rows, the tile's maps gather the +m and -m
-    coefficients of each parity, and one stacked GEMM per parity synthesises
-    the even and odd sums S_even, S_odd on the half nodes into the
-    order-major buffer sums[parity, order, node, +-m, row].  A tile from
-    k0 = 0 writes it; a later tile adds its GEMM there through a scratch of
-    _FOLD_CHUNK_BYTES, block of orders by block of orders.  After a group's
-    last tile f(+-x) = S_even +- S_odd is written into its orders' Fourier
-    columns once, which are then signed, scaled and inverse-FFT'd in place.
-    A group of several tiles holds its sums for every row, about a grid per
-    row, so only an inverse of at most one block of rows steps all orders at
-    once (SpherePlan._tile_shape).
+    coefficients of each parity (S = 2), or only the +m ones of real rows
+    (S = 1), and one stacked GEMM per parity synthesises the even and odd
+    sums S_even, S_odd on the half nodes into the order-major buffer
+    sums[parity, order, node, s, row].  A tile from k0 = 0 writes it; a
+    later tile adds its GEMM there through a scratch of _FOLD_CHUNK_BYTES,
+    block of orders by block of orders.  After a group's last tile
+    f(+-x) = S_even +- S_odd is written into its orders' Fourier columns
+    once, which are then signed, scaled and inverse-FFT'd: in place, or for
+    real rows from the m >= 0 half spectrum by irfft.  A group of several
+    tiles holds its sums for every row, about a grid per row, so only an
+    inverse of at most one block of rows steps all orders at once
+    (SpherePlan._tile_shape).
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
-    nh = L - half
+    nh, S = L - half, 1 if real else 2
     rows = coeffs.reshape(-1, L * L)
-    g = np.empty((rows.shape[0], L, nphi), dtype=np.complex128)
+    g = np.empty((rows.shape[0], L, L if real else nphi), dtype=np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
-    per_order, buf = nh * 2 * step, None
+    per_order, buf = nh * S * step, None
     for m0, k0, tile, maps in plan.tables(len(rows)):
         nb, dk = tile.shape[:2]
         if buf is None:
@@ -489,11 +577,11 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             n = len(block)
-            sums = buf[: 2 * group * nh * 2 * n].reshape(2, group, nh, 2, n)
-            part = scratch[: chunk * nh * 4 * n].reshape(chunk, nh, 4 * n)
+            sums = buf[: 2 * group * nh * S * n].reshape(2, group, nh, S, n)
+            part = scratch[: chunk * nh * 2 * S * n].reshape(chunk, nh, 2 * S * n)
             for p, (index, _, _) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
-                sums_p = sums[p].view(np.float64).reshape(group, nh, 4 * n)
+                sums_p = sums[p].view(np.float64).reshape(group, nh, 2 * S * n)
                 width = chunk if k0 else nb
                 for i in range(0, nb, width):
                     j = min(i + width, nb)
@@ -502,19 +590,22 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan) -> np.ndarray:
                     # raised the peak RSS of a 64-shell inverse at L = 128 by 1.5 MB
                     np.matmul(
                         values[i:j],
-                        block.T[index[i:j]].view(np.float64).reshape(j - i, -1, 4 * n),
+                        block.T[index[i:j, :, :S]].view(np.float64).reshape(j - i, -1, 2 * S * n),
                         out=out,
                     )
                     if k0:
                         sums_p[i:j] += out
             if k0 + dk == L - m0:  # the group's last tile
                 here = slice(start, start + n)
-                for s, (lo, cols) in enumerate(_column_ranges(L, m0, group)):
+                for s, (lo, cols) in enumerate(_column_ranges(L, m0, group)[:S]):
                     even, odd = sums[:, lo:, :, s].transpose(0, 2, 3, 1)
                     np.add(even, odd, out=north[here, :, cols].transpose(1, 0, 2))
                     np.subtract(even, odd, out=south[here, :, cols].transpose(1, 0, 2))
-    g *= plan.signs / math.sqrt(2.0 * np.pi)
-    np.fft.ifft(g, axis=-1, norm="forward", out=g)
+    g *= plan.signs[: g.shape[-1]] / math.sqrt(2.0 * np.pi)
+    if real:
+        g = np.fft.irfft(g, n=nphi, axis=-1, norm="forward")
+    else:
+        np.fft.ifft(g, axis=-1, norm="forward", out=g)
     return g.reshape(coeffs.shape[:-1] + (L, nphi))
 
 
@@ -531,8 +622,9 @@ def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeff
     """Forward spherical harmonic transform, exact for band-limited input.
 
     f_lm = sum_i sum_k w_i (2 pi / (2L-1)) f(theta_i, phi_k) conj(Y_lm),
-    with the k-sum carried out by FFT.  Raises ValueError if `plan` was
-    built for another band limit.
+    with the k-sum carried out by FFT.  The coefficients of a real grid are
+    exactly Hermitian.  Raises ValueError if `plan` was built for another
+    band limit.
     """
     return SphereCoeffs(grid.L, _sht_forward_batch([grid.values], _plan_for(grid.L, plan))[0])
 
@@ -540,6 +632,9 @@ def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeff
 def sht_inverse(coeffs: SphereCoeffs, plan: SpherePlan | None = None) -> SphereGrid:
     """Inverse spherical harmonic transform onto the exact grid.
 
-    Raises ValueError if `plan` was built for another band limit.
+    Exactly Hermitian coefficients give a real (float64) grid.  Raises
+    ValueError if `plan` was built for another band limit.
     """
-    return SphereGrid(coeffs.L, _sht_inverse_batch(coeffs.coeffs, _plan_for(coeffs.L, plan)))
+    plan = _plan_for(coeffs.L, plan)
+    real = _is_hermitian(coeffs.coeffs, coeffs.L)
+    return SphereGrid(coeffs.L, _sht_inverse_batch(coeffs.coeffs, plan, real))

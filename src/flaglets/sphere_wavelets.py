@@ -25,6 +25,7 @@ from .sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
     _fft_block_grids,
+    _is_hermitian,
     _sht_forward_batch,
     _sht_inverse_batch,
     get_plan,
@@ -65,7 +66,8 @@ def _runs(bands: list[int], cap=None):
 def sphere_analyze(
     f: SphereCoeffs, kernels: SphereKernels, multires: bool = False
 ) -> SphereDecomposition:
-    """Decompose harmonic coefficients into scaling and wavelet grids."""
+    """Decompose harmonic coefficients into scaling and wavelet grids; those
+    of exactly Hermitian coefficients are real (float64)."""
     L = f.L
     if kernels.L != L:
         raise ValueError(f"kernel band limit {kernels.L} does not match signal {L}")
@@ -73,12 +75,13 @@ def sphere_analyze(
     scales = range(kernels.j0, kernels.jmax + 1)
     windows = [kernels.eta, *kernels.kappas]
     bands = sphere_part_bands(L, kernels.params, multires)
+    real = _is_hermitian(f.coeffs, L)
     grids = []
     for band, part in _runs(bands):
         # the first band^2 flat indices hold exactly the degrees below band
         stacked = np.stack([w[:band] for w in windows[part]])
         windowed = window_coeffs(f.coeffs[: band * band], stacked)
-        grids += [SphereGrid(band, g) for g in _sht_inverse_batch(windowed, get_plan(band))]
+        grids += [SphereGrid(band, g) for g in _sht_inverse_batch(windowed, get_plan(band), real)]
     wavelets = dict(zip(scales, grids[1:]))
     return SphereDecomposition(L, kernels.params.lam, kernels.j0, grids[0], wavelets, multires)
 
@@ -104,7 +107,8 @@ def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereC
     out = np.zeros(L * L, dtype=np.complex128)
     windows = [kernels.eta, *kernels.kappas]
     # the engine regenerates streamed tables per FFT block anyway, so a call
-    # larger than one block would only hold more coefficient rows
+    # larger than one block would only hold more coefficient rows.  It takes
+    # the real path when every grid of a call is real
     for band, part in _runs(bands, _fft_block_grids):
         coeffs = _sht_forward_batch([g.values for g in grids[part]], get_plan(band))
         for c, w in zip(coeffs, windows[part]):

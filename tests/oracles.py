@@ -8,6 +8,7 @@ transform they are built from: one full FLAG transform per part, windowed
 by the 2D window Psi^{jj'} itself.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -69,13 +70,26 @@ def naive_sht_inverse(coeffs, L):
     return values
 
 
-def naive_flag_forward(values, limits):
-    """Direct-sum Fourier-Laguerre forward transform (angular then radial)."""
+def hermitian_coeffs(rng, L, shape=()):
+    """Random coefficients (*shape, L^2) of real signals: f_l0 real and
+    f_{l,-m} = (-1)^m conj f_lm, set degree by degree."""
+    size = shape + (L * L,)
+    c = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    for ell in range(L):
+        centre, ms = ell * ell + ell, np.arange(1, ell + 1)
+        c[..., centre] = c[..., centre].real
+        c[..., centre - ms] = (-1.0) ** ms * np.conj(c[..., centre + ms])
+    return c
+
+
+def naive_flag_forward(values, limits, sht=naive_sht_forward):
+    """Direct-sum Fourier-Laguerre forward transform (angular then radial);
+    `sht` is the per-shell oracle (direct_sht_forward past small L)."""
     L, P = limits.L, limits.P
     _, wr = radial_nodes(limits.radial)
     radii, _ = radial_nodes(limits.radial)
     kmat = basis_matrix(limits.radial, radii)  # (P, P shells)
-    shell = np.array([naive_sht_forward(values[i], L) for i in range(P)])
+    shell = np.array([sht(values[i], L) for i in range(P)])
     coeffs = np.zeros((P, L * L), dtype=np.complex128)
     for p in range(P):
         for i in range(P):
@@ -83,8 +97,9 @@ def naive_flag_forward(values, limits):
     return coeffs
 
 
-def naive_flag_inverse(coeffs, limits):
-    """Direct-sum Fourier-Laguerre synthesis at the exact grid."""
+def naive_flag_inverse(coeffs, limits, sht=naive_sht_inverse):
+    """Direct-sum Fourier-Laguerre synthesis at the exact grid; `sht` is the
+    per-shell oracle (direct_sht_inverse past small L)."""
     L, P = limits.L, limits.P
     radii, _ = radial_nodes(limits.radial)
     kmat = basis_matrix(limits.radial, radii)
@@ -93,7 +108,7 @@ def naive_flag_inverse(coeffs, limits):
         shell = np.zeros(L * L, dtype=np.complex128)
         for p in range(P):
             shell += coeffs[p] * kmat[p, i]
-        values[i] = naive_sht_inverse(shell, L)
+        values[i] = sht(shell, L)
     return values
 
 
@@ -150,8 +165,10 @@ def legendre_per_order(L, m, xs):
     return out
 
 
+@functools.lru_cache(maxsize=1)
 def _direct_tables(L):
-    """Gauss-Legendre weights, longitudes and the per-order tables at every node."""
+    """Gauss-Legendre weights, longitudes and the per-order tables at every node
+    (kept for the last L: 108 MB and 2 s at L = 300)."""
     rule = gauss_legendre(L)
     _, phis = sphere_sampling(L)
     return rule.weights, phis, [legendre_per_order(L, m, rule.nodes) for m in range(L)]

@@ -10,6 +10,7 @@ from flaglets import cli
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward
 from flaglets.io_container import read_container
+from flaglets.sphere_harmonics import _is_hermitian
 
 
 def run(capsys, *argv):
@@ -25,6 +26,36 @@ class TestRoundtrip:
         report = json.loads(out)
         assert set(report) >= {"L", "P", "tau", "seed", "max_abs_err", "rel_err", "seconds"}
         assert report["rel_err"] < 1e-9
+        assert 0 < report["real_max_abs_err"] and report["real_rel_err"] < 1e-9
+
+    def test_real_errors_are_those_of_the_hermitian_part_of_the_same_seed(self, capsys):
+        limits = cli.BandLimits(6, 3, 1.0)
+        coeffs = cli.random_flag_coeffs(limits, 4)
+        real = cli._hermitian_part(coeffs)
+        assert _is_hermitian(real.coeffs, 6)
+        # the seed's m > 0 coefficients are kept
+        plus = np.array([l * l + l + m for l in range(6) for m in range(1, l + 1)])
+        assert np.array_equal(real.coeffs[:, plus], coeffs.coeffs[:, plus])
+        grid = cli.flag_inverse(real)
+        assert grid.values.dtype == np.float64
+        want = cli._roundtrip_errors(flag_forward(grid), real)
+        argv = ["roundtrip", "--L", "6", "--P", "3", "--seed", "4", "--format", "json"]
+        code, out, _ = run(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0 and (report["real_max_abs_err"], report["real_rel_err"]) == want
+
+    def test_an_inexact_real_round_trip_fails_after_the_report(self, capsys, monkeypatch):
+        def off_when_real(grid):
+            coeffs = flag_forward(grid)
+            if grid.values.dtype == np.float64:
+                coeffs.coeffs *= 1.001
+            return coeffs
+
+        monkeypatch.setattr(cli, "flag_forward", off_when_real)
+        code, out, _ = run(capsys, "roundtrip", "--L", "4", "--P", "4", "--format", "json")
+        report = json.loads(out)
+        assert code == 1
+        assert report["rel_err"] < 1e-9 and report["real_rel_err"] > 1e-4
 
     def test_text_report(self, capsys):
         code, out, _ = run(capsys, "roundtrip", "--L", "4", "--P", "4", "--seed", "3")

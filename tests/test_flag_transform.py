@@ -19,9 +19,23 @@ from flaglets.flag_transform import (
 )
 from flaglets.quadrature import MAX_NODES
 from flaglets.radial_laguerre import RadialParams, laguerre_basis, radial_nodes
-from flaglets.sphere_harmonics import SphereCoeffs, coeff_index, get_plan, sht_inverse
+from flaglets.sphere_harmonics import (
+    SphereCoeffs,
+    _is_hermitian,
+    coeff_index,
+    get_plan,
+    sht_inverse,
+)
 
-from oracles import naive_flag_forward, naive_flag_inverse
+from oracles import (
+    direct_sht_forward,
+    direct_sht_inverse,
+    hermitian_coeffs,
+    naive_flag_forward,
+    naive_flag_inverse,
+    naive_sht_forward,
+    naive_sht_inverse,
+)
 
 
 def random_flag(limits, rng):
@@ -99,6 +113,45 @@ class TestAgainstNaive:
         fast = flag_forward(BallGrid(limits, values)).coeffs
         slow = naive_flag_forward(values, limits)
         assert np.max(np.abs(fast - slow)) < 1e-11
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestRealSignals:
+    @pytest.mark.parametrize(
+        "L, P", [(1, 3), (2, 2), (3, 2), (7, 3), (32, 4), (33, 3), (257, 2), (300, 2)]
+    )
+    def test_real_path_matches_complex_path_and_direct_sums(self, L, P):
+        # past the table cache (257, 300) two shells take all-order streamed tiles
+        limits = BandLimits(L, P, 1.0)
+        rng = np.random.default_rng(L + P)
+        c, other = hermitian_coeffs(rng, L, (P,)), hermitian_coeffs(rng, L, (P,))
+        grid = flag_inverse(FlagCoeffs(limits, c)).values
+        assert grid.dtype == np.float64
+        # the transform is linear: c + i other takes the complex path, and its
+        # real part is the grid of c
+        both = flag_inverse(FlagCoeffs(limits, c + 1j * other)).values
+        assert both.dtype == np.complex128
+        assert rel_err(grid, both.real) <= 1e-14
+        oracles = (naive_sht_inverse, naive_sht_forward) if L <= 7 else (
+            direct_sht_inverse, direct_sht_forward
+        )
+        assert rel_err(grid, naive_flag_inverse(c, limits, oracles[0])) < 1e-13 * L
+        coeffs = flag_forward(BallGrid(limits, grid)).coeffs
+        assert _is_hermitian(coeffs, L)  # exactly: -m is made from +m after the radial GEMM
+        assert rel_err(coeffs, flag_forward(BallGrid(limits, grid + 0j)).coeffs) <= 1e-14
+        assert rel_err(coeffs, naive_flag_forward(grid, limits, oracles[1])) < 1e-13 * L
+        assert rel_err(coeffs, c) < 1e-13 * L
+
+    def test_real_grids_stay_real_and_complex_grids_complex(self):
+        limits = BandLimits(4, 3, 1.0)
+        assert BallGrid(limits, np.zeros((3, 4, 7))).values.dtype == np.float64
+        assert BallGrid(limits, np.zeros((3, 4, 7), dtype=int)).values.dtype == np.float64
+        assert BallGrid(limits, np.zeros((3, 4, 7), dtype=complex)).values.dtype == np.complex128
+        # zero coefficients are Hermitian, so their grid is real
+        assert flag_inverse(FlagCoeffs(limits, np.zeros((3, 16)))).values.dtype == np.float64
 
 
 class TestPlanCaches:
@@ -212,6 +265,17 @@ class TestValidation:
             with pytest.raises(ValueError, match="band limit must be an integer"):
                 BandLimits(L, P, 1.0)
         assert BandLimits(np.int64(4), np.int32(4)).radial == RadialParams(4, 1.0)
+
+    def test_narrow_integer_limits_are_kept_as_python_ints(self):
+        # L * L of a uint8 20 wraps to 144 (with an overflow warning); the
+        # checked limits are stored as ints, so the shape check sees 400
+        limits = BandLimits(np.uint8(20), np.uint8(4))
+        assert (type(limits.L), type(limits.P)) == (int, int)
+        assert limits == BandLimits(20, 4)
+        assert FlagCoeffs(limits, np.zeros((4, 400))).coeffs.shape == (4, 400)
+        with pytest.raises(ValueError, match="does not match"):
+            FlagCoeffs(limits, np.zeros((4, 144)))
+        assert type(RadialParams(np.uint8(200)).P) is int
 
     def test_rejects_wrong_shapes(self):
         limits = BandLimits(4, 4, 1.0)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import per_part_flaglet_analyze, per_part_flaglet_synthesize
+from oracles import hermitian_coeffs, per_part_flaglet_analyze, per_part_flaglet_synthesize
 
 from flaglets import flag_transform, flaglet_transform
 from flaglets.cli import blob_field, random_flag_coeffs
@@ -21,7 +21,7 @@ from flaglets.kernel_tiling import (
     scale_range,
 )
 from flaglets.radial_laguerre import RadialParams
-from flaglets.sphere_harmonics import get_plan
+from flaglets.sphere_harmonics import _is_hermitian, get_plan
 
 
 def rel_err(a, b):
@@ -104,9 +104,9 @@ class TestEngineCalls:
         def record(module, name):
             real = getattr(module, name)
 
-            def wrapped(data, plan):
+            def wrapped(data, plan, *rest):
                 calls.append((module.__name__, name, plan.L))
-                return real(data, plan)
+                return real(data, plan, *rest)
 
             monkeypatch.setattr(module, name, wrapped)
 
@@ -179,19 +179,32 @@ class TestRoundTrips:
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "n, j0, multires", [(64, 0, False), (64, 0, True), (128, 6, False), (128, 0, True)]
+        "n, j0, multires, real",
+        [
+            pytest.param(64, 0, False, False, id="64-0-False"),
+            pytest.param(64, 0, True, False, id="64-0-True"),
+            pytest.param(128, 6, False, False, id="128-6-False"),
+            pytest.param(128, 0, True, False, id="128-0-True"),
+            pytest.param(128, 0, True, True, id="128-0-True-real"),
+        ],
     )
-    def test_error_envelope_to_128(self, n, j0, multires):
+    def test_error_envelope_to_128(self, n, j0, multires, real):
         # max |error| / (eps (L + P) max|f|) measured 1.18-1.26 at (64, 64) and
         # 1.57-1.92 at (128, 128) over seeds 0-3; the FLAG round trip alone
         # measures 2.3-6.3.  A full-resolution decomposition of the whole
         # tiling at (128, 128) would hold 65 grids of 67 MB, so that case keeps
-        # the finest scales only (j0 = 6), and the scaling part takes the rest
+        # the finest scales only (j0 = 6), and the scaling part takes the rest.
+        # A real field (Hermitian coefficients) takes the real path throughout
         limits = BandLimits(n, n, 1.0)
         kernels = build_flaglet_kernels(limits, TilingParams(j0_ang=j0, j0_rad=j0))
         for seed in range(2):
-            f = random_flag_coeffs(limits, seed)
-            back = flaglet_synthesize(flaglet_analyze(f, kernels, multires=multires), kernels)
+            if real:
+                f = FlagCoeffs(limits, hermitian_coeffs(np.random.default_rng(seed), n, (n,)))
+            else:
+                f = random_flag_coeffs(limits, seed)
+            d = flaglet_analyze(f, kernels, multires=multires)
+            assert d.scaling.values.dtype == (np.float64 if real else np.complex128)
+            back = flaglet_synthesize(d, kernels)
             err = np.max(np.abs(back.coeffs - f.coeffs))
             assert err < 4 * np.finfo(float).eps * 2 * n * np.max(np.abs(f.coeffs)), seed
 
@@ -205,6 +218,54 @@ class TestRoundTrips:
             total += float(np.sum(np.abs(flag_forward(grid).coeffs) ** 2))
         energy = float(np.sum(np.abs(f.coeffs) ** 2))
         assert abs(total - energy) < 1e-10 * energy
+
+
+class TestRealFields:
+    """A real field's coefficients are Hermitian, and its maps real."""
+
+    @staticmethod
+    def noisy_blobs(limits, seed):
+        field = blob_field(limits, 3, 0.5, 1.5, seed=seed)
+        noise = 0.1 * np.random.default_rng(seed).standard_normal(field.values.shape)
+        return flag_forward(BallGrid(limits, field.values + noise))
+
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_maps_are_float64_and_keep_the_energy(self, multires):
+        limits = BandLimits(16, 16, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams())
+        f = self.noisy_blobs(limits, 6)
+        assert _is_hermitian(f.coeffs, limits.L)
+        d = flaglet_analyze(f, kernels, multires=multires)
+        assert all(g.values.dtype == np.float64 for g in [d.scaling, *d.wavelets.values()])
+        energy = float(np.vdot(f.coeffs, f.coeffs).real)
+        assert abs(sum(d.scale_energies().values()) - energy) <= 1e-12 * energy
+        for got, ref in zip(_parts(d), _parts(per_part_flaglet_analyze(f, kernels, multires))):
+            assert rel_err(got.values, ref.values) < 1e-13
+        back = flaglet_synthesize(d, kernels).coeffs
+        assert _is_hermitian(back, limits.L)  # exactly, by construction
+        assert rel_err(back, f.coeffs) < 1e-13
+
+    def test_denoised_maps_stay_real_and_give_a_real_field(self):
+        limits = BandLimits(8, 8, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams())
+        d = flaglet_analyze(self.noisy_blobs(limits, 7), kernels)
+        for mode in ("hard", "soft"):
+            kept = threshold_denoise(d, 0.05, mode)
+            parts = [kept.scaling, *kept.wavelets.values()]
+            assert all(g.values.dtype == np.float64 for g in parts)
+            assert flag_inverse(flaglet_synthesize(kept, kernels)).values.dtype == np.float64
+
+    def test_a_complex_part_takes_the_complex_path_for_all(self):
+        limits = BandLimits(8, 8, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams())
+        f = self.noisy_blobs(limits, 8)
+        d = flaglet_analyze(f, kernels)
+        real = flaglet_synthesize(d, kernels).coeffs
+        key = next(iter(d.wavelets))
+        d.wavelets[key] = BallGrid(d.wavelets[key].limits, d.wavelets[key].values + 0j)
+        mixed = flaglet_synthesize(d, kernels).coeffs
+        assert rel_err(mixed, real) < 1e-14
+        assert rel_err(mixed, f.coeffs) < 1e-13
 
 
 class TestMultires:

@@ -1,5 +1,6 @@
 """Binary container round trips for every serializable object."""
 
+import copy
 import hashlib
 import io
 import math
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaglets.cli import random_flag_coeffs
-from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_inverse
+from flaglets.cli import blob_field, random_flag_coeffs
+from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
 from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze
 from flaglets.cli import main
 from flaglets.io_container import (
@@ -34,7 +35,7 @@ from flaglets.kernel_tiling import (
     build_flaglet_kernels,
     build_sphere_kernels,
 )
-from flaglets.sphere_harmonics import SphereCoeffs, SphereGrid, sht_inverse
+from flaglets.sphere_harmonics import SphereCoeffs, SphereGrid, sht_forward, sht_inverse
 from flaglets.sphere_wavelets import SphereDecomposition, sphere_analyze
 
 
@@ -120,6 +121,30 @@ class TestRoundTrips:
         for key in d.wavelets:
             assert np.array_equal(back.wavelets[key].values, d.wavelets[key].values)
 
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_real_objects_read_back_float64_bit_for_bit(self, multires):
+        # the grids and decompositions of a real field keep float64 values, and
+        # their containers hold half the bytes of the complex ones
+        limits = BandLimits(8, 8, 1.0)
+        field = blob_field(limits, 2, 0.5, 1.5, seed=3)
+        shell = SphereGrid(8, field.values[3])
+        fk, sk = build_flaglet_kernels(limits, TilingParams()), build_sphere_kernels(8, TilingParams())
+        objs = [
+            field,
+            shell,
+            flaglet_analyze(flag_forward(field), fk, multires),
+            sphere_analyze(sht_forward(shell), sk, multires),
+        ]
+        for obj in objs:
+            raw = container_bytes(obj)
+            back = read_container(io.BytesIO(raw))
+            assert type(back) is type(obj)
+            for a, b in zip(payload_arrays(obj), payload_arrays(back), strict=True):
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes()
+            half = sum(a.nbytes for a in payload_arrays(obj))
+            assert len(container_bytes(_complex_copy(obj))) - len(raw) == half
+
     def test_path_io(self, tmp_path):
         c = random_flag_coeffs(BandLimits(4, 4, 1.0), 0)
         path = tmp_path / "coeffs.flg"
@@ -173,25 +198,45 @@ def payload_arrays(obj) -> list[np.ndarray]:
     return [obj.scaling.values, *(obj.wavelets[key].values for key in sorted(obj.wavelets))]
 
 
+def _complex_copy(obj):
+    """A copy of a grid or decomposition with complex128 values."""
+    obj = copy.deepcopy(obj)
+    single = isinstance(obj, (SphereGrid, BallGrid))
+    for grid in [obj] if single else [obj.scaling, *obj.wavelets.values()]:
+        grid.values = grid.values.astype(np.complex128)
+    return obj
+
+
 def _pinned_objects() -> dict:
     """One small object per container flavour, every payload value seeded and
     exactly representable, so the bytes do not depend on transform rounding."""
     limits = BandLimits(4, 3, 1.5)
     coeffs = random_flag_coeffs(limits, 5)
     sphere = SphereCoeffs(4, np.zeros(16, dtype=np.complex128))
+    # zero coefficients are Hermitian, so their grids are real; imaginary ones
+    # are not, so the complex sphere flavours are made from them
+    imaginary = SphereCoeffs(4, np.full(16, 1j))
+    real_coeffs = FlagCoeffs(limits, np.zeros((3, 16)))
     sk = build_sphere_kernels(4, TilingParams())
     fk = build_flaglet_kernels(limits, TilingParams(nu=3.0, j0_rad=1))
     objs = {
-        "sphere_grid": sht_inverse(sphere),
+        "sphere_grid": sht_inverse(imaginary),
         "sphere_coeffs": sphere,
         "ball_grid": flag_inverse(coeffs),
         "flag_coeffs": coeffs,
         "sphere_kernels": build_sphere_kernels(8, TilingParams(lam=3.0, j0_ang=1)),
         "flaglet_kernels": fk,
-        "sphere_decomposition": sphere_analyze(sphere, sk, multires=False),
-        "sphere_decomposition_multires": sphere_analyze(sphere, sk, multires=True),
+        "sphere_decomposition": sphere_analyze(imaginary, sk, multires=False),
+        "sphere_decomposition_multires": sphere_analyze(imaginary, sk, multires=True),
         "flaglet_decomposition": flaglet_analyze(coeffs, fk, multires=False),
         "flaglet_decomposition_multires": flaglet_analyze(coeffs, fk, multires=True),
+        # the real flavours come last, so the values drawn above stay as pinned
+        "real_sphere_grid": sht_inverse(sphere),
+        "real_ball_grid": flag_inverse(real_coeffs),
+        "real_sphere_decomposition": sphere_analyze(sphere, sk, multires=False),
+        "real_sphere_decomposition_multires": sphere_analyze(sphere, sk, multires=True),
+        "real_flaglet_decomposition": flaglet_analyze(real_coeffs, fk, multires=False),
+        "real_flaglet_decomposition_multires": flaglet_analyze(real_coeffs, fk, multires=True),
     }
     rng = np.random.default_rng(2013)
     for obj in objs.values():
@@ -213,6 +258,20 @@ PINNED_CONTAINERS = {
         4376, "9de343fda324062f0c3fcb62530bed998b8fd32063527d02b1591366a08b4c18"
     ),
     "flaglet_kernels": (436, "37e305939c7677b10f0efaf9674c36db8dd2a906edfff43f7acebb4f29345369"),
+    "real_ball_grid": (700, "e6f9826fda208cbc5b4078213242d0b7d358886b75764dab317b1cc66e7710f7"),
+    "real_flaglet_decomposition": (
+        2744, "15eb0addb844ce2b092d17d706096dc891feaf08c5d578fc9bd3ae53cdf47a19"
+    ),
+    "real_flaglet_decomposition_multires": (
+        2216, "ab5e41bd2406bd9e36757b7569b3dac0576a2b1ac0b088d71624566a3926ac72"
+    ),
+    "real_sphere_decomposition": (
+        952, "fd333cafb09e5145ddde32b442da5b38d947c5b80732c782e0442026c89e3f2e"
+    ),
+    "real_sphere_decomposition_multires": (
+        600, "48c2392d29fbced075387fc9a1ab2db8717e89213b9cd3ab56f848a0ea122e49"
+    ),
+    "real_sphere_grid": (240, "3eaf552a9ce323101897dd8035caef289a5f5a845a56ccac6d1923b0e2ea5376"),
     "sphere_coeffs": (272, "38c3dc7d2cf7d65c32c2c0dd4ef4d6b5636ccc41aa2049349c396c7a0f6e136f"),
     "sphere_decomposition": (
         1848, "39468a7e0daf014889e67ab1ffb4c41a125a4479556bf15067fe1600015a4b22"
@@ -233,6 +292,12 @@ class TestPinnedFormat:
 
     def test_every_flavour_is_pinned(self):
         assert set(_pinned_objects()) == set(PINNED_CONTAINERS)
+
+    def test_real_flavours_hold_float64_grids_and_the_others_complex(self):
+        for name, obj in _pinned_objects().items():
+            if "grid" in name or "decomposition" in name:
+                want = np.float64 if name.startswith("real_") else np.complex128
+                assert all(a.dtype == want for a in payload_arrays(obj)), name
 
 
 class TestErrors:
@@ -430,6 +495,27 @@ class TestNonFiniteHeaders:
 
 
 class TestOutOfRangeHeaders:
+    @pytest.mark.parametrize("flags", [0xFFFFFFF0, 8, 2**31, 4 | 16])
+    def test_unknown_decomposition_flag_bits_are_header_errors(self, flags):
+        # the flags word sits at bytes 28..32 of a decomposition container;
+        # bits 0, 1 and 2 are multiresolution, sphere and real parts
+        coeffs = random_flag_coeffs(BandLimits(4, 3, 1.0), 5)
+        d = flaglet_analyze(coeffs, build_flaglet_kernels(coeffs.limits, TilingParams()))
+        raw = bytearray(container_bytes(d))
+        assert struct.unpack("<I", raw[28:32]) == (0,)
+        raw[28:32] = struct.pack("<I", flags)
+        with pytest.raises(HeaderError, match="flag bits"):
+            read_container(io.BytesIO(bytes(raw)))
+
+    def test_real_flag_on_complex_payload_is_a_length_mismatch(self):
+        # float64 payloads take half the bytes the complex ones hold
+        coeffs = random_flag_coeffs(BandLimits(4, 3, 1.0), 5)
+        d = flaglet_analyze(coeffs, build_flaglet_kernels(coeffs.limits, TilingParams()))
+        raw = bytearray(container_bytes(d))
+        raw[28:32] = struct.pack("<I", 4)
+        with pytest.raises(LengthMismatchError):
+            read_container(io.BytesIO(bytes(raw)))
+
     def test_extreme_radial_scale_is_header_error(self):
         # tau sits at bytes 20..28 of a ball grid container
         grid = flag_inverse(random_flag_coeffs(BandLimits(4, 3, 1.5), 5))
@@ -452,12 +538,17 @@ class TestOutOfRangeHeaders:
 
 
 def _valid_containers():
-    """One small valid container per kind (both decomposition flavours)."""
+    """One small valid container per kind (both decomposition flavours, and
+    real grids and decompositions)."""
     rng = np.random.default_rng(11)
     limits = BandLimits(4, 3, 1.5)
     coeffs = random_flag_coeffs(limits, 5)
     sphere = SphereCoeffs(4, rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    field = blob_field(limits, 2, 0.5, 1.5, seed=11)
     objs = [
+        field,
+        SphereGrid(4, field.values[0]),
+        flaglet_analyze(flag_forward(field), build_flaglet_kernels(limits, TilingParams())),
         sht_inverse(sphere),
         sphere,
         flag_inverse(coeffs),
@@ -486,6 +577,8 @@ HEADER_FIELDS = {
     5: _PREAMBLE + [(12, "<I"), (16, "<I"), (20, "<d")],
     6: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24)] + [(o, "<d") for o in (28, 36, 44)],
     7: _PREAMBLE + [(o, "<I") for o in (12, 16, 20, 24, 28)] + [(o, "<d") for o in (32, 40, 48)],
+    8: _PREAMBLE + [(12, "<I")],
+    9: _PREAMBLE + [(12, "<I"), (16, "<I"), (20, "<d")],
 }
 # first payload byte, by kind: the header fields end there
 PAYLOAD_START = {
@@ -493,7 +586,8 @@ PAYLOAD_START = {
     for kind, fields in HEADER_FIELDS.items()
 }
 FLOAT_VALUES = [math.inf, -math.inf, math.nan, 1e308, 1.0000001, -2.0, 5e-324]
-INT_VALUES = [0, 1, 2, 3, 7, 2**31, 2**32 - 2]  # 2**32 - 2 is -2 as a u32
+# 2**32 - 2 is -2 as a u32; 4 and 0xFFFFFFF0 are the real flag and unknown flag bits
+INT_VALUES = [0, 1, 2, 3, 4, 7, 8, 9, 2**31, 0xFFFFFFF0, 2**32 - 2]
 
 
 @st.composite

@@ -14,6 +14,7 @@ from flaglets.sphere_harmonics import (
     SphereGrid,
     SpherePlan,
     _fft_block_grids,
+    _is_hermitian,
     _sht_forward_batch,
     _sht_inverse_batch,
     assoc_legendre_table,
@@ -27,6 +28,7 @@ from flaglets.sphere_harmonics import (
 from oracles import (
     direct_sht_forward,
     direct_sht_inverse,
+    hermitian_coeffs,
     legendre_column_high_precision,
     legendre_high_precision,
     legendre_per_order,
@@ -233,7 +235,7 @@ class TestTableGenerations:
         plan = SpherePlan(8)
         c = self.coeffs(8, 3)
         for _ in range(3):
-            back = _sht_forward_batch(_sht_inverse_batch(c, plan), plan)
+            back = _sht_forward_batch(_sht_inverse_batch(c, plan, False), plan)
         assert len(generations) == 1
         assert np.max(np.abs(back - c)) < 1e-12
 
@@ -247,7 +249,7 @@ class TestTableGenerations:
         plan = SpherePlan(L)
         c = self.coeffs(L, rows)
         for call in range(1, 3):
-            grids = _sht_inverse_batch(c, plan)
+            grids = _sht_inverse_batch(c, plan, False)
             assert len(generations) == 4 * call - 3
             back = _sht_forward_batch(grids, plan)
             assert len(generations) == 4 * call
@@ -268,7 +270,7 @@ class TestStreamedWorkSpace:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            grids = _sht_inverse_batch(c, plan)
+            grids = _sht_inverse_batch(c, plan, False)
             inverse = tracemalloc.get_traced_memory()[1] - start - grids.nbytes
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
@@ -311,7 +313,7 @@ class TestForwardBatchInput:
         rng = np.random.default_rng(31)
         c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
         plan = SpherePlan(L)
-        grids = _sht_inverse_batch(c, plan)
+        grids = _sht_inverse_batch(c, plan, False)
         stacked = _sht_forward_batch(grids, plan)
         assert np.array_equal(_sht_forward_batch(list(grids), plan), stacked)
         assert np.max(np.abs(stacked - c)) < 1e-12
@@ -333,7 +335,7 @@ class TestAgainstNaiveTransform:
         rng = np.random.default_rng(200 + L)
         plan = SpherePlan(L)
         c = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L))
-        grids = _sht_inverse_batch(c, plan)
+        grids = _sht_inverse_batch(c, plan, False)
         back = _sht_forward_batch(grids + 0.5j, plan)
         for row, grid, coeffs in zip(c, grids, back):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
@@ -354,7 +356,7 @@ class TestAgainstNaiveTransform:
             plan = SpherePlan(L)
             starts = [(m0, k0) for m0, k0, _, _ in plan.tables()]
             assert starts == [(m, 0) for m in range(0, L, orders)]
-            grids = _sht_inverse_batch(c, plan)
+            grids = _sht_inverse_batch(c, plan, False)
             assert rel_err(grids[1], grid_want) < 1e-13, orders
             coeffs = _sht_forward_batch([grids[0], values], plan)
             assert rel_err(coeffs[0], c[0]) < 1e-13, orders
@@ -378,8 +380,8 @@ class TestAgainstNaiveTransform:
         assert {k0 for _, k0, _, _ in plan.tables(3)} == {0}
         rng = np.random.default_rng(10 * L + depth)
         c = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L))
-        tiled = _sht_inverse_batch(c[:2], plan)
-        grids = _sht_inverse_batch(c, plan)
+        tiled = _sht_inverse_batch(c[:2], plan, False)
+        grids = _sht_inverse_batch(c, plan, False)
         back = _sht_forward_batch(grids + 0.5j, plan)
         for row, grid, coeffs in zip(c, grids, back):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
@@ -396,8 +398,8 @@ class TestAgainstNaiveTransform:
         assert plan._tile_shape(rows)[0] == L and plan._tile_shape(rows + 1)[1] == L
         rng = np.random.default_rng(L)
         c = rng.uniform(-1, 1, (rows + 1, L * L)) + 1j * rng.uniform(-1, 1, (rows + 1, L * L))
-        tiled = _sht_inverse_batch(c[:rows], plan)
-        blocked = _sht_inverse_batch(c, plan)[:rows]
+        tiled = _sht_inverse_batch(c[:rows], plan, False)
+        blocked = _sht_inverse_batch(c, plan, False)[:rows]
         assert rel_err(tiled, blocked) <= 1e-14
 
     @pytest.mark.parametrize("L", [8, 9])
@@ -505,7 +507,59 @@ class TestRealFields:
                 c[coeff_index(ell, m)] = v
                 c[coeff_index(ell, -m)] = (-1) ** m * np.conj(v)
         values = sht_inverse(SphereCoeffs(L, c)).values
-        assert np.max(np.abs(values.imag)) < 1e-12
+        assert values.dtype == np.float64
+
+    def test_hermitian_detection(self):
+        L = 5
+        rng = np.random.default_rng(55)
+        assert _is_hermitian(np.zeros(L * L, dtype=np.complex128), L)  # zeros are real
+        c = hermitian_coeffs(rng, L, (3,))
+        c[1, 0] = complex(c[1, 0].real, -0.0)  # compared with ==: -0.0 is 0.0
+        assert _is_hermitian(c, L)
+        imaginary = c.copy()
+        imaginary[2, coeff_index(3, 0)] += 1e-300j
+        assert not _is_hermitian(imaginary, L)
+        flipped = c.copy()
+        flipped.view(np.uint64)[2, 2 * coeff_index(3, -2)] ^= 1  # last bit of one -m entry
+        assert not _is_hermitian(flipped, L)
+        nan = c.copy()
+        nan[0, coeff_index(4, 1)] = nan[0, coeff_index(4, -1)] = complex(math.nan, 0.0)
+        assert not _is_hermitian(nan, L)
+        # the public transforms take the real path exactly on Hermitian input
+        for coeffs, dtype in [(c[0], np.float64), (flipped[2], np.complex128)]:
+            assert sht_inverse(SphereCoeffs(L, coeffs)).values.dtype == dtype
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 32, 33, 257, 300])
+    def test_real_path_matches_complex_path_and_direct_sums(self, L):
+        # odd L folds the x = 0 node onto itself; past the table cache (257,
+        # 300) a one-row inverse and forward step all-order streamed tiles
+        rng = np.random.default_rng(300 + L)
+        c = hermitian_coeffs(rng, L)
+        grid = sht_inverse(SphereCoeffs(L, c)).values
+        assert grid.dtype == np.float64
+        assert rel_err(grid, _sht_inverse_batch(c, SpherePlan(L), False)) <= 1e-14
+        oracle = (naive_sht_inverse, naive_sht_forward) if L <= 7 else (
+            direct_sht_inverse, direct_sht_forward
+        )
+        assert rel_err(grid, oracle[0](c, L)) < 1e-13 * L
+        coeffs = sht_forward(SphereGrid(L, grid)).coeffs
+        assert _is_hermitian(coeffs, L)  # exactly, by construction
+        assert rel_err(coeffs, sht_forward(SphereGrid(L, grid + 0j)).coeffs) <= 1e-14
+        assert rel_err(coeffs, oracle[1](grid, L)) < 1e-13 * L
+        assert rel_err(coeffs, c) <= 12 * np.finfo(float).eps * L
+
+    @pytest.mark.parametrize("L", [257, 300])
+    def test_real_rows_past_one_block_step_blocks_of_orders(self, L):
+        plan = SpherePlan(L)
+        rows = _fft_block_grids(L) + 1
+        assert plan._tile_shape(rows)[1] == L
+        c = hermitian_coeffs(np.random.default_rng(L), L, (rows,))
+        grids = _sht_inverse_batch(c, plan, True)
+        assert grids.dtype == np.float64
+        assert rel_err(grids, _sht_inverse_batch(c, plan, False)) <= 1e-14
+        back = _sht_forward_batch(grids, plan)
+        assert _is_hermitian(back, L)
+        assert rel_err(back, _sht_forward_batch(grids + 0j, plan)) <= 1e-14
 
 
 class TestValidation:
@@ -523,6 +577,14 @@ class TestValidation:
         c = np.arange(16, dtype=np.complex128)
         assert np.array_equal(sht_inverse(SphereCoeffs(np.int64(4), c)).values,
                               sht_inverse(SphereCoeffs(4, c)).values)
+
+    def test_narrow_integer_band_limits_are_kept_as_python_ints(self):
+        # L * L of a uint8 20 wraps to 144; the checked value is stored as an int
+        L = np.uint8(20)
+        assert type(SphereCoeffs(L, np.zeros(400)).L) is int
+        assert type(SphereGrid(L, np.zeros((20, 39))).L) is int
+        with pytest.raises(ValueError, match="does not match"):
+            SphereCoeffs(L, np.zeros(144))
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,15 @@ from flaglets.kernel_tiling import TilingParams, build_sphere_kernels, sphere_pa
 from flaglets.sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
+    _is_hermitian,
     coeff_index,
     sht_forward,
     sht_inverse,
     window_coeffs,
 )
 from flaglets.sphere_wavelets import sphere_analyze, sphere_synthesize
+
+from oracles import hermitian_coeffs
 
 
 def random_coeffs(L, rng):
@@ -76,6 +79,28 @@ class TestRoundTrips:
         # grids hold window * f, so total = sum |win_j(l)|^2 |f_lm|^2 = |f|^2
         energy = float(np.sum(np.abs(f.coeffs) ** 2))
         assert abs(total - energy) < 1e-11 * energy
+
+
+class TestRealFields:
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_maps_are_float64_and_keep_the_energy(self, multires):
+        L = 32
+        kernels = build_sphere_kernels(L, TilingParams())
+        f = SphereCoeffs(L, hermitian_coeffs(np.random.default_rng(78), L))
+        d = sphere_analyze(f, kernels, multires=multires)
+        grids = [d.scaling, *d.wavelets.values()]
+        assert all(g.values.dtype == np.float64 for g in grids)
+        # the same maps as the complex path: f + i f holds f's maps twice
+        both = sphere_analyze(SphereCoeffs(L, f.coeffs * (1 + 1j)), kernels, multires=multires)
+        for got, ref in zip(grids, [both.scaling, *both.wavelets.values()]):
+            assert ref.values.dtype == np.complex128
+            assert np.max(np.abs(got.values - ref.values.real)) < 1e-13
+        total = sum(float(np.sum(np.abs(sht_forward(g).coeffs) ** 2)) for g in grids)
+        energy = float(np.sum(np.abs(f.coeffs) ** 2))
+        assert abs(total - energy) < 1e-12 * energy
+        back = sphere_synthesize(d, kernels).coeffs
+        assert _is_hermitian(back, L)  # exactly, by construction
+        assert np.max(np.abs(back - f.coeffs)) < 1e-12
 
 
 class TestMultires:
