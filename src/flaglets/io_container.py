@@ -28,9 +28,9 @@ Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
 zero) rather than ball decomposition, bit 2 = real parts (float64
 payloads, set when every part is real); any other bit is a HeaderError.
-Which parts a decomposition or a
-flaglet kernel set holds, in which order and at which band limits, is
-defined in kernel_tiling (sphere_part_bands, flaglet_parts).
+Which parts a decomposition or a flaglet kernel set holds, in which order
+and at which band limits, is defined in kernel_tiling (sphere_part_bands,
+flaglet_parts).
 """
 
 from __future__ import annotations
