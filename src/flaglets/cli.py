@@ -146,8 +146,7 @@ def cmd_roundtrip(args) -> int:
         },
         args.format,
     )
-    # NaN fails both comparisons
-    return EXIT_OK if rel < 1e-9 and real_rel < 1e-9 else EXIT_RUNTIME
+    return _exit_for(rel, real_rel)
 
 
 def _roundtrip_errors(recovered: FlagCoeffs, coeffs: FlagCoeffs) -> tuple[float, float]:
@@ -155,6 +154,12 @@ def _roundtrip_errors(recovered: FlagCoeffs, coeffs: FlagCoeffs) -> tuple[float,
     largest coefficient magnitude."""
     max_abs = float(np.max(np.abs(recovered.coeffs - coeffs.coeffs)))
     return max_abs, max_abs / float(np.max(np.abs(coeffs.coeffs)))
+
+
+def _exit_for(*rel_errs: float) -> int:
+    """EXIT_OK only when every relative round-trip error is below 1e-9: a
+    larger one, or NaN, fails."""
+    return EXIT_OK if all(rel < 1e-9 for rel in rel_errs) else EXIT_RUNTIME
 
 
 def _load(path, expected_types, what: str):
@@ -287,8 +292,7 @@ def cmd_bench(args) -> int:
         },
         args.format,
     )
-    # as roundtrip: a relative error of 1e-9 or more is a failure
-    return EXIT_OK if max(full_rel, multi_rel) < 1e-9 else EXIT_RUNTIME
+    return _exit_for(full_rel, multi_rel)
 
 
 def cmd_kernels(args) -> int:

@@ -25,9 +25,10 @@ flaglet windows Psi^{jj'} that are not the products of the line windows it
 rebuilds from the header's tiling.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
-storage, bit 1 = sphere decomposition (P, nu, tau unused and written as
-zero) rather than ball decomposition, bit 2 = real parts (float64
-payloads, set when every part is real); any other bit is a HeaderError.
+storage, bit 1 = sphere decomposition (P, j0_rad, nu and tau unused,
+written as zero and a HeaderError otherwise) rather than ball
+decomposition, bit 2 = real parts (float64 payloads, set when every part
+is real); any other bit is a HeaderError.
 Which parts a decomposition or a flaglet kernel set holds, in which order
 and at which band limits, is defined in kernel_tiling (sphere_part_bands,
 flaglet_parts).
@@ -226,6 +227,11 @@ def _layout(kind: int, fields: tuple):
     multires = bool(flags & _FLAG_MULTIRES)
     code = "<f8" if flags & _FLAG_REAL else "<c16"
     if flags & _FLAG_SPHERE:
+        if P or j0r or nu or tau:
+            raise ValueError(
+                "a sphere decomposition has P, j0_rad, nu and tau zero,"
+                f" got {P}, {j0r}, {nu}, {tau}"
+            )
         BandLimits(L, 1)
         bands = sphere_part_bands(L, TilingParams(lam=lam, j0_ang=j0a), multires)
         scales = scale_range(L, lam, j0a)

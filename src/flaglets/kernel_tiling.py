@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flag_transform import BandLimits
-from .quadrature import gauss_legendre
+from .quadrature import _check_integer, gauss_legendre
 from .sphere_harmonics import _check_band_limit
 
 __all__ = [
@@ -57,8 +57,10 @@ class TilingParams:
             raise ValueError(f"angular dilation must be finite and exceed 1, got {self.lam}")
         if not (self.nu > 1 and math.isfinite(self.nu)):
             raise ValueError(f"radial dilation must be finite and exceed 1, got {self.nu}")
-        if self.j0_ang < 0 or self.j0_rad < 0:
-            raise ValueError("minimum scale indices must be non-negative")
+        # frozen: the checked indices are stored, as Python ints, through object.__setattr__
+        for name, what in (("j0_ang", "angular"), ("j0_rad", "radial")):
+            j0 = _check_integer(getattr(self, name), 0, MAX_SCALE, f"minimum {what} scale index")
+            object.__setattr__(self, name, j0)
 
 
 def max_scale(band_limit: int, dilation: float) -> int:

@@ -323,14 +323,16 @@ class SpherePlan:
     work space.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
-    k0 as int32 arrays: `index[i, k', s]` is the flat coefficient index of
-    (l, m) = (m0+i+k0+k, +-(m0+i)) for the k'-th row k of parity p (k0 + k = p
-    mod 2) and s = 0, 1, and 0 past the band limit, where the table rows are
-    zero; `valid` lists the flat positions in `index` that the forward
-    transform stores, each coefficient once, in coefficient order; `dest` =
-    index.flat[valid].  The maps of a real pass keep the +m entries (s = 0)
-    of valid and dest only, at their positions in index[..., :1]; a cached
-    plan makes them at its first real pass and keeps them too.
+    k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
+    flat coefficient index of (l, m) = (m0+i+k0+k, +-(m0+i)) for the k'-th
+    row k of parity p (k0 + k = p mod 2) and s = 0, 1, and -1 past the band
+    limit, where the table rows are zero, and at -0 of order 0, whose sums
+    are never unfolded; the inverse gathers through index[..., :S].  `valid`
+    (int32) lists the flat positions in `index` that the forward transform
+    stores, each coefficient once, first the `plus` +m entries (s = 0), then
+    the -m ones, each sign in coefficient order; `dest` = index.flat[valid].
+    A real forward stores the +m prefix only, whose entry 2q of index.flat
+    is q of index[..., :1].
     """
 
     # folded blocks are O(L^3/4) doubles; beyond this, regenerate per pass
@@ -352,28 +354,27 @@ class SpherePlan:
         self.fold_weights = np.concatenate((weights, weights[odd:]))
         if odd:
             self.fold_weights[0] *= 0.5
-        self._tiles = self._real_tiles = None
+        self._tiles = None
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
         maps = []
         for p in (0, 1):
             ells = ms + np.arange(k0 + (p - k0) % 2, k0 + depth, 2, dtype=np.int32)  # (nb, K')
-            inside = ells < self.L
             index = np.empty(ells.shape + (2,), dtype=np.int32)
             base = ells * (ells + 1)
             np.add(base, ms, out=index[..., 0])
             np.subtract(base, ms, out=index[..., 1])
-            index[~inside] = 0
-            # stored entries in coefficient order, so the scatter writes runs; taken
-            # in (sign, row, order) order they are 2K' ascending runs to merge
-            stored = np.array(np.broadcast_to(inside.T, (2,) + inside.T.shape))
+            index[ells >= self.L] = -1
             if m0 == 0:
-                stored[1, :, 0] = False  # -0 is +0: order 0 is stored once
+                index[0, :, 1] = -1  # -0 is +0: order 0 is stored once
+            # stored entries +m first, each sign in coefficient order, so the scatter
+            # writes runs: in (sign, row, order) order they are 2K' ascending runs
+            kept = index.transpose(2, 1, 0) >= 0
             flat = np.arange(index.size, dtype=np.int32).reshape(index.shape)
-            valid, dest = flat.transpose(2, 1, 0)[stored], index.transpose(2, 1, 0)[stored]
-            order = np.argsort(dest, kind="stable")
-            maps.append((index, valid[order], dest[order]))
+            valid, dest = flat.transpose(2, 1, 0)[kept], index.transpose(2, 1, 0)[kept]
+            order = np.argsort(dest + (valid % 2) * self.L**2, kind="stable")
+            maps.append((index, valid[order], dest[order], int(np.count_nonzero(kept[0]))))
         return maps
 
     def _tile_shape(self, rows: int = 1) -> tuple[int, int]:
@@ -383,18 +384,15 @@ class SpherePlan:
             return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * (L - self.half)))), L
         return L, min(L, _LEGENDRE_TILE_DEPTH)
 
-    def tables(self, rows: int = 1, real: bool = False):
+    def tables(self, rows: int = 1):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
         Past _CACHE_LIMIT a pass for at most one forward FFT block of `rows`
         yields all-order tiles, each overwritten by the next one, and a pass
-        for more rows blocks of orders.  With `real` the maps serve the
-        forward of real grids (+m entries only).
+        for more rows blocks of orders.
         """
         if self._tiles is not None:
-            if real and self._real_tiles is None:
-                self._real_tiles = [(*entry[:3], _real_maps(entry[3])) for entry in self._tiles]
-            yield from self._real_tiles if real else self._tiles
+            yield from self._tiles
             return
         L, nodes = self.L, self.rule.nodes[self.half :]
         cached = L <= self._CACHE_LIMIT
@@ -403,19 +401,9 @@ class SpherePlan:
             maps = self._tile_maps(m0, k0, *tile.shape[:2])
             if cached:
                 kept.append((m0, k0, tile, maps))
-            yield m0, k0, tile, _real_maps(maps) if real else maps
+            yield m0, k0, tile, maps
         if cached:
             self._tiles = kept
-
-
-def _real_maps(maps):
-    """The maps of a real pass: the stored +m entries, which sit at the even
-    flat positions 2q of index and at q of index[..., :1]."""
-    out = []
-    for index, valid, dest in maps:
-        plus = valid % 2 == 0
-        out.append((index, valid[plus] // 2, dest[plus]))
-    return out
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -459,14 +447,15 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     float64 (S = 1).  Per tile and parity, the columns of the sums (even
     l + m) or the differences (odd l + m) of the tile's orders are projected
     by one stacked GEMM over the orders, on 2 S float columns per grid, and
-    the stored degrees scattered through the tile's maps.  The -m
-    coefficients of real grids are then made from the +m ones, so they are
-    exactly Hermitian.  Past the table cache the tiles are regenerated per
-    block of grids, since generating them once would hold a full-size
-    Fourier copy.
+    the stored degrees scattered through the tile's maps, for real grids
+    through their +m prefix.  The -m coefficients of real grids are then
+    made from the +m ones, so they are exactly Hermitian.  Past the table
+    cache the tiles are regenerated per block of grids, since generating
+    them once would hold a full-size Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
+    folds = (slice(0, nh), slice(nh, L))
     real = not any(np.iscomplexobj(g) for g in grids)
     S = 1 if real else 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
@@ -518,9 +507,11 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
             if not real:
                 columns[0, j0:j1, 1] = 0.0
         out_t = out[start : start + n].T
-        for m0, k0, tile, maps in plan.tables(real=real):
+        for m0, k0, tile, maps in plan.tables():
             nb = tile.shape[0]
-            for p, fold, (index, valid, dest) in zip((0, 1), (slice(0, nh), slice(nh, L)), maps):
+            for p, fold, (index, valid, dest, plus) in zip((0, 1), folds, maps):
+                if real:
+                    valid, dest = valid[:plus] // 2, dest[:plus]
                 nodes = fold.stop - fold.start
                 size = index.size // 2 * S * n
                 proj = work[:size].reshape(-1, n)
@@ -579,7 +570,7 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
             n = len(block)
             sums = buf[: 2 * group * nh * S * n].reshape(2, group, nh, S, n)
             part = scratch[: chunk * nh * 2 * S * n].reshape(chunk, nh, 2 * S * n)
-            for p, (index, _, _) in enumerate(maps):
+            for p, (index, *_) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
                 sums_p = sums[p].view(np.float64).reshape(group, nh, 2 * S * n)
                 width = chunk if k0 else nb

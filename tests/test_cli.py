@@ -291,21 +291,24 @@ class TestBench:
             assert 0 <= report[f"{mode}_max_abs_err"] < 1e-12
             assert 0 <= report[f"{mode}_rel_err"] < 1e-12
 
-    def test_inexact_round_trip_fails_after_the_report(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("error", [1e-8, np.nan])
+    def test_inexact_round_trip_fails_after_the_report(self, capsys, monkeypatch, error):
+        # NaN in the second mode passed through max(full, multi) < 1e-9
         real = cli.flaglet_synthesize
 
-        def off_by_1e_8(d, kernels):
+        def off_in_multires(d, kernels):
             out = real(d, kernels)
-            out.coeffs[0, 0] += 1e-8 if d.multires else 0.0
+            out.coeffs[0, 0] += error if d.multires else 0.0
             return out
 
-        monkeypatch.setattr(cli, "flaglet_synthesize", off_by_1e_8)
+        monkeypatch.setattr(cli, "flaglet_synthesize", off_in_multires)
         code, out, _ = run(
             capsys, "bench", "--L", "4", "--P", "4", "--runs", "1", "--format", "json"
         )
         assert code == 1
         report = json.loads(out)
-        assert report["full_res_rel_err"] < 1e-9 <= report["multires_rel_err"]
+        assert report["full_res_rel_err"] < 1e-9
+        assert not report["multires_rel_err"] < 1e-9
 
     def test_infinite_dilation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", "--lambda", "inf")

@@ -507,6 +507,25 @@ class TestOutOfRangeHeaders:
         with pytest.raises(HeaderError, match="flag bits"):
             read_container(io.BytesIO(bytes(raw)))
 
+    @pytest.mark.parametrize(
+        "offset, code, value",
+        [(16, "<I", 5), (24, "<I", 7), (40, "<d", 3.5), (48, "<d", 2.0)],
+        ids=["P", "j0_rad", "nu", "tau"],
+    )
+    def test_sphere_decomposition_with_nonzero_unused_fields_is_header_error(
+        self, offset, code, value
+    ):
+        # a sphere decomposition writes P, j0_rad, nu and tau as zero; each of
+        # these used to read back as a SphereDecomposition
+        sphere = SphereCoeffs(8, np.arange(64, dtype=np.complex128))
+        d = sphere_analyze(sphere, build_sphere_kernels(8, TilingParams()))
+        raw = bytearray(container_bytes(d))
+        field = slice(offset, offset + struct.calcsize(code))
+        assert struct.unpack(code, raw[field]) == (0,)
+        raw[field] = struct.pack(code, value)
+        with pytest.raises(HeaderError, match="sphere decomposition has P, j0_rad, nu and tau"):
+            read_container(io.BytesIO(bytes(raw)))
+
     def test_real_flag_on_complex_payload_is_a_length_mismatch(self):
         # float64 payloads take half the bytes the complex ones hold
         coeffs = random_flag_coeffs(BandLimits(4, 3, 1.0), 5)

@@ -138,6 +138,13 @@ class TestScaleBookkeeping:
             TilingParams(nu=0.5)
         with pytest.raises(ValueError):
             TilingParams(j0_ang=-1)
+        # 1.5 used to construct and fail in build_flaglet_kernels; True passed as 1
+        with pytest.raises(ValueError, match="minimum angular scale index must be an integer"):
+            TilingParams(j0_ang=1.5)
+        with pytest.raises(ValueError, match="minimum radial scale index must be an integer"):
+            TilingParams(j0_rad=True)
+        params = TilingParams(j0_ang=np.uint8(1), j0_rad=np.int64(2))
+        assert type(params.j0_ang) is int and type(params.j0_rad) is int
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError):
                 TilingParams(lam=bad)

@@ -138,7 +138,7 @@ class TestStreamedTables:
         depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
         m0, k0, tile, maps = next(plan.tables())
         assert (m0, k0, tile.shape) == (0, 0, (L, depth, L // 2))
-        assert [index.shape for index, _, _ in maps] == [(L, depth // 2, 2)] * 2
+        assert [index.shape for index, *_ in maps] == [(L, depth // 2, 2)] * 2
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
         # every order crosses every tile boundary k0 of a streamed pass: whole
@@ -341,13 +341,19 @@ class TestAgainstNaiveTransform:
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
             assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
 
-    def test_blocks_of_one_two_and_three_orders_match_direct_sums(self, monkeypatch):
+    @pytest.mark.parametrize("real", [False, True])
+    def test_blocks_of_one_two_and_three_orders_match_direct_sums(self, monkeypatch, real):
         # a cached plan steps blocks of orders; 7 = 3 * 2 + 1 = 2 * 3 + 1 orders
-        # leave a partial last block at two and three orders per block
+        # leave a partial last block at two and three orders per block.  Real
+        # rows and grids take the +m prefix of the same maps
         L = 7
         rng = np.random.default_rng(257)
-        c = rng.uniform(-1, 1, (2, L * L)) + 1j * rng.uniform(-1, 1, (2, L * L))
-        values = rng.uniform(-1, 1, (L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (L, 2 * L - 1))
+        if real:
+            c = hermitian_coeffs(rng, L, (2,))
+            values = rng.uniform(-1, 1, (L, 2 * L - 1))
+        else:
+            c = rng.uniform(-1, 1, (2, L * L)) + 1j * rng.uniform(-1, 1, (2, L * L))
+            values = rng.uniform(-1, 1, (L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (L, 2 * L - 1))
         grid_want = direct_sht_inverse(c[1], L)
         coeffs_want = direct_sht_forward(values, L)
         for orders in (1, 2, 3):
@@ -356,17 +362,20 @@ class TestAgainstNaiveTransform:
             plan = SpherePlan(L)
             starts = [(m0, k0) for m0, k0, _, _ in plan.tables()]
             assert starts == [(m, 0) for m in range(0, L, orders)]
-            grids = _sht_inverse_batch(c, plan, False)
+            grids = _sht_inverse_batch(c, plan, real)
+            assert grids.dtype == (np.float64 if real else np.complex128)
             assert rel_err(grids[1], grid_want) < 1e-13, orders
             coeffs = _sht_forward_batch([grids[0], values], plan)
             assert rel_err(coeffs[0], c[0]) < 1e-13, orders
             assert rel_err(coeffs[1], coeffs_want) < 1e-13, orders
 
+    @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("L", [8, 9])
     @pytest.mark.parametrize("depth", [1, 2, 3, 5, None])
-    def test_streamed_tiles_match_direct_sums(self, monkeypatch, L, depth):
+    def test_streamed_tiles_match_direct_sums(self, monkeypatch, L, depth, real):
         # all-order tiles past the cache, at depths that alternate the parity of
-        # k0 (1, 3, 5), do not divide L, or (the module's depth) hold every degree
+        # k0 (1, 3, 5), do not divide L, or (the module's depth) hold every degree;
+        # Hermitian rows and real grids take the +m prefix of each tile's maps
         monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
         if depth is not None:
             monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_TILE_DEPTH", depth)
@@ -379,13 +388,17 @@ class TestAgainstNaiveTransform:
         assert tiles == [(0, k0, L - k0) for k0 in range(0, L, depth)]
         assert {k0 for _, k0, _, _ in plan.tables(3)} == {0}
         rng = np.random.default_rng(10 * L + depth)
-        c = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L))
-        tiled = _sht_inverse_batch(c[:2], plan, False)
-        grids = _sht_inverse_batch(c, plan, False)
-        back = _sht_forward_batch(grids + 0.5j, plan)
+        if real:
+            c, shift = hermitian_coeffs(rng, L, (3,)), 0.5
+        else:
+            c, shift = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L)), 0.5j
+        tiled = _sht_inverse_batch(c[:2], plan, real)
+        grids = _sht_inverse_batch(c, plan, real)
+        assert grids.dtype == (np.float64 if real else np.complex128)
+        back = _sht_forward_batch(grids + shift, plan)
         for row, grid, coeffs in zip(c, grids, back):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
-            assert rel_err(coeffs, direct_sht_forward(grid + 0.5j, L)) < 1e-13 * L
+            assert rel_err(coeffs, direct_sht_forward(grid + shift, L)) < 1e-13 * L
         for row, grid in zip(c, tiled):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
 
@@ -547,6 +560,25 @@ class TestRealFields:
         assert rel_err(coeffs, sht_forward(SphereGrid(L, grid + 0j)).coeffs) <= 1e-14
         assert rel_err(coeffs, oracle[1](grid, L)) < 1e-13 * L
         assert rel_err(coeffs, c) <= 12 * np.finfo(float).eps * L
+
+    def test_real_pass_of_a_cached_plan_keeps_no_second_set_of_maps(self):
+        # one set of maps per tile serves both signal paths: the first real
+        # forward on a plan that a complex one filled keeps only its output
+        # (a second, +m-only set of maps kept 20 kB more at L = 64)
+        L = 64
+        rng = np.random.default_rng(64)
+        plan = SpherePlan(L)
+        _sht_forward_batch([rng.uniform(-1, 1, (L, 2 * L - 1)) + 0j], plan)
+        grid = rng.uniform(-1, 1, (L, 2 * L - 1))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = _sht_forward_batch([grid], plan)
+            kept = tracemalloc.get_traced_memory()[0] - start - out.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 4096, kept
+        assert rel_err(out, direct_sht_forward(grid, L)) < 1e-13 * L
 
     @pytest.mark.parametrize("L", [257, 300])
     def test_real_rows_past_one_block_step_blocks_of_orders(self, L):
