@@ -43,7 +43,14 @@ __all__ = [
 
 @dataclass
 class FlagletDecomposition:
-    """Scaling grid plus one wavelet grid per (angular, radial) scale pair."""
+    """Scaling grid plus one wavelet grid per (angular, radial) scale pair.
+
+    flaglet_analyze and read_container hold the parts as views of one
+    contiguous buffer in storage order (the scaling part, then the (j, j')
+    in sorted order), so a part that is kept keeps the whole buffer alive;
+    copy its values to keep them alone.  A decomposition built by hand may
+    hold separate arrays.
+    """
 
     limits: BandLimits
     params: TilingParams
@@ -102,8 +109,9 @@ def flaglet_analyze(
     Per group of _angular_scales (the scaling part, then each angular scale
     j), one inverse SHT of the windowed coefficients at its band limit; per
     part, one real GEMM of the radially weighted Laguerre basis with the
-    shells it reaches.  The maps of exactly Hermitian coefficients are real
-    (float64).
+    shells it reaches, written into the part's slice of one buffer that
+    holds every part in storage order.  The maps of exactly Hermitian
+    coefficients are real (float64).
     """
     limits = f.limits
     if kernels.limits != limits:
@@ -113,6 +121,10 @@ def flaglet_analyze(
     keys, bands = flaglet_parts(limits, kernels.params, multires)
     # the windows are real, so windowed Hermitian coefficients stay Hermitian
     real = _is_hermitian(f.coeffs, limits.L)
+    # every part is a view of one buffer, in storage order
+    sizes = [pj * lj * (2 * lj - 1) for lj, pj in bands]
+    buffer = np.empty(sum(sizes), dtype=np.float64 if real else np.complex128)
+    slots = iter(np.split(buffer, list(itertools.accumulate(sizes[:-1]))))
     grids = {}
     for window, parts in _angular_scales(kernels, keys, bands):
         lj = window.shape[-1]
@@ -121,7 +133,8 @@ def flaglet_analyze(
         shells = _sht_inverse_batch(windowed, get_plan(lj), real)
         for key, part_limits, rows, weights in parts:
             synth = (get_flag_plan(part_limits.radial).kbasis[rows] * weights).T
-            values = _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)))
+            values = next(slots).reshape(-1, lj * (2 * lj - 1))
+            _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)), out=values)
             grids[key] = BallGrid(part_limits, values.reshape(-1, lj, 2 * lj - 1))
     scaling = grids.pop("scaling")
     return FlagletDecomposition(limits, kernels.params, scaling, grids, multires)
@@ -185,7 +198,8 @@ def threshold_denoise(
         if mode == "hard":
             out = np.where(mag >= threshold, v, 0.0)
         else:
-            with np.errstate(invalid="ignore", divide="ignore"):
+            # t / |v| may overflow at a subnormal |v|; the shrink is then 0
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 shrink = np.where(mag > 0, np.maximum(1.0 - threshold / mag, 0.0), 0.0)
             out = v * shrink
         wavelets[key] = BallGrid(grid.limits, out)

@@ -17,12 +17,12 @@ real); kinds 8 and 9 store them as float64 and read back float64.
 
 Each kind is described once for both directions: _describe(obj) gives the
 kind, header fields and payload arrays of an object, and _layout(kind,
-fields) gives the (dtype, shape) of each array a header declares plus the
-builder of the object. _layout validates the header before anything is
-allocated. The writer refuses arrays that do not match their header's
-layout, but does not look at values; the reader rejects NaN and Inf, and
-flaglet windows Psi^{jj'} that are not the products of the line windows it
-rebuilds from the header's tiling.
+fields) gives the one payload dtype of the kind, the shape of each array a
+header declares and the builder of the object. _layout validates the
+header before anything is allocated. The writer refuses arrays that do
+not match their header's layout, but does not look at values; the reader
+rejects NaN and Inf, and flaglet windows Psi^{jj'} that are not the
+products of the line windows it rebuilds from the header's tiling.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, j0_rad, nu and tau unused,
@@ -32,11 +32,19 @@ is real); any other bit is a HeaderError.
 Which parts a decomposition or a flaglet kernel set holds, in which order
 and at which band limits, is defined in kernel_tiling (sphere_part_bands,
 flaglet_parts).
+
+The reader holds one buffer per container: all payload arrays are read
+into one array and the object gets views of it, so the parts of a
+decomposition share one buffer in storage order. When a seekable source
+holds every declared byte, one readinto fills the buffer; otherwise the
+payload is read in bounded pieces, so memory grows with the bytes actually
+present, never with the sizes a header declares.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
 import struct
@@ -100,8 +108,9 @@ _HEADERS = {
     KIND_REAL_BALL_GRID: struct.Struct("<IId"),  # L, P, tau
 }
 
-# payloads are read in pieces of at most this many bytes, so memory grows
-# with the bytes actually present, not with the sizes a header declares
+# a payload the source may not hold in full is read in pieces of at most
+# this many bytes, so memory grows with the bytes actually present, not with
+# the sizes a header declares
 _READ_CHUNK_BYTES = 1 << 24
 
 
@@ -173,8 +182,9 @@ def _describe(obj):
 
 
 def _layout(kind: int, fields: tuple):
-    """The (dtype, shape) of each payload array a header declares, in order,
-    and the builder of its object from those arrays.
+    """The payload dtype of a kind (one for all its arrays), the shape of
+    each payload array a header declares, in order, and the builder of its
+    object from those arrays.
 
     Raises ValueError (or OverflowError) for a header no library object can
     have, before anything is allocated.
@@ -183,22 +193,22 @@ def _layout(kind: int, fields: tuple):
         (L,) = fields
         BandLimits(L, 1)  # checks L
         if kind == KIND_SPHERE_COEFFS:
-            return [("<c16", (L * L,))], lambda a: SphereCoeffs(L, a[0])
+            return "<c16", [(L * L,)], lambda a: SphereCoeffs(L, a[0])
         code = "<f8" if kind == KIND_REAL_SPHERE_GRID else "<c16"
-        return [(code, (L, 2 * L - 1))], lambda a: SphereGrid(L, a[0])
+        return code, [(L, 2 * L - 1)], lambda a: SphereGrid(L, a[0])
     if kind in (KIND_BALL_GRID, KIND_FLAG_COEFFS, KIND_REAL_BALL_GRID):
         limits = BandLimits(*fields)
         L, P = limits.L, limits.P
         if kind == KIND_FLAG_COEFFS:
-            return [("<c16", (P, L * L))], lambda a: FlagCoeffs(limits, a[0])
+            return "<c16", [(P, L * L)], lambda a: FlagCoeffs(limits, a[0])
         code = "<f8" if kind == KIND_REAL_BALL_GRID else "<c16"
-        return [(code, (P, L, 2 * L - 1))], lambda a: BallGrid(limits, a[0])
+        return code, [(P, L, 2 * L - 1)], lambda a: BallGrid(limits, a[0])
     if kind == KIND_SPHERE_KERNELS:
         L, j0, lam = fields
         BandLimits(L, 1)
         params = TilingParams(lam=lam, j0_ang=j0)
         count = 1 + len(scale_range(L, lam, j0))
-        return [("<f8", (L,))] * count, lambda a: SphereKernels(L, params, a[0], a[1:])
+        return "<f8", [(L,)] * count, lambda a: SphereKernels(L, params, a[0], a[1:])
     if kind == KIND_FLAGLET_KERNELS:
         L, P, j0a, j0r, lam, nu, tau = fields
         limits = BandLimits(L, P, tau)
@@ -219,7 +229,7 @@ def _layout(kind: int, fields: tuple):
                 limits, params, a[0], dict(zip(keys, a[1:])), kappas_a, kappas_r
             )
 
-        return [("<f8", (L, P))] * (1 + len(keys)), build
+        return "<f8", [(L, P)] * (1 + len(keys)), build
     # KIND_DECOMPOSITION, the one kind left in _HEADERS
     L, P, j0a, j0r, flags, lam, nu, tau = fields
     if flags & ~(_FLAG_MULTIRES | _FLAG_SPHERE | _FLAG_REAL):
@@ -241,7 +251,7 @@ def _layout(kind: int, fields: tuple):
             wavelets = dict(zip(scales, grids[1:]))
             return SphereDecomposition(L, lam, j0a, grids[0], wavelets, multires)
 
-        return [(code, (b, 2 * b - 1)) for b in bands], build
+        return code, [(b, 2 * b - 1) for b in bands], build
     limits = BandLimits(L, P, tau)
     params = TilingParams(lam=lam, nu=nu, j0_ang=j0a, j0_rad=j0r)
     keys, bands = flaglet_parts(limits, params, multires)
@@ -251,7 +261,7 @@ def _layout(kind: int, fields: tuple):
         wavelets = dict(zip(keys, grids[1:]))
         return FlagletDecomposition(limits, params, grids[0], wavelets, multires)
 
-    return [(code, (pj, lj, 2 * lj - 1)) for lj, pj in bands], build
+    return code, [(pj, lj, 2 * lj - 1) for lj, pj in bands], build
 
 
 def _checked_layout(kind: int, fields: tuple):
@@ -268,7 +278,7 @@ def _opened(target, mode: str):
     return contextlib.nullcontext(target)
 
 
-def _read_exact(source, n: int, what: str) -> bytes:
+def _read_exact(source, n: int, what: str) -> bytearray:
     parts, got = [], 0
     while got < n:
         part = source.read(min(n - got, _READ_CHUNK_BYTES))
@@ -276,16 +286,45 @@ def _read_exact(source, n: int, what: str) -> bytes:
             raise TruncatedError(f"{what}: expected {n} bytes, got {got}")
         parts.append(part)
         got += len(part)
-    return b"".join(parts)
+    return bytearray().join(parts)
 
 
-def _read_payload(source, code: str, shape: tuple) -> np.ndarray:
+def _bytes_left(source) -> int | None:
+    """Bytes from the position of a seekable source to its end, else None."""
+    try:
+        if not source.seekable():
+            return None
+        here = source.tell()
+        source.seek(0, os.SEEK_END)
+        end = source.tell()
+        source.seek(here)
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+    return end - here
+
+
+def _read_payload(source, code: str, shapes: list) -> list[np.ndarray]:
+    """Every payload array of a container, as views of one array: filled by
+    readinto when the source holds every declared byte, else assembled from
+    bounded pieces.  NaN and Inf anywhere are a PayloadError."""
     dtype = np.dtype(code)
-    raw = _read_exact(source, dtype.itemsize * math.prod(shape), "payload")
-    a = np.frombuffer(raw, dtype=dtype).astype(dtype.type).reshape(shape)
-    if not np.isfinite(a.view(np.float64)).all():
-        raise PayloadError(f"payload of shape {shape} holds NaN or infinite values")
-    return a
+    sizes = [math.prod(shape) for shape in shapes]
+    nbytes = dtype.itemsize * sum(sizes)
+    left = _bytes_left(source)
+    if left is not None and left >= nbytes:
+        flat = np.empty(sum(sizes), dtype=dtype)
+        view, got = memoryview(flat.view(np.uint8)), 0
+        while got < nbytes:
+            n = source.readinto(view[got:])
+            if not n:
+                raise TruncatedError(f"payload: expected {nbytes} bytes, got {got}")
+            got += n
+    else:
+        flat = np.frombuffer(_read_exact(source, nbytes, "payload"), dtype=dtype)
+    if not np.isfinite(flat.view(np.float64)).all():
+        raise PayloadError(f"payload of {len(shapes)} arrays holds NaN or infinite values")
+    parts = np.split(flat, list(itertools.accumulate(sizes[:-1])))
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 
 def write_container(obj, sink) -> int:
@@ -295,11 +334,11 @@ def write_container(obj, sink) -> int:
     Nothing is written for an object whose arrays do not match its header.
     """
     kind, fields, arrays = _describe(obj)
-    specs, _ = _checked_layout(kind, fields)
-    shapes, declared = [np.shape(a) for a in arrays], [shape for _, shape in specs]
+    code, declared, _ = _checked_layout(kind, fields)
+    shapes = [np.shape(a) for a in arrays]
     if shapes != declared:
         raise LengthMismatchError(f"payload shapes {shapes}, header declares {declared}")
-    payload = [np.ascontiguousarray(a, dtype=code) for a, (code, _) in zip(arrays, specs)]
+    payload = [np.ascontiguousarray(a, dtype=code) for a in arrays]
     header = MAGIC + struct.pack("<II", VERSION, kind) + _HEADERS[kind].pack(*fields)
 
     with _opened(sink, "wb") as fh:
@@ -320,15 +359,17 @@ def read_container(source):
     with _opened(source, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
-            raise MagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
+            raise MagicError(f"bad magic {bytes(magic)!r}, expected {MAGIC!r}")
         version, kind = struct.unpack("<II", _read_exact(fh, 8, "version and kind"))
         if version != VERSION:
             raise VersionError(f"unsupported version {version}")
         header = _HEADERS.get(kind)
         if header is None:
             raise KindError(f"unknown container kind {kind}")
-        specs, build = _checked_layout(kind, header.unpack(_read_exact(fh, header.size, "header")))
-        obj = build([_read_payload(fh, code, shape) for code, shape in specs])
+        code, shapes, build = _checked_layout(
+            kind, header.unpack(_read_exact(fh, header.size, "header"))
+        )
+        obj = build(_read_payload(fh, code, shapes))
         if fh.read(1):
             raise LengthMismatchError("trailing bytes after declared payload")
     return obj

@@ -411,13 +411,15 @@ def get_plan(L: int) -> SpherePlan:
     return SpherePlan(L)
 
 
-def _real_matmul(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _real_matmul(a: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Real matrix times a matrix of z's dtype as one real GEMM: a complex z
-    is taken as (re, im) pairs."""
+    is taken as (re, im) pairs.  `out`, if given, is a C-contiguous array of
+    the product's shape and z's dtype that the GEMM writes."""
     z = np.ascontiguousarray(z)
     if not np.iscomplexobj(z):
-        return a @ z
-    return (a @ z.view(np.float64)).view(np.complex128)
+        return np.matmul(a, z, out=out)
+    pairs = None if out is None else out.view(np.float64)
+    return np.matmul(a, z.view(np.float64), out=pairs).view(np.complex128)
 
 
 def _fft_block_grids(L: int) -> int:

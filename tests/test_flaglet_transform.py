@@ -8,6 +8,7 @@ from flaglets import flag_transform, flaglet_transform
 from flaglets.cli import blob_field, random_flag_coeffs
 from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
 from flaglets.flaglet_transform import (
+    FlagletDecomposition,
     _grid_energy,
     flaglet_analyze,
     flaglet_synthesize,
@@ -382,6 +383,58 @@ class TestDenoise:
             err_before = np.linalg.norm(noisy.coeffs - clean)
             err_after = np.linalg.norm(den - clean)
             assert err_after < err_before, (seed, err_after / err_before)
+
+
+# edge values of the threshold oracle: 0.625 = |0.375 + 0.5j| exactly, signed
+# zeros, the smallest subnormal and ordinary values on both sides of 0.625
+_EDGE_VALUES = [
+    0.625, -0.625, 0.375 + 0.5j, -0.5 - 0.375j, 0.625j,
+    0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+    5e-324, -5e-324, complex(5e-324, -5e-324), complex(-0.0, 5e-324),
+    0.3, -0.7 + 0.1j, 1e-300, -2.5, 0.5 - 0.5j, 0.625000000000001,
+]
+
+
+def _threshold_reference(v: np.ndarray, threshold: float, mode: str) -> np.ndarray:
+    """threshold_denoise of one part, element by element: hard keeps a value
+    whose magnitude reaches the threshold and puts +0 elsewhere; soft scales
+    a value by max(1 - t/|v|, 0), 0 at |v| = 0, as a real factor (s + 0j)."""
+    out = np.empty_like(v)
+    for i, x in np.ndenumerate(v):
+        mag = float(np.abs(x))  # numpy's magnitude, as the array path takes it
+        if mode == "hard":
+            out[i] = x if mag >= threshold else 0.0
+        else:
+            s = max(1.0 - threshold / mag, 0.0) if mag > 0 else 0.0
+            out[i] = x * complex(s, 0.0) if np.iscomplexobj(v) else x * s
+    return out
+
+
+class TestThresholdOracle:
+    """threshold_denoise matches a per-element reference bit for bit."""
+
+    @staticmethod
+    def edge_decomposition(complex_parts: bool) -> FlagletDecomposition:
+        limits = BandLimits(3, 2, 1.0)  # parts of 2 * 3 * 5 = 30 samples
+        values = np.array(_EDGE_VALUES * 2, dtype=np.complex128)[:30]
+        if not complex_parts:
+            values = values.real.copy()
+        grids = [BallGrid(limits, np.roll(values, k).reshape(2, 3, 5)) for k in range(3)]
+        wavelets = {(1, 0): grids[1], (1, 1): grids[2]}
+        return FlagletDecomposition(limits, TilingParams(), grids[0], wavelets, False)
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    @pytest.mark.parametrize("complex_parts", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("threshold", [0.0, 5e-324, 0.625, np.inf])
+    def test_every_element_matches_the_reference(self, mode, complex_parts, threshold):
+        d = self.edge_decomposition(complex_parts)
+        out = threshold_denoise(d, threshold, mode)
+        assert out.scaling.values.tobytes() == d.scaling.values.tobytes()
+        for key, grid in d.wavelets.items():
+            want = _threshold_reference(grid.values, threshold, mode)
+            got = out.wavelets[key].values
+            assert got.dtype == grid.values.dtype
+            assert got.tobytes() == want.tobytes(), (key, got.ravel(), want.ravel())
 
 
 class TestValidation:

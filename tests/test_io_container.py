@@ -22,6 +22,7 @@ from flaglets.io_container import (
     KindError,
     LengthMismatchError,
     MagicError,
+    _READ_CHUNK_BYTES,
     PayloadError,
     TruncatedError,
     VersionError,
@@ -48,6 +49,25 @@ def container_bytes(obj) -> bytes:
 
 def roundtrip(obj):
     return read_container(io.BytesIO(container_bytes(obj)))
+
+
+class Unseekable(io.RawIOBase):
+    """A binary source that cannot seek, like a pipe."""
+
+    def __init__(self, raw: bytes):
+        self._data = io.BytesIO(raw)
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return False
+
+    def readinto(self, b):
+        return self._data.readinto(b)
+
+
+SOURCES = {"seekable": io.BytesIO, "unseekable": Unseekable}
 
 
 class TestRoundTrips:
@@ -475,12 +495,107 @@ class TestOversizedHeaders:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_in_range_header_without_payload_is_truncated(self):
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_in_range_header_without_payload_is_truncated(self, source):
         # the largest limits a header may declare; the payload is read in
         # bounded pieces, so the missing bytes surface as a typed error
         raw = b"FLG1" + struct.pack("<II", 1, 3) + struct.pack("<IId", 4096, 100_000, 1.0)
         with pytest.raises(TruncatedError):
-            read_container(io.BytesIO(raw))
+            read_container(SOURCES[source](raw))
+
+
+def _truncated_decompositions() -> dict:
+    """Decomposition containers whose payload the source does not hold."""
+    coeffs = random_flag_coeffs(BandLimits(8, 4, 1.0), 5)
+    kernels = build_flaglet_kernels(coeffs.limits, TilingParams())
+    raw = container_bytes(flaglet_analyze(coeffs, kernels))
+    # L sits at bytes 12..16 of a decomposition container; at 4096 the header
+    # declares 40 parts, 86 GB
+    huge = bytearray(raw)
+    huge[12:16] = struct.pack("<I", 4096)
+    return {"one_byte_short": raw[:-1], "L_4096": bytes(huge)}
+
+
+TRUNCATED_DECOMPOSITIONS = _truncated_decompositions()
+
+
+class TestReaderBounds:
+    """A source that does not hold the declared payload fails with
+    TruncatedError before a large allocation, seekable or not."""
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    @pytest.mark.parametrize("name", sorted(TRUNCATED_DECOMPOSITIONS))
+    def test_truncated_decomposition_with_bounded_memory(self, name, source):
+        raw = TRUNCATED_DECOMPOSITIONS[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedError):
+                read_container(SOURCES[source](raw))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _READ_CHUNK_BYTES + len(raw), (peak, len(raw))
+
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_nan_in_the_last_part_is_a_payload_error(self, source):
+        # the whole payload is checked at once, so the last value counts too
+        d = _flaglet_decomposition(multires=True)
+        last = d.wavelets[max(d.wavelets)]
+        last.values[-1, -1, -1] = complex(0.0, math.nan)
+        with pytest.raises(PayloadError):
+            read_container(SOURCES[source](container_bytes(d)))
+
+
+def _buffer_offsets(parts: list[np.ndarray]):
+    """The one array every part is a view of, and each part's byte offset in it."""
+    base = parts[0].base
+    assert isinstance(base, np.ndarray) and base.ndim == 1
+    start = base.__array_interface__["data"][0]
+    assert all(p.base is base and np.shares_memory(p, base) for p in parts)
+    return base, [p.__array_interface__["data"][0] - start for p in parts]
+
+
+class TestOneBuffer:
+    """Analysis and the reader hold a decomposition's parts as views of one
+    buffer, in storage order (scaling first, then (j, j') sorted)."""
+
+    @staticmethod
+    def analysed(real, multires):
+        limits = BandLimits(8, 6, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams(nu=3.0))
+        if real:
+            coeffs = flag_forward(blob_field(limits, 2, 0.5, 1.5, seed=12))
+        else:
+            coeffs = random_flag_coeffs(limits, 12)
+        return flaglet_analyze(coeffs, kernels, multires=multires)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("multires", [False, True], ids=["full", "multires"])
+    @pytest.mark.parametrize("source", sorted(SOURCES))
+    def test_parts_are_views_of_one_buffer_in_storage_order(self, real, multires, source):
+        d = self.analysed(real, multires)
+        back = read_container(SOURCES[source](container_bytes(d)))
+        for obj in (d, back):
+            parts = payload_arrays(obj)
+            assert len(parts) > 2
+            assert {p.dtype for p in parts} == {np.dtype(np.float64 if real else np.complex128)}
+            base, offsets = _buffer_offsets(parts)
+            sizes = [p.nbytes for p in parts]
+            assert offsets == [sum(sizes[:i]) for i in range(len(parts))]
+            assert base.nbytes == sum(sizes)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("multires", [False, True], ids=["full", "multires"])
+    def test_separate_arrays_write_the_same_bytes(self, real, multires):
+        d = self.analysed(real, multires)
+        _buffer_offsets(payload_arrays(d))
+        by_hand = copy.deepcopy(d)
+        for grid in [by_hand.scaling, *by_hand.wavelets.values()]:
+            grid.values = grid.values.copy()
+        assert all(p.flags.owndata for p in payload_arrays(by_hand))
+        raw = container_bytes(by_hand)
+        assert raw == container_bytes(d)
+        _buffer_offsets(payload_arrays(read_container(io.BytesIO(raw))))
 
 
 class TestNonFiniteHeaders:
