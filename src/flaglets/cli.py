@@ -24,9 +24,15 @@ from .flaglet_transform import (
     threshold_denoise,
 )
 from .io_container import ContainerError, read_container, write_container
-from .kernel_tiling import TilingParams, build_flaglet_kernels, build_sphere_kernels, scale_range
+from .kernel_tiling import (
+    TilingParams,
+    build_flaglet_kernels,
+    build_sphere_kernels,
+    flaglet_parts,
+    scale_range,
+)
 from .radial_laguerre import radial_nodes
-from .sphere_harmonics import _fill_negative_orders, sphere_sampling
+from .sphere_harmonics import _fill_negative_orders, get_plan, sphere_sampling
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -143,10 +149,23 @@ def cmd_roundtrip(args) -> int:
             "real_max_abs_err": real_abs,
             "real_rel_err": real_rel,
             "seconds": seconds,
+            **_plan_report([limits.L]),
         },
         args.format,
     )
     return _exit_for(rel, real_rel)
+
+
+def _plan_report(bands) -> dict:
+    """Hits, misses and size of the sphere-plan cache, and the bytes held by
+    the plans of the band limits in `bands`."""
+    info = get_plan.cache_info()
+    return {
+        "plan_cache_hits": info.hits,
+        "plan_cache_misses": info.misses,
+        "plan_cache_size": info.currsize,
+        "plan_bytes": sum(get_plan(L).nbytes for L in set(bands)),
+    }
 
 
 def _roundtrip_errors(recovered: FlagCoeffs, coeffs: FlagCoeffs) -> tuple[float, float]:
@@ -289,6 +308,7 @@ def cmd_bench(args) -> int:
             "multires_max_abs_err": multi_abs,
             "multires_rel_err": multi_rel,
             "speedup": t_full / t_multi if t_multi > 0 else float("inf"),
+            **_plan_report([L for L, _ in flaglet_parts(limits, params, True)[1]]),
         },
         args.format,
     )

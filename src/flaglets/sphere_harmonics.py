@@ -17,7 +17,10 @@ SpherePlan chooses: up to the table cache, blocks of orders with all their
 degrees, which the plan keeps; past it, every order at once in tiles of a
 few degrees, so a pass takes O(L) recurrence steps and holds a tile of about
 one grid (an inverse of many rows still steps blocks of orders, whose sums it
-holds for one block of rows at a time, not about a grid per row).  The engine
+holds for one block of rows at a time, not about a grid per row).  A plan
+past the cache keeps, up to _FFT_BLOCK_BYTES in all, what its passes make
+without stepping the recurrence: the tiles' index maps, the sectoral seeds
+and the recurrence coefficients, so a later pass only steps.  The engine
 never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a
 grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and
 the odd degrees of an order project onto.  The inverse sums the tiles of a
@@ -66,11 +69,15 @@ _RESCALE_LOG = math.log(1e250)
 
 # sphere plans for this many L, and ball plans for this many (P, tau), stay
 # cached: more than the 9 band limits of a multiresolution sphere-wavelet pass
-# at L=288, or the 5 radial limits of a multiresolution flaglet pass at P=32
+# at L=288, or the 5 radial limits of a multiresolution flaglet pass at P=32.
+# Nothing bounds their bytes: 32 plans in 225 <= L <= 256 could hold about
+# 0.9 GB of tables, and 32 plans past the cache up to 32 x _FFT_BLOCK_BYTES =
+# 256 MiB of kept maps, seeds and coefficients
 _PLAN_CACHE_SIZE = 32
 
 # the forward transform works on blocks of at most this many bytes of grids,
-# so a batch of shells never holds a full-size Fourier copy of its grid
+# so a batch of shells never holds a full-size Fourier copy of its grid; a
+# plan past the table cache keeps at most this many bytes of pass invariants
 _FFT_BLOCK_BYTES = 8 << 20
 
 # within a block it folds and FFTs this many bytes of grid rows at a time, then
@@ -184,30 +191,24 @@ def sphere_sampling(L: int):
     return thetas, phis
 
 
-def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0):
-    """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
+def _sectoral_seeds(L: int, xs: np.ndarray, orders: int, m_first: int):
+    """Yield (seed_u, box) for each group of `orders` orders from m_first.
 
-    tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(xs[j]), zero where the degree
-    passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
-    step over k = l - m, and an order drops out once it passes degree L - 1,
-    so a tile holds the orders still running at k0.  Tiles hold `depth`
-    degrees and are views of one buffer per group, which the next tile
-    overwrites; with depth >= L - m_first a group is one tile from k0 = 0.
-    int_{-1}^{1} Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase
-    included.  Values are carried as u e^{c} with a per-point exponent c, so
-    high-m values near the poles underflow to zero instead of poisoning the
-    recurrence.  The sectoral seed is carried from one order to the next.
-    sin(theta) is taken as sqrt((1 - x)(1 + x)), which keeps its last bits
-    near the poles.
+    Ptilde_m^m(xs[j]) = seed_u[i, j] e^{c[i, j]} for m = m0 + i.  The seed is
+    carried from one order to the next, and rescaled by 1e250 where it falls
+    below 1e-250, so high-m values near the poles underflow to zero instead
+    of poisoning the recurrence.  c is nonzero only in the box (r0, c0, c1,
+    c_box) = (first scaled order, first and past the last scaled node,
+    c[r0:, c0:c1]).  sin(theta) is taken as sqrt((1 - x)(1 + x)), which
+    keeps its last bits near the poles.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     n = xs.size
     sinx = np.sqrt(np.maximum(0.0, (1.0 - xs) * (1.0 + xs)))
     u = np.full(n, 1.0 / math.sqrt(2.0))
     c = np.zeros(n)
     m = 0
     for m0 in range(m_first, L, orders):
-        nb, K = min(orders, L - m0), L - m0
+        nb = min(orders, L - m0)
         seed_u, seed_c = np.empty((nb, n)), np.empty((nb, n))
         for i in range(nb):
             while m < m0 + i:
@@ -218,27 +219,69 @@ def _legendre_tiles(L: int, xs: np.ndarray, orders: int, depth: int, m_first: in
                     u = np.where(small, u * _RESCALE_THRESHOLD, u)
                     c = c - np.where(small, _RESCALE_LOG, 0.0)
             seed_u[i], seed_c[i] = u, c
+        rows, cols = np.flatnonzero(seed_c.any(axis=1)), np.flatnonzero(seed_c.any(axis=0))
+        r0, c0, c1 = (rows[0], cols[0], cols[-1] + 1) if rows.size else (nb, 0, 0)
+        box = (r0, c0, c1, seed_c[r0:, c0:c1].copy())
+        del seed_c
+        yield seed_u, box
+
+
+def _legendre_tiles(
+    L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0, kept: list | None = None
+):
+    """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
+
+    tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(xs[j]), zero where the degree
+    passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
+    step over k = l - m from their sectoral seeds (_sectoral_seeds), and an
+    order drops out once it passes degree L - 1, so a tile holds the orders
+    still running at k0.  Tiles hold `depth` degrees and are views of one
+    buffer per group, which the next tile overwrites; with depth >= L -
+    m_first a group is one tile from k0 = 0.  int_{-1}^{1} Ptilde_l^m
+    Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase included.
+
+    `kept`, if given, holds what a pass makes without stepping the
+    recurrence: per group (seed_u, box, [(a, b) per tile]).  An empty list is
+    filled by the pass; one filled by an earlier complete pass of the same
+    arguments is read instead of making them again, and yields the same tiles.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    n = xs.size
+    replay = bool(kept)
+    groups = kept if replay else _sectoral_seeds(L, xs, orders, m_first)
+    for m0, group in zip(range(m_first, L, orders), groups):
+        nb, K = min(orders, L - m0), L - m0
+        if replay:
+            seed_u, box, coeffs = group
+            seed_u = seed_u.copy()  # the recurrence steps in its seeds' memory
+        else:
+            (seed_u, box), coeffs = group, []
+            if kept is not None:
+                kept.append((seed_u.copy(), box, coeffs))
+        r0, c0, c1, c_box = box
         # u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64, wherever the seed is unscaled:
         # only in the box [r0:, c0:c1] around the scaled seeds does u carry an
         # exponent c, and only there can it pass the threshold
-        rows, cols = np.flatnonzero(seed_c.any(axis=1)), np.flatnonzero(seed_c.any(axis=0))
-        r0, c0, c1 = (rows[0], cols[0], cols[-1] + 1) if rows.size else (nb, 0, 0)
-        c_box = seed_c[r0:, c0:c1].copy()
-        del seed_c
         ms = np.arange(m0, m0 + nb, dtype=np.float64)
         d = min(depth, K)
         buf = np.empty((nb, d, n))
         u_prev, u_cur = None, seed_u
         with np.errstate(under="ignore"):
             scale = np.exp(c_box)  # recomputed only when a rescale fires
-            for k0 in range(0, K, d):
+            for t, k0 in enumerate(range(0, K, d)):
                 dk, active = min(d, K - k0), min(nb, K - k0)
                 tile = buf[:active, :dk]
                 lo = max(k0, 2)
-                ells = ms[:active] + np.arange(lo, k0 + dk, dtype=np.float64)[:, None]
-                mm = ms[:active] * ms[:active]
-                a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - mm))[..., None]
-                b = np.sqrt(((ells - 1.0) ** 2 - mm) / (4.0 * (ells - 1.0) ** 2 - 1.0))[..., None]
+                if t < len(coeffs):
+                    a, b = coeffs[t]
+                else:
+                    ells = ms[:active] + np.arange(lo, k0 + dk, dtype=np.float64)[:, None]
+                    mm = ms[:active] * ms[:active]
+                    a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - mm))[..., None]
+                    b = np.sqrt(((ells - 1.0) ** 2 - mm) / (4.0 * (ells - 1.0) ** 2 - 1.0))
+                    b = b[..., None]
+                    if kept is not None:
+                        coeffs.append((a, b))
                 for k in range(k0, k0 + dk):
                     run = min(nb, K - k)  # orders with degree m + k <= L - 1
                     row = tile[:, k - k0]
@@ -299,6 +342,15 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     return table
 
 
+def _nbytes(held) -> int:
+    """Bytes of the arrays in nested tuples and lists."""
+    if isinstance(held, np.ndarray):
+        return held.nbytes
+    if isinstance(held, (tuple, list)):
+        return sum(_nbytes(item) for item in held)
+    return 0
+
+
 class SpherePlan:
     """Quadrature rule and folded Legendre tiles with their index maps for one L.
 
@@ -315,12 +367,16 @@ class SpherePlan:
       of all orders for every row, about a grid per row.  So past the cache
       an inverse of more rows than one forward FFT block steps blocks too.
     - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
-      degrees, made per pass in one reused buffer with their maps: L
-      recurrence steps per pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2
-      bytes, about 1.25 grids.
+      degrees, made per pass in one reused buffer: L recurrence steps per
+      pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2 bytes, about 1.25 grids.
 
     _tile_shape() chooses between them for tables() and for the forward's
-    work space.
+    work space.  Past the cache the tiles are stepped anew on every pass,
+    but the first complete pass of each tiling keeps the tiles' maps, the
+    sectoral seeds and the recurrence coefficients while all the plan keeps
+    of them fits in _FFT_BLOCK_BYTES (at most about 28 L^2 bytes a tiling,
+    _invariant_bound, so one tiling up to L = 543).  nbytes counts what the
+    plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -355,6 +411,7 @@ class SpherePlan:
         if odd:
             self.fold_weights[0] *= 0.5
         self._tiles = None
+        self._streamed = {}  # tile shape -> (groups of _legendre_tiles, maps per tile)
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
@@ -384,26 +441,62 @@ class SpherePlan:
             return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * (L - self.half)))), L
         return L, min(L, _LEGENDRE_TILE_DEPTH)
 
+    def _invariant_bound(self, orders: int, depth: int) -> int:
+        """Bytes that a streamed pass of this tiling keeps, at most: per tile of
+        nb orders by dk degrees 8 nb dk of int32 index and at most as much of
+        valid and of dest, and at most 16 nb dk of coefficients a, b; per group
+        of nb orders 8 nb n of seeds and at most as much of exponent box."""
+        L, n, total = self.L, self.L - self.half, 0
+        for m0 in range(0, L, orders):
+            nb, K = min(orders, L - m0), L - m0
+            d = min(depth, K)
+            tiles = sum(min(nb, K - k0) * min(d, K - k0) for k0 in range(0, K, d))
+            total += 40 * tiles + 16 * nb * n
+        return total
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan holds: its rule, signs and weights, the
+        tiles and maps of a cached plan, and the maps, seeds and coefficients
+        kept for each tiling of a streamed one."""
+        arrays = (self.rule.nodes, self.rule.weights, self.signs, self.fold_weights)
+        return _nbytes((arrays, self._tiles, list(self._streamed.values())))
+
     def tables(self, rows: int = 1):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
         Past _CACHE_LIMIT a pass for at most one forward FFT block of `rows`
         yields all-order tiles, each overwritten by the next one, and a pass
-        for more rows blocks of orders.
+        for more rows blocks of orders.  The first complete pass of a tiling
+        keeps its maps, seeds and recurrence coefficients for the later
+        passes while all the plan keeps of them fits in _FFT_BLOCK_BYTES;
+        a pass past that keeps and collects none of them.
         """
         if self._tiles is not None:
             yield from self._tiles
             return
-        L, nodes = self.L, self.rule.nodes[self.half :]
+        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape(rows)
+        if shape in self._streamed:
+            groups, maps = self._streamed[shape]
+            tiles = _legendre_tiles(L, nodes, *shape, 0, groups)
+            for (m0, k0, tile), tile_maps in zip(tiles, maps):
+                yield m0, k0, tile, tile_maps
+            return
         cached = L <= self._CACHE_LIMIT
-        kept = []
-        for m0, k0, tile in _legendre_tiles(L, nodes, *self._tile_shape(rows)):
+        held = _nbytes(list(self._streamed.values()))
+        keep = not cached and self._invariant_bound(*shape) + held <= _FFT_BLOCK_BYTES
+        groups, kept = ([] if keep else None), []
+        for m0, k0, tile in _legendre_tiles(L, nodes, *shape, 0, groups):
             maps = self._tile_maps(m0, k0, *tile.shape[:2])
             if cached:
                 kept.append((m0, k0, tile, maps))
+            elif keep:
+                kept.append(maps)
             yield m0, k0, tile, maps
         if cached:
             self._tiles = kept
+        elif keep:
+            self._streamed[shape] = (groups, kept)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)

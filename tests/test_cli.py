@@ -10,7 +10,8 @@ from flaglets import cli
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward
 from flaglets.io_container import read_container
-from flaglets.sphere_harmonics import _is_hermitian
+from flaglets.kernel_tiling import TilingParams, flaglet_parts
+from flaglets.sphere_harmonics import _is_hermitian, get_plan
 
 
 def run(capsys, *argv):
@@ -334,6 +335,45 @@ class TestBench:
     def test_invalid_count_is_usage_error(self, capsys, option, value):
         code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", option, value)
         assert code == 2 and "error:" in err and "Traceback" not in err
+
+
+class TestPlanReport:
+    """roundtrip and bench report the sphere-plan cache and the bytes held by
+    the plans of the band limits they used."""
+
+    KEYS = ("plan_cache_hits", "plan_cache_misses", "plan_cache_size", "plan_bytes")
+
+    @pytest.mark.parametrize(
+        "argv, bands",
+        [
+            (["roundtrip", "--L", "8", "--P", "4"], {8}),
+            (
+                ["bench", "--L", "16", "--P", "4", "--runs", "1"],
+                {L for L, _ in flaglet_parts(cli.BandLimits(16, 4), TilingParams(), True)[1]},
+            ),
+        ],
+    )
+    def test_json_report(self, capsys, argv, bands):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        info = get_plan.cache_info()
+        report = json.loads(out)
+        assert code == 0
+        # the report reads the cache before it looks up each band's plan
+        assert report["plan_cache_hits"] == info.hits - len(bands)
+        assert report["plan_cache_misses"] == info.misses
+        assert report["plan_cache_size"] == info.currsize >= len(bands) > 0
+        assert report["plan_bytes"] == sum(get_plan(L).nbytes for L in bands)
+        # cached plans hold their tiles and maps
+        tiles = sum(tile.nbytes for L in bands for _, _, tile, _ in get_plan(L).tables())
+        assert report["plan_bytes"] > tiles > 0
+
+    @pytest.mark.parametrize("command", [["roundtrip"], ["bench", "--runs", "1"]])
+    def test_text_report(self, capsys, command):
+        code, out, _ = run(capsys, *command, "--L", "4", "--P", "4")
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert all(int(lines[key]) >= 0 for key in self.KEYS)
+        assert int(lines["plan_bytes"]) > 0
 
 
 class TestSimulate:

@@ -97,19 +97,26 @@ class TestStreamedTables:
         # odd L, cached blocks of orders with a last partial block, and past the
         # cache all-order tiles whose depth divides neither 257 nor 513; tiles
         # hold the half nodes x >= 0 and are zero past degree L - 1.  Each
-        # order's column is hashed tile by tile, so no pass is held whole
+        # order's column is hashed tile by tile, so no pass is held whole.  The
+        # second pass reads the tables a cached plan kept, or steps from the
+        # seeds and coefficients that a streamed plan keeps within its budget
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
-        columns = [hashlib.sha256() for _ in range(L)]
-        for m0, k0, tile, _ in plan.tables():
-            assert tile.shape[2] == L - L // 2
-            for m, rows in enumerate(tile, start=m0):
-                assert m + k0 < L, (L, m, k0)  # an order leaves once past L - 1
-                columns[m].update(rows[: L - m - k0].tobytes())
-                assert not rows[L - m - k0 :].any(), (L, m, k0)
-        for m, column in enumerate(columns):
-            want = hashlib.sha256(legendre_per_order(L, m, half_nodes).tobytes())
-            assert column.digest() == want.digest(), (L, m)
+        want = [
+            hashlib.sha256(legendre_per_order(L, m, half_nodes).tobytes()).digest()
+            for m in range(L)
+        ]
+        for _ in range(2):
+            columns = [hashlib.sha256() for _ in range(L)]
+            for m0, k0, tile, _ in plan.tables():
+                assert tile.shape[2] == L - L // 2
+                for m, rows in enumerate(tile, start=m0):
+                    assert m + k0 < L, (L, m, k0)  # an order leaves once past L - 1
+                    columns[m].update(rows[: L - m - k0].tobytes())
+                    assert not rows[L - m - k0 :].any(), (L, m, k0)
+            assert [column.digest() for column in columns] == want, L
+        fits = plan._invariant_bound(*plan._tile_shape()) <= sphere_harmonics._FFT_BLOCK_BYTES
+        assert bool(plan._streamed) == (L > SpherePlan._CACHE_LIMIT and fits)
         nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
@@ -124,8 +131,9 @@ class TestStreamedTables:
         assert all(a is b for (_, _, a, _), (_, _, b, _) in zip(plan.tables(), plan.tables()))
 
     def test_streamed_plan_holds_no_per_order_arrays(self):
-        # past the cache a plan keeps O(L) arrays: its tiles and their index
-        # maps are made per pass (the maps alone would be 12 MiB at L = 1024)
+        # past the cache a plan is built with O(L) arrays: its tiles are made
+        # per pass, and at L = 1024 so are their maps, seeds and coefficients,
+        # which would take about 28 MiB, past _FFT_BLOCK_BYTES (TestStreamedInvariants)
         L = 1024
         assert L > SpherePlan._CACHE_LIMIT
         tracemalloc.start()
@@ -135,6 +143,7 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert kept < 64 * L * 8
+        assert plan._invariant_bound(*plan._tile_shape()) > sphere_harmonics._FFT_BLOCK_BYTES
         depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
         m0, k0, tile, maps = next(plan.tables())
         assert (m0, k0, tile.shape) == (0, 0, (L, depth, L // 2))
@@ -152,15 +161,22 @@ class TestStreamedTables:
         # the node nearest the pole and a mid-latitude node
         nodes = [len(half_nodes) - 1, 3 * L // 4 - L // 2]
         orders = sorted({0, 1, 2, 3, L // 2, 200, 250, L - depth - 1, L - depth, *range(L - 3, L)})
-        got = {m: np.empty((L - m, len(nodes))) for m in orders}
-        starts = []
-        for m0, k0, tile, _ in plan.tables():
-            starts.append(k0)
-            for m in orders:
-                if m0 <= m < m0 + tile.shape[0]:
-                    rows = tile[m - m0, : L - m - k0]
-                    got[m][k0 : k0 + len(rows)] = rows[:, nodes]
-        assert starts == list(range(0, L, depth))
+        # the first pass, then one stepped from the seeds and coefficients it kept
+        passes = []
+        for _ in range(2):
+            got = {m: np.empty((L - m, len(nodes))) for m in orders}
+            starts = []
+            for m0, k0, tile, _ in plan.tables():
+                starts.append(k0)
+                for m in orders:
+                    if m0 <= m < m0 + tile.shape[0]:
+                        rows = tile[m - m0, : L - m - k0]
+                        got[m][k0 : k0 + len(rows)] = rows[:, nodes]
+            assert starts == list(range(0, L, depth))
+            passes.append(got)
+        assert list(plan._streamed) == [(L, depth)]
+        first, got = passes
+        assert all(np.array_equal(first[m], got[m]) for m in orders)
         compensated = 0
         for m in orders:
             for col, j in enumerate(nodes):
@@ -212,7 +228,9 @@ class TestStreamedTables:
 
 class TestTableGenerations:
     """How often the Legendre recurrence runs: once per plan up to the cache
-    limit; past it once per inverse call and once per forward FFT block."""
+    limit; past it once per inverse call and once per forward FFT block,
+    while the maps, seeds and coefficients around it are made once per
+    tiling (TestStreamedInvariants)."""
 
     @pytest.fixture
     def generations(self, monkeypatch):
@@ -254,6 +272,156 @@ class TestTableGenerations:
             back = _sht_forward_batch(grids, plan)
             assert len(generations) == 4 * call
         assert np.max(np.abs(back - c)) < 1e-12
+
+
+def tile_digests(plan, rows=1):
+    """SHA-256 of every tile and of its maps, pass by pass."""
+    digests = []
+    for m0, k0, tile, maps in plan.tables(rows):
+        d = hashlib.sha256(np.array([m0, k0, *tile.shape]).tobytes() + tile.tobytes())
+        for index, valid, dest, plus in maps:
+            d.update(index.tobytes() + valid.tobytes() + dest.tobytes() + bytes([plus % 256]))
+        digests.append(d.digest())
+    return digests
+
+
+class TestStreamedInvariants:
+    """Past the table cache a plan keeps, for each tiling, the tiles' maps,
+    the sectoral seeds and the recurrence coefficients of its first complete
+    pass, while all it keeps fits in _FFT_BLOCK_BYTES; later passes only step
+    the recurrence, and yield the same tiles and maps bit for bit."""
+
+    L = 24  # all-order tiles from k0 = 0, 10 and 20
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        # streamed at L = 24, with blocks of 5 orders for more rows than one FFT block
+        L = self.L
+        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
+        monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 5 * 8 * L * (L - L // 2))
+        counts = {}
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            counts[name] = 0
+
+            def counting(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(sphere_harmonics, "_legendre_tiles")
+        count(sphere_harmonics, "_sectoral_seeds")
+        count(SpherePlan, "_tile_maps")
+        return counts
+
+    def test_maps_and_seeds_are_made_once_per_tiling(self, counts):
+        plan = SpherePlan(self.L)
+        many = _fft_block_grids(self.L) + 1
+        assert plan._tile_shape(1) == (self.L, 10) and plan._tile_shape(many) == (5, self.L)
+        base = plan.nbytes
+        first = {rows: tile_digests(plan, rows) for rows in (1, many)}
+        assert [len(first[1]), len(first[many])] == [3, 5]
+        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 8}
+        kept = plan.nbytes - base
+        bounds = sum(plan._invariant_bound(*plan._tile_shape(rows)) for rows in (1, many))
+        assert 0 < kept <= bounds <= sphere_harmonics._FFT_BLOCK_BYTES
+        for _ in range(2):
+            for rows in (1, many):
+                assert tile_digests(plan, rows) == first[rows]
+        # the recurrence still steps once per pass
+        assert counts == {"_legendre_tiles": 6, "_sectoral_seeds": 2, "_tile_maps": 8}
+        assert plan.nbytes - base == kept
+
+    def test_plan_past_its_budget_keeps_nothing(self, counts, monkeypatch):
+        want = tile_digests(SpherePlan(self.L))  # kept within the default budget
+        plan = SpherePlan(self.L)
+        base = plan.nbytes
+        bound = plan._invariant_bound(*plan._tile_shape())
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", bound - 1)
+        counts.update(dict.fromkeys(counts, 0))
+        for _ in range(3):
+            assert tile_digests(plan) == want
+        assert counts == {"_legendre_tiles": 3, "_sectoral_seeds": 3, "_tile_maps": 9}
+        assert plan._streamed == {} and plan.nbytes == base
+
+    def test_second_tiling_is_kept_only_while_both_fit(self, counts, monkeypatch):
+        plan = SpherePlan(self.L)
+        many = _fft_block_grids(self.L) + 1
+        base = plan.nbytes
+        tile_digests(plan)
+        # room for the tiling kept first, but not for a second beside it
+        second = plan._invariant_bound(*plan._tile_shape(many))
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", plan.nbytes - base + second - 1)
+        counts.update(dict.fromkeys(counts, 0))
+        want = tile_digests(plan, many)
+        assert tile_digests(plan, many) == want
+        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 10}
+        assert list(plan._streamed) == [plan._tile_shape(1)]
+
+    def test_abandoned_pass_keeps_nothing(self, counts):
+        want = tile_digests(SpherePlan(self.L))
+        plan = SpherePlan(self.L)
+        base = plan.nbytes
+        tiles = plan.tables()
+        next(tiles)
+        tiles.close()
+        assert plan._streamed == {} and plan.nbytes == base
+        assert tile_digests(plan) == want
+        assert list(plan._streamed) == [plan._tile_shape()]
+
+    @pytest.mark.parametrize("L, streamed", [(16, 15), (288, None)])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_engine_passes_are_bit_identical(self, monkeypatch, L, streamed, real):
+        # both directions on the first pass, on later passes of what it kept
+        # and on a plan that keeps nothing; at L = 16, one row and 4 rows in
+        # FFT blocks of 3, which the inverse steps in blocks of orders
+        if streamed:
+            monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", streamed)
+            monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
+        assert L > SpherePlan._CACHE_LIMIT
+        rng = np.random.default_rng(L)
+        if real:
+            c = hermitian_coeffs(rng, L, (4,))
+        else:
+            c = rng.uniform(-1, 1, (4, L * L)) + 1j * rng.uniform(-1, 1, (4, L * L))
+        plan, bare = SpherePlan(L), SpherePlan(L)
+        monkeypatch.setattr(bare, "_invariant_bound", lambda orders, depth: math.inf)
+        for rows in (1, 4) if streamed else (1,):
+            outputs = []
+            for p in (plan, plan, plan, bare):
+                grids = _sht_inverse_batch(c[:rows], p, real)
+                outputs.append((grids.tobytes(), _sht_forward_batch(grids, p).tobytes()))
+            assert outputs[1:] == outputs[:1] * 3, rows
+        assert bare._streamed == {}
+        assert len(plan._streamed) == (2 if streamed else 1)
+
+    @pytest.mark.slow
+    def test_largest_kept_and_smallest_dropped_band_limit(self):
+        # the bound grows with L: the largest L whose all-order pass fits in
+        # _FFT_BLOCK_BYTES keeps its invariants, the next L keeps nothing, and
+        # both yield the same tiles on every pass
+        def bound(L):
+            plan = SpherePlan(L)
+            return plan._invariant_bound(*plan._tile_shape())
+
+        budget = sphere_harmonics._FFT_BLOCK_BYTES
+        lo, hi = SpherePlan._CACHE_LIMIT + 1, MAX_BAND_LIMIT
+        assert bound(lo) <= budget < bound(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if bound(mid) <= budget else (lo, mid)
+        for L in (lo, hi):
+            plan = SpherePlan(L)
+            base = plan.nbytes
+            c = random_coeffs(L, np.random.default_rng(L)).coeffs[None]
+            first = tile_digests(plan)
+            back = _sht_forward_batch(_sht_inverse_batch(c, plan, False), plan)
+            assert tile_digests(plan) == first
+            assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
+            kept = plan.nbytes - base
+            assert (kept > 0) == (L == lo) and kept <= budget, (L, kept)
 
 
 class TestStreamedWorkSpace:
