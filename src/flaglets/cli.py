@@ -16,7 +16,14 @@ import time
 
 import numpy as np
 
-from .flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
+from .flag_transform import (
+    BallGrid,
+    BandLimits,
+    FlagCoeffs,
+    flag_forward,
+    flag_inverse,
+    get_flag_plan,
+)
 from .flaglet_transform import (
     FlagletDecomposition,
     flaglet_analyze,
@@ -31,7 +38,7 @@ from .kernel_tiling import (
     flaglet_parts,
     scale_range,
 )
-from .radial_laguerre import radial_nodes
+from .radial_laguerre import RadialParams, radial_nodes
 from .sphere_harmonics import _fill_negative_orders, get_plan, sphere_sampling
 
 EXIT_OK = 0
@@ -95,8 +102,11 @@ def blob_field(
             phi_g - pc
         )
         ang = np.arccos(np.clip(cosdist, -1.0, 1.0))
-        angular = np.exp(-0.5 * (ang / width_ang) ** 2)
-        radial = np.exp(-0.5 * ((radii - rc) / width_rad) ** 2)
+        # far out in a narrow width the squared distance overflows to inf,
+        # whose Gaussian is the exact 0
+        with np.errstate(over="ignore"):
+            angular = np.exp(-0.5 * (ang / width_ang) ** 2)
+            radial = np.exp(-0.5 * ((radii - rc) / width_rad) ** 2)
         values += amplitude * radial[:, None, None] * angular[None, :, :]
     return BallGrid(limits, values)
 
@@ -149,22 +159,27 @@ def cmd_roundtrip(args) -> int:
             "real_max_abs_err": real_abs,
             "real_rel_err": real_rel,
             "seconds": seconds,
-            **_plan_report([limits.L]),
+            **_plan_report([(limits.L, limits.P)], limits.tau),
         },
         args.format,
     )
     return _exit_for(rel, real_rel)
 
 
-def _plan_report(bands) -> dict:
-    """Hits, misses and size of the sphere-plan cache, and the bytes held by
-    the plans of the band limits in `bands`."""
-    info = get_plan.cache_info()
+def _plan_report(bands, tau: float) -> dict:
+    """Hits, misses and size of the sphere-plan and the radial-plan caches,
+    and the bytes held by the plans of the (L, P) limits in `bands`."""
+    info, flag_info = get_plan.cache_info(), get_flag_plan.cache_info()
+    angular, radial = {L for L, _ in bands}, {P for _, P in bands}
     return {
         "plan_cache_hits": info.hits,
         "plan_cache_misses": info.misses,
         "plan_cache_size": info.currsize,
-        "plan_bytes": sum(get_plan(L).nbytes for L in set(bands)),
+        "plan_bytes": sum(get_plan(L).nbytes for L in angular),
+        "flag_plan_cache_hits": flag_info.hits,
+        "flag_plan_cache_misses": flag_info.misses,
+        "flag_plan_cache_size": flag_info.currsize,
+        "flag_plan_bytes": sum(get_flag_plan(RadialParams(P, tau)).nbytes for P in radial),
     }
 
 
@@ -308,7 +323,7 @@ def cmd_bench(args) -> int:
             "multires_max_abs_err": multi_abs,
             "multires_rel_err": multi_rel,
             "speedup": t_full / t_multi if t_multi > 0 else float("inf"),
-            **_plan_report([L for L, _ in flaglet_parts(limits, params, True)[1]]),
+            **_plan_report(flaglet_parts(limits, params, True)[1], limits.tau),
         },
         args.format,
     )
@@ -351,12 +366,17 @@ def cmd_kernels(args) -> int:
 
 def cmd_simulate(args) -> int:
     limits = _limits_from_args(args)
-    grid = blob_field(
-        limits, args.blobs, args.width_ang, args.width_rad, args.seed, args.amplitude
-    )
-    if args.noise > 0:
-        rng = np.random.Generator(np.random.PCG64(args.seed + 1))
-        grid = BallGrid(limits, grid.values + args.noise * rng.standard_normal(grid.values.shape))
+    # a field past the float range is refused here, not by the reader
+    with np.errstate(over="ignore"):
+        grid = blob_field(
+            limits, args.blobs, args.width_ang, args.width_rad, args.seed, args.amplitude
+        )
+        if args.noise > 0:
+            rng = np.random.Generator(np.random.PCG64(args.seed + 1))
+            noise = args.noise * rng.standard_normal(grid.values.shape)
+            grid = BallGrid(limits, grid.values + noise)
+    if not np.isfinite(grid.values).all():
+        raise ValueError("the field overflows the float64 range; lower --amplitude or --noise")
     write_container(grid, args.output)
     print(f"wrote blob field (L={limits.L}, P={limits.P}, blobs={args.blobs}) to {args.output}")
     return EXIT_OK

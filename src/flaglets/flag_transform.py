@@ -99,6 +99,13 @@ class FlagPlan:
         # forward radial operator: (p, i) entries weight_i * K_p(r_i)
         self.kforward = self.kbasis * self.radial_weights[None, :]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays the plan holds: radii, weights and the two
+        (P, P) tables, 16 P^2 + 16 P."""
+        arrays = (self.radii, self.radial_weights, self.kbasis, self.kforward)
+        return sum(a.nbytes for a in arrays)
+
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def get_flag_plan(radial: RadialParams) -> FlagPlan:

@@ -21,8 +21,9 @@ fields) gives the one payload dtype of the kind, the shape of each array a
 header declares and the builder of the object. _layout validates the
 header before anything is allocated. The writer refuses arrays that do
 not match their header's layout, but does not look at values; the reader
-rejects NaN and Inf, and flaglet windows Psi^{jj'} that are not the
-products of the line windows it rebuilds from the header's tiling.
+rejects NaN and Inf, and kernel windows (eta and kappa_j, or Phi and
+Psi^{jj'}) that differ from those it rebuilds from the header's tiling once
+the payload is read.
 
 Decompositions (kind 7) carry a flags word: bit 0 = multiresolution
 storage, bit 1 = sphere decomposition (P, j0_rad, nu and tau unused,
@@ -44,6 +45,7 @@ present, never with the sizes a header declares.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import itertools
 import math
 import os
@@ -57,7 +59,8 @@ from .kernel_tiling import (
     FlagletKernels,
     SphereKernels,
     TilingParams,
-    flaglet_line_windows,
+    build_flaglet_kernels,
+    build_sphere_kernels,
     flaglet_parts,
     scale_range,
     sphere_part_bands,
@@ -143,8 +146,8 @@ class HeaderError(ContainerError, ValueError):
 
 
 class PayloadError(ContainerError, ValueError):
-    """A payload holds NaN or infinite values, or flaglet windows that are not
-    the separable windows of their header's tiling."""
+    """A payload holds NaN or infinite values, or kernel windows that are not
+    those of their header's tiling."""
 
 
 def _describe(obj):
@@ -207,8 +210,13 @@ def _layout(kind: int, fields: tuple):
         L, j0, lam = fields
         BandLimits(L, 1)
         params = TilingParams(lam=lam, j0_ang=j0)
-        count = 1 + len(scale_range(L, lam, j0))
-        return "<f8", [(L,)] * count, lambda a: SphereKernels(L, params, a[0], a[1:])
+        names = ["eta", *(f"kappa_{j}" for j in scale_range(L, lam, j0))]
+
+        def build(a):
+            _check_windows(names, a, build_sphere_kernels(L, params))
+            return SphereKernels(L, params, a[0], a[1:])
+
+        return "<f8", [(L,)] * len(names), build
     if kind == KIND_FLAGLET_KERNELS:
         L, P, j0a, j0r, lam, nu, tau = fields
         limits = BandLimits(L, P, tau)
@@ -216,18 +224,9 @@ def _layout(kind: int, fields: tuple):
         keys, _ = flaglet_parts(limits, params, False)
 
         def build(a):
-            # the transforms window with the line windows of the tiling, so
-            # the stored Psi must be their products; rounding leaves a few 1e-16
-            kappas_a, kappas_r = flaglet_line_windows(limits, params)
-            for (j, jp), psi in zip(keys, a[1:]):
-                outer = np.outer(kappas_a[j - j0a], kappas_r[jp - j0r])
-                if not np.max(np.abs(psi - outer)) <= 1e-12:
-                    raise PayloadError(
-                        f"window {(j, jp)} is not the product of its tiling's line windows"
-                    )
-            return FlagletKernels(
-                limits, params, a[0], dict(zip(keys, a[1:])), kappas_a, kappas_r
-            )
+            rebuilt = build_flaglet_kernels(limits, params)
+            _check_windows(["phi", *keys], a, rebuilt)
+            return dataclasses.replace(rebuilt, phi=a[0], psis=dict(zip(keys, a[1:])))
 
         return "<f8", [(L, P)] * (1 + len(keys)), build
     # KIND_DECOMPOSITION, the one kind left in _HEADERS
@@ -262,6 +261,16 @@ def _layout(kind: int, fields: tuple):
         return FlagletDecomposition(limits, params, grids[0], wavelets, multires)
 
     return code, [(pj, lj, 2 * lj - 1) for lj, pj in bands], build
+
+
+def _check_windows(names: list, arrays: list, rebuilt) -> None:
+    """PayloadError naming the first window in `arrays` that differs from its
+    counterpart in the kernels `rebuilt` from the header's tiling: the
+    transforms are exact only with those windows.  Rounding differences are
+    a few 1e-16."""
+    for name, got, want in zip(names, arrays, _describe(rebuilt)[2]):
+        if not np.max(np.abs(got - want)) <= 1e-12:
+            raise PayloadError(f"window {name} is not the one its header's tiling gives")
 
 
 def _checked_layout(kind: int, fields: tuple):

@@ -17,10 +17,11 @@ SpherePlan chooses: up to the table cache, blocks of orders with all their
 degrees, which the plan keeps; past it, every order at once in tiles of a
 few degrees, so a pass takes O(L) recurrence steps and holds a tile of about
 one grid (an inverse of many rows still steps blocks of orders, whose sums it
-holds for one block of rows at a time, not about a grid per row).  A plan
-past the cache keeps, up to _FFT_BLOCK_BYTES in all, what its passes make
-without stepping the recurrence: the tiles' index maps, the sectoral seeds
-and the recurrence coefficients, so a later pass only steps.  The engine
+holds for one block of rows at a time, not about a grid per row).  What a
+pass needs besides the recurrence steps, the tiles' index maps, the sectoral
+seeds and the recurrence coefficients, depends only on the tile geometry, so
+a plan past the cache makes it before a tiling's first pass and keeps it, up
+to _FFT_BLOCK_BYTES in all; its passes then only step.  The engine
 never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a
 grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and
 the odd degrees of an order project onto.  The inverse sums the tiles of a
@@ -42,6 +43,7 @@ the scatter, and a real grid is half the bytes of a complex one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -226,8 +228,30 @@ def _sectoral_seeds(L: int, xs: np.ndarray, orders: int, m_first: int):
         yield seed_u, box
 
 
+def _tile_geometry(L: int, orders: int, depth: int, m_first: int = 0):
+    """Yield (m0, k0, nb, dk) for each tile of a pass, in pass order: groups
+    of `orders` orders from m_first, each cut into tiles of `depth` degrees
+    from k0 = 0, of which a tile holds the nb orders still running at k0."""
+    for m0 in range(m_first, L, orders):
+        d = min(depth, L - m0)
+        for k0 in range(0, L - m0, d):
+            yield m0, k0, min(orders, L - m0 - k0), min(d, L - m0 - k0)
+
+
+def _recurrence_coeffs(m0: int, k0: int, nb: int, dk: int):
+    """The coefficients a, b (k, i, 1) of the degree steps k = max(k0, 2)..k0+dk-1
+    of a tile: Ptilde_l^m = a (x Ptilde_{l-1}^m - b Ptilde_{l-2}^m) at l = m + k,
+    m = m0 + i."""
+    ms = np.arange(m0, m0 + nb, dtype=np.float64)
+    ells = ms + np.arange(max(k0, 2), k0 + dk, dtype=np.float64)[:, None]
+    mm = ms * ms
+    a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - mm))
+    b = np.sqrt(((ells - 1.0) ** 2 - mm) / (4.0 * (ells - 1.0) ** 2 - 1.0))
+    return a[..., None], b[..., None]
+
+
 def _legendre_tiles(
-    L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0, kept: list | None = None
+    L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0, kept: tuple | None = None
 ):
     """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
 
@@ -235,81 +259,61 @@ def _legendre_tiles(
     passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
     step over k = l - m from their sectoral seeds (_sectoral_seeds), and an
     order drops out once it passes degree L - 1, so a tile holds the orders
-    still running at k0.  Tiles hold `depth` degrees and are views of one
-    buffer per group, which the next tile overwrites; with depth >= L -
-    m_first a group is one tile from k0 = 0.  int_{-1}^{1} Ptilde_l^m
+    still running at k0 (_tile_geometry).  Tiles hold `depth` degrees and are
+    views of one buffer per group, which the next tile overwrites; with depth
+    >= L - m_first a group is one tile from k0 = 0.  int_{-1}^{1} Ptilde_l^m
     Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase included.
 
-    `kept`, if given, holds what a pass makes without stepping the
-    recurrence: per group (seed_u, box, [(a, b) per tile]).  An empty list is
-    filled by the pass; one filled by an earlier complete pass of the same
-    arguments is read instead of making them again, and yields the same tiles.
+    `kept`, if given, holds what the pass needs besides the recurrence steps:
+    (seeds, coefficients), the (seed_u, box) of each group from
+    _sectoral_seeds and the _recurrence_coeffs of each tile.  Without it the
+    pass makes them as it goes.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    n = xs.size
-    replay = bool(kept)
-    groups = kept if replay else _sectoral_seeds(L, xs, orders, m_first)
-    for m0, group in zip(range(m_first, L, orders), groups):
-        nb, K = min(orders, L - m0), L - m0
-        if replay:
-            seed_u, box, coeffs = group
-            seed_u = seed_u.copy()  # the recurrence steps in its seeds' memory
-        else:
-            (seed_u, box), coeffs = group, []
-            if kept is not None:
-                kept.append((seed_u.copy(), box, coeffs))
-        r0, c0, c1, c_box = box
-        # u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64, wherever the seed is unscaled:
-        # only in the box [r0:, c0:c1] around the scaled seeds does u carry an
-        # exponent c, and only there can it pass the threshold
-        ms = np.arange(m0, m0 + nb, dtype=np.float64)
-        d = min(depth, K)
-        buf = np.empty((nb, d, n))
-        u_prev, u_cur = None, seed_u
-        with np.errstate(under="ignore"):
-            scale = np.exp(c_box)  # recomputed only when a rescale fires
-            for t, k0 in enumerate(range(0, K, d)):
-                dk, active = min(d, K - k0), min(nb, K - k0)
-                tile = buf[:active, :dk]
-                lo = max(k0, 2)
-                if t < len(coeffs):
-                    a, b = coeffs[t]
-                else:
-                    ells = ms[:active] + np.arange(lo, k0 + dk, dtype=np.float64)[:, None]
-                    mm = ms[:active] * ms[:active]
-                    a = np.sqrt((4.0 * ells * ells - 1.0) / (ells * ells - mm))[..., None]
-                    b = np.sqrt(((ells - 1.0) ** 2 - mm) / (4.0 * (ells - 1.0) ** 2 - 1.0))
-                    b = b[..., None]
-                    if kept is not None:
-                        coeffs.append((a, b))
-                for k in range(k0, k0 + dk):
-                    run = min(nb, K - k)  # orders with degree m + k <= L - 1
-                    row = tile[:, k - k0]
-                    if k == 1:
-                        np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=row[:run])
-                        u_prev, u_cur = u_cur, row[:run] * u_cur[:run]
-                    elif k >= 2:
-                        # u_prev <- a (x u_cur - b u_prev) in place, then swap;
-                        # the tile row holds x u_cur until it takes the new values
-                        u_prev, u_cur = u_prev[:run], u_cur[:run]
-                        np.multiply(xs, u_cur, out=row[:run])
-                        np.multiply(b[k - lo, :run], u_prev, out=u_prev)
-                        np.subtract(row[:run], u_prev, out=u_prev)
-                        np.multiply(a[k - lo, :run], u_prev, out=u_prev)
-                        u_prev, u_cur = u_cur, u_prev
-                        if r0 < run and np.abs(u_cur[r0:, c0:c1]).max() > _RESCALE_THRESHOLD:
-                            big = np.abs(u_cur[r0:, c0:c1]) > _RESCALE_THRESHOLD
-                            f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
-                            u_cur[r0:, c0:c1] *= f
-                            u_prev[r0:, c0:c1] *= f
-                            c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
-                            scale = np.exp(c_box)
-                    row[:run] = u_cur[:run]
-                    if run < len(row):
-                        row[run:] = 0.0
-                    if r0 < run:
-                        np.multiply(u_cur[r0:run, c0:c1], scale[: run - r0], out=row[r0:run, c0:c1])
-                yield m0, k0, tile
+    seeds = iter(kept[0]) if kept else _sectoral_seeds(L, xs, orders, m_first)
+    with np.errstate(under="ignore"):
+        for t, (m0, k0, nb, dk) in enumerate(_tile_geometry(L, orders, depth, m_first)):
+            if k0 == 0:  # a new group of nb orders
+                seed_u, (r0, c0, c1, c_box) = next(seeds)
+                if kept:
+                    seed_u = seed_u.copy()  # the recurrence steps in its seeds' memory
+                # u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64, wherever the seed is
+                # unscaled: only in the box [r0:, c0:c1] around the scaled seeds
+                # does u carry an exponent c, and only there can it pass the threshold
+                scale = np.exp(c_box)  # recomputed only when a rescale fires
+                ms = np.arange(m0, m0 + nb, dtype=np.float64)
+                buf = np.empty((nb, dk, xs.size))
+                u_prev, u_cur = None, seed_u
+            tile = buf[:nb, :dk]
+            a, b = kept[1][t] if kept else _recurrence_coeffs(m0, k0, nb, dk)
+            lo = max(k0, 2)
+            for k in range(k0, k0 + dk):
+                run = min(nb, L - m0 - k)  # orders with degree m + k <= L - 1
+                row = tile[:, k - k0]
+                if k == 1:
+                    np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=row[:run])
+                    u_prev, u_cur = u_cur, row[:run] * u_cur[:run]
+                elif k >= 2:
+                    # u_prev <- a (x u_cur - b u_prev) in place, then swap;
+                    # the tile row holds x u_cur until it takes the new values
+                    u_prev, u_cur = u_prev[:run], u_cur[:run]
+                    np.multiply(xs, u_cur, out=row[:run])
+                    np.multiply(b[k - lo, :run], u_prev, out=u_prev)
+                    np.subtract(row[:run], u_prev, out=u_prev)
+                    np.multiply(a[k - lo, :run], u_prev, out=u_prev)
+                    u_prev, u_cur = u_cur, u_prev
+                    if r0 < run and np.abs(u_cur[r0:, c0:c1]).max() > _RESCALE_THRESHOLD:
+                        big = np.abs(u_cur[r0:, c0:c1]) > _RESCALE_THRESHOLD
+                        f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
+                        u_cur[r0:, c0:c1] *= f
+                        u_prev[r0:, c0:c1] *= f
+                        c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
+                        scale = np.exp(c_box)
+                row[:run] = u_cur[:run]
+                row[run:] = 0.0
+                if r0 < run:
+                    np.multiply(u_cur[r0:run, c0:c1], scale[: run - r0], out=row[r0:run, c0:c1])
+            yield m0, k0, tile
 
 
 def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
@@ -361,22 +365,22 @@ class SpherePlan:
     L the odd rows vanish at x = 0.  Tiles come in two kinds:
 
     - blocks of orders of about _LEGENDRE_BLOCK_BYTES, each with all of its
-      degrees (k0 = 0).  Up to _CACHE_LIMIT a complete pass is kept, maps
-      included.  The inverse holds the sums of a group of orders until its
-      last tile: those of a block for one FFT block of rows at a time, those
-      of all orders for every row, about a grid per row.  So past the cache
-      an inverse of more rows than one forward FFT block steps blocks too.
+      degrees (k0 = 0).  Up to _CACHE_LIMIT all are made on first use and
+      kept, maps included.  The inverse holds the sums of a group of orders
+      until its last tile: those of a block for one FFT block of rows at a
+      time, those of all orders for every row, about a grid per row, so past
+      the cache an inverse of more rows than one FFT block steps blocks too.
     - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
       degrees, made per pass in one reused buffer: L recurrence steps per
       pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2 bytes, about 1.25 grids.
 
     _tile_shape() chooses between them for tables() and for the forward's
-    work space.  Past the cache the tiles are stepped anew on every pass,
-    but the first complete pass of each tiling keeps the tiles' maps, the
-    sectoral seeds and the recurrence coefficients while all the plan keeps
-    of them fits in _FFT_BLOCK_BYTES (at most about 28 L^2 bytes a tiling,
-    _invariant_bound, so one tiling up to L = 543).  nbytes counts what the
-    plan holds.
+    work space, and _tile_geometry lists a pass's tiles.  Past the cache the
+    tiles are stepped anew on every pass, from the maps, sectoral seeds and
+    recurrence coefficients that the plan makes from that list before the
+    first pass of each tiling and keeps while all it keeps of them fits in
+    _FFT_BLOCK_BYTES (at most about 28 L^2 bytes a tiling, _invariant_bound,
+    so one tiling up to L = 543).  nbytes counts what the plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -411,7 +415,7 @@ class SpherePlan:
         if odd:
             self.fold_weights[0] *= 0.5
         self._tiles = None
-        self._streamed = {}  # tile shape -> (groups of _legendre_tiles, maps per tile)
+        self._streamed = {}  # tile shape -> ((seeds, coefficients), maps per tile)
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
@@ -442,17 +446,11 @@ class SpherePlan:
         return L, min(L, _LEGENDRE_TILE_DEPTH)
 
     def _invariant_bound(self, orders: int, depth: int) -> int:
-        """Bytes that a streamed pass of this tiling keeps, at most: per tile of
-        nb orders by dk degrees 8 nb dk of int32 index and at most as much of
-        valid and of dest, and at most 16 nb dk of coefficients a, b; per group
-        of nb orders 8 nb n of seeds and at most as much of exponent box."""
-        L, n, total = self.L, self.L - self.half, 0
-        for m0 in range(0, L, orders):
-            nb, K = min(orders, L - m0), L - m0
-            d = min(depth, K)
-            tiles = sum(min(nb, K - k0) * min(d, K - k0) for k0 in range(0, K, d))
-            total += 40 * tiles + 16 * nb * n
-        return total
+        """Bytes that keeping a streamed tiling holds, at most: per tile 8 nb dk
+        of int32 index, as much at most of valid and of dest, 16 nb dk of a, b;
+        per group of nb orders 8 nb n of seeds and as much at most of box."""
+        n, tiles = self.L - self.half, _tile_geometry(self.L, orders, depth)
+        return sum(40 * nb * dk + (16 * nb * n if k0 == 0 else 0) for _, k0, nb, dk in tiles)
 
     @property
     def nbytes(self) -> int:
@@ -465,38 +463,33 @@ class SpherePlan:
     def tables(self, rows: int = 1):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
-        Past _CACHE_LIMIT a pass for at most one forward FFT block of `rows`
-        yields all-order tiles, each overwritten by the next one, and a pass
-        for more rows blocks of orders.  The first complete pass of a tiling
-        keeps its maps, seeds and recurrence coefficients for the later
-        passes while all the plan keeps of them fits in _FFT_BLOCK_BYTES;
-        a pass past that keeps and collects none of them.
+        A cached plan makes all its tiles and maps on first use and replays
+        them.  Past _CACHE_LIMIT a pass for at most one forward FFT block of
+        `rows` yields all-order tiles, each overwritten by the next one, and
+        a pass for more rows blocks of orders.  Before a tiling's first pass
+        the plan makes its seeds, coefficients and maps from _tile_geometry
+        and keeps them, while all it keeps fits in _FFT_BLOCK_BYTES; a pass
+        past that makes them as it goes.
         """
-        if self._tiles is not None:
+        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape(rows)
+        if L <= self._CACHE_LIMIT:
+            if self._tiles is None:
+                tiles = _legendre_tiles(L, nodes, *shape, 0, None)
+                maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
+                self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
             yield from self._tiles
             return
-        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape(rows)
-        if shape in self._streamed:
-            groups, maps = self._streamed[shape]
-            tiles = _legendre_tiles(L, nodes, *shape, 0, groups)
-            for (m0, k0, tile), tile_maps in zip(tiles, maps):
-                yield m0, k0, tile, tile_maps
-            return
-        cached = L <= self._CACHE_LIMIT
-        held = _nbytes(list(self._streamed.values()))
-        keep = not cached and self._invariant_bound(*shape) + held <= _FFT_BLOCK_BYTES
-        groups, kept = ([] if keep else None), []
-        for m0, k0, tile in _legendre_tiles(L, nodes, *shape, 0, groups):
-            maps = self._tile_maps(m0, k0, *tile.shape[:2])
-            if cached:
-                kept.append((m0, k0, tile, maps))
-            elif keep:
-                kept.append(maps)
-            yield m0, k0, tile, maps
-        if cached:
-            self._tiles = kept
-        elif keep:
-            self._streamed[shape] = (groups, kept)
+        if shape not in self._streamed:
+            held = _nbytes(list(self._streamed.values()))
+            if self._invariant_bound(*shape) + held <= _FFT_BLOCK_BYTES:
+                geometry = list(_tile_geometry(L, *shape))
+                seeds = list(_sectoral_seeds(L, nodes, shape[0], 0))
+                kept = seeds, [_recurrence_coeffs(*tile) for tile in geometry]
+                self._streamed[shape] = kept, [self._tile_maps(*tile) for tile in geometry]
+        kept, maps = self._streamed.get(shape, (None, None))
+        maps = maps or itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
+        for tile, tile_maps in zip(_legendre_tiles(L, nodes, *shape, 0, kept), maps):
+            yield *tile, tile_maps
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)

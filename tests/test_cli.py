@@ -8,9 +8,10 @@ import pytest
 
 from flaglets import cli
 from flaglets.cli import main
-from flaglets.flag_transform import flag_forward
+from flaglets.flag_transform import flag_forward, get_flag_plan
 from flaglets.io_container import read_container
 from flaglets.kernel_tiling import TilingParams, flaglet_parts
+from flaglets.radial_laguerre import RadialParams
 from flaglets.sphere_harmonics import _is_hermitian, get_plan
 
 
@@ -338,34 +339,50 @@ class TestBench:
 
 
 class TestPlanReport:
-    """roundtrip and bench report the sphere-plan cache and the bytes held by
-    the plans of the band limits they used."""
+    """roundtrip and bench report the sphere-plan and the radial-plan caches
+    and the bytes held by the plans of the band limits they used."""
 
-    KEYS = ("plan_cache_hits", "plan_cache_misses", "plan_cache_size", "plan_bytes")
+    KEYS = (
+        "plan_cache_hits",
+        "plan_cache_misses",
+        "plan_cache_size",
+        "plan_bytes",
+        "flag_plan_cache_hits",
+        "flag_plan_cache_misses",
+        "flag_plan_cache_size",
+        "flag_plan_bytes",
+    )
 
     @pytest.mark.parametrize(
         "argv, bands",
         [
-            (["roundtrip", "--L", "8", "--P", "4"], {8}),
+            (["roundtrip", "--L", "8", "--P", "4"], {(8, 4)}),
             (
                 ["bench", "--L", "16", "--P", "4", "--runs", "1"],
-                {L for L, _ in flaglet_parts(cli.BandLimits(16, 4), TilingParams(), True)[1]},
+                set(flaglet_parts(cli.BandLimits(16, 4), TilingParams(), True)[1]),
             ),
         ],
     )
     def test_json_report(self, capsys, argv, bands):
         code, out, _ = run(capsys, *argv, "--format", "json")
-        info = get_plan.cache_info()
+        info, flag_info = get_plan.cache_info(), get_flag_plan.cache_info()
         report = json.loads(out)
         assert code == 0
-        # the report reads the cache before it looks up each band's plan
-        assert report["plan_cache_hits"] == info.hits - len(bands)
+        # the report reads each cache before it looks up each band's plan
+        angular, radial = {L for L, _ in bands}, {RadialParams(P) for _, P in bands}
+        assert report["plan_cache_hits"] == info.hits - len(angular)
         assert report["plan_cache_misses"] == info.misses
-        assert report["plan_cache_size"] == info.currsize >= len(bands) > 0
-        assert report["plan_bytes"] == sum(get_plan(L).nbytes for L in bands)
+        assert report["plan_cache_size"] == info.currsize >= len(angular) > 0
+        assert report["plan_bytes"] == sum(get_plan(L).nbytes for L in angular)
         # cached plans hold their tiles and maps
-        tiles = sum(tile.nbytes for L in bands for _, _, tile, _ in get_plan(L).tables())
+        tiles = sum(tile.nbytes for L in angular for _, _, tile, _ in get_plan(L).tables())
         assert report["plan_bytes"] > tiles > 0
+        assert report["flag_plan_cache_hits"] == flag_info.hits - len(radial)
+        assert report["flag_plan_cache_misses"] == flag_info.misses
+        assert report["flag_plan_cache_size"] == flag_info.currsize >= len(radial) > 0
+        # a radial plan holds its nodes, weights and two (P, P) tables
+        assert report["flag_plan_bytes"] == sum(16 * p.P * (p.P + 1) for p in radial)
+        assert report["flag_plan_bytes"] == sum(get_flag_plan(p).nbytes for p in radial)
 
     @pytest.mark.parametrize("command", [["roundtrip"], ["bench", "--runs", "1"]])
     def test_text_report(self, capsys, command):
@@ -373,7 +390,7 @@ class TestPlanReport:
         assert code == 0
         lines = dict(line.split(": ", 1) for line in out.splitlines())
         assert all(int(lines[key]) >= 0 for key in self.KEYS)
-        assert int(lines["plan_bytes"]) > 0
+        assert int(lines["plan_bytes"]) > 0 and int(lines["flag_plan_bytes"]) > 0
 
 
 class TestSimulate:
@@ -419,3 +436,24 @@ class TestSimulate:
         )
         assert code == 2 and "error:" in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_field_past_the_float_range_is_not_written(self, tmp_path, capsys):
+        # finite options whose field overflows: the reader would refuse it
+        out = tmp_path / "field.flg"
+        code, _, err = run(
+            capsys, "simulate", "--L", "4", "--P", "2", "--blobs", "1",
+            "--amplitude", "1e308", "--noise", "1e308", "--output", str(out),
+        )
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert "overflow" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_narrow_blobs_give_zero_field_without_warnings(self, tmp_path, capsys):
+        # RuntimeWarnings fail the tests: the squared distances overflow to inf
+        out = tmp_path / "field.flg"
+        code, _, err = run(
+            capsys, "simulate", "--L", "4", "--P", "2", "--width-ang", "1e-200",
+            "--width-rad", "1e-200", "--output", str(out),
+        )
+        assert code == 0 and err == ""
+        assert not read_container(str(out)).values.any()

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import math
+import re
 import struct
 import tracemalloc
 
@@ -455,13 +456,23 @@ class TestNonFinitePayloads:
         with pytest.raises(PayloadError):
             roundtrip(sk)
 
-    def test_flaglet_window_off_its_tiling(self):
-        # finite, but no longer the product of the line windows the reader
-        # rebuilds from the header, with which the transforms would window
+    @pytest.mark.parametrize("window", ["phi", (2, 1)])
+    def test_flaglet_window_off_its_tiling(self, window):
+        # finite, but not the window the reader rebuilds from the header's
+        # tiling, with which alone the transforms are exact
         fk = build_flaglet_kernels(BandLimits(8, 8, 1.0), TilingParams())
-        fk.psis[(2, 1)][3, 1] += 1e-9
-        with pytest.raises(PayloadError, match=r"\(2, 1\)"):
+        (fk.phi if window == "phi" else fk.psis[window])[3, 1] += 1e-9
+        with pytest.raises(PayloadError, match=re.escape(f"window {window} ")):
             roundtrip(fk)
+
+    @pytest.mark.parametrize("window", ["eta", "kappa_2"])
+    def test_sphere_window_off_its_tiling(self, window):
+        # read back as it was, eta[2] = 7 took a sphere-wavelet round trip at
+        # L = 8 off by 109
+        sk = build_sphere_kernels(8, TilingParams())
+        (sk.eta if window == "eta" else sk.kappas[2])[2] += 1e-9
+        with pytest.raises(PayloadError, match=f"window {window} "):
+            roundtrip(sk)
 
     def test_payload_error_is_a_value_error(self):
         assert issubclass(PayloadError, ContainerError)

@@ -17,6 +17,7 @@ from flaglets.sphere_harmonics import (
     _is_hermitian,
     _sht_forward_batch,
     _sht_inverse_batch,
+    _tile_geometry,
     assoc_legendre_table,
     coeff_index,
     legendre_matrix,
@@ -99,24 +100,29 @@ class TestStreamedTables:
         # hold the half nodes x >= 0 and are zero past degree L - 1.  Each
         # order's column is hashed tile by tile, so no pass is held whole.  The
         # second pass reads the tables a cached plan kept, or steps from the
-        # seeds and coefficients that a streamed plan keeps within its budget
+        # seeds and coefficients that a streamed plan keeps within its budget;
+        # a third, for more rows than one FFT block, steps blocks of orders
+        # past the cache.  Each pass yields the tiles of its _tile_geometry
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
         want = [
             hashlib.sha256(legendre_per_order(L, m, half_nodes).tobytes()).digest()
             for m in range(L)
         ]
-        for _ in range(2):
+        for batch in (1, 1, _fft_block_grids(L) + 1):
             columns = [hashlib.sha256() for _ in range(L)]
-            for m0, k0, tile, _ in plan.tables():
+            geometry = []
+            for m0, k0, tile, _ in plan.tables(batch):
+                geometry.append((m0, k0, *tile.shape[:2]))
                 assert tile.shape[2] == L - L // 2
                 for m, rows in enumerate(tile, start=m0):
                     assert m + k0 < L, (L, m, k0)  # an order leaves once past L - 1
                     columns[m].update(rows[: L - m - k0].tobytes())
                     assert not rows[L - m - k0 :].any(), (L, m, k0)
             assert [column.digest() for column in columns] == want, L
+            assert geometry == list(_tile_geometry(L, *plan._tile_shape(batch)))
         fits = plan._invariant_bound(*plan._tile_shape()) <= sphere_harmonics._FFT_BLOCK_BYTES
-        assert bool(plan._streamed) == (L > SpherePlan._CACHE_LIMIT and fits)
+        assert (plan._tile_shape() in plan._streamed) == (L > SpherePlan._CACHE_LIMIT and fits)
         nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
@@ -275,21 +281,23 @@ class TestTableGenerations:
 
 
 def tile_digests(plan, rows=1):
-    """SHA-256 of every tile and of its maps, pass by pass."""
+    """(m0, k0, orders, degrees) and the SHA-256 of every tile and of its maps
+    in a pass of plan.tables(rows)."""
     digests = []
     for m0, k0, tile, maps in plan.tables(rows):
         d = hashlib.sha256(np.array([m0, k0, *tile.shape]).tobytes() + tile.tobytes())
         for index, valid, dest, plus in maps:
             d.update(index.tobytes() + valid.tobytes() + dest.tobytes() + bytes([plus % 256]))
-        digests.append(d.digest())
+        digests.append((m0, k0, *tile.shape[:2], d.digest()))
     return digests
 
 
 class TestStreamedInvariants:
-    """Past the table cache a plan keeps, for each tiling, the tiles' maps,
-    the sectoral seeds and the recurrence coefficients of its first complete
-    pass, while all it keeps fits in _FFT_BLOCK_BYTES; later passes only step
-    the recurrence, and yield the same tiles and maps bit for bit."""
+    """Past the table cache a plan makes, for each tiling, the tiles' maps,
+    the sectoral seeds and the recurrence coefficients from the tiling's
+    _tile_geometry before its first pass, and keeps them while all it keeps
+    fits in _FFT_BLOCK_BYTES; every pass then only steps the recurrence, and
+    yields the same tiles and maps bit for bit."""
 
     L = 24  # all-order tiles from k0 = 0, 10 and 20
 
@@ -321,18 +329,26 @@ class TestStreamedInvariants:
         many = _fft_block_grids(self.L) + 1
         assert plan._tile_shape(1) == (self.L, 10) and plan._tile_shape(many) == (5, self.L)
         base = plan.nbytes
-        first = {rows: tile_digests(plan, rows) for rows in (1, many)}
+        first, kept = {}, {}
+        for rows in (1, many):
+            held = plan.nbytes
+            first[rows] = tile_digests(plan, rows)
+            kept[rows] = plan.nbytes - held
+            # a pass yields the tiles of its tiling's geometry, and keeping that
+            # tiling adds at most its bound to the plan's bytes
+            shape = plan._tile_shape(rows)
+            assert [t[:4] for t in first[rows]] == list(_tile_geometry(self.L, *shape))
+            assert 0 < kept[rows] <= plan._invariant_bound(*shape)
         assert [len(first[1]), len(first[many])] == [3, 5]
         assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 8}
-        kept = plan.nbytes - base
-        bounds = sum(plan._invariant_bound(*plan._tile_shape(rows)) for rows in (1, many))
-        assert 0 < kept <= bounds <= sphere_harmonics._FFT_BLOCK_BYTES
+        total = plan.nbytes - base
+        assert total == sum(kept.values()) <= sphere_harmonics._FFT_BLOCK_BYTES
         for _ in range(2):
             for rows in (1, many):
                 assert tile_digests(plan, rows) == first[rows]
         # the recurrence still steps once per pass
         assert counts == {"_legendre_tiles": 6, "_sectoral_seeds": 2, "_tile_maps": 8}
-        assert plan.nbytes - base == kept
+        assert plan.nbytes - base == total
 
     def test_plan_past_its_budget_keeps_nothing(self, counts, monkeypatch):
         want = tile_digests(SpherePlan(self.L))  # kept within the default budget
@@ -360,16 +376,28 @@ class TestStreamedInvariants:
         assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 10}
         assert list(plan._streamed) == [plan._tile_shape(1)]
 
-    def test_abandoned_pass_keeps_nothing(self, counts):
-        want = tile_digests(SpherePlan(self.L))
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_abandoned_first_pass_leaves_whole_tables(self, counts, monkeypatch, cached):
+        # a kept tiling's invariants, and a cached plan's tiles and maps, are
+        # all made before the first tile: a first pass abandoned after one tile
+        # leaves them whole, and every later pass yields the same tiles
+        if cached:
+            monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", self.L)
+        whole = SpherePlan(self.L)
+        want = tile_digests(whole)
         plan = SpherePlan(self.L)
-        base = plan.nbytes
+        counts.update(dict.fromkeys(counts, 0))
         tiles = plan.tables()
         next(tiles)
         tiles.close()
-        assert plan._streamed == {} and plan.nbytes == base
-        assert tile_digests(plan) == want
-        assert list(plan._streamed) == [plan._tile_shape()]
+        # 5 blocks of orders with their maps, or 3 all-order tiles' maps
+        maps = 5 if cached else 3
+        assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": maps}
+        assert plan.nbytes == whole.nbytes
+        assert bool(plan._streamed) != cached and (plan._tiles is not None) == cached
+        for _ in range(2):
+            assert tile_digests(plan) == want
+        assert counts["_tile_maps"] == maps
 
     @pytest.mark.parametrize("L, streamed", [(16, 15), (288, None)])
     @pytest.mark.parametrize("real", [False, True])
