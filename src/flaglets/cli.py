@@ -14,8 +14,14 @@ import math
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import numpy as np
 
+from . import _buffers
 from .flag_transform import (
     BallGrid,
     BandLimits,
@@ -168,8 +174,10 @@ def cmd_roundtrip(args) -> int:
 
 def _plan_report(bands, tau: float) -> dict:
     """Hits, misses and size of the sphere-plan and the radial-plan caches,
-    and the bytes held by the plans of the (L, P) limits in `bands`."""
+    the bytes held by the plans of the (L, P) limits in `bands`, and the
+    bytes the buffer recycler holds free with its hits and misses."""
     info, flag_info = get_plan.cache_info(), get_flag_plan.cache_info()
+    recycler = _buffers.stats()
     angular, radial = {L for L, _ in bands}, {P for _, P in bands}
     return {
         "plan_cache_hits": info.hits,
@@ -180,6 +188,9 @@ def _plan_report(bands, tau: float) -> dict:
         "flag_plan_cache_misses": flag_info.misses,
         "flag_plan_cache_size": flag_info.currsize,
         "flag_plan_bytes": sum(get_flag_plan(RadialParams(P, tau)).nbytes for P in radial),
+        "recycler_held_bytes": recycler["held_bytes"],
+        "recycler_hits": recycler["hits"],
+        "recycler_misses": recycler["misses"],
     }
 
 
@@ -293,6 +304,11 @@ def cmd_slice(args) -> int:
     return EXIT_OK
 
 
+def _minor_faults() -> int | None:
+    """Minor page faults of this process so far; None without `resource`."""
+    return None if resource is None else resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def cmd_bench(args) -> int:
     limits = _limits_from_args(args)
     params = _tiling_from_args(args, limits.L, limits.P)
@@ -310,8 +326,12 @@ def cmd_bench(args) -> int:
             times.append(time.perf_counter() - t0)
         return (float(np.median(times)), *_roundtrip_errors(recovered, coeffs))
 
+    before = _minor_faults()
     t_full, full_abs, full_rel = timed_roundtrip(False)
     t_multi, multi_abs, multi_rel = timed_roundtrip(True)
+    faults = {} if before is None else {
+        "minor_faults_per_run": (_minor_faults() - before) // (2 * args.runs)
+    }
     _emit(
         {
             "L": limits.L,
@@ -323,6 +343,7 @@ def cmd_bench(args) -> int:
             "multires_max_abs_err": multi_abs,
             "multires_rel_err": multi_rel,
             "speedup": t_full / t_multi if t_multi > 0 else float("inf"),
+            **faults,
             **_plan_report(flaglet_parts(limits, params, True)[1], limits.tau),
         },
         args.format,

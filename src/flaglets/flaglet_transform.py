@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._buffers import take
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs, get_flag_plan
 from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
 from .sphere_harmonics import (
@@ -45,11 +46,13 @@ __all__ = [
 class FlagletDecomposition:
     """Scaling grid plus one wavelet grid per (angular, radial) scale pair.
 
-    flaglet_analyze and read_container hold the parts as views of one
-    contiguous buffer in storage order (the scaling part, then the (j, j')
-    in sorted order), so a part that is kept keeps the whole buffer alive;
-    copy its values to keep them alone.  A decomposition built by hand may
-    hold separate arrays.
+    flaglet_analyze, read_container and threshold_denoise hold the parts as
+    views of one contiguous buffer in storage order (the scaling part, then
+    the (j, j') in sorted order), so a part that is kept, or any view of it,
+    keeps the whole buffer alive; copy its values to keep them alone.  The
+    buffers are recycled: once no view of one is left, a later decomposition
+    of the same byte size reuses its memory.  A decomposition built by hand
+    may hold separate arrays.
     """
 
     limits: BandLimits
@@ -121,9 +124,10 @@ def flaglet_analyze(
     keys, bands = flaglet_parts(limits, kernels.params, multires)
     # the windows are real, so windowed Hermitian coefficients stay Hermitian
     real = _is_hermitian(f.coeffs, limits.L)
-    # every part is a view of one buffer, in storage order
+    # every part is a view of one recycled buffer, in storage order
+    dtype = np.dtype(np.float64 if real else np.complex128)
     sizes = [pj * lj * (2 * lj - 1) for lj, pj in bands]
-    buffer = np.empty(sum(sizes), dtype=np.float64 if real else np.complex128)
+    buffer = take(dtype.itemsize * sum(sizes)).view(dtype)
     slots = iter(np.split(buffer, list(itertools.accumulate(sizes[:-1]))))
     grids = {}
     for window, parts in _angular_scales(kernels, keys, bands):
@@ -185,23 +189,35 @@ def threshold_denoise(
 
     hard: values with magnitude below the threshold are zeroed.
     soft: magnitudes are shrunk toward zero by the threshold.
+
+    The parts of the result are views of one recycled buffer in storage
+    order (the scaling part, then the (j, j') in sorted order), each with
+    the dtype of the part it comes from.
     """
     if threshold < 0 or math.isnan(threshold):
         raise ValueError(f"threshold must be non-negative, got {threshold}")
     if mode not in ("hard", "soft"):
         raise ValueError(f"mode must be 'hard' or 'soft', got {mode!r}")
 
-    wavelets = {}
-    for key, grid in d.wavelets.items():
+    stored = {"scaling": d.scaling, **{key: d.wavelets[key] for key in sorted(d.wavelets)}}
+    sizes = [grid.values.nbytes for grid in stored.values()]
+    slots = np.split(take(sum(sizes)), list(itertools.accumulate(sizes[:-1])))
+    out = {}
+    for (key, grid), slot in zip(stored.items(), slots):
         v = grid.values
-        mag = np.abs(v)
-        if mode == "hard":
-            out = np.where(mag >= threshold, v, 0.0)
+        values = slot.view(v.dtype).reshape(v.shape)
+        if key == "scaling":
+            np.copyto(values, v)
+        elif mode == "hard":
+            np.copyto(values, 0.0)
+            np.copyto(values, v, where=np.abs(v) >= threshold)
         else:
+            mag = np.abs(v)
             # t / |v| may overflow at a subnormal |v|; the shrink is then 0
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 shrink = np.where(mag > 0, np.maximum(1.0 - threshold / mag, 0.0), 0.0)
-            out = v * shrink
-        wavelets[key] = BallGrid(grid.limits, out)
-    scaling = BallGrid(d.scaling.limits, d.scaling.values.copy())
+            np.multiply(v, shrink, out=values)
+        out[key] = BallGrid(grid.limits, values)
+    scaling = out.pop("scaling")
+    wavelets = {key: out[key] for key in d.wavelets}
     return FlagletDecomposition(d.limits, d.params, scaling, wavelets, d.multires)

@@ -37,9 +37,10 @@ flaglet_parts).
 The reader holds one buffer per container: all payload arrays are read
 into one array and the object gets views of it, so the parts of a
 decomposition share one buffer in storage order. When a seekable source
-holds every declared byte, one readinto fills the buffer; otherwise the
-payload is read in bounded pieces, so memory grows with the bytes actually
-present, never with the sizes a header declares.
+holds every declared byte, one readinto fills the buffer, a recycled one
+(flaglets._buffers); otherwise the payload is read in bounded pieces, so
+memory grows with the bytes actually present, never with the sizes a
+header declares.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ import struct
 
 import numpy as np
 
+from ._buffers import take
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs
 from .flaglet_transform import FlagletDecomposition
 from .kernel_tiling import (
@@ -321,8 +323,8 @@ def _read_payload(source, code: str, shapes: list) -> list[np.ndarray]:
     nbytes = dtype.itemsize * sum(sizes)
     left = _bytes_left(source)
     if left is not None and left >= nbytes:
-        flat = np.empty(sum(sizes), dtype=dtype)
-        view, got = memoryview(flat.view(np.uint8)), 0
+        raw = take(nbytes)
+        flat, view, got = raw.view(dtype), memoryview(raw), 0
         while got < nbytes:
             n = source.readinto(view[got:])
             if not n:

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from flaglets import cli
+from flaglets import _buffers, cli
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward, get_flag_plan
 from flaglets.io_container import read_container
@@ -339,8 +339,9 @@ class TestBench:
 
 
 class TestPlanReport:
-    """roundtrip and bench report the sphere-plan and the radial-plan caches
-    and the bytes held by the plans of the band limits they used."""
+    """roundtrip and bench report the sphere-plan and the radial-plan caches,
+    the bytes held by the plans of the band limits they used, and the buffer
+    recycler's free bytes, hits and misses."""
 
     KEYS = (
         "plan_cache_hits",
@@ -351,6 +352,9 @@ class TestPlanReport:
         "flag_plan_cache_misses",
         "flag_plan_cache_size",
         "flag_plan_bytes",
+        "recycler_held_bytes",
+        "recycler_hits",
+        "recycler_misses",
     )
 
     @pytest.mark.parametrize(
@@ -383,6 +387,22 @@ class TestPlanReport:
         # a radial plan holds its nodes, weights and two (P, P) tables
         assert report["flag_plan_bytes"] == sum(16 * p.P * (p.P + 1) for p in radial)
         assert report["flag_plan_bytes"] == sum(get_flag_plan(p).nbytes for p in radial)
+        recycler = _buffers.stats()
+        assert report["recycler_held_bytes"] == recycler["held_bytes"]
+        assert report["recycler_hits"] == recycler["hits"]
+        assert report["recycler_misses"] == recycler["misses"]
+
+    def test_bench_reports_minor_faults_per_run(self, capsys):
+        code, out, _ = run(capsys, "bench", "--L", "8", "--P", "4", "--runs", "2", "--format", "json")
+        faults = json.loads(out)["minor_faults_per_run"]
+        assert code == 0
+        assert isinstance(faults, int) and faults >= 0
+
+    def test_bench_without_resource_omits_minor_faults(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "resource", None)
+        code, out, _ = run(capsys, "bench", "--L", "8", "--P", "4", "--runs", "1", "--format", "json")
+        assert code == 0
+        assert "minor_faults_per_run" not in json.loads(out)
 
     @pytest.mark.parametrize("command", [["roundtrip"], ["bench", "--runs", "1"]])
     def test_text_report(self, capsys, command):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flaglets.cli import blob_field, random_flag_coeffs
 from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
-from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze
+from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze, threshold_denoise
 from flaglets.cli import main
 from flaglets.io_container import (
     ContainerError,
@@ -567,8 +567,9 @@ def _buffer_offsets(parts: list[np.ndarray]):
 
 
 class TestOneBuffer:
-    """Analysis and the reader hold a decomposition's parts as views of one
-    buffer, in storage order (scaling first, then (j, j') sorted)."""
+    """Analysis, the reader and thresholding hold a decomposition's parts as
+    views of one buffer, in storage order (scaling first, then (j, j')
+    sorted)."""
 
     @staticmethod
     def analysed(real, multires):
@@ -594,6 +595,35 @@ class TestOneBuffer:
             sizes = [p.nbytes for p in parts]
             assert offsets == [sum(sizes[:i]) for i in range(len(parts))]
             assert base.nbytes == sum(sizes)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("multires", [False, True], ids=["full", "multires"])
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_threshold_output_is_one_buffer_in_storage_order(self, real, multires, mode):
+        d = self.analysed(real, multires)
+        out = threshold_denoise(d, 0.05, mode)
+        parts = payload_arrays(out)
+        assert [p.dtype for p in parts] == [p.dtype for p in payload_arrays(d)]
+        assert {p.dtype for p in parts} == {np.dtype(np.float64 if real else np.complex128)}
+        base, offsets = _buffer_offsets(parts)
+        sizes = [p.nbytes for p in parts]
+        assert offsets == [sum(sizes[:i]) for i in range(len(parts))]
+        assert base.nbytes == sum(sizes)
+        assert not any(np.shares_memory(p, q) for p in parts for q in payload_arrays(d))
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_threshold_of_mixed_parts_keeps_each_dtype(self, mode):
+        # a decomposition built by hand may mix real and complex parts
+        d = self.analysed(False, False)
+        real_key = sorted(d.wavelets)[1]
+        d.wavelets[real_key].values = d.wavelets[real_key].values.real.copy()
+        out = threshold_denoise(d, 0.05, mode)
+        parts = payload_arrays(out)
+        assert [p.dtype for p in parts] == [p.dtype for p in payload_arrays(d)]
+        base, offsets = _buffer_offsets(parts)
+        sizes = [p.nbytes for p in parts]
+        assert offsets == [sum(sizes[:i]) for i in range(len(parts))]
+        assert base.nbytes == sum(sizes)
 
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("multires", [False, True], ids=["full", "multires"])
