@@ -313,9 +313,11 @@ def cmd_bench(args) -> int:
     limits = _limits_from_args(args)
     params = _tiling_from_args(args, limits.L, limits.P)
     kernels = build_flaglet_kernels(limits, params)
-    coeffs = random_flag_coeffs(limits, args.seed)
+    complex_coeffs = random_flag_coeffs(limits, args.seed)
+    # the same coefficients made Hermitian take the real path, as denoising does
+    real_coeffs = _hermitian_part(complex_coeffs)
 
-    def timed_roundtrip(multires: bool) -> tuple[float, float, float]:
+    def timed_roundtrip(coeffs: FlagCoeffs, multires: bool) -> tuple[float, float, float]:
         """Median seconds of the analysis-synthesis round trip, and the
         absolute and relative errors of the last one."""
         times = []
@@ -327,28 +329,22 @@ def cmd_bench(args) -> int:
         return (float(np.median(times)), *_roundtrip_errors(recovered, coeffs))
 
     before = _minor_faults()
-    t_full, full_abs, full_rel = timed_roundtrip(False)
-    t_multi, multi_abs, multi_rel = timed_roundtrip(True)
-    faults = {} if before is None else {
-        "minor_faults_per_run": (_minor_faults() - before) // (2 * args.runs)
-    }
-    _emit(
-        {
-            "L": limits.L,
-            "P": limits.P,
-            "full_res_seconds": t_full,
-            "full_res_max_abs_err": full_abs,
-            "full_res_rel_err": full_rel,
-            "multires_seconds": t_multi,
-            "multires_max_abs_err": multi_abs,
-            "multires_rel_err": multi_rel,
-            "speedup": t_full / t_multi if t_multi > 0 else float("inf"),
-            **faults,
-            **_plan_report(flaglet_parts(limits, params, True)[1], limits.tau),
-        },
-        args.format,
-    )
-    return _exit_for(full_rel, multi_rel)
+    report, rel_errs = {"L": limits.L, "P": limits.P}, []
+    for prefix, coeffs in (("", complex_coeffs), ("real_", real_coeffs)):
+        for mode, multires in (("full_res", False), ("multires", True)):
+            seconds, max_abs, rel = timed_roundtrip(coeffs, multires)
+            report[f"{prefix}{mode}_seconds"] = seconds
+            report[f"{prefix}{mode}_max_abs_err"] = max_abs
+            report[f"{prefix}{mode}_rel_err"] = rel
+            rel_errs.append(rel)
+    t_full, t_multi = report["full_res_seconds"], report["multires_seconds"]
+    report["speedup"] = t_full / t_multi if t_multi > 0 else float("inf")
+    if before is not None:
+        report["minor_faults_per_run"] = (_minor_faults() - before) // (4 * args.runs)
+    report["part_plan_bytes"] = sum(kernels.part_plan(m).nbytes for m in (False, True))
+    report.update(_plan_report(flaglet_parts(limits, params, True)[1], limits.tau))
+    _emit(report, args.format)
+    return _exit_for(*rel_errs)
 
 
 def cmd_kernels(args) -> int:

@@ -10,6 +10,9 @@ scaling part is one more such group, the first: its 2-D window Phi at band
 L, all P rows, unit radial weights.  With the multiresolution flag each
 scale is rendered on the smallest exact grid containing its harmonic
 support; the layout of the parts comes from kernel_tiling.flaglet_parts.
+What both directions read per part, the windows, SpherePlans, limits, rows
+and kappa_j'-weighted radial matrices, is made once per storage mode and
+kept on the kernels (FlagletKernels.part_plan).
 The windows and the K_p are real, so the maps of a real field (Hermitian
 coefficients) are real, and are held, thresholded and stored as float64.
 """
@@ -24,7 +27,7 @@ import numpy as np
 
 from ._buffers import take
 from .flag_transform import BallGrid, BandLimits, FlagCoeffs, get_flag_plan
-from .kernel_tiling import FlagletKernels, TilingParams, flaglet_parts
+from .kernel_tiling import FlagletKernels, TilingParams
 from .sphere_harmonics import (
     _is_hermitian,
     _real_matmul,
@@ -85,58 +88,37 @@ def _grid_energy(grid: BallGrid) -> float:
     return float(radial_weights @ rows @ angular_weights * dphi)
 
 
-def _angular_scales(kernels: FlagletKernels, keys, bands):
-    """Per angular transform, in storage order: its window on the degrees
-    below its band limit, and per part the key, the limits, the rows p it
-    reaches (an interval) and its radial weights on them as a column.  First
-    the scaling part: Phi on (p, l) at band L, all P rows, unit weights; then
-    per angular scale j, kappa_j below L_j and, per part (j, j'), the rows
-    where kappa_j' is nonzero (ending below P_j') and kappa_j' on them."""
-    limits, params = kernels.limits, kernels.params
-    yield kernels.phi.T, [("scaling", limits, slice(0, limits.P), np.ones((limits.P, 1)))]
-    for j, group in itertools.groupby(zip(keys, bands[1:]), key=lambda part: part[0][0]):
-        parts = []
-        for (_, jp), (lj, pj) in group:
-            kappa = kernels.kappas_rad[jp - params.j0_rad]
-            nonzero = np.flatnonzero(kappa)
-            rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
-            parts.append(((j, jp), BandLimits(lj, pj, limits.tau), rows, kappa[rows, None]))
-        yield kernels.kappas_ang[j - params.j0_ang][:lj], parts
-
-
 def flaglet_analyze(
     f: FlagCoeffs, kernels: FlagletKernels, multires: bool = False
 ) -> FlagletDecomposition:
     """Decompose Fourier-Laguerre coefficients into flaglet coefficient maps.
 
-    Per group of _angular_scales (the scaling part, then each angular scale
-    j), one inverse SHT of the windowed coefficients at its band limit; per
-    part, one real GEMM of the radially weighted Laguerre basis with the
-    shells it reaches, written into the part's slice of one buffer that
-    holds every part in storage order.  The maps of exactly Hermitian
-    coefficients are real (float64).
+    Per angular group of kernels.part_plan(multires) (the scaling part, then
+    each angular scale j), one inverse SHT of the windowed coefficients at
+    its band limit; per part, one real GEMM of the plan's radially weighted
+    Laguerre synthesis with the shells it reaches, written into the part's
+    slice of one buffer that holds every part in storage order.  The maps of
+    exactly Hermitian coefficients are real (float64).
     """
     limits = f.limits
     if kernels.limits != limits:
         raise ValueError(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
-    keys, bands = flaglet_parts(limits, kernels.params, multires)
+    plan = kernels.part_plan(multires)
     # the windows are real, so windowed Hermitian coefficients stay Hermitian
     real = _is_hermitian(f.coeffs, limits.L)
     # every part is a view of one recycled buffer, in storage order
     dtype = np.dtype(np.float64 if real else np.complex128)
-    sizes = [pj * lj * (2 * lj - 1) for lj, pj in bands]
-    buffer = take(dtype.itemsize * sum(sizes)).view(dtype)
-    slots = iter(np.split(buffer, list(itertools.accumulate(sizes[:-1]))))
+    buffer = take(dtype.itemsize * plan.samples).view(dtype)
+    slots = iter(np.split(buffer, plan.offsets))
     grids = {}
-    for window, parts in _angular_scales(kernels, keys, bands):
-        lj = window.shape[-1]
+    for window, sphere, parts in plan.groups:
+        lj = sphere.L
         # the first lj^2 flat indices hold exactly the degrees below lj
         windowed = window_coeffs(f.coeffs[:, : lj * lj], window)
-        shells = _sht_inverse_batch(windowed, get_plan(lj), real)
-        for key, part_limits, rows, weights in parts:
-            synth = (get_flag_plan(part_limits.radial).kbasis[rows] * weights).T
+        shells = _sht_inverse_batch(windowed, sphere, real)
+        for key, part_limits, rows, synth, _ in parts:
             values = next(slots).reshape(-1, lj * (2 * lj - 1))
             _real_matmul(synth, shells[rows].reshape(-1, lj * (2 * lj - 1)), out=values)
             grids[key] = BallGrid(part_limits, values.reshape(-1, lj, 2 * lj - 1))
@@ -147,11 +129,11 @@ def flaglet_analyze(
 def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> FlagCoeffs:
     """Recombine flaglet coefficient maps (exact inverse of the analysis).
 
-    Per group of _angular_scales, the radially weighted projections of its
-    parts are added up on the shells of one grid, which one forward SHT at
-    its band limit takes to coefficients before its window weights them.
-    The shells are real when every stored part is, and the coefficients of
-    real parts exactly Hermitian.
+    Per angular group of kernels.part_plan(d.multires), the radially
+    weighted projections of its parts are added up on the shells of one
+    grid, which one forward SHT at its band limit takes to coefficients
+    before its window weights them.  The shells are real when every stored
+    part is, and the coefficients of real parts exactly Hermitian.
 
     Raises ValueError if a part is not stored at the limits the layout of
     kernel_tiling.flaglet_parts gives it.
@@ -159,25 +141,23 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
     limits = kernels.limits
     if d.limits != limits or d.params != kernels.params:
         raise ValueError("decomposition and kernels were built with different parameters")
-    keys, bands = flaglet_parts(limits, kernels.params, d.multires)
-    if set(d.wavelets) != set(keys):
+    plan = kernels.part_plan(d.multires)
+    if set(d.wavelets) != set(plan.keys):
         raise ValueError("decomposition scale indices do not match the kernels")
-    stored = {"scaling": d.scaling, **{key: d.wavelets[key] for key in keys}}
-    for (name, grid), (lj, pj) in zip(stored.items(), bands):
-        want = BandLimits(lj, pj, limits.tau)
+    stored = {"scaling": d.scaling, **{key: d.wavelets[key] for key in plan.keys}}
+    for (name, grid), want in zip(stored.items(), plan.limits):
         if grid.limits != want:
             raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
 
     dtype = np.result_type(*{grid.values.dtype for grid in stored.values()})
     out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-    for window, parts in _angular_scales(kernels, keys, bands):
-        lj = window.shape[-1]
+    for window, sphere, parts in plan.groups:
+        lj = sphere.L
         shells = np.zeros((limits.P, lj, 2 * lj - 1), dtype=dtype)
-        for key, part_limits, rows, weights in parts:
-            project = get_flag_plan(part_limits.radial).kforward[rows] * weights
+        for key, part_limits, rows, _, project in parts:
             values = stored[key].values.reshape(part_limits.P, -1)
             shells[rows] += _real_matmul(project, values).reshape(-1, lj, 2 * lj - 1)
-        coeffs = _sht_forward_batch(shells, get_plan(lj))
+        coeffs = _sht_forward_batch(shells, sphere)
         out[:, : lj * lj] += window_coeffs(coeffs, window)
     return FlagCoeffs(limits, out)
 

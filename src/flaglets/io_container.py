@@ -37,10 +37,11 @@ flaglet_parts).
 The reader holds one buffer per container: all payload arrays are read
 into one array and the object gets views of it, so the parts of a
 decomposition share one buffer in storage order. When a seekable source
-holds every declared byte, one readinto fills the buffer, a recycled one
-(flaglets._buffers); otherwise the payload is read in bounded pieces, so
-memory grows with the bytes actually present, never with the sizes a
-header declares.
+holds every declared byte, the buffer is a recycled one (flaglets._buffers)
+that readinto fills one payload array at a time, each checked for NaN and
+Inf right after it is read; otherwise the payload is read in bounded
+pieces, so memory grows with the bytes actually present, never with the
+sizes a header declares.
 """
 
 from __future__ import annotations
@@ -315,26 +316,41 @@ def _bytes_left(source) -> int | None:
 
 
 def _read_payload(source, code: str, shapes: list) -> list[np.ndarray]:
-    """Every payload array of a container, as views of one array: filled by
-    readinto when the source holds every declared byte, else assembled from
-    bounded pieces.  NaN and Inf anywhere are a PayloadError."""
+    """Every payload array of a container, as views of one array.  When the
+    source holds every declared byte, readinto fills a recycled buffer one
+    array at a time, and each array is checked right after it is read, while
+    its bytes are still in cache; else the payload is assembled from bounded
+    pieces and checked once.  NaN and Inf anywhere are a PayloadError."""
     dtype = np.dtype(code)
     sizes = [math.prod(shape) for shape in shapes]
+    offsets = list(itertools.accumulate(sizes[:-1]))
     nbytes = dtype.itemsize * sum(sizes)
+    nonfinite = f"payload of {len(shapes)} arrays holds NaN or infinite values"
     left = _bytes_left(source)
-    if left is not None and left >= nbytes:
-        raw = take(nbytes)
-        flat, view, got = raw.view(dtype), memoryview(raw), 0
-        while got < nbytes:
-            n = source.readinto(view[got:])
-            if not n:
-                raise TruncatedError(f"payload: expected {nbytes} bytes, got {got}")
-            got += n
-    else:
+    if left is None or left < nbytes:
         flat = np.frombuffer(_read_exact(source, nbytes, "payload"), dtype=dtype)
-    if not np.isfinite(flat.view(np.float64)).all():
-        raise PayloadError(f"payload of {len(shapes)} arrays holds NaN or infinite values")
-    parts = np.split(flat, list(itertools.accumulate(sizes[:-1])))
+        if not np.isfinite(flat.view(np.float64)).all():
+            raise PayloadError(nonfinite)
+        parts = np.split(flat, offsets)
+    else:
+        raw = take(nbytes)
+        view, got = memoryview(raw), 0
+        parts = np.split(raw.view(dtype), offsets)
+        try:
+            for part in parts:
+                end = got + part.nbytes
+                while got < end:
+                    n = source.readinto(view[got:end])
+                    if not n:
+                        raise TruncatedError(f"payload: expected {nbytes} bytes, got {got}")
+                    got += n
+                if not np.isfinite(part.view(np.float64)).all():
+                    raise PayloadError(nonfinite)
+        except ContainerError:
+            # the traceback keeps this frame: drop its views of the buffer, so
+            # that the buffer goes back to the recycler now
+            del raw, view, parts, part
+            raise
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]
 
 

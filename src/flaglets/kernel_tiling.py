@@ -15,14 +15,16 @@ analysis, synthesis and the container format alike.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .flag_transform import BandLimits
+from .flag_transform import BandLimits, get_flag_plan
 from .quadrature import _check_integer, gauss_legendre
-from .sphere_harmonics import _check_band_limit
+from .sphere_harmonics import SpherePlan, _check_band_limit, get_plan
 
 __all__ = [
     "TilingParams",
@@ -143,13 +145,60 @@ class SphereKernels:
         return scale_band_limit(j, self.params.lam, self.L)
 
 
+class FlagletPart(NamedTuple):
+    """One part of a flaglet decomposition as the transforms run it: its key
+    ("scaling" or (j, j')), the limits (L_j, P_j', tau) it is stored at, the
+    rows p its radial window reaches (an interval), and on them the
+    radially weighted synthesis (P_j', rows) and projection (rows, P_j')."""
+
+    key: object
+    limits: BandLimits
+    rows: slice
+    synth: np.ndarray
+    project: np.ndarray
+
+
+class AngularGroup(NamedTuple):
+    """One angular transform of a decomposition: its window on the degrees
+    below its band limit, the SpherePlan at that band limit, and its parts."""
+
+    window: np.ndarray
+    plan: SpherePlan
+    parts: list[FlagletPart]
+
+
+@dataclass(frozen=True)
+class FlagletPartPlan:
+    """Everything flaglet_analyze and flaglet_synthesize read per part, for
+    one storage mode: the angular groups in storage order (the scaling part
+    first, then each angular scale j), the (j, j') keys, the limits of every
+    part in storage order, and where each part starts in one buffer of all
+    parts' samples."""
+
+    groups: list[AngularGroup]
+    keys: list[tuple[int, int]]
+    limits: list[BandLimits]
+    offsets: list[int]
+    samples: int
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the radial matrices the plan holds, each once.  Its windows
+        are views of the kernels' and its SpherePlans are the cached ones."""
+        parts = [part for group in self.groups for part in group.parts]
+        held = {id(m): m for part in parts for m in (part.synth, part.project)}
+        return sum(m.nbytes for m in held.values())
+
+
 @dataclass
 class FlagletKernels:
     """Separable 2D windows on the (l, p) harmonic grid of the ball.
 
     Psi^{jj'} is the outer product of the line windows kappas_ang[j - j0_ang]
     on l and kappas_rad[j' - j0_rad] on p, which the transforms apply one axis
-    at a time.
+    at a time.  part_plan(multires) gives what the transforms read per part
+    in each storage mode; it is made from the windows on first use and kept,
+    so the windows are not to be changed after a transform has used them.
     """
 
     limits: BandLimits
@@ -158,6 +207,46 @@ class FlagletKernels:
     psis: dict[tuple[int, int], np.ndarray]  # (j, j') -> (L, P)
     kappas_ang: list[np.ndarray]         # one (L,) array per j in [j0_ang, J]
     kappas_rad: list[np.ndarray]         # one (P,) array per j' in [j0_rad, J']
+    _part_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def part_plan(self, multires: bool) -> FlagletPartPlan:
+        """The part plan of the multiresolution (or full-resolution) layout."""
+        multires = bool(multires)
+        if multires not in self._part_plans:
+            self._part_plans[multires] = _part_plan(self, multires)
+        return self._part_plans[multires]
+
+
+def _part_plan(kernels: FlagletKernels, multires: bool) -> FlagletPartPlan:
+    """First the scaling part: Phi on (p, l) at band L, all P rows, unit
+    radial weights; then per angular scale j, kappa_j below L_j and, per part
+    (j, j'), the rows where kappa_j' is nonzero (ending below P_j').  P_j'
+    depends on j' alone, so the kappa_j'-weighted matrices are made once per
+    radial scale and shared by every angular scale."""
+    limits, params = kernels.limits, kernels.params
+    keys, bands = flaglet_parts(limits, params, multires)
+    part_limits = [BandLimits(lj, pj, limits.tau) for lj, pj in bands]
+    radial = {}
+
+    def weighted(part: BandLimits, weights: np.ndarray):
+        nonzero = np.flatnonzero(weights)
+        rows = slice(nonzero[0], nonzero[-1] + 1) if nonzero.size else slice(0, 0)
+        plan, w = get_flag_plan(part.radial), weights[rows, None]
+        return rows, (plan.kbasis[rows] * w).T, plan.kforward[rows] * w
+
+    scaling = FlagletPart("scaling", part_limits[0], *weighted(part_limits[0], np.ones(limits.P)))
+    groups = [AngularGroup(kernels.phi.T, get_plan(limits.L), [scaling])]
+    for j, group in itertools.groupby(zip(keys, part_limits[1:]), key=lambda kp: kp[0][0]):
+        parts = []
+        for (_, jp), part in group:
+            if jp not in radial:
+                radial[jp] = weighted(part, kernels.kappas_rad[jp - params.j0_rad])
+            parts.append(FlagletPart((j, jp), part, *radial[jp]))
+        lj = parts[0].limits.L
+        groups.append(AngularGroup(kernels.kappas_ang[j - params.j0_ang][:lj], get_plan(lj), parts))
+    sizes = [part.P * part.L * (2 * part.L - 1) for part in part_limits]
+    offsets = list(itertools.accumulate(sizes[:-1]))
+    return FlagletPartPlan(groups, keys, part_limits, offsets, sum(sizes))
 
 
 def smooth_bump(t):

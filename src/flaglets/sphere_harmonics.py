@@ -121,14 +121,20 @@ def _is_hermitian(coeffs: np.ndarray, L: int) -> bool:
     signal: Im f_l0 == 0 and f_{l,-m} == (-1)^m conj f_lm, compared with ==.
 
     Order 0 is read first, so complex input is told apart after O(L) reads
-    per row; NaN is never Hermitian.
+    per row; NaN is never Hermitian.  The -m and +m halves are compared a
+    block of at most _fft_block_grids(L) rows at a time, so the gathered
+    halves take at most about an FFT block.
     """
     rows = coeffs.reshape(-1, L * L)
     ells = np.arange(L)
     if np.any(rows[:, ells * (ells + 1)].imag != 0.0):
         return False
     neg, pos, sign = _negative_orders(L)
-    return all(np.array_equal(row[neg], sign * row[pos].conj()) for row in rows)
+    step = _fft_block_grids(L)
+    return all(
+        np.array_equal(rows[i : i + step, neg], sign * rows[i : i + step, pos].conj())
+        for i in range(0, len(rows), step)
+    )
 
 
 def _fill_negative_orders(coeffs: np.ndarray, L: int) -> None:
@@ -527,9 +533,12 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
 
     `grids` may be a list of grids or an array of them; it is never stacked.
-    Per block of grids, chunks of at most _FOLD_CHUNK_BYTES of rows are
-    folded about the equator, f(x) + f(-x) then f(x) - f(-x) on the half
-    nodes, FFT'd along their contiguous last axis, and the Fourier columns of
+    The grids are real when an array of them has a real dtype, or when no
+    grid in a list is complex.  Per block of grids, chunks of at most
+    _FOLD_CHUNK_BYTES of rows are folded about the equator, f(x) + f(-x)
+    then f(x) - f(-x) on the half nodes (for an array one add and one
+    subtract over the block's grids, for a list grid by grid), FFT'd along
+    their contiguous last axis, and the Fourier columns of
     every order copied out of them weighted and signed: +m and -m for complex
     grids (S = 2), and for real grids only +m, from an rfft of rows folded in
     float64 (S = 1).  Per tile and parity, the columns of the sums (even
@@ -544,7 +553,8 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
-    real = not any(np.iscomplexobj(g) for g in grids)
+    stacked = isinstance(grids, np.ndarray)
+    real = not (np.iscomplexobj(grids) if stacked else any(map(np.iscomplexobj, grids)))
     S = 1 if real else 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
@@ -576,10 +586,11 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
-            for dst, src in zip(folded, block):
-                north, south = src[half:], src[nh - 1 :: -1]
-                np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
-                np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
+            for dst, src in [(folded, block)] if stacked else zip(folded, block):
+                north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
+                add, sub = dst[..., : add_end - j0, :], dst[..., sub_start - j0 :, :]
+                np.add(north[..., j0:add_end, :], south[..., j0:add_end, :], out=add)
+                np.subtract(north[..., d0:d1, :], south[..., d0:d1, :], out=sub)
             if real:
                 np.fft.rfft(folded, axis=-1, out=fm)
             else:

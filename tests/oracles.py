@@ -270,3 +270,16 @@ def per_part_flaglet_synthesize(d, kernels):
     for (grid, window), (lj, pj) in zip(parts, bands):
         out[:pj, : lj * lj] += window_coeffs(flag_forward(grid).coeffs, window.T[:pj, :lj])
     return FlagCoeffs(limits, out)
+
+
+def per_row_is_hermitian(coeffs, L):
+    """The Hermitian test one row at a time: Im f_l0 == 0 in every row, then
+    f_{l,-m} == (-1)^m conj f_lm compared row by row with ==."""
+    rows = coeffs.reshape(-1, L * L)
+    ells = np.arange(L)
+    if np.any(rows[:, ells * (ells + 1)].imag != 0.0):
+        return False
+    neg = [ell * ell + ell - m for ell in range(L) for m in range(1, ell + 1)]
+    pos = [ell * ell + ell + m for ell in range(L) for m in range(1, ell + 1)]
+    sign = np.array([(-1.0) ** m for ell in range(L) for m in range(1, ell + 1)])
+    return all(np.array_equal(row[neg], sign * row[pos].conj()) for row in rows)

@@ -10,7 +10,7 @@ from flaglets import _buffers, cli
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward, get_flag_plan
 from flaglets.io_container import read_container
-from flaglets.kernel_tiling import TilingParams, flaglet_parts
+from flaglets.kernel_tiling import TilingParams, build_flaglet_kernels, flaglet_parts
 from flaglets.radial_laguerre import RadialParams
 from flaglets.sphere_harmonics import _is_hermitian, get_plan
 
@@ -286,31 +286,38 @@ class TestBench:
         )
         assert code == 0
         report = json.loads(out)
-        assert report["full_res_seconds"] > 0
-        assert report["multires_seconds"] > 0
         assert report["speedup"] > 0
-        for mode in ("full_res", "multires"):
+        # the complex round trips, then those of the real path denoising takes
+        for mode in ("full_res", "multires", "real_full_res", "real_multires"):
+            assert report[f"{mode}_seconds"] > 0
             assert 0 <= report[f"{mode}_max_abs_err"] < 1e-12
             assert 0 <= report[f"{mode}_rel_err"] < 1e-12
+        # the radial matrices of the part plans of both storage modes
+        kernels = build_flaglet_kernels(cli.BandLimits(8, 8), TilingParams())
+        want = sum(kernels.part_plan(multires).nbytes for multires in (False, True))
+        assert report["part_plan_bytes"] == want > 0
 
     @pytest.mark.parametrize("error", [1e-8, np.nan])
-    def test_inexact_round_trip_fails_after_the_report(self, capsys, monkeypatch, error):
+    @pytest.mark.parametrize("off", ["multires", "real_full_res", "real_multires"])
+    def test_inexact_round_trip_fails_after_the_report(self, capsys, monkeypatch, error, off):
         # NaN in the second mode passed through max(full, multi) < 1e-9
-        real = cli.flaglet_synthesize
+        synthesize = cli.flaglet_synthesize
 
-        def off_in_multires(d, kernels):
-            out = real(d, kernels)
-            out.coeffs[0, 0] += error if d.multires else 0.0
+        def off_in_one_mode(d, kernels):
+            out = synthesize(d, kernels)
+            real = d.scaling.values.dtype == np.float64
+            mode = ("real_" if real else "") + ("multires" if d.multires else "full_res")
+            out.coeffs[0, 0] += error if mode == off else 0.0
             return out
 
-        monkeypatch.setattr(cli, "flaglet_synthesize", off_in_multires)
+        monkeypatch.setattr(cli, "flaglet_synthesize", off_in_one_mode)
         code, out, _ = run(
             capsys, "bench", "--L", "4", "--P", "4", "--runs", "1", "--format", "json"
         )
         assert code == 1
         report = json.loads(out)
-        assert report["full_res_rel_err"] < 1e-9
-        assert not report["multires_rel_err"] < 1e-9
+        for mode in ("full_res", "multires", "real_full_res", "real_multires"):
+            assert (report[f"{mode}_rel_err"] < 1e-9) == (mode != off), mode
 
     def test_infinite_dilation_is_usage_error(self, capsys):
         code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", "--lambda", "inf")
@@ -321,14 +328,16 @@ class TestBench:
         analyses = []
         real = cli.flaglet_analyze
 
-        def counting(*args, **kwargs):
-            analyses.append(kwargs["multires"])
-            return real(*args, **kwargs)
+        def counting(coeffs, *args, **kwargs):
+            analyses.append((_is_hermitian(coeffs.coeffs, 4), kwargs["multires"]))
+            return real(coeffs, *args, **kwargs)
 
         monkeypatch.setattr(cli, "flaglet_analyze", counting)
         code, _, _ = run(capsys, "bench", "--L", "4", "--P", "4", "--runs", "2")
         assert code == 0
-        assert analyses == [False, False, True, True]
+        # complex then Hermitian coefficients, each at full resolution then multires
+        modes = [(False, False), (False, True), (True, False), (True, True)]
+        assert analyses == [mode for mode in modes for _ in range(2)]
 
     @pytest.mark.parametrize(
         "option, value", [("--runs", "0"), ("--runs", "-3"), ("--runs", "2.5"), ("--seed", "-1")]

@@ -1,5 +1,7 @@
 """Flaglet decomposition and reconstruction on the ball."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from oracles import hermitian_coeffs, per_part_flaglet_analyze, per_part_flaglet_synthesize
@@ -15,6 +17,7 @@ from flaglets.flaglet_transform import (
     threshold_denoise,
 )
 from flaglets.kernel_tiling import (
+    FlagletPart,
     TilingParams,
     build_flaglet_kernels,
     flaglet_parts,
@@ -129,6 +132,90 @@ class TestEngineCalls:
         calls.clear()
         flaglet_synthesize(d, kernels)
         assert calls == [(here, "_sht_forward_batch", lj) for lj in (L, *bands)]
+
+
+class TestPartPlan:
+    """FlagletKernels.part_plan(multires) is made on first use and read by
+    both directions: a warm transform makes no limits and looks up no plan."""
+
+    @pytest.mark.parametrize("multires", [False, True])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_warm_transforms_make_no_limits_and_look_up_no_plan(self, monkeypatch, multires, real):
+        limits = BandLimits(16, 8, 1.0)
+        kernels = build_flaglet_kernels(limits, TilingParams(nu=3.0))
+        f = TestRealFields.noisy_blobs(limits, 3) if real else random_flag_coeffs(limits, 3)
+        flaglet_synthesize(flaglet_analyze(f, kernels, multires), kernels)
+        made = []
+        for cls in (BandLimits, RadialParams):
+
+            def counting(self, made_by=cls.__post_init__):
+                made.append(type(self).__name__)
+                made_by(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        get_flag_plan = flag_transform.get_flag_plan
+        lookups = get_plan.cache_info(), get_flag_plan.cache_info()
+        d = flaglet_analyze(f, kernels, multires)
+        back = flaglet_synthesize(d, kernels)
+        assert made == []
+        assert (get_plan.cache_info(), get_flag_plan.cache_info()) == lookups
+        assert d.scaling.values.dtype == (np.float64 if real else np.complex128)
+        assert rel_err(back.coeffs, f.coeffs) < 1e-12
+        BandLimits(2, 2)  # the counter counts
+        assert made == ["BandLimits", "RadialParams"]
+
+    @pytest.mark.parametrize("multires", [False, True])
+    def test_matrices_are_the_weighted_tables_bit_for_bit(self, multires):
+        limits = BandLimits(16, 16, 1.0)
+        params = TilingParams(lam=2.0, nu=2.0, j0_ang=1, j0_rad=1)
+        kernels = build_flaglet_kernels(limits, params)
+        plan = kernels.part_plan(multires)
+        assert kernels.part_plan(multires) is plan
+        keys, bands = flaglet_parts(limits, params, multires)
+        parts = [part for group in plan.groups for part in group.parts]
+        assert all(isinstance(part, FlagletPart) for part in parts)
+        assert [part.key for part in parts] == ["scaling", *keys]
+        assert [(part.limits.L, part.limits.P) for part in parts] == bands
+        assert plan.keys == keys and plan.limits == [part.limits for part in parts]
+        for part in parts:
+            if part.key == "scaling":
+                weights = np.ones(limits.P)
+            else:
+                weights = kernels.kappas_rad[part.key[1] - params.j0_rad]
+            # the rows are the interval where the radial window is nonzero
+            assert np.all(weights[part.rows] != 0)
+            assert not np.any(weights[: part.rows.start]) and not np.any(weights[part.rows.stop :])
+            tables = flag_transform.get_flag_plan(part.limits.radial)
+            w = weights[part.rows, None]
+            for got, want in [
+                (part.synth, (tables.kbasis[part.rows] * w).T),
+                (part.project, tables.kforward[part.rows] * w),
+            ]:
+                assert got.shape == want.shape and got.strides == want.strides
+                assert got.tobytes() == want.tobytes()
+        # one pair of matrices per radial scale j', shared by every angular scale
+        shared = {part.key[1]: part for part in parts[1:]}
+        for part in parts[1:]:
+            assert part.synth is shared[part.key[1]].synth
+            assert part.project is shared[part.key[1]].project
+        held = [parts[0], *shared.values()]
+        assert plan.nbytes == sum(part.synth.nbytes + part.project.nbytes for part in held)
+        # each group's window and plan at its band limit, the scaling part's first
+        assert plan.groups[0].plan is get_plan(limits.L)
+        assert np.array_equal(plan.groups[0].window, kernels.phi.T)
+        for group in plan.groups[1:]:
+            j, lj = group.parts[0].key[0], group.parts[0].limits.L
+            assert {part.key[0] for part in group.parts} == {j}
+            assert group.plan is get_plan(lj)
+            assert np.array_equal(group.window, kernels.kappas_ang[j - params.j0_ang][:lj])
+
+    def test_one_plan_per_storage_mode(self):
+        kernels = build_flaglet_kernels(BandLimits(8, 8, 1.0), TilingParams())
+        full, multi = kernels.part_plan(False), kernels.part_plan(True)
+        assert full is not multi
+        assert kernels.part_plan(0) is full and kernels.part_plan(1) is multi
+        # a plan belongs to its kernels: a copy made by replace starts without one
+        assert dataclasses.replace(kernels).part_plan(False) is not full
 
 
 class TestRadialPlans:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaglets import _buffers
 from flaglets.cli import blob_field, random_flag_coeffs
 from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
 from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze, threshold_denoise
@@ -549,12 +550,86 @@ class TestReaderBounds:
 
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_nan_in_the_last_part_is_a_payload_error(self, source):
-        # the whole payload is checked at once, so the last value counts too
+        # the last value counts too: read part by part or in pieces
         d = _flaglet_decomposition(multires=True)
         last = d.wavelets[max(d.wavelets)]
         last.values[-1, -1, -1] = complex(0.0, math.nan)
         with pytest.raises(PayloadError):
             read_container(SOURCES[source](container_bytes(d)))
+
+
+class Shrinking(io.BytesIO):
+    """A seekable source whose reads stop at `stop` though it reports every
+    byte, like a file cut while it is read."""
+
+    def __init__(self, raw: bytes, stop: int):
+        super().__init__(raw)
+        self.stop = stop
+
+    def readinto(self, b):
+        room = max(0, self.stop - self.tell())
+        return super().readinto(memoryview(b)[:room])
+
+
+class TestPartByPartReads:
+    """A seekable source fills the recycled buffer one payload array at a
+    time, each checked right after it is read; a failed read hands the buffer
+    back at once, while the error and its traceback are still alive."""
+
+    @staticmethod
+    def decomposition(real):
+        return TestOneBuffer.analysed(real, multires=True)
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_non_finite_part_is_a_payload_error(self, real, value, where):
+        d = self.decomposition(real)
+        parts = payload_arrays(d)
+        index = {"first": 0, "middle": len(parts) // 2, "last": len(parts) - 1}[where]
+        parts[index].reshape(-1)[parts[index].size // 2] = value
+        raw = container_bytes(d)
+        source = io.BytesIO(raw)
+        before = _buffers.stats()["live_bytes"]
+        with pytest.raises(PayloadError) as error:
+            read_container(source)
+        assert _buffers.stats()["live_bytes"] == before
+        # nothing past the failing part was read
+        header = len(raw) - sum(p.nbytes for p in parts)
+        assert source.tell() == header + sum(p.nbytes for p in parts[: index + 1])
+        assert error.value.args == (f"payload of {len(parts)} arrays holds NaN or infinite values",)
+
+    @pytest.mark.parametrize("seekable", [False, True], ids=["short", "shrinking"])
+    def test_source_cut_inside_a_part_is_truncated(self, seekable):
+        d = self.decomposition(real=True)
+        parts = payload_arrays(d)
+        raw = container_bytes(d)
+        header = len(raw) - sum(p.nbytes for p in parts)
+        middle = len(parts) // 2
+        cut = header + sum(p.nbytes for p in parts[:middle]) + parts[middle].nbytes // 2
+        # a short source is read in bounded pieces; a shrinking one says it
+        # holds every byte, so the reader takes a recycled buffer for it
+        source = Shrinking(raw, cut) if seekable else io.BytesIO(raw[:cut])
+        stats = _buffers.stats()
+        with pytest.raises(TruncatedError) as error:
+            read_container(source)
+        assert _buffers.stats()["live_bytes"] == stats["live_bytes"]
+        assert _buffers.stats()["misses"] + _buffers.stats()["hits"] == (
+            stats["misses"] + stats["hits"] + seekable
+        )
+        nbytes = len(raw) - header
+        if seekable:
+            assert error.value.args == (f"payload: expected {nbytes} bytes, got {cut - header}",)
+
+    def test_a_clean_read_after_a_failed_one_reuses_its_buffer(self):
+        d = self.decomposition(real=False)
+        raw = container_bytes(d)
+        with pytest.raises(TruncatedError):
+            read_container(Shrinking(raw, len(raw) - 1))
+        hits = _buffers.stats()["hits"]
+        back = read_container(io.BytesIO(raw))
+        assert _buffers.stats()["hits"] == hits + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(payload_arrays(back), payload_arrays(d)))
 
 
 def _buffer_offsets(parts: list[np.ndarray]):

@@ -3,9 +3,12 @@
 import hashlib
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flaglets import sphere_harmonics
 from flaglets.sphere_harmonics import (
@@ -35,6 +38,7 @@ from oracles import (
     legendre_per_order,
     naive_sht_forward,
     naive_sht_inverse,
+    per_row_is_hermitian,
     ylm_point,
 )
 
@@ -513,6 +517,74 @@ class TestForwardBatchInput:
         stacked = _sht_forward_batch(grids, plan)
         assert np.array_equal(_sht_forward_batch(list(grids), plan), stacked)
         assert np.max(np.abs(stacked - c)) < 1e-12
+
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 32, 33, 128])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_an_array_folds_to_the_bytes_of_its_list(self, L, real):
+        # an array is folded a block at a time, a list grid by grid: one grid,
+        # a few, enough that a fold chunk holds fewer than L rows, and (where
+        # that is a small batch) one grid more than an FFT block
+        nphi = 2 * L - 1
+        counts = {1, 3}
+        if L > 1:
+            counts.add(sphere_harmonics._FOLD_CHUNK_BYTES // (16 * nphi * L) + 1)
+        if _fft_block_grids(L) < 300:
+            counts.add(_fft_block_grids(L) + 1)
+        rng = np.random.default_rng(L)
+        plan = SpherePlan(L)
+        for n in sorted(counts):
+            grids = rng.uniform(-1, 1, (n, L, nphi))
+            if not real:
+                grids = grids + 1j * rng.uniform(-1, 1, grids.shape)
+            stacked = _sht_forward_batch(grids, plan)
+            assert stacked.tobytes() == _sht_forward_batch(list(grids), plan).tobytes(), n
+            assert _is_hermitian(stacked, L) == real
+
+
+class TestHermitianCheck:
+    """_is_hermitian compares blocks of rows; the oracle compares one row at a time."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        L=st.integers(1, 40),
+        rows=st.integers(0, 5),
+        block=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        zeros=st.booleans(),
+        change=st.sampled_from(["none", "nan", "+0", "-0", "last bit", "value", "imaginary"]),
+        where=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_block_check_agrees_with_the_per_row_oracle(
+        self, L, rows, block, seed, zeros, change, where
+    ):
+        rng = np.random.default_rng(seed)
+        c = hermitian_coeffs(rng, L, (rows,))
+        if zeros:
+            # whole degrees of signed zeros stay Hermitian under ==
+            ell = int(rng.integers(L))
+            degree = c[:, ell * ell : (ell + 1) * (ell + 1)]
+            degree.view(np.float64)[:] = np.where(rng.integers(0, 2, (rows, 4 * ell + 2)), -0.0, 0.0)
+        if rows and change != "none":
+            flat = c.reshape(-1)
+            i = int(where * flat.size)
+            if change == "nan":
+                flat[i] = complex(flat[i].real, math.nan)
+            elif change in ("+0", "-0"):
+                zero = 0.0 if change == "+0" else -0.0
+                flat[i] = complex(zero, zero)
+            elif change == "last bit":
+                flat.view(np.uint64)[2 * i] ^= 1
+            elif change == "value":
+                flat[i] = complex(*rng.uniform(-1, 1, 2))
+            else:
+                flat[i] += 1e-300j
+        want = per_row_is_hermitian(c, L)
+        if change == "none":
+            assert want
+        assert _is_hermitian(c, L) == want
+        with mock.patch.object(sphere_harmonics, "_fft_block_grids", lambda L: block):
+            assert _is_hermitian(c, L) == want
 
 
 class TestAgainstNaiveTransform:
