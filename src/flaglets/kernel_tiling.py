@@ -123,14 +123,29 @@ def flaglet_parts(limits: BandLimits, params: TilingParams, multires: bool):
     return keys, [(L, P), *bands]
 
 
+class AngularGroup(NamedTuple):
+    """One angular transform of a decomposition: its window on the degrees
+    below its band limit (one for its FlagletParts, or one row per sphere part
+    name, "scaling" or j), the SpherePlan at that band limit, and its parts."""
+
+    window: np.ndarray
+    plan: SpherePlan
+    parts: list
+
+
 @dataclass
 class SphereKernels:
-    """Harmonic-line windows at band limit L: scaling eta and wavelets kappa_j."""
+    """Harmonic-line windows at band limit L: scaling eta and wavelets kappa_j.
+
+    group_plan(multires), what both transforms read in each storage mode, is
+    made from the windows on first use and kept, so the windows are not to
+    be changed after a transform has used them."""
 
     L: int
     params: TilingParams
     eta: np.ndarray                 # (L,)
     kappas: list[np.ndarray]        # one (L,) array per j in [j0, J]
+    _group_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def j0(self) -> int:
@@ -144,6 +159,22 @@ class SphereKernels:
         """Effective band limit of scale j: smallest grid holding its support."""
         return scale_band_limit(j, self.params.lam, self.L)
 
+    def group_plan(self, multires: bool) -> list[AngularGroup]:
+        """Runs of parts sharing a band limit, in storage order: their windows
+        below it stacked (n, band), its SpherePlan and their names."""
+        multires = bool(multires)
+        if multires not in self._group_plans:
+            names = ["scaling", *range(self.j0, self.jmax + 1)]
+            windows = [self.eta, *self.kappas]
+            groups, start = [], 0
+            for band, run in itertools.groupby(sphere_part_bands(self.L, self.params, multires)):
+                part = slice(start, start + len(list(run)))
+                window = np.stack([w[:band] for w in windows[part]])
+                groups.append(AngularGroup(window, get_plan(band), names[part]))
+                start = part.stop
+            self._group_plans[multires] = groups
+        return self._group_plans[multires]
+
 
 class FlagletPart(NamedTuple):
     """One part of a flaglet decomposition as the transforms run it: its key
@@ -156,15 +187,6 @@ class FlagletPart(NamedTuple):
     rows: slice
     synth: np.ndarray
     project: np.ndarray
-
-
-class AngularGroup(NamedTuple):
-    """One angular transform of a decomposition: its window on the degrees
-    below its band limit, the SpherePlan at that band limit, and its parts."""
-
-    window: np.ndarray
-    plan: SpherePlan
-    parts: list[FlagletPart]
 
 
 @dataclass(frozen=True)

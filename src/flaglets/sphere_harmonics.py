@@ -45,7 +45,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -529,32 +528,29 @@ def _column_ranges(L: int, m0: int, nb: int):
     return (0, slice(m0, m0 + nb)), (skip, slice(nphi - m0 - skip, nphi - m0 - nb, -1))
 
 
-def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndarray:
-    """Forward SHT of every (L, 2L-1) grid in `grids`; returns (len(grids), L^2).
+def _sht_forward_batch(grids: np.ndarray, plan: SpherePlan) -> np.ndarray:
+    """Forward SHT of every grid of `grids` (n, L, 2L-1); returns (n, L^2).
 
-    `grids` may be a list of grids or an array of them; it is never stacked.
-    The grids are real when an array of them has a real dtype, or when no
-    grid in a list is complex.  Per block of grids, chunks of at most
-    _FOLD_CHUNK_BYTES of rows are folded about the equator, f(x) + f(-x)
-    then f(x) - f(-x) on the half nodes (for an array one add and one
-    subtract over the block's grids, for a list grid by grid), FFT'd along
-    their contiguous last axis, and the Fourier columns of
-    every order copied out of them weighted and signed: +m and -m for complex
-    grids (S = 2), and for real grids only +m, from an rfft of rows folded in
-    float64 (S = 1).  Per tile and parity, the columns of the sums (even
-    l + m) or the differences (odd l + m) of the tile's orders are projected
-    by one stacked GEMM over the orders, on 2 S float columns per grid, and
-    the stored degrees scattered through the tile's maps, for real grids
-    through their +m prefix.  The -m coefficients of real grids are then
-    made from the +m ones, so they are exactly Hermitian.  Past the table
-    cache the tiles are regenerated per block of grids, since generating
-    them once would hold a full-size Fourier copy.
+    The grids are real when the array has a real dtype.  Per block of grids,
+    chunks of at most _FOLD_CHUNK_BYTES of rows are folded about the
+    equator, f(x) + f(-x) then f(x) - f(-x) on the half nodes, by one add
+    and one subtract over the block's grids, FFT'd along their contiguous
+    last axis, and the Fourier columns of every order copied out of them
+    weighted and signed: +m and -m for complex grids (S = 2), and for real
+    grids only +m, from an rfft of rows folded in float64 (S = 1).  Per tile
+    and parity, the columns of the sums (even l + m) or the differences (odd
+    l + m) of the tile's orders are projected by one stacked GEMM over the
+    orders, on 2 S float columns per grid, and the stored degrees scattered
+    through the tile's maps, for real grids through their +m prefix.  The -m
+    coefficients of real grids are then made from the +m ones, so they are
+    exactly Hermitian.  Past the table cache the tiles are regenerated per
+    block of grids, since generating them once would hold a full-size
+    Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
-    stacked = isinstance(grids, np.ndarray)
-    real = not (np.iscomplexobj(grids) if stacked else any(map(np.iscomplexobj, grids)))
+    real = not np.iscomplexobj(grids)
     S = 1 if real else 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
@@ -586,11 +582,9 @@ def _sht_forward_batch(grids: Sequence[np.ndarray], plan: SpherePlan) -> np.ndar
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
-            for dst, src in [(folded, block)] if stacked else zip(folded, block):
-                north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
-                add, sub = dst[..., : add_end - j0, :], dst[..., sub_start - j0 :, :]
-                np.add(north[..., j0:add_end, :], south[..., j0:add_end, :], out=add)
-                np.subtract(north[..., d0:d1, :], south[..., d0:d1, :], out=sub)
+            north, south = block[:, half:], block[:, nh - 1 :: -1]
+            np.add(north[:, j0:add_end], south[:, j0:add_end], out=folded[:, : add_end - j0])
+            np.subtract(north[:, d0:d1], south[:, d0:d1], out=folded[:, sub_start - j0 :])
             if real:
                 np.fft.rfft(folded, axis=-1, out=fm)
             else:
@@ -716,7 +710,7 @@ def sht_forward(grid: SphereGrid, plan: SpherePlan | None = None) -> SphereCoeff
     exactly Hermitian.  Raises ValueError if `plan` was built for another
     band limit.
     """
-    return SphereCoeffs(grid.L, _sht_forward_batch([grid.values], _plan_for(grid.L, plan))[0])
+    return SphereCoeffs(grid.L, _sht_forward_batch(grid.values[None], _plan_for(grid.L, plan))[0])
 
 
 def sht_inverse(coeffs: SphereCoeffs, plan: SpherePlan | None = None) -> SphereGrid:

@@ -8,19 +8,18 @@ window; admissibility makes the round trip exact.  The parts, their order
 and their band limits come from kernel_tiling.sphere_part_bands.
 
 Parts that share a band limit (the scaling part and the first scale, the
-top scales capped at L, or every part at full resolution) go through one
-batched transform call, so they share one pass over the Legendre tables.
-Synthesis calls hold at most one forward FFT block of grids.
+top scales capped at L, or every part at full resolution) form one group of
+SphereKernels.group_plan(multires): one batched inverse, so one pass over
+the Legendre tables, and forward calls on stacks of at most an FFT block.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel_tiling import SphereKernels, sphere_part_bands
+from .kernel_tiling import SphereKernels
 from .sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
@@ -28,7 +27,6 @@ from .sphere_harmonics import (
     _is_hermitian,
     _sht_forward_batch,
     _sht_inverse_batch,
-    get_plan,
     window_coeffs,
 )
 
@@ -51,18 +49,6 @@ class SphereDecomposition:
         return n + sum(g.values.size for g in self.wavelets.values())
 
 
-def _runs(bands: list[int], cap=None):
-    """Yield (band, slice) for runs of consecutive parts sharing a band limit,
-    each at most cap(band) parts long when a cap is given."""
-    start = 0
-    for band, run in itertools.groupby(bands):
-        stop = start + sum(1 for _ in run)
-        step = cap(band) if cap else stop - start
-        for lo in range(start, stop, step):
-            yield band, slice(lo, min(lo + step, stop))
-        start = stop
-
-
 def sphere_analyze(
     f: SphereCoeffs, kernels: SphereKernels, multires: bool = False
 ) -> SphereDecomposition:
@@ -72,17 +58,13 @@ def sphere_analyze(
     if kernels.L != L:
         raise ValueError(f"kernel band limit {kernels.L} does not match signal {L}")
 
-    scales = range(kernels.j0, kernels.jmax + 1)
-    windows = [kernels.eta, *kernels.kappas]
-    bands = sphere_part_bands(L, kernels.params, multires)
     real = _is_hermitian(f.coeffs, L)
     grids = []
-    for band, part in _runs(bands):
-        # the first band^2 flat indices hold exactly the degrees below band
-        stacked = np.stack([w[:band] for w in windows[part]])
-        windowed = window_coeffs(f.coeffs[: band * band], stacked)
-        grids += [SphereGrid(band, g) for g in _sht_inverse_batch(windowed, get_plan(band), real)]
-    wavelets = dict(zip(scales, grids[1:]))
+    for window, plan, _ in kernels.group_plan(multires):
+        # the first L_j^2 flat indices hold exactly the degrees below L_j
+        windowed = window_coeffs(f.coeffs[: plan.L**2], window)
+        grids += [SphereGrid(plan.L, g) for g in _sht_inverse_batch(windowed, plan, real)]
+    wavelets = dict(zip(range(kernels.j0, kernels.jmax + 1), grids[1:]))
     return SphereDecomposition(L, kernels.params.lam, kernels.j0, grids[0], wavelets, multires)
 
 
@@ -95,22 +77,23 @@ def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereC
     L = kernels.L
     if d.L != L or d.j0 != kernels.j0 or d.lam != kernels.params.lam:
         raise ValueError("decomposition and kernels were built with different parameters")
-    scales = range(kernels.j0, kernels.jmax + 1)
-    if set(d.wavelets) != set(scales):
+    if set(d.wavelets) != set(range(kernels.j0, kernels.jmax + 1)):
         raise ValueError("decomposition scale indices do not match the kernels")
-    grids = [d.scaling, *(d.wavelets[j] for j in scales)]
-    bands = sphere_part_bands(L, kernels.params, d.multires)
-    for name, grid, band in zip(["scaling", *scales], grids, bands):
+    stored = {"scaling": d.scaling, **d.wavelets}
+    groups = kernels.group_plan(d.multires)
+    bands = {name: plan.L for _, plan, parts in groups for name in parts}
+    for name, band in bands.items():
+        grid = stored[name]
         if grid.L != band:
             raise ValueError(f"part {name} is stored at band {grid.L}; the layout needs {band}")
 
     out = np.zeros(L * L, dtype=np.complex128)
-    windows = [kernels.eta, *kernels.kappas]
-    # the engine regenerates streamed tables per FFT block anyway, so a call
-    # larger than one block would only hold more coefficient rows.  It takes
-    # the real path when every grid of a call is real
-    for band, part in _runs(bands, _fft_block_grids):
-        coeffs = _sht_forward_batch([g.values for g in grids[part]], get_plan(band))
-        for c, w in zip(coeffs, windows[part]):
-            out[: band * band] += window_coeffs(c, w[:band])
+    # the engine regenerates streamed tables per FFT block anyway, so a larger
+    # call would only hold more grids; a stack of real grids takes the real path
+    for window, plan, parts in groups:
+        step = _fft_block_grids(plan.L)
+        for i in range(0, len(parts), step):
+            grids = np.stack([stored[name].values for name in parts[i : i + step]])
+            for c, w in zip(_sht_forward_batch(grids, plan), window[i : i + step]):
+                out[: plan.L**2] += window_coeffs(c, w)
     return SphereCoeffs(L, out)

@@ -506,25 +506,14 @@ class TestForwardWorkSpace:
 
 
 class TestForwardBatchInput:
-    def test_list_and_stacked_grids_agree_bit_for_bit(self, monkeypatch):
-        # 7 grids in FFT blocks of 3: the last block holds a single grid
-        L, rows = 8, 7
-        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
-        rng = np.random.default_rng(31)
-        c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
-        plan = SpherePlan(L)
-        grids = _sht_inverse_batch(c, plan, False)
-        stacked = _sht_forward_batch(grids, plan)
-        assert np.array_equal(_sht_forward_batch(list(grids), plan), stacked)
-        assert np.max(np.abs(stacked - c)) < 1e-12
-
-
     @pytest.mark.parametrize("L", [1, 2, 7, 32, 33, 128])
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    def test_an_array_folds_to_the_bytes_of_its_list(self, L, real):
-        # an array is folded a block at a time, a list grid by grid: one grid,
-        # a few, enough that a fold chunk holds fewer than L rows, and (where
-        # that is a small batch) one grid more than an FFT block
+    def test_batches_across_fold_chunks_and_fft_blocks_match_direct_sums(self, L, real):
+        # one grid, a few, enough that a fold chunk holds fewer than L rows, and
+        # (where that is a small batch) one grid more than an FFT block, so the
+        # last block holds one grid.  A batch is no byte-level oracle for
+        # one-grid calls: the GEMM's column count changes the rounding (by up to
+        # 1.1e-16 measured)
         nphi = 2 * L - 1
         counts = {1, 3}
         if L > 1:
@@ -537,9 +526,10 @@ class TestForwardBatchInput:
             grids = rng.uniform(-1, 1, (n, L, nphi))
             if not real:
                 grids = grids + 1j * rng.uniform(-1, 1, grids.shape)
-            stacked = _sht_forward_batch(grids, plan)
-            assert stacked.tobytes() == _sht_forward_batch(list(grids), plan).tobytes(), n
-            assert _is_hermitian(stacked, L) == real
+            out = _sht_forward_batch(grids, plan)
+            assert _is_hermitian(out, L) == real
+            for grid, coeffs in zip(grids, out):
+                assert rel_err(coeffs, direct_sht_forward(grid, L)) < 1e-13 * L, n
 
 
 class TestHermitianCheck:
@@ -633,7 +623,7 @@ class TestAgainstNaiveTransform:
             grids = _sht_inverse_batch(c, plan, real)
             assert grids.dtype == (np.float64 if real else np.complex128)
             assert rel_err(grids[1], grid_want) < 1e-13, orders
-            coeffs = _sht_forward_batch([grids[0], values], plan)
+            coeffs = _sht_forward_batch(np.stack([grids[0], values]), plan)
             assert rel_err(coeffs[0], c[0]) < 1e-13, orders
             assert rel_err(coeffs[1], coeffs_want) < 1e-13, orders
 
@@ -836,12 +826,12 @@ class TestRealFields:
         L = 64
         rng = np.random.default_rng(64)
         plan = SpherePlan(L)
-        _sht_forward_batch([rng.uniform(-1, 1, (L, 2 * L - 1)) + 0j], plan)
+        _sht_forward_batch(rng.uniform(-1, 1, (1, L, 2 * L - 1)) + 0j, plan)
         grid = rng.uniform(-1, 1, (L, 2 * L - 1))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            out = _sht_forward_batch([grid], plan)
+            out = _sht_forward_batch(grid[None], plan)
             kept = tracemalloc.get_traced_memory()[0] - start - out.nbytes
         finally:
             tracemalloc.stop()
