@@ -11,7 +11,7 @@ radial GEMM of real shells is a real GEMM.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,16 +39,14 @@ class BandLimits:
     L: int
     P: int
     tau: float = 1.0
+    radial: RadialParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # frozen: the checked limits are stored, as Python ints, through object.__setattr__
         L = _check_integer(self.L, 1, MAX_BAND_LIMIT, "angular band limit")
         object.__setattr__(self, "L", L)
-        object.__setattr__(self, "P", self.radial.P)  # RadialParams checks P and tau
-
-    @property
-    def radial(self) -> RadialParams:
-        return RadialParams(self.P, self.tau)
+        object.__setattr__(self, "radial", RadialParams(self.P, self.tau))  # checks P and tau
+        object.__setattr__(self, "P", self.radial.P)
 
 
 @dataclass

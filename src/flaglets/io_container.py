@@ -182,6 +182,8 @@ def _describe(obj):
             fields = (obj.L, 0, obj.j0, 0, flags | _FLAG_SPHERE, obj.lam, 0.0, 0.0)
         else:
             p, lim = obj.params, obj.limits
+            if any(g.limits.tau != lim.tau for g in (obj.scaling, *obj.wavelets.values())):
+                raise LengthMismatchError(f"a part's tau differs from the header's {lim.tau}")
             fields = (lim.L, lim.P, p.j0_ang, p.j0_rad, flags, p.lam, p.nu, lim.tau)
         return KIND_DECOMPOSITION, fields, arrays
     raise KindError(f"object of type {type(obj).__name__} is not serializable")

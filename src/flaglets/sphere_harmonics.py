@@ -528,13 +528,14 @@ def _column_ranges(L: int, m0: int, nb: int):
     return (0, slice(m0, m0 + nb)), (skip, slice(nphi - m0 - skip, nphi - m0 - nb, -1))
 
 
-def _sht_forward_batch(grids: np.ndarray, plan: SpherePlan) -> np.ndarray:
+def _sht_forward_batch(grids: np.ndarray | list[np.ndarray], plan: SpherePlan) -> np.ndarray:
     """Forward SHT of every grid of `grids` (n, L, 2L-1); returns (n, L^2).
 
-    The grids are real when the array has a real dtype.  Per block of grids,
-    chunks of at most _FOLD_CHUNK_BYTES of rows are folded about the
-    equator, f(x) + f(-x) then f(x) - f(-x) on the half nodes, by one add
-    and one subtract over the block's grids, FFT'd along their contiguous
+    `grids` is an array or a list, never stacked; they are real when none is
+    complex, as their stack would be.  Per block of grids, chunks of at most
+    _FOLD_CHUNK_BYTES of rows are folded about the equator, f(x) + f(-x)
+    then f(x) - f(-x) on the half nodes, by one add and one subtract over an
+    array's block or over each grid of a list's, FFT'd along their contiguous
     last axis, and the Fourier columns of every order copied out of them
     weighted and signed: +m and -m for complex grids (S = 2), and for real
     grids only +m, from an rfft of rows folded in float64 (S = 1).  Per tile
@@ -550,7 +551,8 @@ def _sht_forward_batch(grids: np.ndarray, plan: SpherePlan) -> np.ndarray:
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
-    real = not np.iscomplexobj(grids)
+    stacked = isinstance(grids, np.ndarray)
+    real = not any(map(np.iscomplexobj, grids))
     S = 1 if real else 2
     out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
@@ -582,9 +584,11 @@ def _sht_forward_batch(grids: np.ndarray, plan: SpherePlan) -> np.ndarray:
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
-            north, south = block[:, half:], block[:, nh - 1 :: -1]
-            np.add(north[:, j0:add_end], south[:, j0:add_end], out=folded[:, : add_end - j0])
-            np.subtract(north[:, d0:d1], south[:, d0:d1], out=folded[:, sub_start - j0 :])
+            for dst, src in [(folded, block)] if stacked else zip(folded, block):
+                north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
+                add, sub = dst[..., : add_end - j0, :], dst[..., sub_start - j0 :, :]
+                np.add(north[..., j0:add_end, :], south[..., j0:add_end, :], out=add)
+                np.subtract(north[..., d0:d1, :], south[..., d0:d1, :], out=sub)
             if real:
                 np.fft.rfft(folded, axis=-1, out=fm)
             else:

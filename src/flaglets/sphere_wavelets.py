@@ -10,7 +10,7 @@ and their band limits come from kernel_tiling.sphere_part_bands.
 Parts that share a band limit (the scaling part and the first scale, the
 top scales capped at L, or every part at full resolution) form one group of
 SphereKernels.group_plan(multires): one batched inverse, so one pass over
-the Legendre tables, and forward calls on stacks of at most an FFT block.
+the Legendre tables, and one forward call on the group's maps as stored.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .kernel_tiling import SphereKernels
 from .sphere_harmonics import (
     SphereCoeffs,
     SphereGrid,
-    _fft_block_grids,
     _is_hermitian,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -88,12 +87,8 @@ def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereC
             raise ValueError(f"part {name} is stored at band {grid.L}; the layout needs {band}")
 
     out = np.zeros(L * L, dtype=np.complex128)
-    # the engine regenerates streamed tables per FFT block anyway, so a larger
-    # call would only hold more grids; a stack of real grids takes the real path
     for window, plan, parts in groups:
-        step = _fft_block_grids(plan.L)
-        for i in range(0, len(parts), step):
-            grids = np.stack([stored[name].values for name in parts[i : i + step]])
-            for c, w in zip(_sht_forward_batch(grids, plan), window[i : i + step]):
-                out[: plan.L**2] += window_coeffs(c, w)
+        grids = [stored[name].values for name in parts]
+        for c, w in zip(_sht_forward_batch(grids, plan), window):
+            out[: plan.L**2] += window_coeffs(c, w)
     return SphereCoeffs(L, out)

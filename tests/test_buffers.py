@@ -84,6 +84,7 @@ def test_a_buffer_comes_back_only_after_its_last_view():
 def test_threads_never_share_a_live_buffer():
     # more threads than cores and a short switch interval, so takes and
     # give-backs interleave; a lost update shows in the byte counts
+    gc.collect()
     start = _buffers.stats()
     errors = []
 

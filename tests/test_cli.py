@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, and file pipelines."""
 
+import gc
 import json
 import time
 
@@ -377,6 +378,9 @@ class TestPlanReport:
         ],
     )
     def test_json_report(self, capsys, argv, bands):
+        # garbage left by earlier tests must not be given back to the recycler
+        # between the report and the stats it is compared with
+        gc.collect()
         code, out, _ = run(capsys, *argv, "--format", "json")
         info, flag_info = get_plan.cache_info(), get_flag_plan.cache_info()
         report = json.loads(out)

@@ -1,6 +1,7 @@
 """Binary container round trips for every serializable object."""
 
 import copy
+import gc
 import hashlib
 import io
 import math
@@ -16,7 +17,12 @@ from hypothesis import strategies as st
 from flaglets import _buffers
 from flaglets.cli import blob_field, random_flag_coeffs
 from flaglets.flag_transform import BallGrid, BandLimits, FlagCoeffs, flag_forward, flag_inverse
-from flaglets.flaglet_transform import FlagletDecomposition, flaglet_analyze, threshold_denoise
+from flaglets.flaglet_transform import (
+    FlagletDecomposition,
+    flaglet_analyze,
+    flaglet_synthesize,
+    threshold_denoise,
+)
 from flaglets.cli import main
 from flaglets.io_container import (
     ContainerError,
@@ -403,6 +409,18 @@ class TestWriterRefusesUnreadableObjects:
         d.multires = True
         self._refused(d, LengthMismatchError)
 
+    def test_part_at_another_tau(self):
+        # the part's shape matches, but the reader would give it the header's
+        # tau, and flaglet_synthesize rejects the object as it stands
+        d = _flaglet_decomposition(multires=False)
+        key = min(d.wavelets)
+        part = d.wavelets[key]
+        d.wavelets[key] = BallGrid(BandLimits(part.limits.L, part.limits.P, 2.0), part.values)
+        kernels = build_flaglet_kernels(d.limits, d.params)
+        with pytest.raises(ValueError, match="is stored at"):
+            flaglet_synthesize(d, kernels)
+        self._refused(d, LengthMismatchError)
+
     def test_missing_wavelet_key(self):
         d = _flaglet_decomposition(multires=False)
         del d.wavelets[max(d.wavelets)]
@@ -590,6 +608,8 @@ class TestPartByPartReads:
         parts[index].reshape(-1)[parts[index].size // 2] = value
         raw = container_bytes(d)
         source = io.BytesIO(raw)
+        # garbage left by earlier tests must not be given back during the read
+        gc.collect()
         before = _buffers.stats()["live_bytes"]
         with pytest.raises(PayloadError) as error:
             read_container(source)
@@ -610,6 +630,7 @@ class TestPartByPartReads:
         # a short source is read in bounded pieces; a shrinking one says it
         # holds every byte, so the reader takes a recycled buffer for it
         source = Shrinking(raw, cut) if seekable else io.BytesIO(raw[:cut])
+        gc.collect()
         stats = _buffers.stats()
         with pytest.raises(TruncatedError) as error:
             read_container(source)

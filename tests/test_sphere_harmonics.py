@@ -495,14 +495,23 @@ class TestForwardWorkSpace:
         grids = rng.uniform(-1, 1, (n, L, 2 * L - 1)) + 1j * rng.uniform(-1, 1, (n, L, 2 * L - 1))
         plan = SpherePlan(L)
         _sht_forward_batch(grids[:1], plan)  # keeps the plan's tables
+        transients = []
         tracemalloc.start()
         try:
-            start = tracemalloc.get_traced_memory()[0]
-            out = _sht_forward_batch(grids, plan)
-            transient = tracemalloc.get_traced_memory()[1] - start - out.nbytes
+            # the same grids as one array and as a list, which is never stacked
+            for batch in (grids, list(grids)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                out = _sht_forward_batch(batch, plan)
+                transients.append(tracemalloc.get_traced_memory()[1] - start - out.nbytes)
+                del out
         finally:
             tracemalloc.stop()
-        assert transient <= 1.02 * 2.37 * 2**20, transient / 2**20
+        array, listed = transients
+        assert array <= 1.02 * 2.37 * 2**20, array / 2**20
+        # beyond the array's: at most the list slice's reference per grid of
+        # a block, where an array's block is a view (measured 96 bytes)
+        assert listed <= array + 8 * n, (listed, array)
 
 
 class TestForwardBatchInput:
@@ -530,6 +539,14 @@ class TestForwardBatchInput:
             assert _is_hermitian(out, L) == real
             for grid, coeffs in zip(grids, out):
                 assert rel_err(coeffs, direct_sht_forward(grid, L)) < 1e-13 * L, n
+            # a list of the same grids, folded grid by grid, is never stacked
+            # and gives the stack's bytes; a real grid among complex ones
+            # takes the complex path, as the stack of the list does
+            assert _sht_forward_batch(list(grids), plan).tobytes() == out.tobytes(), n
+            if not real:
+                mixed = [g.real if i % 2 else g for i, g in enumerate(grids)]
+                want = _sht_forward_batch(np.stack(mixed), plan)
+                assert _sht_forward_batch(mixed, plan).tobytes() == want.tobytes(), n
 
 
 class TestHermitianCheck:

@@ -190,22 +190,28 @@ class TestBandGroups:
         assert np.max(np.abs(back - f.coeffs)) < 1e-10 * np.max(np.abs(f.coeffs))
 
 
-    def test_synthesis_calls_hold_at_most_one_fft_block(self, monkeypatch):
-        # full resolution at L = 16: 6 parts at one band, in forward blocks of 4
+    def test_synthesis_hands_each_group_its_stored_maps_in_one_call(self, monkeypatch):
+        # full resolution at L = 16: 6 parts at one band, past a forward FFT
+        # block of 4 grids.  One engine call takes the stored maps themselves,
+        # uncopied; the engine steps its own blocks
         L = 16
         monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
-        sizes = []
+        calls = []
         real = sphere_wavelets._sht_forward_batch
 
         def recording(grids, plan):
-            sizes.append(len(grids))
+            calls.append(grids)
             return real(grids, plan)
 
         monkeypatch.setattr(sphere_wavelets, "_sht_forward_batch", recording)
         kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
         f = random_coeffs(L, np.random.default_rng(23))
-        back = sphere_synthesize(sphere_analyze(f, kernels), kernels).coeffs
-        assert sizes == [4, 2]
+        d = sphere_analyze(f, kernels)
+        back = sphere_synthesize(d, kernels).coeffs
+        stored = [d.scaling] + [d.wavelets[j] for j in sorted(d.wavelets)]
+        assert len(stored) == 6 > sphere_harmonics._fft_block_grids(L)
+        assert [len(grids) for grids in calls] == [6]
+        assert all(got is part.values for got, part in zip(calls[0], stored))
         assert np.max(np.abs(back - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
 
 
