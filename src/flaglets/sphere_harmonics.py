@@ -528,34 +528,36 @@ def _column_ranges(L: int, m0: int, nb: int):
     return (0, slice(m0, m0 + nb)), (skip, slice(nphi - m0 - skip, nphi - m0 - nb, -1))
 
 
-def _sht_forward_batch(grids: np.ndarray | list[np.ndarray], plan: SpherePlan) -> np.ndarray:
+def _sht_forward_batch(
+    grids: np.ndarray | list[np.ndarray], plan: SpherePlan, windows=None, total=None
+) -> np.ndarray:
     """Forward SHT of every grid of `grids` (n, L, 2L-1); returns (n, L^2).
 
-    `grids` is an array or a list, never stacked; they are real when none is
-    complex, as their stack would be.  Per block of grids, chunks of at most
-    _FOLD_CHUNK_BYTES of rows are folded about the equator, f(x) + f(-x)
-    then f(x) - f(-x) on the half nodes, by one add and one subtract over an
-    array's block or over each grid of a list's, FFT'd along their contiguous
-    last axis, and the Fourier columns of every order copied out of them
-    weighted and signed: +m and -m for complex grids (S = 2), and for real
-    grids only +m, from an rfft of rows folded in float64 (S = 1).  Per tile
-    and parity, the columns of the sums (even l + m) or the differences (odd
-    l + m) of the tile's orders are projected by one stacked GEMM over the
-    orders, on 2 S float columns per grid, and the stored degrees scattered
-    through the tile's maps, for real grids through their +m prefix.  The -m
-    coefficients of real grids are then made from the +m ones, so they are
-    exactly Hermitian.  Past the table cache the tiles are regenerated per
-    block of grids, since generating them once would hold a full-size
-    Fourier copy.
+    With `windows` (n, L) it adds each grid's coefficients times its window
+    to `total` (L^2,) in grid order instead, holding one block's rows, and
+    returns `total`.  The grids, an array or a list, are never copied, and
+    real when none is complex.  Per block of grids, chunks of at most
+    _FOLD_CHUNK_BYTES of rows are folded about the equator grid by grid,
+    f(x) + f(-x) then f(x) - f(-x) on the half nodes, FFT'd along their
+    contiguous last axis, and the Fourier columns of every order copied out
+    of them weighted and signed: +m and -m for complex grids (S = 2), and
+    for real grids only +m, from an rfft of rows folded in float64 (S = 1).
+    Per tile and parity, the columns of the sums (even l + m) or the
+    differences (odd l + m) of the tile's orders are projected by one
+    stacked GEMM over the orders, on 2 S float columns per grid, and the
+    stored degrees scattered through the tile's maps, for real grids through
+    their +m prefix.  The -m coefficients of real grids are then made from
+    the +m ones, so they are exactly Hermitian.  Past the table cache the
+    tiles are regenerated per block of grids, since generating them once
+    would hold a full-size Fourier copy.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
-    stacked = isinstance(grids, np.ndarray)
     real = not any(map(np.iscomplexobj, grids))
     S = 1 if real else 2
-    out = np.empty((len(grids), L * L), dtype=np.complex128)
     step = min(_fft_block_grids(L), max(len(grids), 1))
+    out = np.empty((len(grids) if windows is None else step, L * L), dtype=np.complex128)
     rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step)))
     # one allocation holds a block's columns[m, j, s, r] (order m, folded row j,
     # sign s, grid r) and the work space for a chunk of folded rows or a tile's
@@ -584,11 +586,10 @@ def _sht_forward_batch(grids: np.ndarray | list[np.ndarray], plan: SpherePlan) -
             # folded rows j0..add_end are sums, sub_start..j1 differences
             add_end, sub_start = max(j0, min(j1, nh)), min(j1, max(j0, nh))
             d0, d1 = sub_start - nh + odd, j1 - nh + odd
-            for dst, src in [(folded, block)] if stacked else zip(folded, block):
-                north, south = src[..., half:, :], src[..., nh - 1 :: -1, :]
-                add, sub = dst[..., : add_end - j0, :], dst[..., sub_start - j0 :, :]
-                np.add(north[..., j0:add_end, :], south[..., j0:add_end, :], out=add)
-                np.subtract(north[..., d0:d1, :], south[..., d0:d1, :], out=sub)
+            for dst, src in zip(folded, block):
+                north, south = src[half:], src[nh - 1 :: -1]
+                np.add(north[j0:add_end], south[j0:add_end], out=dst[: add_end - j0])
+                np.subtract(north[d0:d1], south[d0:d1], out=dst[sub_start - j0 :])
             if real:
                 np.fft.rfft(folded, axis=-1, out=fm)
             else:
@@ -603,7 +604,7 @@ def _sht_forward_batch(grids: np.ndarray | list[np.ndarray], plan: SpherePlan) -
                 )
             if not real:
                 columns[0, j0:j1, 1] = 0.0
-        out_t = out[start : start + n].T
+        coeffs = out[start : start + n] if windows is None else out[:n]
         for m0, k0, tile, maps in plan.tables():
             nb = tile.shape[0]
             for p, fold, (index, valid, dest, plus) in zip((0, 1), folds, maps):
@@ -619,10 +620,12 @@ def _sht_forward_batch(grids: np.ndarray | list[np.ndarray], plan: SpherePlan) -
                 )
                 stored = work[size : size + valid.size * n].reshape(-1, n)
                 np.take(proj, valid, axis=0, out=stored, mode="clip")
-                out_t[dest] = stored
-    if real:
-        _fill_negative_orders(out, L)
-    return out
+                coeffs.T[dest] = stored
+        if real:
+            _fill_negative_orders(coeffs, L)
+        for c, w in zip(coeffs, [] if windows is None else windows[start : start + n]):
+            total += window_coeffs(c, w)
+    return out if windows is None else total
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.ndarray:

@@ -10,7 +10,7 @@ and their band limits come from kernel_tiling.sphere_part_bands.
 Parts that share a band limit (the scaling part and the first scale, the
 top scales capped at L, or every part at full resolution) form one group of
 SphereKernels.group_plan(multires): one batched inverse, so one pass over
-the Legendre tables, and one forward call on the group's maps as stored.
+the Legendre tables, and one forward call that windows and sums their maps.
 """
 
 from __future__ import annotations
@@ -81,14 +81,11 @@ def sphere_synthesize(d: SphereDecomposition, kernels: SphereKernels) -> SphereC
     stored = {"scaling": d.scaling, **d.wavelets}
     groups = kernels.group_plan(d.multires)
     bands = {name: plan.L for _, plan, parts in groups for name in parts}
-    for name, band in bands.items():
-        grid = stored[name]
-        if grid.L != band:
-            raise ValueError(f"part {name} is stored at band {grid.L}; the layout needs {band}")
+    for name, grid in stored.items():
+        if grid.L != bands[name]:
+            raise ValueError(f"part {name} is stored at band {grid.L}; the layout needs {bands[name]}")
 
     out = np.zeros(L * L, dtype=np.complex128)
     for window, plan, parts in groups:
-        grids = [stored[name].values for name in parts]
-        for c, w in zip(_sht_forward_batch(grids, plan), window):
-            out[: plan.L**2] += window_coeffs(c, w)
+        _sht_forward_batch([stored[name].values for name in parts], plan, window, out[: plan.L**2])
     return SphereCoeffs(L, out)

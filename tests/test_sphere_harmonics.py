@@ -27,6 +27,7 @@ from flaglets.sphere_harmonics import (
     sht_forward,
     sht_inverse,
     sphere_sampling,
+    window_coeffs,
 )
 
 from oracles import (
@@ -513,6 +514,32 @@ class TestForwardWorkSpace:
         # a block, where an array's block is a view (measured 96 bytes)
         assert listed <= array + 8 * n, (listed, array)
 
+    def test_windowed_sum_holds_one_block_of_coefficient_rows(self, monkeypatch):
+        # 12 grids in FFT blocks of 4: summing their windowed coefficients
+        # holds what one block's call does, its 4 output rows included, plus
+        # one row's window_coeffs temporaries (24 L^2 bytes; measured 2 KiB
+        # over the block's 395 KiB), where returning all 12 rows holds 8 more
+        L, n = 32, 12
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
+        rng = np.random.default_rng(12)
+        grids = list(rng.uniform(-1, 1, (n, L, 2 * L - 1)))
+        windows = rng.uniform(0, 1, (n, L))
+        total = np.zeros(L * L, dtype=np.complex128)
+        plan = SpherePlan(L)
+        _sht_forward_batch(grids[:1], plan)  # keeps the plan's tables
+        peaks = []
+        tracemalloc.start()
+        try:
+            for args in ((grids[:4],), (grids, windows, total)):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                _sht_forward_batch(args[0], plan, *args[1:])
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+        block, windowed = peaks
+        assert windowed <= block + 24 * L * L, (windowed, block)
+
 
 class TestForwardBatchInput:
     @pytest.mark.parametrize("L", [1, 2, 7, 32, 33, 128])
@@ -547,6 +574,14 @@ class TestForwardBatchInput:
                 mixed = [g.real if i % 2 else g for i, g in enumerate(grids)]
                 want = _sht_forward_batch(np.stack(mixed), plan)
                 assert _sht_forward_batch(mixed, plan).tobytes() == want.tobytes(), n
+            # with windows the rows are windowed and added to `total` in grid
+            # order, block by block, as a caller adding each row would
+            windows = np.random.default_rng(n).uniform(0, 1, (n, L))
+            total, want = np.ones(L * L, dtype=np.complex128), np.ones(L * L, dtype=np.complex128)
+            for coeffs, w in zip(out, windows):
+                want += window_coeffs(coeffs, w)
+            assert _sht_forward_batch(list(grids), plan, windows, total) is total
+            assert total.tobytes() == want.tobytes(), n
 
 
 class TestHermitianCheck:

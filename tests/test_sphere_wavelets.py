@@ -193,15 +193,15 @@ class TestBandGroups:
     def test_synthesis_hands_each_group_its_stored_maps_in_one_call(self, monkeypatch):
         # full resolution at L = 16: 6 parts at one band, past a forward FFT
         # block of 4 grids.  One engine call takes the stored maps themselves,
-        # uncopied; the engine steps its own blocks
+        # uncopied, and adds their windowed coefficients a block at a time
         L = 16
         monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
         calls = []
         real = sphere_wavelets._sht_forward_batch
 
-        def recording(grids, plan):
+        def recording(grids, plan, *window_and_total):
             calls.append(grids)
-            return real(grids, plan)
+            return real(grids, plan, *window_and_total)
 
         monkeypatch.setattr(sphere_wavelets, "_sht_forward_batch", recording)
         kernels = build_sphere_kernels(L, TilingParams(lam=2.0))
