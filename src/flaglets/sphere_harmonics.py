@@ -10,24 +10,28 @@ Conventions: orthonormal harmonics with the Condon-Shortley phase folded
 into the normalized associated Legendre functions,
 Y_lm(theta, phi) = Ptilde_l^m(cos theta) e^{i m phi} / sqrt(2 pi).
 
-The Ptilde_l^m come from one compensated recurrence, _legendre_tiles, on
-the x >= 0 half of the symmetric nodes.  It steps a group of orders together
+The Ptilde_l^m come from one compensated recurrence, _legendre_tiles, on the
+x >= 0 half of the symmetric nodes.  It steps a group of orders together
 over k = l - m and yields tiles of orders by degrees, whose shape only
 SpherePlan chooses: up to the table cache, blocks of orders with all their
-degrees, which the plan keeps; past it, every order at once in tiles of a
-few degrees, so a pass takes O(L) recurrence steps and holds a tile of about
-one grid (an inverse of many rows still steps blocks of orders, whose sums it
-holds for one block of rows at a time, not about a grid per row).  What a
-pass needs besides the recurrence steps, the tiles' index maps, the sectoral
-seeds and the recurrence coefficients, depends only on the tile geometry, so
-a plan past the cache makes it before a tiling's first pass and keeps it, up
-to _FFT_BLOCK_BYTES in all; its passes then only step.  The engine
-never mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a
-grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and
-the odd degrees of an order project onto.  The inverse sums the tiles of a
-group of orders in one order-major buffer and unfolds it the same way, into
-each Fourier column once.  The forward copies the folded Fourier columns of
-every order once per block of grids, and every tile reads them there.
+degrees, which the plan keeps; past it, groups of B orders in tiles of D
+degrees, B and D sized from the byte constants so that a group's recurrence
+state and inverse sums stay small (SpherePlan._tile_shape).  A pass past the
+cache then takes about L^2 / 2B recurrence steps on arrays of B orders,
+writes x Ptilde into a scratch of one group and each tile row once, and
+holds one tile of B x D x L/2 doubles (an inverse of many rows still steps
+blocks of orders with all their degrees, whose sums it holds for one block
+of rows at a time, not for every row).  What a pass needs besides the
+recurrence steps, the tiles' index maps, the sectoral seeds and the
+recurrence coefficients, depends only on the tile geometry, so a plan past
+the cache makes it before a tiling's first pass and keeps it, up to
+_FFT_BLOCK_BYTES in all; its passes then only step.  The engine never
+mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a grid
+into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and the
+odd degrees of an order project onto.  The inverse sums the tiles of a group
+of orders in one order-major buffer and unfolds it the same way, into each
+Fourier column once.  The forward copies the folded Fourier columns of every
+order once per block of grids, and every tile reads them there.
 
 Real signals take the same loops with the +-m axis cut to the +m half.  A
 grid is real when its dtype is real (SphereGrid keeps float64 samples), and
@@ -45,6 +49,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,11 +90,9 @@ _FFT_BLOCK_BYTES = 8 << 20
 # copies their columns out, so a chunk never holds the block's whole grids
 _FOLD_CHUNK_BYTES = 1 << 20
 
-# a cached plan steps blocks of this many bytes of table values in lock step
+# a cached plan steps blocks of this many bytes of table values in lock step;
+# past the cache a group of orders holds at most this many bytes of inverse sums
 _LEGENDRE_BLOCK_BYTES = 2 << 20
-
-# past the cache every order is stepped at once, in tiles of this many degrees
-_LEGENDRE_TILE_DEPTH = 10
 
 
 def _check_band_limit(L: int) -> int:
@@ -265,9 +268,11 @@ def _legendre_tiles(
     step over k = l - m from their sectoral seeds (_sectoral_seeds), and an
     order drops out once it passes degree L - 1, so a tile holds the orders
     still running at k0 (_tile_geometry).  Tiles hold `depth` degrees and are
-    views of one buffer per group, which the next tile overwrites; with depth
-    >= L - m_first a group is one tile from k0 = 0.  int_{-1}^{1} Ptilde_l^m
-    Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase included.
+    views of one buffer, which the next tile overwrites, so a pass holds one
+    tile; with depth >= L - m_first a group is one tile from k0 = 0, in a
+    buffer of its own, which a cached plan keeps.  Each step writes x u_l into
+    a scratch of one group's orders and each tile row once.  int_{-1}^{1}
+    Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase included.
 
     `kept`, if given, holds what the pass needs besides the recurrence steps:
     (seeds, coefficients), the (seed_u, box) of each group from
@@ -276,6 +281,7 @@ def _legendre_tiles(
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     seeds = iter(kept[0]) if kept else _sectoral_seeds(L, xs, orders, m_first)
+    buf = None
     with np.errstate(under="ignore"):
         for t, (m0, k0, nb, dk) in enumerate(_tile_geometry(L, orders, depth, m_first)):
             if k0 == 0:  # a new group of nb orders
@@ -287,24 +293,24 @@ def _legendre_tiles(
                 # does u carry an exponent c, and only there can it pass the threshold
                 scale = np.exp(c_box)  # recomputed only when a rescale fires
                 ms = np.arange(m0, m0 + nb, dtype=np.float64)
-                buf = np.empty((nb, dk, xs.size))
+                if buf is None or depth >= L - m_first:  # the first group is the largest
+                    buf, scratch = np.empty((nb, dk, xs.size)), np.empty((nb, xs.size))
                 u_prev, u_cur = None, seed_u
             tile = buf[:nb, :dk]
             a, b = kept[1][t] if kept else _recurrence_coeffs(m0, k0, nb, dk)
             lo = max(k0, 2)
             for k in range(k0, k0 + dk):
                 run = min(nb, L - m0 - k)  # orders with degree m + k <= L - 1
-                row = tile[:, k - k0]
+                row, x_cur = tile[:, k - k0], scratch[:run]
                 if k == 1:
-                    np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=row[:run])
-                    u_prev, u_cur = u_cur, row[:run] * u_cur[:run]
+                    np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=x_cur)
+                    u_prev, u_cur = u_cur, x_cur * u_cur[:run]
                 elif k >= 2:
-                    # u_prev <- a (x u_cur - b u_prev) in place, then swap;
-                    # the tile row holds x u_cur until it takes the new values
+                    # u_prev <- a (x u_cur - b u_prev) in place, then swap
                     u_prev, u_cur = u_prev[:run], u_cur[:run]
-                    np.multiply(xs, u_cur, out=row[:run])
+                    np.multiply(xs, u_cur, out=x_cur)
                     np.multiply(b[k - lo, :run], u_prev, out=u_prev)
-                    np.subtract(row[:run], u_prev, out=u_prev)
+                    np.subtract(x_cur, u_prev, out=u_prev)
                     np.multiply(a[k - lo, :run], u_prev, out=u_prev)
                     u_prev, u_cur = u_cur, u_prev
                     if r0 < run and np.abs(u_cur[r0:, c0:c1]).max() > _RESCALE_THRESHOLD:
@@ -373,19 +379,26 @@ class SpherePlan:
       degrees (k0 = 0).  Up to _CACHE_LIMIT all are made on first use and
       kept, maps included.  The inverse holds the sums of a group of orders
       until its last tile: those of a block for one FFT block of rows at a
-      time, those of all orders for every row, about a grid per row, so past
-      the cache an inverse of more rows than one FFT block steps blocks too.
-    - past the cache, every order at once in tiles of _LEGENDRE_TILE_DEPTH
-      degrees, made per pass in one reused buffer: L recurrence steps per
-      pass, and a tile of 4 _LEGENDRE_TILE_DEPTH L^2 bytes, about 1.25 grids.
+      time, those of a group of several tiles for every row, so past the
+      cache an inverse of more rows than one FFT block steps blocks too.
+    - past the cache, for at most one FFT block of rows, groups of B orders
+      in tiles of D degrees, made per pass in one reused buffer.  B orders
+      hold the inverse's sums of a block of complex rows in
+      _LEGENDRE_BLOCK_BYTES and D = 32 degrees of them a tile within a grid's
+      share of an FFT block: (B, D) = (75, 32) at L = 288 (3-row blocks),
+      (128, 32) at 512 and (64, 32) at 1024.  A pass takes about L^2 / 2B
+      recurrence steps on arrays of B orders, which stay in cache where all L
+      orders at once did not: against all-order tiles of 10 degrees, a
+      one-row round trip took 0.15 -> 0.10-0.13 s at L = 288, 0.90 -> 0.6-0.7
+      s at 512 and 7.5 -> 4.5-5.5 s at 1024 (one BLAS thread).
 
     _tile_shape() chooses between them for tables() and for the forward's
     work space, and _tile_geometry lists a pass's tiles.  Past the cache the
     tiles are stepped anew on every pass, from the maps, sectoral seeds and
     recurrence coefficients that the plan makes from that list before the
     first pass of each tiling and keeps while all it keeps of them fits in
-    _FFT_BLOCK_BYTES (at most about 28 L^2 bytes a tiling, _invariant_bound,
-    so one tiling up to L = 543).  nbytes counts what the plan holds.
+    _FFT_BLOCK_BYTES (at most about 30 L^2 bytes a tiling, _invariant_bound,
+    so one tiling up to L = 536).  nbytes counts what the plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -444,11 +457,22 @@ class SpherePlan:
         return maps
 
     def _tile_shape(self, rows: int = 1) -> tuple[int, int]:
-        """(orders, degrees) of the first and largest tile of a pass for `rows` rows."""
-        L = self.L
-        if L <= self._CACHE_LIMIT or rows > _fft_block_grids(L):
-            return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * (L - self.half)))), L
-        return L, min(L, _LEGENDRE_TILE_DEPTH)
+        """(orders, degrees) of the first and largest tile of a pass for `rows` rows.
+
+        Up to the cache, and past it for more rows than one FFT block, a block
+        of orders has all its degrees and _LEGENDRE_BLOCK_BYTES of values.
+        Past the cache, for at most one FFT block of `step` rows, B orders hold
+        the inverse's sums for `step` complex rows, 64 B n step bytes on the
+        n = L - half nodes, within _LEGENDRE_BLOCK_BYTES, and their tiles of D
+        degrees, 8 B D n bytes, within one grid's share _FFT_BLOCK_BYTES /
+        step of an FFT block (D = 32 with the module's constants, unless B or
+        D is cut to L or raised to 1).
+        """
+        L, n, step = self.L, self.L - self.half, _fft_block_grids(self.L)
+        if L <= self._CACHE_LIMIT or rows > step:
+            return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * n))), L
+        orders = min(L, max(1, _LEGENDRE_BLOCK_BYTES // (64 * n * step)))
+        return orders, min(L, max(1, _FFT_BLOCK_BYTES // (8 * orders * n * step)))
 
     def _invariant_bound(self, orders: int, depth: int) -> int:
         """Bytes that keeping a streamed tiling holds, at most: per tile 8 nb dk
@@ -470,11 +494,12 @@ class SpherePlan:
 
         A cached plan makes all its tiles and maps on first use and replays
         them.  Past _CACHE_LIMIT a pass for at most one forward FFT block of
-        `rows` yields all-order tiles, each overwritten by the next one, and
-        a pass for more rows blocks of orders.  Before a tiling's first pass
-        the plan makes its seeds, coefficients and maps from _tile_geometry
-        and keeps them, while all it keeps fits in _FFT_BLOCK_BYTES; a pass
-        past that makes them as it goes.
+        `rows` yields the tiles of groups of orders, each overwritten by the
+        next one, and a pass for more rows blocks of orders with all their
+        degrees.  Before a tiling's first pass the plan makes its seeds,
+        coefficients and maps from _tile_geometry and keeps them, while all
+        it keeps fits in _FFT_BLOCK_BYTES; a pass past that makes them as it
+        goes.
         """
         L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape(rows)
         if L <= self._CACHE_LIMIT:
@@ -497,9 +522,18 @@ class SpherePlan:
             yield *tile, tile_maps
 
 
+_live_plans = weakref.WeakValueDictionary()  # L -> the plan get_plan made, while alive
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def get_plan(L: int) -> SpherePlan:
-    return SpherePlan(L)
+    """The plan for L: the cache holds _PLAN_CACHE_SIZE plans, and a plan it
+    evicted is returned while something else (kernels) still holds it, so
+    each L has at most one live plan from here."""
+    plan = _live_plans.get(L)
+    if plan is None:
+        plan = _live_plans[L] = SpherePlan(L)
+    return plan
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -645,8 +679,8 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     f(+-x) = S_even +- S_odd is written into its orders' Fourier columns
     once, which are then signed, scaled and inverse-FFT'd: in place, or for
     real rows from the m >= 0 half spectrum by irfft.  A group of several
-    tiles holds its sums for every row, about a grid per row, so only an
-    inverse of at most one block of rows steps all orders at once
+    tiles holds its sums for every row, so only an inverse of at most one
+    block of rows steps groups of orders in tiles of a few degrees
     (SpherePlan._tile_shape).
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half

@@ -101,8 +101,8 @@ class TestStreamedTables:
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 257, 288, 300, 513])
     def test_plan_tables_match_per_order_loop_bit_for_bit(self, L):
         # odd L, cached blocks of orders with a last partial block, and past the
-        # cache all-order tiles whose depth divides neither 257 nor 513; tiles
-        # hold the half nodes x >= 0 and are zero past degree L - 1.  Each
+        # cache groups of orders in tiles whose depth divides neither 257 nor
+        # 513; tiles hold the half nodes x >= 0 and are zero past degree L - 1.  Each
         # order's column is hashed tile by tile, so no pass is held whole.  The
         # second pass reads the tables a cached plan kept, or steps from the
         # seeds and coefficients that a streamed plan keeps within its budget;
@@ -132,6 +132,30 @@ class TestStreamedTables:
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
 
+    @pytest.mark.parametrize("L", [257, 288, 300, 513])
+    def test_streamed_tiles_equal_the_cached_geometry_bit_for_bit(self, monkeypatch, L):
+        # a one-row pass past the cache, groups of orders tiled in degrees,
+        # gives the bytes of every (l, m, node) that the cached geometry's
+        # blocks of orders with all their degrees give; those are stepped
+        # without a plan keeping them (at L = 513 they would take 0.5 GB)
+        plan = SpherePlan(L)
+        nodes = plan.rule.nodes[L // 2 :]
+
+        def columns(tiles):
+            digests = [hashlib.sha256() for _ in range(L)]
+            for m0, k0, tile, *_ in tiles:
+                for m, rows in enumerate(tile, start=m0):
+                    digests[m].update(rows[: L - m - k0].tobytes())
+            return [d.digest() for d in digests]
+
+        streamed = plan._tile_shape()
+        assert streamed[0] < L and streamed[1] < L - streamed[0]
+        got = columns(plan.tables())
+        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L)
+        cached = plan._tile_shape()
+        assert cached[1] == L
+        assert columns(sphere_harmonics._legendre_tiles(L, nodes, *cached)) == got
+
     def test_cached_blocks_hold_half_nodes_only(self):
         # full-node tables at L = 256 take 67.4 MB; the folded blocks about half,
         # plus the zero rows past degree L - 1 in each block of 8 orders
@@ -154,38 +178,42 @@ class TestStreamedTables:
         finally:
             tracemalloc.stop()
         assert kept < 64 * L * 8
-        assert plan._invariant_bound(*plan._tile_shape()) > sphere_harmonics._FFT_BLOCK_BYTES
-        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
+        orders, depth = plan._tile_shape()
+        assert plan._invariant_bound(orders, depth) > sphere_harmonics._FFT_BLOCK_BYTES
         m0, k0, tile, maps = next(plan.tables())
-        assert (m0, k0, tile.shape) == (0, 0, (L, depth, L // 2))
-        assert [index.shape for index, *_ in maps] == [(L, depth // 2, 2)] * 2
+        assert (m0, k0, tile.shape) == (0, 0, (orders, depth, L // 2))
+        assert [index.shape for index, *_ in maps] == [(orders, depth // 2, 2)] * 2
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
-        # every order crosses every tile boundary k0 of a streamed pass: whole
-        # columns of the first and last orders, of middle orders and of orders
+        # every order crosses every tile boundary k0 of its group in a streamed
+        # pass: whole columns of the first and last orders, of the orders on
+        # both sides of each group boundary, of middle orders and of orders
         # whose seed passes through the 1e-250 compensation at the polar node
         L = 300
         assert L > SpherePlan._CACHE_LIMIT
-        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
         plan = SpherePlan(L)
+        group, depth = plan._tile_shape()
+        assert group < L and depth < L - group  # groups of orders, of several tiles
         half_nodes = plan.rule.nodes[L // 2 :]
         # the node nearest the pole and a mid-latitude node
         nodes = [len(half_nodes) - 1, 3 * L // 4 - L // 2]
-        orders = sorted({0, 1, 2, 3, L // 2, 200, 250, L - depth - 1, L - depth, *range(L - 3, L)})
+        edges = {m0 + i for m0 in range(group, L, group) for i in (-1, 0)}
+        ends = {0, 1, 2, 3, L - depth - 1, L - depth, *range(L - 3, L)}
+        orders = sorted({L // 2, 200, 250, *edges, *ends})
         # the first pass, then one stepped from the seeds and coefficients it kept
         passes = []
         for _ in range(2):
             got = {m: np.empty((L - m, len(nodes))) for m in orders}
             starts = []
             for m0, k0, tile, _ in plan.tables():
-                starts.append(k0)
+                starts.append((m0, k0))
                 for m in orders:
                     if m0 <= m < m0 + tile.shape[0]:
                         rows = tile[m - m0, : L - m - k0]
                         got[m][k0 : k0 + len(rows)] = rows[:, nodes]
-            assert starts == list(range(0, L, depth))
+            assert starts == [tile[:2] for tile in _tile_geometry(L, group, depth)]
             passes.append(got)
-        assert list(plan._streamed) == [(L, depth)]
+        assert list(plan._streamed) == [(group, depth)]
         first, got = passes
         assert all(np.array_equal(first[m], got[m]) for m in orders)
         compensated = 0
@@ -206,8 +234,8 @@ class TestStreamedTables:
         assert compensated > 0
         # the last order at every node, from underflow near the pole to O(1)
         want = np.array([legendre_high_precision(L - 1, L - 1, x, dps=40) for x in half_nodes])
-        _, _, tile, _ = next(plan.tables())  # all orders, degrees from k0 = 0
-        last = tile[L - 1, 0]
+        # the last group's tile from k0 = 0
+        last = next(tile[-1, 0] for m0, _, tile, _ in plan.tables() if m0 + len(tile) == L)
         assert want[-1] == 0.0 and last[-1] == 0.0
         tol = 1e-11 + (L - 1) * np.finfo(float).eps / (1.0 - half_nodes * half_nodes)
         assert np.all(np.abs(last - want) <= tol * np.abs(want) + 1e-300)
@@ -240,6 +268,7 @@ class TestStreamedTables:
 class TestTableGenerations:
     """How often the Legendre recurrence runs: once per plan up to the cache
     limit; past it once per inverse call and once per forward FFT block,
+    in groups of orders tiled in degrees for at most one FFT block of rows,
     while the maps, seeds and coefficients around it are made once per
     tiling (TestStreamedInvariants)."""
 
@@ -271,18 +300,38 @@ class TestTableGenerations:
     def test_streamed_plan_generates_per_inverse_call_and_forward_block(
         self, generations, monkeypatch
     ):
-        L, rows = 8, 7
-        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
-        # 7 rows in blocks of 3: three forward FFT blocks
-        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
+        # FFT blocks of one grid: 3 rows make three forward blocks; one row
+        # steps groups of 3 orders in tiles of 5 degrees, more rows blocks of
+        # 3 orders with all their degrees
+        L, rows = 8, 3
+        stream_tiles(monkeypatch, L, 3, 5)
         plan = SpherePlan(L)
+        assert [t[:2] for t in plan.tables(1)] == [(0, 0), (0, 5), (3, 0), (6, 0)]
+        assert [t[:2] for t in plan.tables(rows)] == [(0, 0), (3, 0), (6, 0)]
+        generations.clear()
         c = self.coeffs(L, rows)
         for call in range(1, 3):
+            tiled = _sht_inverse_batch(c[:1], plan, False)
+            assert len(generations) == 5 * call - 4
             grids = _sht_inverse_batch(c, plan, False)
-            assert len(generations) == 4 * call - 3
+            assert len(generations) == 5 * call - 3
             back = _sht_forward_batch(grids, plan)
-            assert len(generations) == 4 * call
+            assert len(generations) == 5 * call
         assert np.max(np.abs(back - c)) < 1e-12
+        assert np.max(np.abs(tiled - grids[:1])) < 1e-12
+
+
+def stream_tiles(monkeypatch, L, orders, depth):
+    """Set the byte constants so that a plan past the cache at L steps groups
+    of `orders` orders in tiles of `depth` degrees for one row, with FFT
+    blocks of one grid (8 orders n depth bytes of tile, less than a grid, on
+    the n = L - L // 2 half nodes, and 64 n bytes of inverse sums per order),
+    and blocks of 8 orders // L orders with all their degrees for more rows."""
+    n = L - L // 2
+    monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
+    monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 64 * n * orders)
+    monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 8 * orders * n * depth)
+    assert _fft_block_grids(L) == 1 and SpherePlan(L)._tile_shape() == (orders, depth)
 
 
 def tile_digests(plan, rows=1):
@@ -304,14 +353,19 @@ class TestStreamedInvariants:
     fits in _FFT_BLOCK_BYTES; every pass then only steps the recurrence, and
     yields the same tiles and maps bit for bit."""
 
-    L = 24  # all-order tiles from k0 = 0, 10 and 20
+    L = 24
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        # streamed at L = 24, with blocks of 5 orders for more rows than one FFT block
-        L = self.L
+        # streamed at L = 24 in FFT blocks of 3 grids, whose budget holds both
+        # tilings: for up to 3 rows groups of 16 orders (16 x 64 n x 3 bytes of
+        # sums on the n = 12 half nodes) in tiles of 11 degrees (188 // 16),
+        # from k0 = 0, 11 and 22 and then m0 = 16; for more rows blocks of 16
+        # orders with all their degrees (16 x 8 L n bytes)
+        L, n = self.L, self.L - self.L // 2
         monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
-        monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 5 * 8 * L * (L - L // 2))
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
+        monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 16 * 64 * n * 3)
         counts = {}
 
         def count(owner, name):
@@ -332,7 +386,7 @@ class TestStreamedInvariants:
     def test_maps_and_seeds_are_made_once_per_tiling(self, counts):
         plan = SpherePlan(self.L)
         many = _fft_block_grids(self.L) + 1
-        assert plan._tile_shape(1) == (self.L, 10) and plan._tile_shape(many) == (5, self.L)
+        assert plan._tile_shape(1) == (16, 11) and plan._tile_shape(many) == (16, self.L)
         base = plan.nbytes
         first, kept = {}, {}
         for rows in (1, many):
@@ -344,27 +398,29 @@ class TestStreamedInvariants:
             shape = plan._tile_shape(rows)
             assert [t[:4] for t in first[rows]] == list(_tile_geometry(self.L, *shape))
             assert 0 < kept[rows] <= plan._invariant_bound(*shape)
-        assert [len(first[1]), len(first[many])] == [3, 5]
-        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 8}
+        assert [len(first[1]), len(first[many])] == [4, 2]
+        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 6}
         total = plan.nbytes - base
         assert total == sum(kept.values()) <= sphere_harmonics._FFT_BLOCK_BYTES
         for _ in range(2):
             for rows in (1, many):
                 assert tile_digests(plan, rows) == first[rows]
         # the recurrence still steps once per pass
-        assert counts == {"_legendre_tiles": 6, "_sectoral_seeds": 2, "_tile_maps": 8}
+        assert counts == {"_legendre_tiles": 6, "_sectoral_seeds": 2, "_tile_maps": 6}
         assert plan.nbytes - base == total
 
     def test_plan_past_its_budget_keeps_nothing(self, counts, monkeypatch):
         want = tile_digests(SpherePlan(self.L))  # kept within the default budget
         plan = SpherePlan(self.L)
         base = plan.nbytes
-        bound = plan._invariant_bound(*plan._tile_shape())
-        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", bound - 1)
+        # a bound past the budget (the budget also sizes the tiles, so the
+        # bound moves instead of the budget)
+        budget = sphere_harmonics._FFT_BLOCK_BYTES
+        monkeypatch.setattr(plan, "_invariant_bound", lambda orders, depth: budget + 1)
         counts.update(dict.fromkeys(counts, 0))
         for _ in range(3):
             assert tile_digests(plan) == want
-        assert counts == {"_legendre_tiles": 3, "_sectoral_seeds": 3, "_tile_maps": 9}
+        assert counts == {"_legendre_tiles": 3, "_sectoral_seeds": 3, "_tile_maps": 12}
         assert plan._streamed == {} and plan.nbytes == base
 
     def test_second_tiling_is_kept_only_while_both_fit(self, counts, monkeypatch):
@@ -372,13 +428,15 @@ class TestStreamedInvariants:
         many = _fft_block_grids(self.L) + 1
         base = plan.nbytes
         tile_digests(plan)
-        # room for the tiling kept first, but not for a second beside it
-        second = plan._invariant_bound(*plan._tile_shape(many))
-        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", plan.nbytes - base + second - 1)
+        # room for the tiling kept first, but not for a second beside it,
+        # whose bound alone would fit
+        held, budget = plan.nbytes - base, sphere_harmonics._FFT_BLOCK_BYTES
+        assert plan._invariant_bound(*plan._tile_shape(many)) <= budget - held
+        monkeypatch.setattr(plan, "_invariant_bound", lambda orders, depth: budget - held + 1)
         counts.update(dict.fromkeys(counts, 0))
         want = tile_digests(plan, many)
         assert tile_digests(plan, many) == want
-        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 10}
+        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 4}
         assert list(plan._streamed) == [plan._tile_shape(1)]
 
     @pytest.mark.parametrize("cached", [False, True])
@@ -395,8 +453,8 @@ class TestStreamedInvariants:
         tiles = plan.tables()
         next(tiles)
         tiles.close()
-        # 5 blocks of orders with their maps, or 3 all-order tiles' maps
-        maps = 5 if cached else 3
+        # 2 blocks of orders with their maps, or the maps of 4 tiles of groups
+        maps = 2 if cached else 4
         assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": maps}
         assert plan.nbytes == whole.nbytes
         assert bool(plan._streamed) != cached and (plan._tiles is not None) == cached
@@ -458,11 +516,41 @@ class TestStreamedInvariants:
 
 
 class TestStreamedWorkSpace:
+    def test_one_row_table_pass_holds_one_tile(self):
+        # past the cache a pass steps groups of B orders in tiles of D degrees
+        # in one reused buffer.  Its tracemalloc peak is one tile, 8 B D n bytes
+        # on the n half nodes, at most _FFT_BLOCK_BYTES; plus 5 arrays of B n
+        # doubles, each at most _LEGENDRE_BLOCK_BYTES / 8 (the scratch, the
+        # recurrence state u_prev and u_cur, and at a group's start its seed
+        # copy and first values beside the last group's state; measured 4.6);
+        # plus what the first pass keeps of its tiling.  At L = 512 both are
+        # at those bounds.  A tile of every order would be 4 times as large
+        L = 512
+        plan = SpherePlan(L)
+        orders, depth = plan._tile_shape()
+        n = L - L // 2
+        tile, state = sphere_harmonics._FFT_BLOCK_BYTES, sphere_harmonics._LEGENDRE_BLOCK_BYTES // 8
+        assert (8 * orders * depth * n, 8 * orders * n) == (tile, state)
+        for _ in range(2):  # the first pass keeps the invariants, the second steps
+            base = plan.nbytes
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                for _ in plan.tables():
+                    pass
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            kept = plan.nbytes - base
+            assert peak <= tile + 5 * state + kept, ((peak - kept - tile) / state, kept)
+        assert kept == 0 and plan._streamed
+
     @pytest.mark.slow
     def test_one_row_passes_hold_about_three_grids(self):
-        # past the cache a pass holds a tile of 4 depth L^2 bytes, the
-        # recurrence state and, forward, the weighted Fourier columns of every
-        # order; all told about 3 grids beside the output
+        # past the cache a pass holds a tile of groups of orders tiled in
+        # degrees (at most _FFT_BLOCK_BYTES), the recurrence state and,
+        # forward, the weighted Fourier columns of every order; all told
+        # about 3 grids beside the output
         L = 1024
         assert L > SpherePlan._CACHE_LIMIT
         grid_bytes = 16 * L * (2 * L - 1)
@@ -681,28 +769,27 @@ class TestAgainstNaiveTransform:
 
     @pytest.mark.parametrize("real", [False, True])
     @pytest.mark.parametrize("L", [8, 9])
-    @pytest.mark.parametrize("depth", [1, 2, 3, 5, None])
-    def test_streamed_tiles_match_direct_sums(self, monkeypatch, L, depth, real):
-        # all-order tiles past the cache, at depths that alternate the parity of
-        # k0 (1, 3, 5), do not divide L, or (the module's depth) hold every degree;
-        # Hermitian rows and real grids take the +m prefix of each tile's maps
-        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
-        if depth is not None:
-            monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_TILE_DEPTH", depth)
-        depth = sphere_harmonics._LEGENDRE_TILE_DEPTH
-        # forward blocks of 2 grids: each forward block and an inverse of up to
-        # 2 rows step every order at once; an inverse of 3 rows, blocks of orders
-        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 2 * 16 * L * (2 * L - 1))
+    @pytest.mark.parametrize("orders, depth", [(None, 1), (3, 2), (2, 3), (3, 5), (None, None)])
+    def test_streamed_tiles_match_direct_sums(self, monkeypatch, L, orders, depth, real):
+        # groups of orders tiled in degrees past the cache: every order at once
+        # (None), or groups of 2 or 3 with a last partial group, at depths that
+        # alternate the parity of k0 (1, 3, 5), do not divide L, or hold every
+        # degree; Hermitian rows and real grids take the +m prefix of each
+        # tile's maps
+        orders, depth = orders or L, depth or L
+        stream_tiles(monkeypatch, L, orders, depth)
         plan = SpherePlan(L)
-        tiles = [(m0, k0, tile.shape[0]) for m0, k0, tile, _ in plan.tables(2)]
-        assert tiles == [(0, k0, L - k0) for k0 in range(0, L, depth)]
-        assert {k0 for _, k0, _, _ in plan.tables(3)} == {0}
-        rng = np.random.default_rng(10 * L + depth)
+        tiles = [(m0, k0, tile.shape[:2]) for m0, k0, tile, _ in plan.tables(1)]
+        assert tiles == [(m0, k0, (nb, dk)) for m0, k0, nb, dk in _tile_geometry(L, orders, depth)]
+        assert {k0 for _, k0, _, _ in plan.tables(2)} == {0}
+        rng = np.random.default_rng(100 * L + 10 * orders + depth)
         if real:
             c, shift = hermitian_coeffs(rng, L, (3,)), 0.5
         else:
             c, shift = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L)), 0.5j
-        tiled = _sht_inverse_batch(c[:2], plan, real)
+        # one row and each one-grid forward block step the tiles, 3 rows blocks
+        # of orders with all their degrees
+        tiled = _sht_inverse_batch(c[:1], plan, real)
         grids = _sht_inverse_batch(c, plan, real)
         assert grids.dtype == (np.float64 if real else np.complex128)
         back = _sht_forward_batch(grids + shift, plan)
@@ -713,17 +800,36 @@ class TestAgainstNaiveTransform:
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
 
     @pytest.mark.parametrize("L", [257, 300])
-    def test_all_order_tiles_match_blocks_of_orders_past_the_cache(self, L):
-        # one FFT block of rows steps every order in tiles of a few degrees and
-        # sums them across tiles; one row more steps blocks of all their degrees
+    def test_tiled_groups_match_whole_blocks_of_orders_past_the_cache(self, L):
+        # one FFT block of rows steps groups of orders in tiles of a few degrees
+        # and sums each group across its tiles; one row more steps blocks of
+        # orders with all their degrees
         plan = SpherePlan(L)
         rows = _fft_block_grids(L)
-        assert plan._tile_shape(rows)[0] == L and plan._tile_shape(rows + 1)[1] == L
+        (orders, depth), (_, whole) = plan._tile_shape(rows), plan._tile_shape(rows + 1)
+        assert orders < L and depth < L - orders and whole == L
         rng = np.random.default_rng(L)
         c = rng.uniform(-1, 1, (rows + 1, L * L)) + 1j * rng.uniform(-1, 1, (rows + 1, L * L))
         tiled = _sht_inverse_batch(c[:rows], plan, False)
         blocked = _sht_inverse_batch(c, plan, False)[:rows]
         assert rel_err(tiled, blocked) <= 1e-14
+
+    @pytest.mark.parametrize("L", [257, 288, 384])
+    def test_round_trips_past_the_cache_match_direct_sums(self, L):
+        # 2, 2 and 1 rows, at most one FFT block, so both directions step
+        # groups of orders tiled in degrees; 2 rows at L = 288 as in a
+        # multiresolution sphere-wavelet pass there
+        plan = SpherePlan(L)
+        rows = min(2, _fft_block_grids(L))
+        assert plan._tile_shape(rows)[1] < L
+        rng = np.random.default_rng(L)
+        c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
+        grids = _sht_inverse_batch(c, plan, False)
+        back = _sht_forward_batch(grids, plan)
+        for row, grid, coeffs in zip(c, grids, back):
+            assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
+            assert rel_err(coeffs, direct_sht_forward(grid, L)) < 1e-13 * L
+            assert rel_err(coeffs, row) <= 12 * np.finfo(float).eps * L
 
     @pytest.mark.parametrize("L", [8, 9])
     @pytest.mark.parametrize("grids", [1, 3])

@@ -1,6 +1,8 @@
 """Axisymmetric scale-discretised wavelet transform on the sphere."""
 
+import collections
 import dataclasses
+import gc
 import itertools
 
 import numpy as np
@@ -255,6 +257,30 @@ class TestSphereGroups:
         back = sphere_synthesize(sphere_analyze(f, kernels, multires), kernels).coeffs
         assert get_plan.cache_info() == lookups
         assert np.max(np.abs(back - f.coeffs)) < 1e-12 * np.max(np.abs(f.coeffs))
+
+    def test_kernels_and_get_plan_share_one_live_plan_per_band_limit(self):
+        # kernels hold the plans of their groups; once 40 other band limits
+        # have gone through the 32-plan cache, get_plan still returns the
+        # kernels' plans, not second copies (there were 33 live plans, and
+        # get_plan(64) was not the kernels' plan)
+        L, others = 64, range(130, 170)
+        kernels = build_sphere_kernels(L, TilingParams())
+        held = {plan.L: plan for _, plan, _ in kernels.group_plan(True)}
+        assert L in held
+        for other in others:
+            get_plan(other)
+        maxsize = get_plan.cache_info().maxsize
+        assert get_plan.cache_info().currsize <= maxsize < len(others)
+        again = {band: get_plan(band) for band in held}
+        gc.collect()
+        live = collections.Counter(
+            obj.L for obj in gc.get_objects() if isinstance(obj, sphere_harmonics.SpherePlan)
+        )
+        assert all(again[band] is plan for band, plan in held.items())
+        assert all(live[band] == 1 for band in [*held, *others] if live[band]), live
+        # the cache holds the kernels' plans again and the last others: a
+        # count bound, which the plans the kernels hold do not add to
+        assert sum(live[other] for other in others) == maxsize - len(held)
 
 
 class TestValidation:
