@@ -355,7 +355,7 @@ def _line_kernels(band_limit: int, dilation: float, j0: int):
 
 def build_sphere_kernels(L: int, params: TilingParams) -> SphereKernels:
     """Scaling and wavelet windows on the harmonic line at band limit L."""
-    _check_band_limit(L)
+    L = _check_band_limit(L)
     eta, kappas = _line_kernels(L, params.lam, params.j0_ang)
     return SphereKernels(L, params, eta, kappas)
 

@@ -17,15 +17,13 @@ SpherePlan chooses: up to the table cache, blocks of orders with all their
 degrees, which the plan keeps; past it, groups of B orders in tiles of D
 degrees, B and D sized from the byte constants so that a group's recurrence
 state and inverse sums stay small (SpherePlan._tile_shape).  A pass past the
-cache then takes about L^2 / 2B recurrence steps on arrays of B orders,
-writes x Ptilde into a scratch of one group and each tile row once, and
-holds one tile of B x D x L/2 doubles (an inverse of many rows still steps
-blocks of orders with all their degrees, whose sums it holds for one block
-of rows at a time, not for every row).  What a pass needs besides the
-recurrence steps, the tiles' index maps, the sectoral seeds and the
-recurrence coefficients, depends only on the tile geometry, so a plan past
-the cache makes it before a tiling's first pass and keeps it, up to
-_FFT_BLOCK_BYTES in all; its passes then only step.  The engine never
+cache, over any number of rows, then takes about L^2 / 2B recurrence steps
+on arrays of B orders, writes x Ptilde into a scratch of one group and each
+tile row once, and holds one tile of B x D x L/2 doubles.  What a pass
+needs besides the recurrence steps, the tiles' index maps, the sectoral
+seeds and the recurrence coefficients, depends only on the tile geometry,
+so a plan past the cache makes it before its first pass and keeps it, up
+to _FFT_BLOCK_BYTES; its passes then only step.  The engine never
 mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a grid
 into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and the
 odd degrees of an order project onto.  The inverse sums the tiles of a group
@@ -194,7 +192,7 @@ def sphere_sampling(L: int):
     Returns (thetas, phis) with thetas descending (x = cos theta ascending,
     matching the Gauss-Legendre node order) and phis = 2 pi k / (2L - 1).
     """
-    _check_band_limit(L)
+    L = _check_band_limit(L)
     rule = gauss_legendre(L)
     thetas = np.arccos(rule.nodes)
     phis = 2.0 * np.pi * np.arange(2 * L - 1) / (2 * L - 1)
@@ -332,7 +330,7 @@ def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
 
     Returns shape (L - m, len(xs)); see _legendre_tiles.
     """
-    _check_band_limit(L)
+    L = _check_band_limit(L)
     if not 0 <= m < L:
         raise ValueError(f"order must be in [0, {L - 1}], got {m}")
     if not np.all(np.abs(np.asarray(xs, dtype=np.float64)) <= 1.0):  # NaN fails too
@@ -347,7 +345,7 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     with m > l are zero.  All orders are stepped together, so this takes
     O(L) recurrence steps.
     """
-    _check_band_limit(L)
+    L = _check_band_limit(L)
     if not abs(x) <= 1.0:  # NaN fails too
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
     table = np.zeros(L * L)
@@ -375,15 +373,13 @@ class SpherePlan:
     k0 is even in x when k0 + k (that is l + m) is even, odd otherwise; at odd
     L the odd rows vanish at x = 0.  Tiles come in two kinds:
 
-    - blocks of orders of about _LEGENDRE_BLOCK_BYTES, each with all of its
-      degrees (k0 = 0).  Up to _CACHE_LIMIT all are made on first use and
-      kept, maps included.  The inverse holds the sums of a group of orders
-      until its last tile: those of a block for one FFT block of rows at a
-      time, those of a group of several tiles for every row, so past the
-      cache an inverse of more rows than one FFT block steps blocks too.
-    - past the cache, for at most one FFT block of rows, groups of B orders
-      in tiles of D degrees, made per pass in one reused buffer.  B orders
-      hold the inverse's sums of a block of complex rows in
+    - up to _CACHE_LIMIT, blocks of orders of about _LEGENDRE_BLOCK_BYTES,
+      each with all of its degrees (k0 = 0), all made on first use and
+      kept, maps included.
+    - past the cache, for every pass, groups of B orders in tiles of D
+      degrees, made per pass in one reused buffer.  The inverse holds the
+      sums of a group until its last tile, for every FFT block of rows.  B
+      orders hold those of one block of complex rows in
       _LEGENDRE_BLOCK_BYTES and D = 32 degrees of them a tile within a grid's
       share of an FFT block: (B, D) = (75, 32) at L = 288 (3-row blocks),
       (128, 32) at 512 and (64, 32) at 1024.  A pass takes about L^2 / 2B
@@ -395,10 +391,10 @@ class SpherePlan:
     _tile_shape() chooses between them for tables() and for the forward's
     work space, and _tile_geometry lists a pass's tiles.  Past the cache the
     tiles are stepped anew on every pass, from the maps, sectoral seeds and
-    recurrence coefficients that the plan makes from that list before the
-    first pass of each tiling and keeps while all it keeps of them fits in
-    _FFT_BLOCK_BYTES (at most about 30 L^2 bytes a tiling, _invariant_bound,
-    so one tiling up to L = 536).  nbytes counts what the plan holds.
+    recurrence coefficients that the plan makes from that list before its
+    first pass and keeps if they fit in _FFT_BLOCK_BYTES (at most about 30
+    L^2 bytes, _invariant_bound, so up to L = 536).  nbytes counts what the
+    plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -417,8 +413,7 @@ class SpherePlan:
     _CACHE_LIMIT = 256
 
     def __init__(self, L: int):
-        _check_band_limit(L)
-        self.L = L
+        self.L = L = _check_band_limit(L)
         self.half = L // 2
         self.rule = gauss_legendre(L)
         nphi, odd = 2 * L - 1, L % 2
@@ -433,7 +428,7 @@ class SpherePlan:
         if odd:
             self.fold_weights[0] *= 0.5
         self._tiles = None
-        self._streamed = {}  # tile shape -> ((seeds, coefficients), maps per tile)
+        self._streamed = None  # ((seeds, coefficients), maps per tile), once kept
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
@@ -456,20 +451,20 @@ class SpherePlan:
             maps.append((index, valid[order], dest[order], int(np.count_nonzero(kept[0]))))
         return maps
 
-    def _tile_shape(self, rows: int = 1) -> tuple[int, int]:
-        """(orders, degrees) of the first and largest tile of a pass for `rows` rows.
+    def _tile_shape(self) -> tuple[int, int]:
+        """(orders, degrees) of the first and largest tile of a pass.
 
-        Up to the cache, and past it for more rows than one FFT block, a block
-        of orders has all its degrees and _LEGENDRE_BLOCK_BYTES of values.
-        Past the cache, for at most one FFT block of `step` rows, B orders hold
-        the inverse's sums for `step` complex rows, 64 B n step bytes on the
-        n = L - half nodes, within _LEGENDRE_BLOCK_BYTES, and their tiles of D
-        degrees, 8 B D n bytes, within one grid's share _FFT_BLOCK_BYTES /
-        step of an FFT block (D = 32 with the module's constants, unless B or
-        D is cut to L or raised to 1).
+        Up to the cache a block of orders has all its degrees and
+        _LEGENDRE_BLOCK_BYTES of values.  Past it, for FFT blocks of `step`
+        rows, B orders hold the inverse's sums of one block of complex rows,
+        64 B n step bytes on the n = L - half nodes, within
+        _LEGENDRE_BLOCK_BYTES, and their tiles of D degrees, 8 B D n bytes,
+        within one grid's share _FFT_BLOCK_BYTES / step of an FFT block (D =
+        32 with the module's constants, unless B or D is cut to L or raised
+        to 1).
         """
         L, n, step = self.L, self.L - self.half, _fft_block_grids(self.L)
-        if L <= self._CACHE_LIMIT or rows > step:
+        if L <= self._CACHE_LIMIT:
             return min(L, max(1, _LEGENDRE_BLOCK_BYTES // (8 * L * n))), L
         orders = min(L, max(1, _LEGENDRE_BLOCK_BYTES // (64 * n * step)))
         return orders, min(L, max(1, _FFT_BLOCK_BYTES // (8 * orders * n * step)))
@@ -485,23 +480,21 @@ class SpherePlan:
     def nbytes(self) -> int:
         """Bytes of the arrays the plan holds: its rule, signs and weights, the
         tiles and maps of a cached plan, and the maps, seeds and coefficients
-        kept for each tiling of a streamed one."""
+        kept for a streamed one."""
         arrays = (self.rule.nodes, self.rule.weights, self.signs, self.fold_weights)
-        return _nbytes((arrays, self._tiles, list(self._streamed.values())))
+        return _nbytes((arrays, self._tiles, self._streamed))
 
-    def tables(self, rows: int = 1):
+    def tables(self):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
         A cached plan makes all its tiles and maps on first use and replays
-        them.  Past _CACHE_LIMIT a pass for at most one forward FFT block of
-        `rows` yields the tiles of groups of orders, each overwritten by the
-        next one, and a pass for more rows blocks of orders with all their
-        degrees.  Before a tiling's first pass the plan makes its seeds,
-        coefficients and maps from _tile_geometry and keeps them, while all
-        it keeps fits in _FFT_BLOCK_BYTES; a pass past that makes them as it
-        goes.
+        them.  Past _CACHE_LIMIT a pass yields the tiles of groups of orders,
+        each overwritten by the next one.  Before its first pass the plan
+        makes their seeds, coefficients and maps from _tile_geometry and
+        keeps them if they fit in _FFT_BLOCK_BYTES; a pass past that makes
+        them as it goes.
         """
-        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape(rows)
+        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
         if L <= self._CACHE_LIMIT:
             if self._tiles is None:
                 tiles = _legendre_tiles(L, nodes, *shape, 0, None)
@@ -509,14 +502,12 @@ class SpherePlan:
                 self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
             yield from self._tiles
             return
-        if shape not in self._streamed:
-            held = _nbytes(list(self._streamed.values()))
-            if self._invariant_bound(*shape) + held <= _FFT_BLOCK_BYTES:
-                geometry = list(_tile_geometry(L, *shape))
-                seeds = list(_sectoral_seeds(L, nodes, shape[0], 0))
-                kept = seeds, [_recurrence_coeffs(*tile) for tile in geometry]
-                self._streamed[shape] = kept, [self._tile_maps(*tile) for tile in geometry]
-        kept, maps = self._streamed.get(shape, (None, None))
+        if self._streamed is None and self._invariant_bound(*shape) <= _FFT_BLOCK_BYTES:
+            geometry = list(_tile_geometry(L, *shape))
+            seeds = list(_sectoral_seeds(L, nodes, shape[0], 0))
+            kept = seeds, [_recurrence_coeffs(*tile) for tile in geometry]
+            self._streamed = kept, [self._tile_maps(*tile) for tile in geometry]
+        kept, maps = self._streamed or (None, None)
         maps = maps or itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
         for tile, tile_maps in zip(_legendre_tiles(L, nodes, *shape, 0, kept), maps):
             yield *tile, tile_maps
@@ -675,13 +666,14 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     sums S_even, S_odd on the half nodes into the order-major buffer
     sums[parity, order, node, s, row].  A tile from k0 = 0 writes it; a
     later tile adds its GEMM there through a scratch of _FOLD_CHUNK_BYTES,
-    block of orders by block of orders.  After a group's last tile
-    f(+-x) = S_even +- S_odd is written into its orders' Fourier columns
-    once, which are then signed, scaled and inverse-FFT'd: in place, or for
-    real rows from the m >= 0 half spectrum by irfft.  A group of several
-    tiles holds its sums for every row, so only an inverse of at most one
-    block of rows steps groups of orders in tiles of a few degrees
-    (SpherePlan._tile_shape).
+    block of orders by block of orders.  Past the cache a group has several
+    tiles, so the buffer holds its sums for every block of rows, each block
+    at its own offset: a call makes one table pass, and gives the bytes of
+    one call per block.  A cached plan's groups are one tile each, which
+    reuse one block's sums.  After a group's last tile f(+-x) = S_even +-
+    S_odd is written into its orders' Fourier columns once, which are then
+    signed, scaled and inverse-FFT'd: in place, or for real rows from the
+    m >= 0 half spectrum by irfft.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, S = L - half, 1 if real else 2
@@ -690,19 +682,24 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
     per_order, buf = nh * S * step, None
-    for m0, k0, tile, maps in plan.tables(len(rows)):
+    for m0, k0, tile, maps in plan.tables():
         nb, dk = tile.shape[:2]
         if buf is None:
-            # one allocation for the first (largest) group's sums and the GEMM scratch
-            chunk = min(nb, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if dk < L else 0
-            buf = np.empty((2 * nb + chunk) * per_order, dtype=np.complex128)
-            scratch = buf[2 * nb * per_order :].view(np.float64)
+            # one allocation for the first (largest) group's sums and the GEMM
+            # scratch: a tiled group's sums for every block of rows, at `stride`
+            tiled = dk < L
+            chunk = min(nb, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if tiled else 0
+            stride = 2 * nb * per_order if tiled else 0
+            blocks = -(-len(rows) // step) if tiled else 1
+            buf = np.empty((2 * nb * blocks + chunk) * per_order, dtype=np.complex128)
+            scratch = buf[2 * nb * blocks * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
         for start in range(0, len(rows), step):
             block = rows[start : start + step]
             n = len(block)
-            sums = buf[: 2 * group * nh * S * n].reshape(2, group, nh, S, n)
+            at = start // step * stride
+            sums = buf[at : at + 2 * group * nh * S * n].reshape(2, group, nh, S, n)
             part = scratch[: chunk * nh * 2 * S * n].reshape(chunk, nh, 2 * S * n)
             for p, (index, *_) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)

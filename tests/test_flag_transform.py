@@ -203,11 +203,20 @@ class TestRoundTrips:
 class TestAccuracyEnvelope:
     # max |error| / (eps (L + P) max|f|) of complex random coefficients,
     # seeds 0-7 (one BLAS thread): 3.47-4.20 at (8, 1024), 3.00-3.42 at
-    # (32, 512), 1.94-2.16 at (128, 128), 2.41-3.06 at (256, 32) and
-    # 1.97-2.69 at (512, 8).  The bound is about 1.4 times the largest, 4.20
+    # (32, 512), 1.94-2.16 at (128, 128), 2.41-3.06 at (256, 32), 3.06-5.03
+    # at (300, 8) (3.26 and 3.65 at the seeds run here; its 8 shells are 4
+    # FFT blocks of one inverse pass past the table cache) and 1.97-2.69 at
+    # (512, 8).  The bound is about 1.2 times the largest, 5.03
     @pytest.mark.parametrize(
         "L, P",
-        [(8, 1024), (32, 512), (128, 128), (256, 32), pytest.param(512, 8, marks=pytest.mark.slow)],
+        [
+            (8, 1024),
+            (32, 512),
+            (128, 128),
+            (256, 32),
+            (300, 8),
+            pytest.param(512, 8, marks=pytest.mark.slow),
+        ],
     )
     def test_roundtrip_error_within_c_eps_L_plus_P(self, L, P):
         limits = BandLimits(L, P, 1.0)

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flaglets import sphere_harmonics
+from flaglets.flag_transform import BandLimits, FlagCoeffs, flag_forward, flag_inverse
+from flaglets.kernel_tiling import TilingParams, build_sphere_kernels
 from flaglets.sphere_harmonics import (
     MAX_BAND_LIMIT,
     SphereCoeffs,
@@ -23,12 +26,14 @@ from flaglets.sphere_harmonics import (
     _tile_geometry,
     assoc_legendre_table,
     coeff_index,
+    get_plan,
     legendre_matrix,
     sht_forward,
     sht_inverse,
     sphere_sampling,
     window_coeffs,
 )
+from flaglets.sphere_wavelets import sphere_analyze, sphere_synthesize
 
 from oracles import (
     direct_sht_forward,
@@ -105,19 +110,18 @@ class TestStreamedTables:
         # 513; tiles hold the half nodes x >= 0 and are zero past degree L - 1.  Each
         # order's column is hashed tile by tile, so no pass is held whole.  The
         # second pass reads the tables a cached plan kept, or steps from the
-        # seeds and coefficients that a streamed plan keeps within its budget;
-        # a third, for more rows than one FFT block, steps blocks of orders
-        # past the cache.  Each pass yields the tiles of its _tile_geometry
+        # seeds and coefficients that a streamed plan keeps within its budget.
+        # Each pass yields the tiles of the plan's one _tile_geometry
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
         want = [
             hashlib.sha256(legendre_per_order(L, m, half_nodes).tobytes()).digest()
             for m in range(L)
         ]
-        for batch in (1, 1, _fft_block_grids(L) + 1):
+        for _ in range(2):
             columns = [hashlib.sha256() for _ in range(L)]
             geometry = []
-            for m0, k0, tile, _ in plan.tables(batch):
+            for m0, k0, tile, _ in plan.tables():
                 geometry.append((m0, k0, *tile.shape[:2]))
                 assert tile.shape[2] == L - L // 2
                 for m, rows in enumerate(tile, start=m0):
@@ -125,9 +129,9 @@ class TestStreamedTables:
                     columns[m].update(rows[: L - m - k0].tobytes())
                     assert not rows[L - m - k0 :].any(), (L, m, k0)
             assert [column.digest() for column in columns] == want, L
-            assert geometry == list(_tile_geometry(L, *plan._tile_shape(batch)))
+            assert geometry == list(_tile_geometry(L, *plan._tile_shape()))
         fits = plan._invariant_bound(*plan._tile_shape()) <= sphere_harmonics._FFT_BLOCK_BYTES
-        assert (plan._tile_shape() in plan._streamed) == (L > SpherePlan._CACHE_LIMIT and fits)
+        assert (plan._streamed is not None) == (L > SpherePlan._CACHE_LIMIT and fits)
         nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
@@ -213,7 +217,7 @@ class TestStreamedTables:
                         got[m][k0 : k0 + len(rows)] = rows[:, nodes]
             assert starts == [tile[:2] for tile in _tile_geometry(L, group, depth)]
             passes.append(got)
-        assert list(plan._streamed) == [(group, depth)]
+        assert plan._streamed is not None
         first, got = passes
         assert all(np.array_equal(first[m], got[m]) for m in orders)
         compensated = 0
@@ -267,10 +271,9 @@ class TestStreamedTables:
 
 class TestTableGenerations:
     """How often the Legendre recurrence runs: once per plan up to the cache
-    limit; past it once per inverse call and once per forward FFT block,
-    in groups of orders tiled in degrees for at most one FFT block of rows,
-    while the maps, seeds and coefficients around it are made once per
-    tiling (TestStreamedInvariants)."""
+    limit; past it once per inverse call, whatever its rows, and once per
+    forward FFT block, in groups of orders tiled in degrees, while the maps,
+    seeds and coefficients around it are made once (TestStreamedInvariants)."""
 
     @pytest.fixture
     def generations(self, monkeypatch):
@@ -300,14 +303,13 @@ class TestTableGenerations:
     def test_streamed_plan_generates_per_inverse_call_and_forward_block(
         self, generations, monkeypatch
     ):
-        # FFT blocks of one grid: 3 rows make three forward blocks; one row
-        # steps groups of 3 orders in tiles of 5 degrees, more rows blocks of
-        # 3 orders with all their degrees
+        # FFT blocks of one grid: 3 rows make three forward blocks, and one
+        # inverse pass over groups of 3 orders in tiles of 5 degrees, which
+        # holds each group's sums for the 3 blocks of rows
         L, rows = 8, 3
         stream_tiles(monkeypatch, L, 3, 5)
         plan = SpherePlan(L)
-        assert [t[:2] for t in plan.tables(1)] == [(0, 0), (0, 5), (3, 0), (6, 0)]
-        assert [t[:2] for t in plan.tables(rows)] == [(0, 0), (3, 0), (6, 0)]
+        assert [t[:2] for t in plan.tables()] == [(0, 0), (0, 5), (3, 0), (6, 0)]
         generations.clear()
         c = self.coeffs(L, rows)
         for call in range(1, 3):
@@ -318,15 +320,14 @@ class TestTableGenerations:
             back = _sht_forward_batch(grids, plan)
             assert len(generations) == 5 * call
         assert np.max(np.abs(back - c)) < 1e-12
-        assert np.max(np.abs(tiled - grids[:1])) < 1e-12
+        assert tiled.tobytes() == grids[:1].tobytes()
 
 
 def stream_tiles(monkeypatch, L, orders, depth):
     """Set the byte constants so that a plan past the cache at L steps groups
-    of `orders` orders in tiles of `depth` degrees for one row, with FFT
-    blocks of one grid (8 orders n depth bytes of tile, less than a grid, on
-    the n = L - L // 2 half nodes, and 64 n bytes of inverse sums per order),
-    and blocks of 8 orders // L orders with all their degrees for more rows."""
+    of `orders` orders in tiles of `depth` degrees, with FFT blocks of one
+    grid (8 orders n depth bytes of tile, less than a grid, on the
+    n = L - L // 2 half nodes, and 64 n bytes of inverse sums per order)."""
     n = L - L // 2
     monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
     monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 64 * n * orders)
@@ -334,11 +335,11 @@ def stream_tiles(monkeypatch, L, orders, depth):
     assert _fft_block_grids(L) == 1 and SpherePlan(L)._tile_shape() == (orders, depth)
 
 
-def tile_digests(plan, rows=1):
+def tile_digests(plan):
     """(m0, k0, orders, degrees) and the SHA-256 of every tile and of its maps
-    in a pass of plan.tables(rows)."""
+    in a pass of plan.tables()."""
     digests = []
-    for m0, k0, tile, maps in plan.tables(rows):
+    for m0, k0, tile, maps in plan.tables():
         d = hashlib.sha256(np.array([m0, k0, *tile.shape]).tobytes() + tile.tobytes())
         for index, valid, dest, plus in maps:
             d.update(index.tobytes() + valid.tobytes() + dest.tobytes() + bytes([plus % 256]))
@@ -347,21 +348,19 @@ def tile_digests(plan, rows=1):
 
 
 class TestStreamedInvariants:
-    """Past the table cache a plan makes, for each tiling, the tiles' maps,
-    the sectoral seeds and the recurrence coefficients from the tiling's
-    _tile_geometry before its first pass, and keeps them while all it keeps
-    fits in _FFT_BLOCK_BYTES; every pass then only steps the recurrence, and
-    yields the same tiles and maps bit for bit."""
+    """Past the table cache a plan makes the tiles' maps, the sectoral seeds
+    and the recurrence coefficients from its one _tile_geometry before its
+    first pass, and keeps them if they fit in _FFT_BLOCK_BYTES; every pass,
+    for any number of rows, then only steps the recurrence, and yields the
+    same tiles and maps bit for bit."""
 
     L = 24
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        # streamed at L = 24 in FFT blocks of 3 grids, whose budget holds both
-        # tilings: for up to 3 rows groups of 16 orders (16 x 64 n x 3 bytes of
-        # sums on the n = 12 half nodes) in tiles of 11 degrees (188 // 16),
-        # from k0 = 0, 11 and 22 and then m0 = 16; for more rows blocks of 16
-        # orders with all their degrees (16 x 8 L n bytes)
+        # streamed at L = 24 in FFT blocks of 3 grids: groups of 16 orders
+        # (16 x 64 n x 3 bytes of sums on the n = 12 half nodes) in tiles of
+        # 11 degrees (188 // 16), from k0 = 0, 11 and 22 and then m0 = 16
         L, n = self.L, self.L - self.L // 2
         monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
         monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
@@ -384,30 +383,27 @@ class TestStreamedInvariants:
         return counts
 
     def test_maps_and_seeds_are_made_once_per_tiling(self, counts):
+        # the one tiling serves every pass: an inverse of more rows than an
+        # FFT block steps it once and keeps nothing more
         plan = SpherePlan(self.L)
-        many = _fft_block_grids(self.L) + 1
-        assert plan._tile_shape(1) == (16, 11) and plan._tile_shape(many) == (16, self.L)
+        assert plan._tile_shape() == (16, 11)
         base = plan.nbytes
-        first, kept = {}, {}
-        for rows in (1, many):
-            held = plan.nbytes
-            first[rows] = tile_digests(plan, rows)
-            kept[rows] = plan.nbytes - held
-            # a pass yields the tiles of its tiling's geometry, and keeping that
-            # tiling adds at most its bound to the plan's bytes
-            shape = plan._tile_shape(rows)
-            assert [t[:4] for t in first[rows]] == list(_tile_geometry(self.L, *shape))
-            assert 0 < kept[rows] <= plan._invariant_bound(*shape)
-        assert [len(first[1]), len(first[many])] == [4, 2]
-        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 6}
-        total = plan.nbytes - base
-        assert total == sum(kept.values()) <= sphere_harmonics._FFT_BLOCK_BYTES
+        first = tile_digests(plan)
+        kept = plan.nbytes - base
+        # a pass yields the tiles of the plan's geometry, and keeping the
+        # tiling adds at most its bound to the plan's bytes
+        assert [t[:4] for t in first] == list(_tile_geometry(self.L, 16, 11))
+        assert len(first) == 4
+        assert 0 < kept <= plan._invariant_bound(16, 11) <= sphere_harmonics._FFT_BLOCK_BYTES
+        assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": 4}
+        rows = 2 * _fft_block_grids(self.L) + 1
+        c = np.random.default_rng(24).uniform(-1, 1, (rows, self.L**2)) + 0j
         for _ in range(2):
-            for rows in (1, many):
-                assert tile_digests(plan, rows) == first[rows]
+            assert tile_digests(plan) == first
+            _sht_inverse_batch(c, plan, False)
         # the recurrence still steps once per pass
-        assert counts == {"_legendre_tiles": 6, "_sectoral_seeds": 2, "_tile_maps": 6}
-        assert plan.nbytes - base == total
+        assert counts == {"_legendre_tiles": 5, "_sectoral_seeds": 1, "_tile_maps": 4}
+        assert plan.nbytes - base == kept
 
     def test_plan_past_its_budget_keeps_nothing(self, counts, monkeypatch):
         want = tile_digests(SpherePlan(self.L))  # kept within the default budget
@@ -421,23 +417,7 @@ class TestStreamedInvariants:
         for _ in range(3):
             assert tile_digests(plan) == want
         assert counts == {"_legendre_tiles": 3, "_sectoral_seeds": 3, "_tile_maps": 12}
-        assert plan._streamed == {} and plan.nbytes == base
-
-    def test_second_tiling_is_kept_only_while_both_fit(self, counts, monkeypatch):
-        plan = SpherePlan(self.L)
-        many = _fft_block_grids(self.L) + 1
-        base = plan.nbytes
-        tile_digests(plan)
-        # room for the tiling kept first, but not for a second beside it,
-        # whose bound alone would fit
-        held, budget = plan.nbytes - base, sphere_harmonics._FFT_BLOCK_BYTES
-        assert plan._invariant_bound(*plan._tile_shape(many)) <= budget - held
-        monkeypatch.setattr(plan, "_invariant_bound", lambda orders, depth: budget - held + 1)
-        counts.update(dict.fromkeys(counts, 0))
-        want = tile_digests(plan, many)
-        assert tile_digests(plan, many) == want
-        assert counts == {"_legendre_tiles": 2, "_sectoral_seeds": 2, "_tile_maps": 4}
-        assert list(plan._streamed) == [plan._tile_shape(1)]
+        assert plan._streamed is None and plan.nbytes == base
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_abandoned_first_pass_leaves_whole_tables(self, counts, monkeypatch, cached):
@@ -457,7 +437,7 @@ class TestStreamedInvariants:
         maps = 2 if cached else 4
         assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": maps}
         assert plan.nbytes == whole.nbytes
-        assert bool(plan._streamed) != cached and (plan._tiles is not None) == cached
+        assert (plan._streamed is not None) != cached and (plan._tiles is not None) == cached
         for _ in range(2):
             assert tile_digests(plan) == want
         assert counts["_tile_maps"] == maps
@@ -467,7 +447,7 @@ class TestStreamedInvariants:
     def test_engine_passes_are_bit_identical(self, monkeypatch, L, streamed, real):
         # both directions on the first pass, on later passes of what it kept
         # and on a plan that keeps nothing; at L = 16, one row and 4 rows in
-        # FFT blocks of 3, which the inverse steps in blocks of orders
+        # FFT blocks of 3, whose sums the inverse holds for both blocks
         if streamed:
             monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", streamed)
             monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
@@ -485,8 +465,7 @@ class TestStreamedInvariants:
                 grids = _sht_inverse_batch(c[:rows], p, real)
                 outputs.append((grids.tobytes(), _sht_forward_batch(grids, p).tobytes()))
             assert outputs[1:] == outputs[:1] * 3, rows
-        assert bare._streamed == {}
-        assert len(plan._streamed) == (2 if streamed else 1)
+        assert bare._streamed is None and plan._streamed is not None
 
     @pytest.mark.slow
     def test_largest_kept_and_smallest_dropped_band_limit(self):
@@ -544,6 +523,37 @@ class TestStreamedWorkSpace:
             kept = plan.nbytes - base
             assert peak <= tile + 5 * state + kept, ((peak - kept - tile) / state, kept)
         assert kept == 0 and plan._streamed
+
+    @pytest.mark.parametrize("L", [257, 300])
+    def test_many_row_inverse_holds_a_group_of_sums_per_block_of_rows(self, L):
+        # an inverse of more rows than an FFT block, past the cache, holds
+        # beside its output each group's sums for every block of rows, at most
+        # _LEGENDRE_BLOCK_BYTES a block; one tile, 8 B D n bytes on the n half
+        # nodes; the later tiles' GEMM scratch of _FOLD_CHUNK_BYTES; and the
+        # recurrence state and a tile's gathered coefficients, within half a
+        # _LEGENDRE_BLOCK_BYTES (5 arrays of B n doubles, as in
+        # test_one_row_table_pass_holds_one_tile).  Measured: 0.983 of the
+        # bound at L = 257 and 0.990 at L = 300, 3 blocks each, the last of
+        # one row
+        plan = SpherePlan(L)
+        step = _fft_block_grids(L)
+        rows = 2 * step + 1
+        c = np.random.default_rng(L).uniform(-1, 1, (rows, L * L)) + 0j
+        _sht_inverse_batch(c[:1], plan, False)  # keeps the plan's invariants
+        orders, depth = plan._tile_shape()
+        tile = 8 * orders * depth * (L - L // 2)
+        legendre = sphere_harmonics._LEGENDRE_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            grids = _sht_inverse_batch(c, plan, False)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        blocks = -(-rows // step)
+        bound = grids.nbytes + blocks * legendre + tile + sphere_harmonics._FOLD_CHUNK_BYTES
+        bound += legendre // 2
+        assert peak <= bound, peak / bound
 
     @pytest.mark.slow
     def test_one_row_passes_hold_about_three_grids(self):
@@ -779,16 +789,15 @@ class TestAgainstNaiveTransform:
         orders, depth = orders or L, depth or L
         stream_tiles(monkeypatch, L, orders, depth)
         plan = SpherePlan(L)
-        tiles = [(m0, k0, tile.shape[:2]) for m0, k0, tile, _ in plan.tables(1)]
+        tiles = [(m0, k0, tile.shape[:2]) for m0, k0, tile, _ in plan.tables()]
         assert tiles == [(m0, k0, (nb, dk)) for m0, k0, nb, dk in _tile_geometry(L, orders, depth)]
-        assert {k0 for _, k0, _, _ in plan.tables(2)} == {0}
         rng = np.random.default_rng(100 * L + 10 * orders + depth)
         if real:
             c, shift = hermitian_coeffs(rng, L, (3,)), 0.5
         else:
             c, shift = rng.uniform(-1, 1, (3, L * L)) + 1j * rng.uniform(-1, 1, (3, L * L)), 0.5j
-        # one row and each one-grid forward block step the tiles, 3 rows blocks
-        # of orders with all their degrees
+        # one row, 3 rows across 3 one-grid blocks, and each one-grid forward
+        # block step the tiles
         tiled = _sht_inverse_batch(c[:1], plan, real)
         grids = _sht_inverse_batch(c, plan, real)
         assert grids.dtype == (np.float64 if real else np.complex128)
@@ -796,23 +805,35 @@ class TestAgainstNaiveTransform:
         for row, grid, coeffs in zip(c, grids, back):
             assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
             assert rel_err(coeffs, direct_sht_forward(grid + shift, L)) < 1e-13 * L
-        for row, grid in zip(c, tiled):
-            assert rel_err(grid, direct_sht_inverse(row, L)) < 1e-13 * L
+        assert tiled.tobytes() == grids[:1].tobytes()
 
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
     @pytest.mark.parametrize("L", [257, 300])
-    def test_tiled_groups_match_whole_blocks_of_orders_past_the_cache(self, L):
-        # one FFT block of rows steps groups of orders in tiles of a few degrees
-        # and sums each group across its tiles; one row more steps blocks of
-        # orders with all their degrees
+    def test_many_rows_past_the_cache_give_the_bytes_of_one_call_per_block(self, L, real):
+        # two FFT blocks of rows and a partial third: one pass over groups of
+        # orders tiled in degrees, holding each group's sums for every block,
+        # gives the bytes of one call per block of rows.  Hermitian rows give
+        # real grids within 1e-14 of the complex path, whose forward is Hermitian
         plan = SpherePlan(L)
-        rows = _fft_block_grids(L)
-        (orders, depth), (_, whole) = plan._tile_shape(rows), plan._tile_shape(rows + 1)
-        assert orders < L and depth < L - orders and whole == L
+        step = _fft_block_grids(L)
+        rows = 2 * step + 1
+        orders, depth = plan._tile_shape()
+        assert orders < L and depth < L - orders
         rng = np.random.default_rng(L)
-        c = rng.uniform(-1, 1, (rows + 1, L * L)) + 1j * rng.uniform(-1, 1, (rows + 1, L * L))
-        tiled = _sht_inverse_batch(c[:rows], plan, False)
-        blocked = _sht_inverse_batch(c, plan, False)[:rows]
-        assert rel_err(tiled, blocked) <= 1e-14
+        if real:
+            c = hermitian_coeffs(rng, L, (rows,))
+        else:
+            c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
+        grids = _sht_inverse_batch(c, plan, real)
+        assert grids.dtype == (np.float64 if real else np.complex128)
+        blocks = [_sht_inverse_batch(c[i : i + step], plan, real) for i in range(0, rows, step)]
+        assert grids.tobytes() == np.concatenate(blocks).tobytes()
+        assert rel_err(grids[-1], direct_sht_inverse(c[-1], L)) < 1e-13 * L
+        if real:
+            assert rel_err(grids, _sht_inverse_batch(c, plan, False)) <= 1e-14
+            back = _sht_forward_batch(grids, plan)
+            assert _is_hermitian(back, L)
+            assert rel_err(back, _sht_forward_batch(grids + 0j, plan)) <= 1e-14
 
     @pytest.mark.parametrize("L", [257, 288, 384])
     def test_round_trips_past_the_cache_match_direct_sums(self, L):
@@ -821,7 +842,7 @@ class TestAgainstNaiveTransform:
         # multiresolution sphere-wavelet pass there
         plan = SpherePlan(L)
         rows = min(2, _fft_block_grids(L))
-        assert plan._tile_shape(rows)[1] < L
+        assert plan._tile_shape()[1] < L
         rng = np.random.default_rng(L)
         c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
         grids = _sht_inverse_batch(c, plan, False)
@@ -996,19 +1017,6 @@ class TestRealFields:
         assert kept < 4096, kept
         assert rel_err(out, direct_sht_forward(grid, L)) < 1e-13 * L
 
-    @pytest.mark.parametrize("L", [257, 300])
-    def test_real_rows_past_one_block_step_blocks_of_orders(self, L):
-        plan = SpherePlan(L)
-        rows = _fft_block_grids(L) + 1
-        assert plan._tile_shape(rows)[1] == L
-        c = hermitian_coeffs(np.random.default_rng(L), L, (rows,))
-        grids = _sht_inverse_batch(c, plan, True)
-        assert grids.dtype == np.float64
-        assert rel_err(grids, _sht_inverse_batch(c, plan, False)) <= 1e-14
-        back = _sht_forward_batch(grids, plan)
-        assert _is_hermitian(back, L)
-        assert rel_err(back, _sht_forward_batch(grids + 0j, plan)) <= 1e-14
-
 
 class TestValidation:
     def test_rejects_bad_band_limit(self):
@@ -1033,6 +1041,34 @@ class TestValidation:
         assert type(SphereGrid(L, np.zeros((20, 39))).L) is int
         with pytest.raises(ValueError, match="does not match"):
             SphereCoeffs(L, np.zeros(144))
+
+    @pytest.mark.parametrize("kind", [np.uint8, np.int16, np.int64])
+    def test_numpy_integer_band_limits_give_the_results_of_ints(self, monkeypatch, kind):
+        # a numpy L reached the plan, the Legendre values and the sphere
+        # kernels as is: get_plan(uint8 20) cached a plan whose L * L wrapped
+        # to 144, on which every later FLAG transform at L = 20 failed
+        monkeypatch.setattr(sphere_harmonics, "_live_plans", weakref.WeakValueDictionary())
+        get_plan.cache_clear()
+        try:
+            L = kind(20)
+            assert type(get_plan(L).L) is int and type(SpherePlan(L).L) is int
+            limits = BandLimits(20, 4)
+            c = np.random.default_rng(20).uniform(-1, 1, (4, 400)) + 0.5j
+            back = flag_forward(flag_inverse(FlagCoeffs(limits, c))).coeffs
+            assert rel_err(back, c) <= 6 * np.finfo(float).eps * 24
+            assert np.array_equal(assoc_legendre_table(L, 0.5), assoc_legendre_table(20, 0.5))
+            nodes = np.linspace(-1, 1, 5)
+            assert np.array_equal(legendre_matrix(L, 3, nodes), legendre_matrix(20, 3, nodes))
+            assert all(map(np.array_equal, sphere_sampling(L), sphere_sampling(20)))
+            kernels, want = build_sphere_kernels(L, TilingParams()), build_sphere_kernels(20, TilingParams())
+            assert type(kernels.L) is int
+            assert np.array_equal(kernels.eta, want.eta)
+            assert all(map(np.array_equal, kernels.kappas, want.kappas))
+            f = SphereCoeffs(20, c[0])
+            back = sphere_synthesize(sphere_analyze(f, kernels), kernels).coeffs
+            assert rel_err(back, c[0]) <= 12 * np.finfo(float).eps * 20
+        finally:
+            get_plan.cache_clear()
 
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError):
