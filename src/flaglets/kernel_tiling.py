@@ -55,10 +55,10 @@ class TilingParams:
     j0_rad: int = 0
 
     def __post_init__(self):
-        if not (self.lam > 1 and math.isfinite(self.lam)):
-            raise ValueError(f"angular dilation must be finite and exceed 1, got {self.lam}")
-        if not (self.nu > 1 and math.isfinite(self.nu)):
-            raise ValueError(f"radial dilation must be finite and exceed 1, got {self.nu}")
+        for dilation, what in ((self.lam, "angular"), (self.nu, "radial")):
+            # the windows take dilation ** (J + 1), at most dilation ** 2, in float64
+            if not (dilation > 1 and math.isfinite(dilation * dilation)):
+                raise ValueError(f"{what} dilation must exceed 1 with a finite square, got {dilation}")
         # frozen: the checked indices are stored, as Python ints, through object.__setattr__
         for name, what in (("j0_ang", "angular"), ("j0_rad", "radial")):
             j0 = _check_integer(getattr(self, name), 0, MAX_SCALE, f"minimum {what} scale index")
@@ -307,8 +307,8 @@ def k_lambda(lam: float, t) -> np.ndarray | float:
     tail integral of the squared bump s_lam^2(u)/u from t to 1.  Monotone
     non-increasing in t.
     """
-    if not lam > 1:
-        raise ValueError(f"dilation must exceed 1, got {lam}")
+    if not (lam > 1 and math.isfinite(2.0 * lam)):  # the bump's slope 2 lam / (lam - 1)
+        raise ValueError(f"dilation must exceed 1 and twice it be finite, got {lam}")
     t = np.asarray(t, dtype=np.float64)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)

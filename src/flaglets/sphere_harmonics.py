@@ -19,14 +19,16 @@ degrees, B and D sized from the byte constants so that a group's recurrence
 state and inverse sums stay small (SpherePlan._tile_shape).  A pass past the
 cache, over any number of rows, then takes about L^2 / 2B recurrence steps
 on arrays of B orders, writes x Ptilde into a scratch of one group and each
-tile row once, and holds one tile of B x D x L/2 doubles.  What a pass
+tile row once, and holds one tile of B x D x L/2 doubles, degree-major so
+that each row is one block (kept tiles are order-major).  What a pass
 needs besides the recurrence steps, the tiles' index maps, the sectoral
-seeds and the recurrence coefficients, depends only on the tile geometry,
-so a plan past the cache makes it before its first pass and keeps it, up
-to _FFT_BLOCK_BYTES; its passes then only step.  The engine never
-mirrors them: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x), so it folds a grid
-into f(x) + f(-x) and f(x) - f(-x) on the half nodes, which the even and the
-odd degrees of an order project onto.  The inverse sums the tiles of a group
+seeds, the recurrence coefficients and the nodes repeated for B orders,
+depends only on the tile geometry, so a plan past the cache makes it
+before its first pass and keeps it, up to _FFT_BLOCK_BYTES; its passes
+then only step.  The engine never mirrors them: Ptilde_l^m(-x) =
+(-1)^{l+m} Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) -
+f(-x) on the half nodes, which the even and the odd degrees of an order
+project onto.  The inverse sums the tiles of a group
 of orders in one order-major buffer and unfolds it the same way, into each
 Fourier column once.  The forward copies the folded Fourier columns of every
 order once per block of grids, and every tile reads them there.
@@ -272,13 +274,21 @@ def _legendre_tiles(
     a scratch of one group's orders and each tile row once.  int_{-1}^{1}
     Ptilde_l^m Ptilde_l'^m dx = delta_{ll'}, Condon-Shortley phase included.
 
+    A kept tile is order-major in memory.  The reused one is degree-major,
+    (depth, orders, n) seen transposed, so a step writes its row and rescaled
+    box as one block, not as `orders` pieces 8 depth n bytes apart: a pass
+    took 31.6 -> 27.6 ms at L = 288 and 161 -> 139 ms at 512 (kept L = 256
+    tiles laid out so made a one-row round trip 3% slower).
+
     `kept`, if given, holds what the pass needs besides the recurrence steps:
-    (seeds, coefficients), the (seed_u, box) of each group from
-    _sectoral_seeds and the _recurrence_coeffs of each tile.  Without it the
-    pass makes them as it goes.
+    (seeds, coefficients, nodes), the (seed_u, box) of each group from
+    _sectoral_seeds, the _recurrence_coeffs of each tile and xs repeated for
+    `orders` orders, so x u is one contiguous product (27.6 -> 26.5 ms).
+    Without it the pass makes them as it goes and broadcasts xs.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     seeds = iter(kept[0]) if kept else _sectoral_seeds(L, xs, orders, m_first)
+    nodes = kept[2] if kept else np.broadcast_to(xs, (orders, xs.size))
     buf = None
     with np.errstate(under="ignore"):
         for t, (m0, k0, nb, dk) in enumerate(_tile_geometry(L, orders, depth, m_first)):
@@ -292,7 +302,9 @@ def _legendre_tiles(
                 scale = np.exp(c_box)  # recomputed only when a rescale fires
                 ms = np.arange(m0, m0 + nb, dtype=np.float64)
                 if buf is None or depth >= L - m_first:  # the first group is the largest
-                    buf, scratch = np.empty((nb, dk, xs.size)), np.empty((nb, xs.size))
+                    axes = (0, 1, 2) if depth >= L - m_first else (1, 0, 2)
+                    buf = np.empty([(nb, dk, xs.size)[a] for a in axes]).transpose(axes)
+                    scratch = np.empty((nb, xs.size))
                 u_prev, u_cur = None, seed_u
             tile = buf[:nb, :dk]
             a, b = kept[1][t] if kept else _recurrence_coeffs(m0, k0, nb, dk)
@@ -306,7 +318,7 @@ def _legendre_tiles(
                 elif k >= 2:
                     # u_prev <- a (x u_cur - b u_prev) in place, then swap
                     u_prev, u_cur = u_prev[:run], u_cur[:run]
-                    np.multiply(xs, u_cur, out=x_cur)
+                    np.multiply(nodes[:run], u_cur, out=x_cur)
                     np.multiply(b[k - lo, :run], u_prev, out=u_prev)
                     np.subtract(x_cur, u_prev, out=u_prev)
                     np.multiply(a[k - lo, :run], u_prev, out=u_prev)
@@ -375,9 +387,10 @@ class SpherePlan:
 
     - up to _CACHE_LIMIT, blocks of orders of about _LEGENDRE_BLOCK_BYTES,
       each with all of its degrees (k0 = 0), all made on first use and
-      kept, maps included.
+      kept, maps included, each order's degrees in one block.
     - past the cache, for every pass, groups of B orders in tiles of D
-      degrees, made per pass in one reused buffer.  The inverse holds the
+      degrees, made per pass in one reused buffer whose degree rows are each
+      one block (_legendre_tiles says why).  The inverse holds the
       sums of a group until its last tile, for every FFT block of rows.  B
       orders hold those of one block of complex rows in
       _LEGENDRE_BLOCK_BYTES and D = 32 degrees of them a tile within a grid's
@@ -390,10 +403,10 @@ class SpherePlan:
 
     _tile_shape() chooses between them for tables() and for the forward's
     work space, and _tile_geometry lists a pass's tiles.  Past the cache the
-    tiles are stepped anew on every pass, from the maps, sectoral seeds and
-    recurrence coefficients that the plan makes from that list before its
+    tiles are stepped anew on every pass, from the maps, sectoral seeds,
+    recurrence coefficients and repeated nodes that the plan makes before its
     first pass and keeps if they fit in _FFT_BLOCK_BYTES (at most about 30
-    L^2 bytes, _invariant_bound, so up to L = 536).  nbytes counts what the
+    L^2 bytes, _invariant_bound, so up to L = 528).  nbytes counts what the
     plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
@@ -472,15 +485,17 @@ class SpherePlan:
     def _invariant_bound(self, orders: int, depth: int) -> int:
         """Bytes that keeping a streamed tiling holds, at most: per tile 8 nb dk
         of int32 index, as much at most of valid and of dest, 16 nb dk of a, b;
-        per group of nb orders 8 nb n of seeds and as much at most of box."""
+        per group of nb orders 8 nb n of seeds and as much at most of box; and
+        once 8 B n of the nodes repeated for the B orders of a group."""
         n, tiles = self.L - self.half, _tile_geometry(self.L, orders, depth)
-        return sum(40 * nb * dk + (16 * nb * n if k0 == 0 else 0) for _, k0, nb, dk in tiles)
+        per_tile = (40 * nb * dk + (16 * nb * n if k0 == 0 else 0) for _, k0, nb, dk in tiles)
+        return 8 * orders * n + sum(per_tile)
 
     @property
     def nbytes(self) -> int:
         """Bytes of the arrays the plan holds: its rule, signs and weights, the
-        tiles and maps of a cached plan, and the maps, seeds and coefficients
-        kept for a streamed one."""
+        tiles and maps of a cached plan, and the maps, seeds, coefficients and
+        repeated nodes kept for a streamed one."""
         arrays = (self.rule.nodes, self.rule.weights, self.signs, self.fold_weights)
         return _nbytes((arrays, self._tiles, self._streamed))
 
@@ -505,7 +520,8 @@ class SpherePlan:
         if self._streamed is None and self._invariant_bound(*shape) <= _FFT_BLOCK_BYTES:
             geometry = list(_tile_geometry(L, *shape))
             seeds = list(_sectoral_seeds(L, nodes, shape[0], 0))
-            kept = seeds, [_recurrence_coeffs(*tile) for tile in geometry]
+            coeffs = [_recurrence_coeffs(*tile) for tile in geometry]
+            kept = seeds, coeffs, np.tile(nodes, (shape[0], 1))
             self._streamed = kept, [self._tile_maps(*tile) for tile in geometry]
         kept, maps = self._streamed or (None, None)
         maps = maps or itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))

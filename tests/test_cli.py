@@ -160,6 +160,16 @@ class TestPipeline:
         assert code == 2 and "error:" in err and "Traceback" not in err
         assert not deno.exists()
 
+    @pytest.mark.parametrize("option", ["--lambda", "--nu"])
+    def test_overflowing_dilation_is_usage_error(self, tmp_path, capsys, option):
+        field, deco = tmp_path / "field.flg", tmp_path / "deco.flg"
+        run(capsys, "simulate", "--L", "4", "--P", "4", "--output", str(field))
+        code, _, err = run(
+            capsys, "analyze", "--input", str(field), "--output", str(deco), option, "1e308"
+        )
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        assert "square" in err and not deco.exists()
+
     def test_wrong_input_type_is_runtime_error(self, tmp_path, capsys):
         field = tmp_path / "field.flg"
         run(capsys, "simulate", "--L", "4", "--P", "4", "--output", str(field))
@@ -261,6 +271,19 @@ class TestKernels:
         assert code == 2 and err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["--lambda", "--nu"])
+    @pytest.mark.parametrize("ball", [[], ["--P", "8"]])
+    def test_overflowing_dilation_is_usage_error(self, tmp_path, capsys, option, ball):
+        # 1e308 is finite, but its square, which the windows take, is not: this
+        # raised a bare OverflowError from dilation ** j
+        out = tmp_path / "kernels.csv"
+        code, _, err = run(
+            capsys, "kernels", "--L", "8", *ball, option, "1e308", "--output", str(out)
+        )
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "square" in err
+        assert not out.exists()
+
 
     def test_negative_radial_limit_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "kernels.csv"
@@ -324,6 +347,12 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", "--lambda", "inf")
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--lambda", "--nu"])
+    def test_overflowing_dilation_is_usage_error(self, capsys, option):
+        code, _, err = run(capsys, "bench", "--L", "4", "--P", "4", option, "1e308")
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err and "square" in err
 
     def test_runs_as_many_times_as_asked(self, capsys, monkeypatch):
         analyses = []

@@ -2,6 +2,7 @@
 
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,19 @@ class TestTransition:
         with pytest.raises(ValueError):
             k_lambda(2.0, -0.1)
 
+    @pytest.mark.parametrize(
+        "lam", [math.inf, math.nan, 1e308, math.nextafter(sys.float_info.max / 2, math.inf)]
+    )
+    def test_rejects_dilations_whose_double_overflows(self, lam):
+        # 2 lam overflowed: k_lambda returned NaN with an "invalid value" warning
+        with pytest.raises(ValueError, match="dilation must exceed 1 and twice it be finite"):
+            k_lambda(lam, 0.5)
+
+    def test_largest_dilation_gives_a_transition(self):
+        lam = sys.float_info.max / 2  # twice it is the largest float64
+        assert k_lambda(lam, 0.0) == 1.0 and k_lambda(lam, 1.0) == 0.0
+        assert 0.0 < k_lambda(lam, 0.5) < 1.0
+
     def test_rejects_nan_argument(self):
         # a NaN t once skipped every branch and returned uninitialised memory
         for t in (math.nan, np.array([math.nan, math.nan]), np.array([0.5, math.nan])):
@@ -150,6 +164,29 @@ class TestScaleBookkeeping:
                 TilingParams(lam=bad)
             with pytest.raises(ValueError):
                 TilingParams(nu=bad)
+
+
+    @pytest.mark.parametrize("dilation", [1e155, 1e200, 1e308])
+    def test_params_reject_dilations_whose_square_overflows(self, dilation):
+        # these were accepted, and building their windows raised a bare
+        # OverflowError from dilation ** j
+        with pytest.raises(ValueError, match="angular dilation must exceed 1 with a finite square"):
+            TilingParams(lam=dilation)
+        with pytest.raises(ValueError, match="radial dilation must exceed 1 with a finite square"):
+            TilingParams(nu=dilation)
+
+    def test_largest_accepted_dilation_builds_admissible_windows(self):
+        dilation = math.sqrt(sys.float_info.max)  # its square is finite
+        with pytest.raises(ValueError):
+            TilingParams(lam=math.nextafter(dilation, math.inf))
+        params = TilingParams(lam=dilation, nu=dilation)
+        for L in (2, 8, MAX_BAND_LIMIT):
+            k = build_sphere_kernels(L, params)
+            assert k.jmax == (L > 2)
+            assert np.max(np.abs(k.eta**2 + sum(kap**2 for kap in k.kappas) - 1.0)) < 1e-10
+        k = build_flaglet_kernels(BandLimits(8, 8, 1.0), params)
+        total = k.phi**2 + sum(psi**2 for psi in k.psis.values())
+        assert np.max(np.abs(total - 1.0)) < 1e-10
 
 
 class TestSphereKernels:

@@ -160,6 +160,39 @@ class TestStreamedTables:
         assert cached[1] == L
         assert columns(sphere_harmonics._legendre_tiles(L, nodes, *cached)) == got
 
+    @pytest.mark.parametrize("L", [257, 300, 513])
+    def test_streamed_tile_rows_are_single_blocks(self, monkeypatch, L):
+        # past the cache the one reused tile buffer is degree-major, so every
+        # step writes its row tile[:, k] as one block of orders by half nodes:
+        # on the pass that keeps the tiling, one that steps from it, and on a
+        # plan that keeps nothing
+        plan, bare = SpherePlan(L), SpherePlan(L)
+        monkeypatch.setattr(bare, "_invariant_bound", lambda orders, depth: math.inf)
+        for p in (plan, plan, bare):
+            tiles = list(p.tables())
+            assert len(tiles) > 1 and all(t[2].base is tiles[0][2].base for t in tiles)
+            for _, _, tile, _ in tiles:
+                assert all(tile[:, k].flags.c_contiguous for k in range(tile.shape[1]))
+        # the kept nodes for the recurrence's x u: the half nodes once per order
+        orders, _ = plan._tile_shape()
+        nodes = plan._streamed[0][2]
+        assert nodes.shape == (orders, L - L // 2) and nodes.flags.c_contiguous
+        assert np.array_equal(nodes, np.tile(plan.rule.nodes[L // 2 :], (orders, 1)))
+        assert bare._streamed is None
+
+    @pytest.mark.parametrize("L", [7, 64, 256])
+    def test_cached_tile_orders_are_single_blocks(self, L):
+        # the tiles a cached plan keeps are order-major: each order's degrees
+        # by half nodes are one block, which the engine's GEMMs read
+        for _, _, tile, _ in SpherePlan(L).tables():
+            assert tile.flags.c_contiguous and all(rows.flags.c_contiguous for rows in tile)
+
+    @pytest.mark.parametrize("L, m", [(1, 0), (64, 3), (257, 0), (300, 299), (513, 17)])
+    def test_legendre_matrix_is_one_c_contiguous_array(self, L, m):
+        xs = np.linspace(-1.0, 1.0, 5)
+        values = legendre_matrix(L, m, xs)
+        assert values.shape == (L - m, 5) and values.flags.c_contiguous
+
     def test_cached_blocks_hold_half_nodes_only(self):
         # full-node tables at L = 256 take 67.4 MB; the folded blocks about half,
         # plus the zero rows past degree L - 1 in each block of 8 orders
