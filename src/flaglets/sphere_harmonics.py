@@ -21,17 +21,18 @@ cache, over any number of rows, then takes about L^2 / 2B recurrence steps
 on arrays of B orders, writes x Ptilde into a scratch of one group and each
 tile row once, and holds one tile of B x D x L/2 doubles, degree-major so
 that each row is one block (kept tiles are order-major).  What a pass
-needs besides the recurrence steps, the tiles' index maps, the sectoral
-seeds, the recurrence coefficients and the nodes repeated for B orders,
-depends only on the tile geometry, so a plan past the cache makes it
-before its first pass and keeps it, up to _FFT_BLOCK_BYTES; its passes
-then only step.  The engine never mirrors them: Ptilde_l^m(-x) =
-(-1)^{l+m} Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) -
-f(-x) on the half nodes, which the even and the odd degrees of an order
-project onto.  The inverse sums the tiles of a group
-of orders in one order-major buffer and unfolds it the same way, into each
-Fourier column once.  The forward copies the folded Fourier columns of every
-order once per block of grids, and every tile reads them there.
+steps from, the sectoral seeds, the recurrence coefficients and the nodes
+repeated for B orders, and the tiles' index maps, depends only on the tile
+geometry, so a plan past the cache makes it tile by tile before its first
+pass and keeps it while its bytes stay within _FFT_BLOCK_BYTES (2.2 MB at
+L = 288, 8.36 MB at 569, the last L that keeps it); its passes then only
+step.  The engine never mirrors the tiles: Ptilde_l^m(-x) = (-1)^{l+m}
+Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) - f(-x) on the
+half nodes, which the even and the odd degrees of an order project onto.
+The inverse sums the tiles of a group of orders in one order-major buffer
+and unfolds it the same way, into each Fourier column once.  The forward
+copies the folded Fourier columns of every order once per block of grids,
+and every tile reads them there.
 
 Real signals take the same loops with the +-m axis cut to the +m half.  A
 grid is real when its dtype is real (SphereGrid keeps float64 samples), and
@@ -258,12 +259,18 @@ def _recurrence_coeffs(m0: int, k0: int, nb: int, dk: int):
     return a[..., None], b[..., None]
 
 
-def _legendre_tiles(
-    L: int, xs: np.ndarray, orders: int, depth: int, m_first: int = 0, kept: tuple | None = None
-):
+def _pass_invariants(L: int, xs, orders: int, depth: int, m_first: int = 0):
+    """What _legendre_tiles steps from, made as the pass goes: each group's
+    _sectoral_seeds, each tile's _recurrence_coeffs and xs repeated for `orders`."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    coeffs = itertools.starmap(_recurrence_coeffs, _tile_geometry(L, orders, depth, m_first))
+    return _sectoral_seeds(L, xs, orders, m_first), coeffs, np.tile(xs, (orders, 1))
+
+
+def _legendre_tiles(L: int, orders: int, depth: int, m_first: int, invariants: tuple):
     """Yield (m0, k0, tile) over the orders m_first..L-1 and their degrees.
 
-    tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(xs[j]), zero where the degree
+    tile[i, k, j] = Ptilde_{m0+i+k0+k}^{m0+i}(x_j), zero where the degree
     passes L - 1.  Groups of `orders` orders from m_first are stepped in lock
     step over k = l - m from their sectoral seeds (_sectoral_seeds), and an
     order drops out once it passes degree L - 1, so a tile holds the orders
@@ -280,40 +287,36 @@ def _legendre_tiles(
     took 31.6 -> 27.6 ms at L = 288 and 161 -> 139 ms at 512 (kept L = 256
     tiles laid out so made a one-row round trip 3% slower).
 
-    `kept`, if given, holds what the pass needs besides the recurrence steps:
-    (seeds, coefficients, nodes), the (seed_u, box) of each group from
-    _sectoral_seeds, the _recurrence_coeffs of each tile and xs repeated for
-    `orders` orders, so x u is one contiguous product (27.6 -> 26.5 ms).
-    Without it the pass makes them as it goes and broadcasts xs.
+    The pass steps from `invariants`, a plan's kept lists or _pass_invariants
+    made as it goes: each group's (seed_u, box), copied since the recurrence
+    steps in its memory, each tile's coefficients, and the nodes x_j repeated
+    for `orders` orders, so x u is one contiguous product (27.6 -> 26.5 ms).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    seeds = iter(kept[0]) if kept else _sectoral_seeds(L, xs, orders, m_first)
-    nodes = kept[2] if kept else np.broadcast_to(xs, (orders, xs.size))
+    seeds, coeffs, nodes = iter(invariants[0]), iter(invariants[1]), invariants[2]
+    n, whole = nodes.shape[1], depth >= L - m_first
     buf = None
     with np.errstate(under="ignore"):
-        for t, (m0, k0, nb, dk) in enumerate(_tile_geometry(L, orders, depth, m_first)):
+        for m0, k0, nb, dk in _tile_geometry(L, orders, depth, m_first):
             if k0 == 0:  # a new group of nb orders
                 seed_u, (r0, c0, c1, c_box) = next(seeds)
-                if kept:
-                    seed_u = seed_u.copy()  # the recurrence steps in its seeds' memory
                 # u = Ptilde, |u| <= sqrt((2l+1)/2) <= 64, wherever the seed is
                 # unscaled: only in the box [r0:, c0:c1] around the scaled seeds
                 # does u carry an exponent c, and only there can it pass the threshold
                 scale = np.exp(c_box)  # recomputed only when a rescale fires
                 ms = np.arange(m0, m0 + nb, dtype=np.float64)
-                if buf is None or depth >= L - m_first:  # the first group is the largest
-                    axes = (0, 1, 2) if depth >= L - m_first else (1, 0, 2)
-                    buf = np.empty([(nb, dk, xs.size)[a] for a in axes]).transpose(axes)
-                    scratch = np.empty((nb, xs.size))
-                u_prev, u_cur = None, seed_u
+                if buf is None or whole:  # the first group is the largest
+                    axes = (0, 1, 2) if whole else (1, 0, 2)
+                    buf = np.empty([(nb, dk, n)[i] for i in axes]).transpose(axes)
+                    scratch = np.empty((nb, n))
+                u_prev, u_cur = None, seed_u.copy()
             tile = buf[:nb, :dk]
-            a, b = kept[1][t] if kept else _recurrence_coeffs(m0, k0, nb, dk)
+            a, b = next(coeffs)
             lo = max(k0, 2)
             for k in range(k0, k0 + dk):
                 run = min(nb, L - m0 - k)  # orders with degree m + k <= L - 1
                 row, x_cur = tile[:, k - k0], scratch[:run]
                 if k == 1:
-                    np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], xs, out=x_cur)
+                    np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], nodes[:run], out=x_cur)
                     u_prev, u_cur = u_cur, x_cur * u_cur[:run]
                 elif k >= 2:
                     # u_prev <- a (x u_cur - b u_prev) in place, then swap
@@ -343,11 +346,10 @@ def legendre_matrix(L: int, m: int, xs: np.ndarray) -> np.ndarray:
     Returns shape (L - m, len(xs)); see _legendre_tiles.
     """
     L = _check_band_limit(L)
-    if not 0 <= m < L:
-        raise ValueError(f"order must be in [0, {L - 1}], got {m}")
+    m = _check_integer(m, 0, L - 1, "order")
     if not np.all(np.abs(np.asarray(xs, dtype=np.float64)) <= 1.0):  # NaN fails too
         raise ValueError("arguments must satisfy |x| <= 1")
-    return next(_legendre_tiles(L, xs, 1, L, m))[2][0]
+    return next(_legendre_tiles(L, 1, L, m, _pass_invariants(L, xs, 1, L, m)))[2][0]
 
 
 def assoc_legendre_table(L: int, x: float) -> np.ndarray:
@@ -361,7 +363,7 @@ def assoc_legendre_table(L: int, x: float) -> np.ndarray:
     if not abs(x) <= 1.0:  # NaN fails too
         raise ValueError(f"argument must satisfy |x| <= 1, got {x}")
     table = np.zeros(L * L)
-    for _, k, tile in _legendre_tiles(L, np.array([float(x)]), L, 1):
+    for _, k, tile in _legendre_tiles(L, L, 1, 0, _pass_invariants(L, float(x), L, 1)):
         # degree l = m + k of every order m: the k-th diagonal below the main one
         table[k * L :: L + 1] = tile[:, 0, 0]
     return table
@@ -404,10 +406,9 @@ class SpherePlan:
     _tile_shape() chooses between them for tables() and for the forward's
     work space, and _tile_geometry lists a pass's tiles.  Past the cache the
     tiles are stepped anew on every pass, from the maps, sectoral seeds,
-    recurrence coefficients and repeated nodes that the plan makes before its
-    first pass and keeps if they fit in _FFT_BLOCK_BYTES (at most about 30
-    L^2 bytes, _invariant_bound, so up to L = 528).  nbytes counts what the
-    plan holds.
+    recurrence coefficients and repeated nodes that _kept_tiling makes once
+    and keeps while they fit in _FFT_BLOCK_BYTES: 2.2 MB at L = 288, 8.36 MB
+    at 569, the last L that keeps them.  nbytes counts what the plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -441,7 +442,7 @@ class SpherePlan:
         if odd:
             self.fold_weights[0] *= 0.5
         self._tiles = None
-        self._streamed = None  # ((seeds, coefficients), maps per tile), once kept
+        self._streamed = None  # (invariants, maps per tile) once kept, () once past budget
 
     def _tile_maps(self, m0: int, k0: int, nb: int, depth: int):
         ms = np.arange(m0, m0 + nb, dtype=np.int32)[:, None]
@@ -482,14 +483,21 @@ class SpherePlan:
         orders = min(L, max(1, _LEGENDRE_BLOCK_BYTES // (64 * n * step)))
         return orders, min(L, max(1, _FFT_BLOCK_BYTES // (8 * orders * n * step)))
 
-    def _invariant_bound(self, orders: int, depth: int) -> int:
-        """Bytes that keeping a streamed tiling holds, at most: per tile 8 nb dk
-        of int32 index, as much at most of valid and of dest, 16 nb dk of a, b;
-        per group of nb orders 8 nb n of seeds and as much at most of box; and
-        once 8 B n of the nodes repeated for the B orders of a group."""
-        n, tiles = self.L - self.half, _tile_geometry(self.L, orders, depth)
-        per_tile = (40 * nb * dk + (16 * nb * n if k0 == 0 else 0) for _, k0, nb, dk in tiles)
-        return 8 * orders * n + sum(per_tile)
+    def _kept_tiling(self, nodes: np.ndarray, orders: int, depth: int):
+        """The _pass_invariants and maps of a tiling past the cache, made tile
+        by tile while their _nbytes stays within _FFT_BLOCK_BYTES; else ()."""
+        made_seeds, made_coeffs, repeated = _pass_invariants(self.L, nodes, orders, depth)
+        seeds, coeffs, maps, held = [], [], [], repeated.nbytes
+        for tile in _tile_geometry(self.L, orders, depth):
+            if tile[1] == 0:
+                seeds.append(next(made_seeds))
+                held += _nbytes(seeds[-1])
+            coeffs.append(next(made_coeffs))
+            maps.append(self._tile_maps(*tile))
+            held += _nbytes((coeffs[-1], maps[-1]))
+            if held > _FFT_BLOCK_BYTES:
+                return ()
+        return (seeds, coeffs, repeated), maps
 
     @property
     def nbytes(self) -> int:
@@ -504,28 +512,24 @@ class SpherePlan:
 
         A cached plan makes all its tiles and maps on first use and replays
         them.  Past _CACHE_LIMIT a pass yields the tiles of groups of orders,
-        each overwritten by the next one.  Before its first pass the plan
-        makes their seeds, coefficients and maps from _tile_geometry and
-        keeps them if they fit in _FFT_BLOCK_BYTES; a pass past that makes
-        them as it goes.
+        each overwritten by the next one, from what _kept_tiling decided once
+        to keep, or from seeds, coefficients and maps made as the pass goes.
         """
         L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
         if L <= self._CACHE_LIMIT:
             if self._tiles is None:
-                tiles = _legendre_tiles(L, nodes, *shape, 0, None)
+                tiles = _legendre_tiles(L, *shape, 0, _pass_invariants(L, nodes, *shape))
                 maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
                 self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
             yield from self._tiles
             return
-        if self._streamed is None and self._invariant_bound(*shape) <= _FFT_BLOCK_BYTES:
-            geometry = list(_tile_geometry(L, *shape))
-            seeds = list(_sectoral_seeds(L, nodes, shape[0], 0))
-            coeffs = [_recurrence_coeffs(*tile) for tile in geometry]
-            kept = seeds, coeffs, np.tile(nodes, (shape[0], 1))
-            self._streamed = kept, [self._tile_maps(*tile) for tile in geometry]
-        kept, maps = self._streamed or (None, None)
-        maps = maps or itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
-        for tile, tile_maps in zip(_legendre_tiles(L, nodes, *shape, 0, kept), maps):
+        if self._streamed is None:
+            self._streamed = self._kept_tiling(nodes, *shape)
+        kept, maps = self._streamed or (
+            _pass_invariants(L, nodes, *shape),
+            itertools.starmap(self._tile_maps, _tile_geometry(L, *shape)),
+        )
+        for tile, tile_maps in zip(_legendre_tiles(L, *shape, 0, kept), maps):
             yield *tile, tile_maps
 
 
@@ -681,8 +685,8 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     (S = 1), and one stacked GEMM per parity synthesises the even and odd
     sums S_even, S_odd on the half nodes into the order-major buffer
     sums[parity, order, node, s, row].  A tile from k0 = 0 writes it; a
-    later tile adds its GEMM there through a scratch of _FOLD_CHUNK_BYTES,
-    block of orders by block of orders.  Past the cache a group has several
+    later tile adds its GEMM there through a scratch of one parity's sums of
+    the group for one block of rows.  Past the cache a group has several
     tiles, so the buffer holds its sums for every block of rows, each block
     at its own offset: a call makes one table pass, and gives the bytes of
     one call per block.  A cached plan's groups are one tile each, which
@@ -701,13 +705,13 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     for m0, k0, tile, maps in plan.tables():
         nb, dk = tile.shape[:2]
         if buf is None:
-            # one allocation for the first (largest) group's sums and the GEMM
-            # scratch: a tiled group's sums for every block of rows, at `stride`
+            # one allocation for the first (largest) group's sums and, for a
+            # tiled group, its sums for every block of rows at `stride` and the
+            # later tiles' scratch of one parity's sums for one block
             tiled = dk < L
-            chunk = min(nb, max(1, _FOLD_CHUNK_BYTES // (16 * per_order))) if tiled else 0
             stride = 2 * nb * per_order if tiled else 0
             blocks = -(-len(rows) // step) if tiled else 1
-            buf = np.empty((2 * nb * blocks + chunk) * per_order, dtype=np.complex128)
+            buf = np.empty((2 * blocks + tiled) * nb * per_order, dtype=np.complex128)
             scratch = buf[2 * nb * blocks * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
@@ -716,23 +720,19 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
             n = len(block)
             at = start // step * stride
             sums = buf[at : at + 2 * group * nh * S * n].reshape(2, group, nh, S, n)
-            part = scratch[: chunk * nh * 2 * S * n].reshape(chunk, nh, 2 * S * n)
             for p, (index, *_) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
                 sums_p = sums[p].view(np.float64).reshape(group, nh, 2 * S * n)
-                width = chunk if k0 else nb
-                for i in range(0, nb, width):
-                    j = min(i + width, nb)
-                    out = part[: j - i] if k0 else sums_p
-                    # the gather is freed before the next one: holding two at once
-                    # raised the peak RSS of a 64-shell inverse at L = 128 by 1.5 MB
-                    np.matmul(
-                        values[i:j],
-                        block.T[index[i:j, :, :S]].view(np.float64).reshape(j - i, -1, 2 * S * n),
-                        out=out,
-                    )
-                    if k0:
-                        sums_p[i:j] += out
+                out = scratch[: nb * nh * 2 * S * n].reshape(nb, nh, 2 * S * n) if k0 else sums_p
+                # the gather is freed before the next one: holding two at once
+                # raised the peak RSS of a 64-shell inverse at L = 128 by 1.5 MB
+                np.matmul(
+                    values,
+                    block.T[index[..., :S]].view(np.float64).reshape(nb, -1, 2 * S * n),
+                    out=out,
+                )
+                if k0:
+                    sums_p[:nb] += out
             if k0 + dk == L - m0:  # the group's last tile
                 here = slice(start, start + n)
                 for s, (lo, cols) in enumerate(_column_ranges(L, m0, group)[:S]):

@@ -110,8 +110,9 @@ class TestStreamedTables:
         # 513; tiles hold the half nodes x >= 0 and are zero past degree L - 1.  Each
         # order's column is hashed tile by tile, so no pass is held whole.  The
         # second pass reads the tables a cached plan kept, or steps from the
-        # seeds and coefficients that a streamed plan keeps within its budget.
-        # Each pass yields the tiles of the plan's one _tile_geometry
+        # seeds and coefficients that a streamed plan keeps within its budget
+        # (every L here past the cache keeps them).  Each pass yields the tiles
+        # of the plan's one _tile_geometry
         plan = SpherePlan(L)
         half_nodes = plan.rule.nodes[L // 2 :]
         want = [
@@ -130,8 +131,8 @@ class TestStreamedTables:
                     assert not rows[L - m - k0 :].any(), (L, m, k0)
             assert [column.digest() for column in columns] == want, L
             assert geometry == list(_tile_geometry(L, *plan._tile_shape()))
-        fits = plan._invariant_bound(*plan._tile_shape()) <= sphere_harmonics._FFT_BLOCK_BYTES
-        assert (plan._streamed is not None) == (L > SpherePlan._CACHE_LIMIT and fits)
+        assert bool(plan._streamed) == (L > SpherePlan._CACHE_LIMIT)
+        assert sphere_harmonics._nbytes(plan._streamed) <= sphere_harmonics._FFT_BLOCK_BYTES
         nodes = plan.rule.nodes
         for m in {0, L // 2, L - 1}:
             assert np.array_equal(legendre_matrix(L, m, nodes), legendre_per_order(L, m, nodes))
@@ -158,7 +159,8 @@ class TestStreamedTables:
         monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L)
         cached = plan._tile_shape()
         assert cached[1] == L
-        assert columns(sphere_harmonics._legendre_tiles(L, nodes, *cached)) == got
+        invariants = sphere_harmonics._pass_invariants(L, nodes, *cached)
+        assert columns(sphere_harmonics._legendre_tiles(L, *cached, 0, invariants)) == got
 
     @pytest.mark.parametrize("L", [257, 300, 513])
     def test_streamed_tile_rows_are_single_blocks(self, monkeypatch, L):
@@ -167,7 +169,7 @@ class TestStreamedTables:
         # on the pass that keeps the tiling, one that steps from it, and on a
         # plan that keeps nothing
         plan, bare = SpherePlan(L), SpherePlan(L)
-        monkeypatch.setattr(bare, "_invariant_bound", lambda orders, depth: math.inf)
+        keep_nothing(monkeypatch, bare)
         for p in (plan, plan, bare):
             tiles = list(p.tables())
             assert len(tiles) > 1 and all(t[2].base is tiles[0][2].base for t in tiles)
@@ -178,7 +180,7 @@ class TestStreamedTables:
         nodes = plan._streamed[0][2]
         assert nodes.shape == (orders, L - L // 2) and nodes.flags.c_contiguous
         assert np.array_equal(nodes, np.tile(plan.rule.nodes[L // 2 :], (orders, 1)))
-        assert bare._streamed is None
+        assert bare._streamed == ()
 
     @pytest.mark.parametrize("L", [7, 64, 256])
     def test_cached_tile_orders_are_single_blocks(self, L):
@@ -205,7 +207,7 @@ class TestStreamedTables:
     def test_streamed_plan_holds_no_per_order_arrays(self):
         # past the cache a plan is built with O(L) arrays: its tiles are made
         # per pass, and at L = 1024 so are their maps, seeds and coefficients,
-        # which would take about 28 MiB, past _FFT_BLOCK_BYTES (TestStreamedInvariants)
+        # which pass _FFT_BLOCK_BYTES: its first pass keeps nothing of them
         L = 1024
         assert L > SpherePlan._CACHE_LIMIT
         tracemalloc.start()
@@ -216,10 +218,11 @@ class TestStreamedTables:
             tracemalloc.stop()
         assert kept < 64 * L * 8
         orders, depth = plan._tile_shape()
-        assert plan._invariant_bound(orders, depth) > sphere_harmonics._FFT_BLOCK_BYTES
+        base = plan.nbytes
         m0, k0, tile, maps = next(plan.tables())
         assert (m0, k0, tile.shape) == (0, 0, (orders, depth, L // 2))
         assert [index.shape for index, *_ in maps] == [(orders, depth // 2, 2)] * 2
+        assert plan._streamed == () and plan.nbytes == base
 
     def test_streamed_plan_vs_mpmath_at_block_boundaries(self):
         # every order crosses every tile boundary k0 of its group in a streamed
@@ -250,7 +253,7 @@ class TestStreamedTables:
                         got[m][k0 : k0 + len(rows)] = rows[:, nodes]
             assert starts == [tile[:2] for tile in _tile_geometry(L, group, depth)]
             passes.append(got)
-        assert plan._streamed is not None
+        assert plan._streamed
         first, got = passes
         assert all(np.array_equal(first[m], got[m]) for m in orders)
         compensated = 0
@@ -368,6 +371,26 @@ def stream_tiles(monkeypatch, L, orders, depth):
     assert _fft_block_grids(L) == 1 and SpherePlan(L)._tile_shape() == (orders, depth)
 
 
+def count_calls(monkeypatch, *targets):
+    """Count the calls of each (owner, name) of `targets`, by name."""
+    counts = {}
+    for owner, name in targets:
+        counts[name] = 0
+
+        def counting(*args, real=getattr(owner, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+    return counts
+
+
+def keep_nothing(monkeypatch, plan):
+    """Make `plan` decide to keep nothing of its tiling past the cache, as a
+    plan whose invariants pass _FFT_BLOCK_BYTES does."""
+    monkeypatch.setattr(plan, "_kept_tiling", lambda nodes, orders, depth: ())
+
+
 def tile_digests(plan):
     """(m0, k0, orders, degrees) and the SHA-256 of every tile and of its maps
     in a pass of plan.tables()."""
@@ -383,9 +406,11 @@ def tile_digests(plan):
 class TestStreamedInvariants:
     """Past the table cache a plan makes the tiles' maps, the sectoral seeds
     and the recurrence coefficients from its one _tile_geometry before its
-    first pass, and keeps them if they fit in _FFT_BLOCK_BYTES; every pass,
-    for any number of rows, then only steps the recurrence, and yields the
-    same tiles and maps bit for bit."""
+    first pass, tile by tile, and keeps them while their bytes stay within
+    _FFT_BLOCK_BYTES (_kept_tiling); every pass, for any number of rows, then
+    only steps the recurrence, and yields the same tiles and maps bit for
+    bit.  A plan whose invariants pass the budget keeps nothing and decides
+    so once."""
 
     L = 24
 
@@ -398,22 +423,12 @@ class TestStreamedInvariants:
         monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", L - 1)
         monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
         monkeypatch.setattr(sphere_harmonics, "_LEGENDRE_BLOCK_BYTES", 16 * 64 * n * 3)
-        counts = {}
-
-        def count(owner, name):
-            real = getattr(owner, name)
-            counts[name] = 0
-
-            def counting(*args):
-                counts[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(owner, name, counting)
-
-        count(sphere_harmonics, "_legendre_tiles")
-        count(sphere_harmonics, "_sectoral_seeds")
-        count(SpherePlan, "_tile_maps")
-        return counts
+        return count_calls(
+            monkeypatch,
+            (sphere_harmonics, "_legendre_tiles"),
+            (sphere_harmonics, "_sectoral_seeds"),
+            (SpherePlan, "_tile_maps"),
+        )
 
     def test_maps_and_seeds_are_made_once_per_tiling(self, counts):
         # the one tiling serves every pass: an inverse of more rows than an
@@ -424,10 +439,10 @@ class TestStreamedInvariants:
         first = tile_digests(plan)
         kept = plan.nbytes - base
         # a pass yields the tiles of the plan's geometry, and keeping the
-        # tiling adds at most its bound to the plan's bytes
+        # tiling adds at most the budget to the plan's bytes
         assert [t[:4] for t in first] == list(_tile_geometry(self.L, 16, 11))
         assert len(first) == 4
-        assert 0 < kept <= plan._invariant_bound(16, 11) <= sphere_harmonics._FFT_BLOCK_BYTES
+        assert 0 < kept <= sphere_harmonics._FFT_BLOCK_BYTES
         assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": 4}
         rows = 2 * _fft_block_grids(self.L) + 1
         c = np.random.default_rng(24).uniform(-1, 1, (rows, self.L**2)) + 0j
@@ -442,15 +457,67 @@ class TestStreamedInvariants:
         want = tile_digests(SpherePlan(self.L))  # kept within the default budget
         plan = SpherePlan(self.L)
         base = plan.nbytes
-        # a bound past the budget (the budget also sizes the tiles, so the
-        # bound moves instead of the budget)
-        budget = sphere_harmonics._FFT_BLOCK_BYTES
-        monkeypatch.setattr(plan, "_invariant_bound", lambda orders, depth: budget + 1)
+        # a decision to keep nothing (the budget also sizes the tiles, so the
+        # decision moves instead of the budget)
+        keep_nothing(monkeypatch, plan)
         counts.update(dict.fromkeys(counts, 0))
         for _ in range(3):
             assert tile_digests(plan) == want
         assert counts == {"_legendre_tiles": 3, "_sectoral_seeds": 3, "_tile_maps": 12}
-        assert plan._streamed is None and plan.nbytes == base
+        assert plan._streamed == () and plan.nbytes == base
+
+    def test_plan_past_the_budget_decides_once(self, monkeypatch):
+        # at L = 1024 the tiling's invariants pass _FFT_BLOCK_BYTES.  The first
+        # pass makes them tile by tile until they do, then keeps nothing, and
+        # no later pass tries again: each makes only its own seeds and maps as
+        # it goes.  The decision comes before the first tile, so a pass's
+        # first tile shows what it holds: at most the budget and one tile's
+        # invariants more than a pass of a plan that has decided (measured
+        # 9.87 MB on both)
+        L = 1024
+        plan = SpherePlan(L)
+        orders, depth = plan._tile_shape()
+        nodes = plan.rule.nodes[L // 2 :]
+        one_tile = sphere_harmonics._nbytes((
+            next(sphere_harmonics._sectoral_seeds(L, nodes, orders, 0)),
+            sphere_harmonics._recurrence_coeffs(0, 0, orders, depth),
+            plan._tile_maps(0, 0, orders, depth),
+        ))
+        counts = count_calls(
+            monkeypatch,
+            (SpherePlan, "_kept_tiling"),
+            (sphere_harmonics, "_sectoral_seeds"),
+            (SpherePlan, "_tile_maps"),
+        )
+        base = plan.nbytes
+
+        def first_tile():
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            tiles = plan.tables()
+            next(tiles)
+            peak = tracemalloc.get_traced_memory()[1] - start
+            tiles.close()
+            return peak
+
+        tracemalloc.start()
+        try:
+            deciding = first_tile()
+            decided = dict(counts)
+            bare = max(first_tile() for _ in range(2))
+        finally:
+            tracemalloc.stop()
+        # the decision made its seeds and some tiles' maps, then the pass its own
+        assert decided["_kept_tiling"] == 1 and decided["_sectoral_seeds"] == 2
+        assert decided["_tile_maps"] > 2
+        # each later pass: the seeds of its first group and its first tile's maps
+        assert counts == {
+            "_kept_tiling": 1,
+            "_sectoral_seeds": decided["_sectoral_seeds"] + 2,
+            "_tile_maps": decided["_tile_maps"] + 2,
+        }
+        assert plan._streamed == () and plan.nbytes == base
+        assert deciding <= bare + sphere_harmonics._FFT_BLOCK_BYTES + one_tile, (deciding, bare)
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_abandoned_first_pass_leaves_whole_tables(self, counts, monkeypatch, cached):
@@ -470,17 +537,18 @@ class TestStreamedInvariants:
         maps = 2 if cached else 4
         assert counts == {"_legendre_tiles": 1, "_sectoral_seeds": 1, "_tile_maps": maps}
         assert plan.nbytes == whole.nbytes
-        assert (plan._streamed is not None) != cached and (plan._tiles is not None) == cached
+        assert bool(plan._streamed) != cached and (plan._tiles is not None) == cached
         for _ in range(2):
             assert tile_digests(plan) == want
         assert counts["_tile_maps"] == maps
 
-    @pytest.mark.parametrize("L, streamed", [(16, 15), (288, None)])
+    @pytest.mark.parametrize("L, streamed", [(16, 15), (288, None), (540, None)])
     @pytest.mark.parametrize("real", [False, True])
     def test_engine_passes_are_bit_identical(self, monkeypatch, L, streamed, real):
         # both directions on the first pass, on later passes of what it kept
         # and on a plan that keeps nothing; at L = 16, one row and 4 rows in
-        # FFT blocks of 3, whose sums the inverse holds for both blocks
+        # FFT blocks of 3, whose sums the inverse holds for both blocks.  L =
+        # 540 keeps its invariants (7.56 MB), as bounding them by formula did not
         if streamed:
             monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", streamed)
             monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 3 * 16 * L * (2 * L - 1))
@@ -491,30 +559,32 @@ class TestStreamedInvariants:
         else:
             c = rng.uniform(-1, 1, (4, L * L)) + 1j * rng.uniform(-1, 1, (4, L * L))
         plan, bare = SpherePlan(L), SpherePlan(L)
-        monkeypatch.setattr(bare, "_invariant_bound", lambda orders, depth: math.inf)
+        keep_nothing(monkeypatch, bare)
         for rows in (1, 4) if streamed else (1,):
             outputs = []
             for p in (plan, plan, plan, bare):
                 grids = _sht_inverse_batch(c[:rows], p, real)
                 outputs.append((grids.tobytes(), _sht_forward_batch(grids, p).tobytes()))
             assert outputs[1:] == outputs[:1] * 3, rows
-        assert bare._streamed is None and plan._streamed is not None
+        assert bare._streamed == () and plan._streamed
 
     @pytest.mark.slow
     def test_largest_kept_and_smallest_dropped_band_limit(self):
-        # the bound grows with L: the largest L whose all-order pass fits in
-        # _FFT_BLOCK_BYTES keeps its invariants, the next L keeps nothing, and
-        # both yield the same tiles on every pass
-        def bound(L):
+        # the invariants grow with L: the largest L whose tiling's invariants
+        # fit in _FFT_BLOCK_BYTES keeps them (569, 8.36 MB), the next L keeps
+        # nothing, and both yield the same tiles on every pass
+        def keeps(L):
             plan = SpherePlan(L)
-            return plan._invariant_bound(*plan._tile_shape())
+            next(plan.tables())  # decides, then yields the first tile
+            return bool(plan._streamed)
 
         budget = sphere_harmonics._FFT_BLOCK_BYTES
         lo, hi = SpherePlan._CACHE_LIMIT + 1, MAX_BAND_LIMIT
-        assert bound(lo) <= budget < bound(hi)
+        assert keeps(lo) and not keeps(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if bound(mid) <= budget else (lo, mid)
+            lo, hi = (mid, hi) if keeps(mid) else (lo, mid)
+        assert (lo, hi) == (569, 570)
         for L in (lo, hi):
             plan = SpherePlan(L)
             base = plan.nbytes
@@ -562,7 +632,8 @@ class TestStreamedWorkSpace:
         # an inverse of more rows than an FFT block, past the cache, holds
         # beside its output each group's sums for every block of rows, at most
         # _LEGENDRE_BLOCK_BYTES a block; one tile, 8 B D n bytes on the n half
-        # nodes; the later tiles' GEMM scratch of _FOLD_CHUNK_BYTES; and the
+        # nodes; the later tiles' GEMM scratch of one parity of a group's sums
+        # for one block, half a _LEGENDRE_BLOCK_BYTES; and the
         # recurrence state and a tile's gathered coefficients, within half a
         # _LEGENDRE_BLOCK_BYTES (5 arrays of B n doubles, as in
         # test_one_row_table_pass_holds_one_tile).  Measured: 0.983 of the
@@ -584,7 +655,8 @@ class TestStreamedWorkSpace:
         finally:
             tracemalloc.stop()
         blocks = -(-rows // step)
-        bound = grids.nbytes + blocks * legendre + tile + sphere_harmonics._FOLD_CHUNK_BYTES
+        scratch = legendre // 2
+        bound = grids.nbytes + blocks * legendre + tile + scratch
         bound += legendre // 2
         assert peak <= bound, peak / bound
 
@@ -1117,11 +1189,15 @@ class TestValidation:
     @pytest.mark.parametrize("L, m, x", [
         (0, 0, 0.5), (MAX_BAND_LIMIT + 1, 0, 0.5),  # band limit outside [1, 4096]
         (4, 4, 0.5), (4, -1, 0.5),  # order outside [0, L - 1]
+        (6, True, 0.5), (4, 1.5, 0.5), (4, np.float64(2.0), 0.5),  # order not an integer
         (4, 1, 2.0), (4, 1, -1.0000001), (4, 1, math.nan),  # |x| > 1 or NaN
     ])
     def test_legendre_matrix_checks_its_arguments(self, L, m, x):
-        # m = L leaked StopIteration, m = -1 gave -inf and x = 2 zeros
-        with pytest.raises(ValueError, match="must be in|must satisfy"):
+        # m = L leaked StopIteration, m = -1 gave -inf and x = 2 zeros; m = True
+        # gave order 1, and m = 1.5 or np.float64(2.0) a bare TypeError
+        integer = isinstance(m, int) and not isinstance(m, bool)
+        match = "must be in|must satisfy" if integer else "must be an integer"
+        with pytest.raises(ValueError, match=match):
             legendre_matrix(L, m, np.array([0.0, x]))
 
     def test_forward_rejects_plan_of_other_band_limit(self):
