@@ -1,18 +1,30 @@
-"""Recycled storage for the decomposition-sized buffers of flaglet denoising.
+"""Recycled storage for the decomposition buffers of flaglet denoising and for
+the SHT engine's grids and work space.
 
 take(nbytes) hands out a 1-D uint8 array over storage from a free list keyed
 by byte size.  Its base is a memoryview, not an ndarray, so numpy stops
 collapsing .base at it: every split, reshape, slice or .view(dtype) of it
 keeps it alive, and a weakref.finalize puts its storage back on the free
-list only once the last of them is gone.  A warm analysis, container read
-or threshold then writes pages the process already holds, where a fresh
-allocation of that size is a fresh mmap whose every page faults on its
-first write.
+list only once the last of them is gone.  A warm analysis, container read,
+threshold or engine call then writes pages the process already holds, where
+a fresh allocation of that size is a fresh mmap whose every page faults on
+its first write.  The engine takes only buffers of more than
+_FOLD_CHUNK_BYTES and at most _FFT_BLOCK_BYTES (sphere_harmonics._empty):
+larger ones go back to the operating system once freed, so the free list
+never holds a full-size ball grid, and smaller ones the allocator's heap
+serves warm without a fault.
 
-The free list never holds more bytes than the most handed-out bytes live at
-once so far, less those live now, so the recycler never makes the process
-hold more than its own peak.  A miss that would break this rule evicts
-storage first from the size returned least recently.
+The recycler's storage, handed out and free, never passes twice the most
+handed-out bytes live at once so far: a miss that would break this rule
+evicts storage first from the size returned least recently. Once the peak
+alone was the bound, but the engine's buffers come in many sizes that are
+never live at once: at L = 288 multires they are 24.4 MB of storage against
+a peak of 16.4 MB live, so they evicted each other, 4 misses a warm op whose
+pages all faulted (and with every engine buffer recycled, flaglet
+denoising's evicted a 19 MB decomposition buffer every cycle). Under this
+rule all of them stay: a warm sphere-wavelet op at L = 288 faults no page
+where it faulted 4.8-5.4k, and its benchmark peak RSS rose 4.3%, by the
+storage of sizes not live at its peak (BENCH_pr27.json).
 """
 
 from __future__ import annotations
@@ -44,7 +56,7 @@ def take(nbytes: int) -> np.ndarray:
             _counts["misses"] += 1
             peak = max(_counts["peak_live_bytes"], _counts["live_bytes"])
             _counts["peak_live_bytes"] = peak
-            while _counts["held_bytes"] > peak - _counts["live_bytes"]:
+            while _counts["held_bytes"] > 2 * peak - _counts["live_bytes"]:
                 size, oldest = next(iter(_free.items()))
                 oldest.pop(0)
                 if not oldest:

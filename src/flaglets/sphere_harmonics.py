@@ -55,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._buffers import take
 from .quadrature import _check_integer, gauss_legendre
 
 __all__ = [
@@ -96,6 +97,23 @@ _FOLD_CHUNK_BYTES = 1 << 20
 _LEGENDRE_BLOCK_BYTES = 2 << 20
 
 
+def _empty(shape: tuple, dtype) -> np.ndarray:
+    """np.empty(shape, dtype), over recycled storage (flaglets._buffers) when
+    it holds more than _FOLD_CHUNK_BYTES and at most _FFT_BLOCK_BYTES.
+
+    A larger buffer goes back to the operating system once freed: recycled
+    too, the 33.4 MB grid and the 16.8 and 9.4 MB work buffers of a ball
+    round trip at (L, P) = (128, 64) raised its benchmark peak RSS from 166
+    to 192 MB.  A smaller one the allocator's heap serves warm without a
+    fault, and recycled, the 0.5 MB grids of flaglet denoising at L = P = 32
+    made its ops 3.5% slower."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if not _FOLD_CHUNK_BYTES < nbytes <= _FFT_BLOCK_BYTES:
+        return np.empty(shape, dtype)
+    return take(nbytes).view(dtype).reshape(shape)
+
+
 def _check_band_limit(L: int) -> int:
     return _check_integer(L, 1, MAX_BAND_LIMIT, "band limit")
 
@@ -111,12 +129,17 @@ def window_coeffs(coeffs: np.ndarray, window: np.ndarray) -> np.ndarray:
     return coeffs * np.repeat(window, 2 * np.arange(L) + 1, axis=-1)
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _negative_orders(L: int):
-    """Flat indices of (l, -m) and of (l, m) for 1 <= m <= l < L, and (-1)^m."""
+    """Flat indices of (l, -m) and of (l, m) for 1 <= m <= l < L, and (-1)^m,
+    read-only and cached for as many L as plans are (12 L^2 bytes each)."""
     ells = np.repeat(np.arange(L), np.arange(L))  # degree l once for each m = 1..l
     ms = np.arange(ells.size) - ells * (ells - 1) // 2 + 1
     centre = ells * (ells + 1)
-    return centre - ms, centre + ms, 1.0 - 2.0 * (ms % 2)
+    arrays = centre - ms, centre + ms, 1.0 - 2.0 * (ms % 2)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _is_hermitian(coeffs: np.ndarray, L: int) -> bool:
@@ -291,6 +314,13 @@ def _legendre_tiles(L: int, orders: int, depth: int, m_first: int, invariants: t
     made as it goes: each group's (seed_u, box), copied since the recurrence
     steps in its memory, each tile's coefficients, and the nodes x_j repeated
     for `orders` orders, so x u is one contiguous product (27.6 -> 26.5 ms).
+    The reused tile buffer and the scratch are recycled storage when their
+    size allows (_empty), so a warm pass faults no page; a whole group's
+    tile, which a cached plan keeps, is a plain array.  A rescale is tested for only once a scalar bound
+    on the box, grown step by step by the largest coefficients of the tile,
+    may pass _RESCALE_THRESHOLD, so rescales fire at the same steps as a test
+    on every step would: a pass at L = 288 reads the box 0 times, not 362,
+    and at 1024 181 times, not 7,618.
     """
     seeds, coeffs, nodes = iter(invariants[0]), iter(invariants[1]), invariants[2]
     n, whole = nodes.shape[1], depth >= L - m_first
@@ -305,19 +335,26 @@ def _legendre_tiles(L: int, orders: int, depth: int, m_first: int, invariants: t
                 scale = np.exp(c_box)  # recomputed only when a rescale fires
                 ms = np.arange(m0, m0 + nb, dtype=np.float64)
                 if buf is None or whole:  # the first group is the largest
-                    axes = (0, 1, 2) if whole else (1, 0, 2)
-                    buf = np.empty([(nb, dk, n)[i] for i in axes]).transpose(axes)
-                    scratch = np.empty((nb, n))
+                    axes, empty = ((0, 1, 2), np.empty) if whole else ((1, 0, 2), _empty)
+                    buf = empty(tuple((nb, dk, n)[i] for i in axes), np.float64).transpose(axes)
+                    scratch = empty((nb, n), np.float64)
                 u_prev, u_cur = None, seed_u.copy()
+                top = np.abs(u_cur[r0:, c0:c1]).max(initial=0.0)
             tile = buf[:nb, :dk]
             a, b = next(coeffs)
             lo = max(k0, 2)
+            # the box's |u| is read only once `top`, a bound on it, may pass the
+            # threshold: |a (x u - b u_prev)| <= a_k (|u| + b_k |u_prev|) for
+            # |x| <= 1, a_k and b_k the step's largest, a_k raised to cover roundings
+            a_top = (a.max(axis=(1, 2)) * (1.0 + 1e-12)).tolist()
+            b_top = b.max(axis=(1, 2)).tolist()
             for k in range(k0, k0 + dk):
                 run = min(nb, L - m0 - k)  # orders with degree m + k <= L - 1
                 row, x_cur = tile[:, k - k0], scratch[:run]
                 if k == 1:
                     np.multiply(np.sqrt(2.0 * ms[:run] + 3.0)[:, None], nodes[:run], out=x_cur)
                     u_prev, u_cur = u_cur, x_cur * u_cur[:run]
+                    top_prev, top = top, top * math.sqrt(2.0 * ms[-1] + 3.0) * (1.0 + 1e-12)
                 elif k >= 2:
                     # u_prev <- a (x u_cur - b u_prev) in place, then swap
                     u_prev, u_cur = u_prev[:run], u_cur[:run]
@@ -326,13 +363,19 @@ def _legendre_tiles(L: int, orders: int, depth: int, m_first: int, invariants: t
                     np.subtract(x_cur, u_prev, out=u_prev)
                     np.multiply(a[k - lo, :run], u_prev, out=u_prev)
                     u_prev, u_cur = u_cur, u_prev
-                    if r0 < run and np.abs(u_cur[r0:, c0:c1]).max() > _RESCALE_THRESHOLD:
-                        big = np.abs(u_cur[r0:, c0:c1]) > _RESCALE_THRESHOLD
-                        f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
-                        u_cur[r0:, c0:c1] *= f
-                        u_prev[r0:, c0:c1] *= f
-                        c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
-                        scale = np.exp(c_box)
+                    top_prev, top = top, a_top[k - lo] * (top + b_top[k - lo] * top_prev)
+                    if r0 < run and top > _RESCALE_THRESHOLD:
+                        box = np.abs(u_cur[r0:, c0:c1])
+                        top = box.max()
+                        if top > _RESCALE_THRESHOLD:
+                            big = box > _RESCALE_THRESHOLD
+                            f = np.where(big, 1.0 / _RESCALE_THRESHOLD, 1.0)
+                            u_cur[r0:, c0:c1] *= f
+                            u_prev[r0:, c0:c1] *= f
+                            c_box = c_box[: run - r0] + np.where(big, _RESCALE_LOG, 0.0)
+                            scale = np.exp(c_box)
+                            top = np.abs(u_cur[r0:, c0:c1]).max()
+                            top_prev = np.abs(u_prev[r0:, c0:c1]).max()
                 row[:run] = u_cur[:run]
                 row[run:] = 0.0
                 if r0 < run:
@@ -595,6 +638,11 @@ def _sht_forward_batch(
     the +m ones, so they are exactly Hermitian.  Past the table cache the
     tiles are regenerated per block of grids, since generating them once
     would hold a full-size Fourier copy.
+
+    The output and the columns-and-work buffer are recycled storage (_empty)
+    when their size allows: at L = 288 the 6.3 MB work buffer faulted 1.4k
+    pages a call when it was allocated anew.
+    The returned coefficients keep their storage alive through their views.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
@@ -602,7 +650,7 @@ def _sht_forward_batch(
     real = not any(map(np.iscomplexobj, grids))
     S = 1 if real else 2
     step = min(_fft_block_grids(L), max(len(grids), 1))
-    out = np.empty((len(grids) if windows is None else step, L * L), dtype=np.complex128)
+    out = _empty((len(grids) if windows is None else step, L * L), np.complex128)
     rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step)))
     # one allocation holds a block's columns[m, j, s, r] (order m, folded row j,
     # sign s, grid r) and the work space for a chunk of folded rows or a tile's
@@ -614,7 +662,7 @@ def _sht_forward_batch(
     ncols = L * L * S * step
     proj_size = orders * ((depth + 1) // 2) * S * step
     fold_size = rows * step * ((nphi + 1) // 2 + L if real else nphi)
-    buf = np.empty(ncols + max(fold_size, 2 * proj_size), dtype=np.complex128)
+    buf = _empty((ncols + max(fold_size, 2 * proj_size),), np.complex128)
     work = buf[ncols:]
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
@@ -693,12 +741,18 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     reuse one block's sums.  After a group's last tile f(+-x) = S_even +-
     S_odd is written into its orders' Fourier columns once, which are then
     signed, scaled and inverse-FFT'd: in place, or for real rows from the
-    m >= 0 half spectrum by irfft.
+    m >= 0 half spectrum by irfft into a grid of their own.
+
+    The grids, the half spectrum of real rows, and the sums and scratch are
+    recycled storage (_empty) when their size allows: with the streamed tile
+    buffer of _legendre_tiles they faulted 1.5-2.0k pages a call at L = 288
+    when allocated anew (a 5.3 MB complex grid, a 2.8 MB tile).  The returned
+    grids keep their storage alive through their views.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, S = L - half, 1 if real else 2
     rows = coeffs.reshape(-1, L * L)
-    g = np.empty((rows.shape[0], L, L if real else nphi), dtype=np.complex128)
+    g = _empty((rows.shape[0], L, L if real else nphi), np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
     step = min(_fft_block_grids(L), max(len(rows), 1))
     per_order, buf = nh * S * step, None
@@ -711,7 +765,7 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
             tiled = dk < L
             stride = 2 * nb * per_order if tiled else 0
             blocks = -(-len(rows) // step) if tiled else 1
-            buf = np.empty((2 * blocks + tiled) * nb * per_order, dtype=np.complex128)
+            buf = _empty(((2 * blocks + tiled) * nb * per_order,), np.complex128)
             scratch = buf[2 * nb * blocks * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
@@ -741,7 +795,8 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
                     np.subtract(even, odd, out=south[here, :, cols].transpose(1, 0, 2))
     g *= plan.signs[: g.shape[-1]] / math.sqrt(2.0 * np.pi)
     if real:
-        g = np.fft.irfft(g, n=nphi, axis=-1, norm="forward")
+        real_g = _empty((rows.shape[0], L, nphi), np.float64)
+        g = np.fft.irfft(g, n=nphi, axis=-1, norm="forward", out=real_g)
     else:
         np.fft.ifft(g, axis=-1, norm="forward", out=g)
     return g.reshape(coeffs.shape[:-1] + (L, nphi))

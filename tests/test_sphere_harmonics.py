@@ -1,5 +1,6 @@
 """Exact spherical harmonic transform on the Gauss-Legendre grid."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flaglets import sphere_harmonics
+from flaglets import _buffers, sphere_harmonics
 from flaglets.flag_transform import BandLimits, FlagCoeffs, flag_forward, flag_inverse
 from flaglets.kernel_tiling import TilingParams, build_sphere_kernels
 from flaglets.sphere_harmonics import (
@@ -598,7 +599,7 @@ class TestStreamedInvariants:
 
 
 class TestStreamedWorkSpace:
-    def test_one_row_table_pass_holds_one_tile(self):
+    def test_one_row_table_pass_holds_one_tile(self, drain_recycler):
         # past the cache a pass steps groups of B orders in tiles of D degrees
         # in one reused buffer.  Its tracemalloc peak is one tile, 8 B D n bytes
         # on the n half nodes, at most _FFT_BLOCK_BYTES; plus 5 arrays of B n
@@ -615,6 +616,7 @@ class TestStreamedWorkSpace:
         assert (8 * orders * depth * n, 8 * orders * n) == (tile, state)
         for _ in range(2):  # the first pass keeps the invariants, the second steps
             base = plan.nbytes
+            drain_recycler()
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]
@@ -628,7 +630,7 @@ class TestStreamedWorkSpace:
         assert kept == 0 and plan._streamed
 
     @pytest.mark.parametrize("L", [257, 300])
-    def test_many_row_inverse_holds_a_group_of_sums_per_block_of_rows(self, L):
+    def test_many_row_inverse_holds_a_group_of_sums_per_block_of_rows(self, L, drain_recycler):
         # an inverse of more rows than an FFT block, past the cache, holds
         # beside its output each group's sums for every block of rows, at most
         # _LEGENDRE_BLOCK_BYTES a block; one tile, 8 B D n bytes on the n half
@@ -647,6 +649,7 @@ class TestStreamedWorkSpace:
         orders, depth = plan._tile_shape()
         tile = 8 * orders * depth * (L - L // 2)
         legendre = sphere_harmonics._LEGENDRE_BLOCK_BYTES
+        drain_recycler()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -661,7 +664,7 @@ class TestStreamedWorkSpace:
         assert peak <= bound, peak / bound
 
     @pytest.mark.slow
-    def test_one_row_passes_hold_about_three_grids(self):
+    def test_one_row_passes_hold_about_three_grids(self, drain_recycler):
         # past the cache a pass holds a tile of groups of orders tiled in
         # degrees (at most _FFT_BLOCK_BYTES), the recurrence state and,
         # forward, the weighted Fourier columns of every order; all told
@@ -671,11 +674,13 @@ class TestStreamedWorkSpace:
         grid_bytes = 16 * L * (2 * L - 1)
         plan = SpherePlan(L)
         c = random_coeffs(L, np.random.default_rng(1024)).coeffs[None]
+        drain_recycler()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
             grids = _sht_inverse_batch(c, plan, False)
             inverse = tracemalloc.get_traced_memory()[1] - start - grids.nbytes
+            drain_recycler()
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             back = _sht_forward_batch(grids, plan)
@@ -688,7 +693,7 @@ class TestStreamedWorkSpace:
 
 
 class TestForwardWorkSpace:
-    def test_cached_forward_holds_its_block_of_columns_and_one_work_buffer(self):
+    def test_cached_forward_holds_its_block_of_columns_and_one_work_buffer(self, drain_recycler):
         # at L = 32 one block of 32 grids holds every order's weighted columns
         # (1 MiB) and the work space for a fold chunk or the first tile's
         # projections and stored degrees (1 MiB): within 2% of the 2.37 MiB
@@ -704,6 +709,7 @@ class TestForwardWorkSpace:
         try:
             # the same grids as one array and as a list, which is never stacked
             for batch in (grids, list(grids)):
+                drain_recycler()
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 out = _sht_forward_batch(batch, plan)
@@ -717,7 +723,7 @@ class TestForwardWorkSpace:
         # a block, where an array's block is a view (measured 96 bytes)
         assert listed <= array + 8 * n, (listed, array)
 
-    def test_windowed_sum_holds_one_block_of_coefficient_rows(self, monkeypatch):
+    def test_windowed_sum_holds_one_block_of_coefficient_rows(self, monkeypatch, drain_recycler):
         # 12 grids in FFT blocks of 4: summing their windowed coefficients
         # holds what one block's call does, its 4 output rows included, plus
         # one row's window_coeffs temporaries (24 L^2 bytes; measured 2 KiB
@@ -734,6 +740,7 @@ class TestForwardWorkSpace:
         tracemalloc.start()
         try:
             for args in ((grids[:4],), (grids, windows, total)):
+                drain_recycler()
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 _sht_forward_batch(args[0], plan, *args[1:])
@@ -742,6 +749,42 @@ class TestForwardWorkSpace:
             tracemalloc.stop()
         block, windowed = peaks
         assert windowed <= block + 24 * L * L, (windowed, block)
+
+
+class TestRecycledWorkSpace:
+    @pytest.mark.parametrize("rows, recycled", [(1, False), (3, True), (16, True), (17, False)])
+    def test_a_grid_is_recycled_storage_past_a_fold_chunk_up_to_an_fft_block(self, rows, recycled):
+        # at L = 128 one complex grid is 522,240 bytes, within
+        # _FOLD_CHUNK_BYTES, 16 are 8,355,840 bytes, within _FFT_BLOCK_BYTES,
+        # and 17 pass it: 1 and 17 grids stay plain allocations
+        L = 128
+        c = np.random.default_rng(rows).uniform(-1, 1, (rows, L * L)) + 0j
+        plan = get_plan(L)
+        gc.collect()
+        live = _buffers.stats()["live_bytes"]
+        grids = _sht_inverse_batch(c, plan, False)
+        limits = (sphere_harmonics._FOLD_CHUNK_BYTES, sphere_harmonics._FFT_BLOCK_BYTES)
+        assert (limits[0] < grids.nbytes <= limits[1]) == recycled
+        assert _buffers.stats()["live_bytes"] - live == (grids.nbytes if recycled else 0)
+
+    @pytest.mark.parametrize("L", [16, 20])
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_buffers_past_an_fft_block_leave_the_recycler_alone(self, monkeypatch, L, real):
+        # with _FFT_BLOCK_BYTES at 0 every grid and work buffer passes it, so
+        # an inverse and a forward, cached (L = 16) or streamed (L = 20), leave
+        # the free list and the recycler's counts as they were (_FOLD_CHUNK_BYTES
+        # at 0 too, so that no buffer is too small to recycle)
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 0)
+        monkeypatch.setattr(sphere_harmonics, "_FOLD_CHUNK_BYTES", 0)
+        monkeypatch.setattr(SpherePlan, "_CACHE_LIMIT", 17)
+        rng = np.random.default_rng(L)
+        c = hermitian_coeffs(rng, L, (3,)) if real else rng.uniform(-1, 1, (3, L * L)) + 0j
+        plan = SpherePlan(L)
+        gc.collect()
+        before = _buffers.stats()
+        back = _sht_forward_batch(_sht_inverse_batch(c, plan, real), plan)
+        assert _buffers.stats() == before
+        assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
 
 
 class TestForwardBatchInput:
@@ -1112,6 +1155,7 @@ class TestRealFields:
         plan = SpherePlan(L)
         _sht_forward_batch(rng.uniform(-1, 1, (1, L, 2 * L - 1)) + 0j, plan)
         grid = rng.uniform(-1, 1, (L, 2 * L - 1))
+        sphere_harmonics._negative_orders(L)  # cached per L, not per plan
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
