@@ -21,7 +21,7 @@ except ImportError:  # not on every platform
 
 import numpy as np
 
-from . import _buffers
+from . import _buffers, sphere_harmonics
 from .flag_transform import (
     BallGrid,
     BandLimits,
@@ -174,8 +174,9 @@ def cmd_roundtrip(args) -> int:
 
 def _plan_report(bands, tau: float) -> dict:
     """Hits, misses and size of the sphere-plan and the radial-plan caches,
-    the bytes held by the plans of the (L, P) limits in `bands`, and the
-    bytes the buffer recycler holds free with its hits and misses."""
+    the bytes held by the plans of the (L, P) limits in `bands`, the bytes
+    the buffer recycler holds free with its hits and misses, and the most
+    workers (shares of rows on threads) one SHT engine call has run on."""
     info, flag_info = get_plan.cache_info(), get_flag_plan.cache_info()
     recycler = _buffers.stats()
     angular, radial = {L for L, _ in bands}, {P for _, P in bands}
@@ -191,6 +192,7 @@ def _plan_report(bands, tau: float) -> dict:
         "recycler_held_bytes": recycler["held_bytes"],
         "recycler_hits": recycler["hits"],
         "recycler_misses": recycler["misses"],
+        "engine_workers": sphere_harmonics._most_shares,
     }
 
 

@@ -15,6 +15,7 @@ analysis, synthesis and the container format alike.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import sphere_harmonics
 from .flag_transform import BandLimits, get_flag_plan
 from .quadrature import _check_integer, gauss_legendre
 from .sphere_harmonics import SpherePlan, _check_band_limit, get_plan
@@ -123,6 +125,16 @@ def flaglet_parts(limits: BandLimits, params: TilingParams, multires: bool):
     return keys, [(L, P), *bands]
 
 
+def _made_once(plans: dict, multires: bool, make):
+    """plans[multires], made by make(multires) on first use under the
+    engine's build lock, so threads that ask for it together make it once."""
+    if multires not in plans:
+        with sphere_harmonics._build_lock:
+            if multires not in plans:
+                plans[multires] = make(multires)
+    return plans[multires]
+
+
 class AngularGroup(NamedTuple):
     """One angular transform of a decomposition: its window on the degrees
     below its band limit (one for its FlagletParts, or one row per sphere part
@@ -162,18 +174,18 @@ class SphereKernels:
     def group_plan(self, multires: bool) -> list[AngularGroup]:
         """Runs of parts sharing a band limit, in storage order: their windows
         below it stacked (n, band), its SpherePlan and their names."""
-        multires = bool(multires)
-        if multires not in self._group_plans:
-            names = ["scaling", *range(self.j0, self.jmax + 1)]
-            windows = [self.eta, *self.kappas]
-            groups, start = [], 0
-            for band, run in itertools.groupby(sphere_part_bands(self.L, self.params, multires)):
-                part = slice(start, start + len(list(run)))
-                window = np.stack([w[:band] for w in windows[part]])
-                groups.append(AngularGroup(window, get_plan(band), names[part]))
-                start = part.stop
-            self._group_plans[multires] = groups
-        return self._group_plans[multires]
+        return _made_once(self._group_plans, bool(multires), self._group_plan)
+
+    def _group_plan(self, multires: bool) -> list[AngularGroup]:
+        names = ["scaling", *range(self.j0, self.jmax + 1)]
+        windows = [self.eta, *self.kappas]
+        groups, start = [], 0
+        for band, run in itertools.groupby(sphere_part_bands(self.L, self.params, multires)):
+            part = slice(start, start + len(list(run)))
+            window = np.stack([w[:band] for w in windows[part]])
+            groups.append(AngularGroup(window, get_plan(band), names[part]))
+            start = part.stop
+        return groups
 
 
 class FlagletPart(NamedTuple):
@@ -233,10 +245,7 @@ class FlagletKernels:
 
     def part_plan(self, multires: bool) -> FlagletPartPlan:
         """The part plan of the multiresolution (or full-resolution) layout."""
-        multires = bool(multires)
-        if multires not in self._part_plans:
-            self._part_plans[multires] = _part_plan(self, multires)
-        return self._part_plans[multires]
+        return _made_once(self._part_plans, bool(multires), functools.partial(_part_plan, self))
 
 
 def _part_plan(kernels: FlagletKernels, multires: bool) -> FlagletPartPlan:

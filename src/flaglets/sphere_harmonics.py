@@ -43,6 +43,20 @@ float64, takes an rfft, projects the m >= 0 columns only and makes the -m
 coefficients from the +m ones; the inverse gathers m >= 0 only and takes an
 irfft of the half spectrum.  That halves the FFT work, the GEMM columns and
 the scatter, and a real grid is half the bytes of a complex one.
+
+The shells (rows) of a batch are independent, so an engine call of more
+than one FFT block of rows splits them into shares, each a run of whole
+blocks, one per usable core (the process's CPU affinity, as taskset sets
+it): the calling thread runs the first share and a lazily made thread pool
+the others, each with its own work space and table pass, into its own rows
+of one output.  Every block is the block one share makes, so the output has
+the same bytes on any number of cores.  A call of one block, and a windowed
+sum, run inline and start no thread.  On 2 vCPUs an engine inverse then
+forward of 64 complex shells at L = 128 took 139 -> 75 ms (one run; 182 -> 97
+in another, as the host's speed drifts), and the benchmark's ball round trip
+peaked at 174 MB of RSS, not 166, with a second share's work space.  numpy's
+BLAS and FFT calls release the GIL, but BLAS threads of its own compete with
+the shares for the cores: run BLAS on one thread (OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -50,7 +64,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +112,93 @@ _FOLD_CHUNK_BYTES = 1 << 20
 # a cached plan steps blocks of this many bytes of table values in lock step;
 # past the cache a group of orders holds at most this many bytes of inverse sums
 _LEGENDRE_BLOCK_BYTES = 2 << 20
+
+
+# taken to build what a plan or kernels keep on first use, and to look up a
+# plan, so that threads which reach a fresh one together build it once;
+# re-entrant, since building kernels' plans looks up sphere plans
+_build_lock = threading.RLock()
+
+# (threads, executor) that run all but the first share of an engine call,
+# made on the first call of more than one share and grown when a call needs
+# more threads; a forked child starts without it (_after_fork_in_child)
+_pool = None
+_pool_lock = threading.Lock()
+
+# the most shares one engine call has run on in this process
+_most_shares = 0
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity (taskset), where the
+    platform has one, else every core."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _after_fork_in_child() -> None:
+    """A forked child has only the forking thread: its copy of the pool would
+    queue shares that no thread runs, and a lock another thread held stays
+    held.  Start it with no pool and fresh locks."""
+    global _pool, _pool_lock, _build_lock
+    _pool, _pool_lock, _build_lock = None, threading.Lock(), threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
+def _share_bounds(rows: int, step: int) -> list[int]:
+    """Row bounds of the shares of an engine call of `rows` rows in blocks of
+    `step`: one share per usable core, never more than the call's blocks,
+    each a run of whole blocks, so every block is the one a single share
+    would make, and the output the same bytes."""
+    blocks = -(-rows // step)
+    shares = min(_usable_cores(), blocks) if blocks > 1 else 1
+    return [min(rows, i * blocks // shares * step) for i in range(shares + 1)]
+
+
+def _run_shares(start, rows: int, step: int) -> None:
+    """Run the shares of an engine call (_share_bounds): start(lo, hi) is
+    called on this thread for the rows lo:hi of each share in turn and
+    returns a function of no arguments that does its work, which this thread
+    runs for the first share and the pool's threads for the others.  A call
+    of one share runs inline and starts no thread.
+
+    start() takes a share's work space on this thread: taken on a pool
+    thread, it came from that thread's malloc arena, which kept the freed
+    10.5 MB forward buffer of a ball round trip at (L, P) = (128, 64), and
+    the benchmark's round trip there peaked at 179 MB of RSS, not 174 (166
+    on one share).  At interpreter exit, when no thread may start, every
+    share runs on this thread."""
+    global _pool, _most_shares
+    bounds = _share_bounds(rows, step)
+    jobs = [start(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    futures = None
+    with _pool_lock:
+        _most_shares = max(_most_shares, len(jobs))
+        if len(jobs) > 1:
+            if _pool is None or _pool[0] < len(jobs) - 1:
+                if _pool is not None:
+                    _pool[1].shutdown(wait=False)
+                threads = len(jobs) - 1
+                _pool = threads, ThreadPoolExecutor(threads, thread_name_prefix="flaglets-sht")
+            try:
+                futures = [_pool[1].submit(job) for job in jobs[1:]]
+            except RuntimeError:  # the interpreter is shutting down
+                pass
+    if futures is None:
+        for job in jobs:
+            job()
+        return
+    try:
+        jobs[0]()
+    finally:
+        wait(futures)  # no share outlives the call, even when one fails
+    for future in futures:
+        future.result()
 
 
 def _empty(shape: tuple, dtype) -> np.ndarray:
@@ -550,6 +654,24 @@ class SpherePlan:
         arrays = (self.rule.nodes, self.rule.weights, self.signs, self.fold_weights)
         return _nbytes((arrays, self._tiles, self._streamed))
 
+    def _prepare(self) -> None:
+        """Make what the plan keeps, once: a cached plan's tiles and maps (its
+        one table pass), or what _kept_tiling decides to keep past the cache
+        (no pass).  Under _build_lock, so threads that reach a fresh plan
+        together build it once; afterwards tables() only reads the plan, and
+        the engine's shares read it from several threads."""
+        cached = self.L <= self._CACHE_LIMIT
+        if (self._tiles if cached else self._streamed) is not None:
+            return
+        with _build_lock:
+            L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
+            if cached and self._tiles is None:
+                tiles = _legendre_tiles(L, *shape, 0, _pass_invariants(L, nodes, *shape))
+                maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
+                self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
+            elif not cached and self._streamed is None:
+                self._streamed = self._kept_tiling(nodes, *shape)
+
     def tables(self):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
 
@@ -558,16 +680,11 @@ class SpherePlan:
         each overwritten by the next one, from what _kept_tiling decided once
         to keep, or from seeds, coefficients and maps made as the pass goes.
         """
-        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
-        if L <= self._CACHE_LIMIT:
-            if self._tiles is None:
-                tiles = _legendre_tiles(L, *shape, 0, _pass_invariants(L, nodes, *shape))
-                maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
-                self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
+        self._prepare()
+        if self.L <= self._CACHE_LIMIT:
             yield from self._tiles
             return
-        if self._streamed is None:
-            self._streamed = self._kept_tiling(nodes, *shape)
+        L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
         kept, maps = self._streamed or (
             _pass_invariants(L, nodes, *shape),
             itertools.starmap(self._tile_maps, _tile_geometry(L, *shape)),
@@ -584,9 +701,10 @@ def get_plan(L: int) -> SpherePlan:
     """The plan for L: the cache holds _PLAN_CACHE_SIZE plans, and a plan it
     evicted is returned while something else (kernels) still holds it, so
     each L has at most one live plan from here."""
-    plan = _live_plans.get(L)
-    if plan is None:
-        plan = _live_plans[L] = SpherePlan(L)
+    with _build_lock:
+        plan = _live_plans.get(L)
+        if plan is None:
+            plan = _live_plans[L] = SpherePlan(L)
     return plan
 
 
@@ -624,7 +742,57 @@ def _sht_forward_batch(
     With `windows` (n, L) it adds each grid's coefficients times its window
     to `total` (L^2,) in grid order instead, holding one block's rows, and
     returns `total`.  The grids, an array or a list, are never copied, and
-    real when none is complex.  Per block of grids, chunks of at most
+    real when none is complex.  They are taken in blocks of at most
+    _fft_block_grids(L), and the blocks of a plain call in shares, each a
+    run of whole blocks, one per usable core (_run_shares): each share folds,
+    FFTs, copies columns, projects and scatters its own blocks into its own
+    rows of the output, with a work space of its own, so the output has the
+    bytes of one share.  A windowed sum runs as one share, in grid order.
+    The plan's lazy tables are made before the shares start (_prepare).
+    See _forward_blocks for a share's steps.
+    """
+    L = plan.L
+    real = not any(map(np.iscomplexobj, grids))
+    step = min(_fft_block_grids(L), max(len(grids), 1))
+    plan._prepare()
+    if windows is not None:
+        out = _empty((step, L * L), np.complex128)
+        space = _forward_space(plan, real, step)
+        _forward_blocks(grids, plan, real, step, out, space, windows, total)
+        return total
+    out = _empty((len(grids), L * L), np.complex128)
+
+    def start(lo: int, hi: int):
+        space = _forward_space(plan, real, min(step, max(hi - lo, 1)))
+        return lambda: _forward_blocks(grids[lo:hi], plan, real, step, out[lo:hi], space)
+
+    _run_shares(start, len(grids), step)
+    return out
+
+
+def _forward_space(plan: SpherePlan, real: bool, width: int):
+    """(rows, buffer) of a forward share whose largest block holds `width`
+    grids: the rows of a fold chunk, and one allocation that holds a block's
+    columns[m, j, s, r] (order m, folded row j, sign s, grid r) and the work
+    space for a chunk of folded rows or a tile's projections and stored
+    degrees (the first tile's are the largest).  Two allocations of about a
+    grid block each upset glibc's dynamic mmap threshold: a cold L = P = 32
+    flaglet denoising pass faulted 56k pages, not 39k.  A real chunk is
+    folded in float64 and its L rfft columns written after it."""
+    L, nphi, S = plan.L, 2 * plan.L - 1, 1 if real else 2
+    rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * width)))
+    orders, depth = plan._tile_shape()
+    proj_size = orders * ((depth + 1) // 2) * S * width
+    fold_size = rows * width * ((nphi + 1) // 2 + L if real else nphi)
+    return rows, _empty((L * L * S * width + max(fold_size, 2 * proj_size),), np.complex128)
+
+
+def _forward_blocks(grids, plan: SpherePlan, real: bool, step: int, out, space, windows=None, total=None):
+    """The forward SHT of `grids` in blocks of `step` into the rows of `out`,
+    or windowed into `total` through one block's rows of `out`, in the
+    work `space` of _forward_space.
+
+    Per block of grids, chunks of at most
     _FOLD_CHUNK_BYTES of rows are folded about the equator grid by grid,
     f(x) + f(-x) then f(x) - f(-x) on the half nodes, FFT'd along their
     contiguous last axis, and the Fourier columns of every order copied out
@@ -647,23 +815,9 @@ def _sht_forward_batch(
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
-    real = not any(map(np.iscomplexobj, grids))
     S = 1 if real else 2
-    step = min(_fft_block_grids(L), max(len(grids), 1))
-    out = _empty((len(grids) if windows is None else step, L * L), np.complex128)
-    rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * step)))
-    # one allocation holds a block's columns[m, j, s, r] (order m, folded row j,
-    # sign s, grid r) and the work space for a chunk of folded rows or a tile's
-    # projections and stored degrees (the first tile's are the largest).  Two
-    # allocations of about a grid block each upset glibc's dynamic mmap
-    # threshold: a cold L = P = 32 flaglet denoising pass faulted 56k pages, not 39k.
-    # A real chunk is folded in float64 and its L rfft columns written after it
-    orders, depth = plan._tile_shape()
-    ncols = L * L * S * step
-    proj_size = orders * ((depth + 1) // 2) * S * step
-    fold_size = rows * step * ((nphi + 1) // 2 + L if real else nphi)
-    buf = _empty((ncols + max(fold_size, 2 * proj_size),), np.complex128)
-    work = buf[ncols:]
+    rows, buf = space
+    work = buf[L * L * S * min(step, max(len(grids), 1)) :]
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
@@ -718,7 +872,6 @@ def _sht_forward_batch(
             _fill_negative_orders(coeffs, L)
         for c, w in zip(coeffs, [] if windows is None else windows[start : start + n]):
             total += window_coeffs(c, w)
-    return out if windows is None else total
 
 
 def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.ndarray:
@@ -726,9 +879,55 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     float64 when `real` says the rows are Hermitian (_is_hermitian), complex
     otherwise.
 
+    The rows are taken in blocks of at most _fft_block_grids(L), and the
+    blocks in shares, each a run of whole blocks, one per usable core
+    (_run_shares).  Each share makes its own table pass over its own blocks
+    and writes their grids into its rows of the one output, so the output
+    has the bytes of one share; the plan's lazy tables are made before the
+    shares start (_prepare).  See _inverse_blocks for a share's steps.  The
+    returned grids keep their storage alive through their views.
+    """
+    L = plan.L
+    rows = coeffs.reshape(-1, L * L)
+    step = min(_fft_block_grids(L), max(len(rows), 1))
+    plan._prepare()
+    # real rows are unfolded into their m >= 0 half spectrum, then irfft'd
+    spectrum = _empty((len(rows), L, L), np.complex128) if real else None
+    grids = _empty((len(rows), L, 2 * L - 1), np.float64 if real else np.complex128)
+    spectrum = grids if spectrum is None else spectrum
+
+    def start(lo: int, hi: int):
+        sums = _inverse_sums(plan, real, step, hi - lo)
+        return lambda: _inverse_blocks(
+            rows[lo:hi], plan, real, step, spectrum[lo:hi], grids[lo:hi], sums
+        )
+
+    _run_shares(start, len(rows), step)
+    return grids.reshape(coeffs.shape[:-1] + (L, 2 * L - 1))
+
+
+def _inverse_sums(plan: SpherePlan, real: bool, step: int, n: int) -> np.ndarray:
+    """One allocation for an inverse share of n rows in blocks of `step`: the
+    first (largest) group's sums and, for a tiled group, its sums for every
+    block of rows and the later tiles' scratch of one parity's sums for one
+    block (_inverse_blocks)."""
+    L = plan.L
+    _, _, nb, dk = next(_tile_geometry(L, *plan._tile_shape()))
+    tiled = dk < L
+    blocks = -(-n // step) if tiled else 1
+    per_order = (L - plan.half) * (1 if real else 2) * min(step, max(n, 1))
+    return _empty(((2 * blocks + tiled) * nb * per_order,), np.complex128)
+
+
+def _inverse_blocks(rows: np.ndarray, plan: SpherePlan, real: bool, step: int, g, grids, buf):
+    """The inverse SHT of `rows` (n, L^2) in blocks of `step` into `grids`
+    (n, L, 2L-1), through `g`, their m >= 0 half spectrum (n, L, L) for real
+    rows and `grids` itself for complex ones, with the sums `buf` of
+    _inverse_sums.
+
     A tile from k0 = 0 starts a group of orders; the later tiles of a pass
-    hold those of its orders that still run.  For each tile and block of at
-    most _fft_block_grids rows, the tile's maps gather the +m and -m
+    hold those of its orders that still run.  For each tile and block of
+    rows, the tile's maps gather the +m and -m
     coefficients of each parity (S = 2), or only the +m ones of real rows
     (S = 1), and one stacked GEMM per parity synthesises the even and odd
     sums S_even, S_odd on the half nodes into the order-major buffer
@@ -736,36 +935,28 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     later tile adds its GEMM there through a scratch of one parity's sums of
     the group for one block of rows.  Past the cache a group has several
     tiles, so the buffer holds its sums for every block of rows, each block
-    at its own offset: a call makes one table pass, and gives the bytes of
+    at its own offset: a share makes one table pass, and gives the bytes of
     one call per block.  A cached plan's groups are one tile each, which
     reuse one block's sums.  After a group's last tile f(+-x) = S_even +-
     S_odd is written into its orders' Fourier columns once, which are then
     signed, scaled and inverse-FFT'd: in place, or for real rows from the
-    m >= 0 half spectrum by irfft into a grid of their own.
+    half spectrum by irfft into `grids`.
 
     The grids, the half spectrum of real rows, and the sums and scratch are
     recycled storage (_empty) when their size allows: with the streamed tile
     buffer of _legendre_tiles they faulted 1.5-2.0k pages a call at L = 288
-    when allocated anew (a 5.3 MB complex grid, a 2.8 MB tile).  The returned
-    grids keep their storage alive through their views.
+    when allocated anew (a 5.3 MB complex grid, a 2.8 MB tile).
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, S = L - half, 1 if real else 2
-    rows = coeffs.reshape(-1, L * L)
-    g = _empty((rows.shape[0], L, L if real else nphi), np.complex128)
     north, south = g[:, half:], g[:, nh - 1 :: -1]
-    step = min(_fft_block_grids(L), max(len(rows), 1))
-    per_order, buf = nh * S * step, None
+    per_order, stride = nh * S * min(step, max(len(rows), 1)), None
     for m0, k0, tile, maps in plan.tables():
         nb, dk = tile.shape[:2]
-        if buf is None:
-            # one allocation for the first (largest) group's sums and, for a
-            # tiled group, its sums for every block of rows at `stride` and the
-            # later tiles' scratch of one parity's sums for one block
+        if stride is None:  # the first (largest) group: its sums for each block at `stride`
             tiled = dk < L
             stride = 2 * nb * per_order if tiled else 0
             blocks = -(-len(rows) // step) if tiled else 1
-            buf = _empty(((2 * blocks + tiled) * nb * per_order,), np.complex128)
             scratch = buf[2 * nb * blocks * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
@@ -795,11 +986,9 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
                     np.subtract(even, odd, out=south[here, :, cols].transpose(1, 0, 2))
     g *= plan.signs[: g.shape[-1]] / math.sqrt(2.0 * np.pi)
     if real:
-        real_g = _empty((rows.shape[0], L, nphi), np.float64)
-        g = np.fft.irfft(g, n=nphi, axis=-1, norm="forward", out=real_g)
+        np.fft.irfft(g, n=nphi, axis=-1, norm="forward", out=grids)
     else:
         np.fft.ifft(g, axis=-1, norm="forward", out=g)
-    return g.reshape(coeffs.shape[:-1] + (L, nphi))
 
 
 def _plan_for(L: int, plan: SpherePlan | None) -> SpherePlan:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from flaglets import _buffers, cli
+from flaglets import _buffers, cli, sphere_harmonics
 from flaglets.cli import main
 from flaglets.flag_transform import flag_forward, get_flag_plan
 from flaglets.io_container import read_container
@@ -379,8 +379,9 @@ class TestBench:
 
 class TestPlanReport:
     """roundtrip and bench report the sphere-plan and the radial-plan caches,
-    the bytes held by the plans of the band limits they used, and the buffer
-    recycler's free bytes, hits and misses."""
+    the bytes held by the plans of the band limits they used, the buffer
+    recycler's free bytes, hits and misses, and the most workers an SHT
+    engine call ran on."""
 
     KEYS = (
         "plan_cache_hits",
@@ -394,6 +395,7 @@ class TestPlanReport:
         "recycler_held_bytes",
         "recycler_hits",
         "recycler_misses",
+        "engine_workers",
     )
 
     @pytest.mark.parametrize(
@@ -433,6 +435,16 @@ class TestPlanReport:
         assert report["recycler_held_bytes"] == recycler["held_bytes"]
         assert report["recycler_hits"] == recycler["hits"]
         assert report["recycler_misses"] == recycler["misses"]
+        assert report["engine_workers"] == sphere_harmonics._most_shares >= 1
+
+    @pytest.mark.parametrize("cores, workers", [(1, 1), (2, 2), (3, 2)])
+    def test_roundtrip_reports_the_workers_of_a_split_call(self, capsys, monkeypatch, cores, workers):
+        # 17 shells at L = 128 are two FFT blocks of rows (16 and 1): one
+        # share per usable core, never more than the blocks
+        monkeypatch.setattr(sphere_harmonics, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(sphere_harmonics, "_most_shares", 0)
+        code, out, _ = run(capsys, "roundtrip", "--L", "128", "--P", "17", "--format", "json")
+        assert code == 0 and json.loads(out)["engine_workers"] == workers
 
     def test_bench_reports_minor_faults_per_run(self, capsys):
         code, out, _ = run(capsys, "bench", "--L", "8", "--P", "4", "--runs", "2", "--format", "json")

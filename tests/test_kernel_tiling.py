@@ -3,10 +3,13 @@
 import io
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from flaglets import kernel_tiling
 from flaglets.cli import random_flag_coeffs
 from flaglets.flag_transform import BandLimits
 from flaglets.flaglet_transform import flaglet_analyze
@@ -326,3 +329,52 @@ class TestQuadraturePanels:
         # internal fixed panel rule must agree with the public constructor
         rule = gauss_legendre(64)
         assert abs(np.sum(rule.weights) - 2.0) < 1e-14
+
+
+class TestPlansMadeOnce:
+    """Threads that ask kernels for a plan they have not made yet make it
+    once, and all get that one plan."""
+
+    @staticmethod
+    def ask_together(monkeypatch, owner, name, ask):
+        made = []
+        real = getattr(owner, name)
+
+        def slow(*args):
+            made.append(args[-1])
+            time.sleep(0.05)  # widens the window in which a second one would start
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, slow)
+        start = threading.Barrier(3)
+        plans = [None] * 3
+
+        def run(i):
+            start.wait()
+            plans[i] = ask()
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in threads)
+        return made, plans
+
+    def test_part_plan(self, monkeypatch):
+        kernels = build_flaglet_kernels(BandLimits(16, 8), TilingParams(2.0, 2.0))
+        made, plans = self.ask_together(
+            monkeypatch, kernel_tiling, "_part_plan", lambda: kernels.part_plan(True)
+        )
+        assert made == [True] and plans[0] is not None
+        assert all(plan is plans[0] for plan in plans)
+        assert kernels.part_plan(True) is plans[0]
+
+    def test_group_plan(self, monkeypatch):
+        kernels = build_sphere_kernels(32, TilingParams(lam=2.0))
+        made, plans = self.ask_together(
+            monkeypatch, kernel_tiling.SphereKernels, "_group_plan", lambda: kernels.group_plan(False)
+        )
+        assert made == [False] and plans[0]
+        assert all(plan is plans[0] for plan in plans)
+        assert kernels.group_plan(False) is plans[0]

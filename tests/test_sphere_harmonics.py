@@ -3,6 +3,13 @@
 import gc
 import hashlib
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
 import weakref
 from unittest import mock
@@ -308,7 +315,8 @@ class TestStreamedTables:
 
 class TestTableGenerations:
     """How often the Legendre recurrence runs: once per plan up to the cache
-    limit; past it once per inverse call, whatever its rows, and once per
+    limit; past it once per inverse share (one per usable core, never more
+    than the call's FFT blocks, TestShares), whatever its rows, and once per
     forward FFT block, in groups of orders tiled in degrees, while the maps,
     seeds and coefficients around it are made once (TestStreamedInvariants)."""
 
@@ -340,24 +348,34 @@ class TestTableGenerations:
     def test_streamed_plan_generates_per_inverse_call_and_forward_block(
         self, generations, monkeypatch
     ):
-        # FFT blocks of one grid: 3 rows make three forward blocks, and one
-        # inverse pass over groups of 3 orders in tiles of 5 degrees, which
-        # holds each group's sums for the 3 blocks of rows
+        # FFT blocks of one grid: 3 rows make three forward blocks, and on w
+        # workers min(w, 3) inverse shares, each one pass over groups of 3
+        # orders in tiles of 5 degrees, which holds each group's sums for the
+        # blocks of rows of its share
         L, rows = 8, 3
         stream_tiles(monkeypatch, L, 3, 5)
         plan = SpherePlan(L)
         assert [t[:2] for t in plan.tables()] == [(0, 0), (0, 5), (3, 0), (6, 0)]
-        generations.clear()
         c = self.coeffs(L, rows)
-        for call in range(1, 3):
-            tiled = _sht_inverse_batch(c[:1], plan, False)
-            assert len(generations) == 5 * call - 4
-            grids = _sht_inverse_batch(c, plan, False)
-            assert len(generations) == 5 * call - 3
-            back = _sht_forward_batch(grids, plan)
-            assert len(generations) == 5 * call
-        assert np.max(np.abs(back - c)) < 1e-12
-        assert tiled.tobytes() == grids[:1].tobytes()
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            shares = min(workers, rows)
+            per_call = 1 + shares + rows
+            generations.clear()
+            for call in range(1, 3):
+                tiled = _sht_inverse_batch(c[:1], plan, False)
+                assert len(generations) == per_call * (call - 1) + 1
+                grids = _sht_inverse_batch(c, plan, False)
+                assert len(generations) == per_call * (call - 1) + 1 + shares
+                back = _sht_forward_batch(grids, plan)
+                assert len(generations) == per_call * call
+            assert np.max(np.abs(back - c)) < 1e-12
+            assert tiled.tobytes() == grids[:1].tobytes()
+
+
+def set_workers(monkeypatch, workers):
+    """Run the engine as if the process could use `workers` cores."""
+    monkeypatch.setattr(sphere_harmonics, "_usable_cores", lambda: workers)
 
 
 def stream_tiles(monkeypatch, L, orders, depth):
@@ -431,9 +449,12 @@ class TestStreamedInvariants:
             (SpherePlan, "_tile_maps"),
         )
 
-    def test_maps_and_seeds_are_made_once_per_tiling(self, counts):
+    def test_maps_and_seeds_are_made_once_per_tiling(self, counts, monkeypatch):
         # the one tiling serves every pass: an inverse of more rows than an
-        # FFT block steps it once and keeps nothing more
+        # FFT block steps it once per share (2 of its 3 blocks of rows on 2
+        # workers) and keeps nothing more
+        workers = 2
+        set_workers(monkeypatch, workers)
         plan = SpherePlan(self.L)
         assert plan._tile_shape() == (16, 11)
         base = plan.nbytes
@@ -450,8 +471,10 @@ class TestStreamedInvariants:
         for _ in range(2):
             assert tile_digests(plan) == first
             _sht_inverse_batch(c, plan, False)
-        # the recurrence still steps once per pass
-        assert counts == {"_legendre_tiles": 5, "_sectoral_seeds": 1, "_tile_maps": 4}
+        # the recurrence still steps once per pass: one for each tile_digests
+        # and one for each of the inverse's shares
+        passes = 1 + 2 * (1 + workers)
+        assert counts == {"_legendre_tiles": passes, "_sectoral_seeds": 1, "_tile_maps": 4}
         assert plan.nbytes - base == kept
 
     def test_plan_past_its_budget_keeps_nothing(self, counts, monkeypatch):
@@ -630,17 +653,19 @@ class TestStreamedWorkSpace:
         assert kept == 0 and plan._streamed
 
     @pytest.mark.parametrize("L", [257, 300])
-    def test_many_row_inverse_holds_a_group_of_sums_per_block_of_rows(self, L, drain_recycler):
+    def test_many_row_inverse_holds_a_group_of_sums_per_block_of_rows(
+        self, L, drain_recycler, monkeypatch
+    ):
         # an inverse of more rows than an FFT block, past the cache, holds
         # beside its output each group's sums for every block of rows, at most
-        # _LEGENDRE_BLOCK_BYTES a block; one tile, 8 B D n bytes on the n half
-        # nodes; the later tiles' GEMM scratch of one parity of a group's sums
-        # for one block, half a _LEGENDRE_BLOCK_BYTES; and the
-        # recurrence state and a tile's gathered coefficients, within half a
-        # _LEGENDRE_BLOCK_BYTES (5 arrays of B n doubles, as in
-        # test_one_row_table_pass_holds_one_tile).  Measured: 0.983 of the
-        # bound at L = 257 and 0.990 at L = 300, 3 blocks each, the last of
-        # one row
+        # _LEGENDRE_BLOCK_BYTES a block; and for each share (one per worker)
+        # one tile, 8 B D n bytes on the n half nodes; the later tiles' GEMM
+        # scratch of one parity of a group's sums for one block, half a
+        # _LEGENDRE_BLOCK_BYTES; and the recurrence state and a tile's
+        # gathered coefficients, within half a _LEGENDRE_BLOCK_BYTES (5 arrays
+        # of B n doubles, as in test_one_row_table_pass_holds_one_tile).
+        # Measured on one worker: 0.983 of the bound at L = 257 and 0.990 at
+        # L = 300, 3 blocks each, the last of one row
         plan = SpherePlan(L)
         step = _fft_block_grids(L)
         rows = 2 * step + 1
@@ -649,19 +674,22 @@ class TestStreamedWorkSpace:
         orders, depth = plan._tile_shape()
         tile = 8 * orders * depth * (L - L // 2)
         legendre = sphere_harmonics._LEGENDRE_BLOCK_BYTES
-        drain_recycler()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            grids = _sht_inverse_batch(c, plan, False)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        blocks = -(-rows // step)
-        scratch = legendre // 2
-        bound = grids.nbytes + blocks * legendre + tile + scratch
-        bound += legendre // 2
-        assert peak <= bound, peak / bound
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            drain_recycler()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                grids = _sht_inverse_batch(c, plan, False)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            blocks = -(-rows // step)
+            scratch = legendre // 2
+            bound = grids.nbytes + blocks * legendre + workers * (tile + scratch)
+            bound += workers * (legendre // 2)
+            assert peak <= bound, (workers, peak / bound)
+            del grids
 
     @pytest.mark.slow
     def test_one_row_passes_hold_about_three_grids(self, drain_recycler):
@@ -785,6 +813,204 @@ class TestRecycledWorkSpace:
         back = _sht_forward_batch(_sht_inverse_batch(c, plan, real), plan)
         assert _buffers.stats() == before
         assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
+
+
+class TestShares:
+    """An engine call of more than one FFT block of rows runs its blocks in
+    shares, one per usable core and never more than its blocks, each a run
+    of whole blocks on a thread of its own: the output has the bytes of one
+    share, whatever the worker count.  A call of one block, and a windowed
+    sum, run as one share on the calling thread."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize(
+        "L, rows", [(64, 130), (128, 33), (128, 64), (257, 8), (300, 8), (384, 16)]
+    )
+    def test_outputs_are_the_bytes_of_one_share(self, monkeypatch, L, rows, real):
+        # blocks of 64, 16, 16, 3, 2 and 1 rows: 130 and 33 rows end in a
+        # block of one row, 8 rows at L = 257 in one of two, and 3 workers
+        # split 3 blocks into shares of 1, 1 and 1 block, 4 into 1, 1 and 2
+        plan = get_plan(L)
+        step = _fft_block_grids(L)
+        blocks = -(-rows // step)
+        assert blocks > 2
+        rng = np.random.default_rng(L + rows)
+        if real:
+            c = hermitian_coeffs(rng, L, (rows,))
+        else:
+            c = rng.uniform(-1, 1, (rows, L * L)) + 1j * rng.uniform(-1, 1, (rows, L * L))
+        outputs = []
+        for workers in (1, 2, 3):
+            set_workers(monkeypatch, workers)
+            bounds = sphere_harmonics._share_bounds(rows, step)
+            assert len(bounds) - 1 == min(workers, blocks)
+            assert all(lo % step == 0 for lo in bounds[:-1]) and bounds[-1] == rows
+            grids = _sht_inverse_batch(c, plan, real)
+            outputs.append((grids.tobytes(), _sht_forward_batch(grids, plan).tobytes()))
+        assert outputs[1:] == outputs[:1] * 2
+        assert grids.dtype == (np.float64 if real else np.complex128)
+        back = np.frombuffer(outputs[0][1], dtype=np.complex128).reshape(rows, L * L)
+        assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
+
+    def test_shares_run_on_a_thread_each_and_a_list_splits_like_an_array(self, monkeypatch):
+        # 3 blocks of 16 grids at L = 128 on 3 workers: the calling thread
+        # runs the first share, two pool threads the others
+        L = 128
+        set_workers(monkeypatch, 3)
+        seen = []
+        for name in ("_inverse_blocks", "_forward_blocks"):
+
+            def recording(rows, *args, real=getattr(sphere_harmonics, name), name=name):
+                seen.append((name, len(rows), threading.get_ident()))
+                return real(rows, *args)
+
+            monkeypatch.setattr(sphere_harmonics, name, recording)
+        c = np.random.default_rng(128).uniform(-1, 1, (40, L * L)) + 0j
+        plan = get_plan(L)
+        grids = _sht_inverse_batch(c, plan, False)
+        back = _sht_forward_batch(grids, plan)
+        listed = _sht_forward_batch(list(grids), plan)
+        assert back.tobytes() == listed.tobytes()
+        for name in ("_inverse_blocks", "_forward_blocks"):
+            calls = [call for call in seen if call[0] == name]
+            assert [rows for _, rows, _ in calls[:3]] == [16, 16, 8]
+            assert calls[0][2] == threading.get_ident()
+            assert len({ident for _, _, ident in calls[:3]}) == 3
+        assert sphere_harmonics._most_shares >= 3
+
+    def test_one_block_and_windowed_sums_start_no_thread(self, monkeypatch):
+        # a call of one FFT block of rows, and a windowed sum over several
+        # blocks, run inline on any worker count: no pool is made
+        monkeypatch.setattr(sphere_harmonics, "_pool", None)
+        set_workers(monkeypatch, 3)
+        L = 32
+        monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
+        threads = set(threading.enumerate())
+        rng = np.random.default_rng(32)
+        c = rng.uniform(-1, 1, (4, L * L)) + 1j * rng.uniform(-1, 1, (4, L * L))
+        plan = get_plan(L)
+        grids = _sht_inverse_batch(c, plan, False)
+        back = _sht_forward_batch(grids, plan)
+        windows = rng.uniform(0, 1, (12, L))
+        total = np.zeros(L * L, dtype=np.complex128)
+        _sht_forward_batch(list(grids) * 3, plan, windows, total)
+        # no thread started (one an earlier test left may have ended)
+        assert set(threading.enumerate()) <= threads and sphere_harmonics._pool is None
+        assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
+        want = sum(window_coeffs(b, w) for b, w in zip(np.concatenate([back] * 3), windows))
+        assert rel_err(total, want) <= 12 * np.finfo(float).eps * L
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    def test_fork_child_runs_a_split_round_trip(self, monkeypatch):
+        # a child forked after the pool has run has none of its threads: it
+        # makes a pool of its own and gives the parent's bytes
+        set_workers(monkeypatch, 2)
+        L, rows = 128, 64
+        c = np.random.default_rng(64).uniform(-1, 1, (rows, L * L)) + 0j
+        plan = get_plan(L)
+
+        def digest():
+            back = _sht_forward_batch(_sht_inverse_batch(c, plan, False), plan)
+            return hashlib.sha256(back.tobytes()).hexdigest()
+
+        want = digest()
+        assert sphere_harmonics._pool is not None
+
+        def child(conn):
+            sphere_harmonics._most_shares = 0
+            conn.send((digest(), sphere_harmonics._most_shares))
+            conn.close()
+
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        process = context.Process(target=child, args=(send,))
+        process.start()
+        send.close()
+        try:
+            assert receive.poll(60), "the forked child did not finish its round trip"
+            assert receive.recv() == (want, 2)
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            receive.close()
+        assert process.exitcode == 0
+
+
+    def test_shares_run_inline_at_interpreter_exit(self):
+        # at exit no thread may start: a split call made from an atexit
+        # handler runs every share on the calling thread
+        script = textwrap.dedent(
+            """
+            import atexit
+            import numpy as np
+            from flaglets import sphere_harmonics as sh
+            sh._usable_cores = lambda: 2
+            L = 64
+            c = np.random.default_rng(1).uniform(-1, 1, (sh._fft_block_grids(L) + 1, L * L)) + 0j
+            def round_trip():
+                plan = sh.get_plan(L)
+                back = sh._sht_forward_batch(sh._sht_inverse_batch(c, plan, False), plan)
+                print(sh._most_shares, float(np.max(np.abs(back - c))) < 1e-12)
+            atexit.register(round_trip)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sphere_harmonics.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0 and done.stderr == "", done.stderr
+        assert done.stdout.split() == ["2", "True"]
+
+
+class TestConcurrentCallers:
+    def test_threads_at_a_fresh_band_limit_build_its_tables_once(self, monkeypatch):
+        # 3 threads start flag round trips at a band limit no plan exists for,
+        # of two FFT blocks of rows on 2 workers, so their shares also share
+        # the pool (6 shares on 2 cores): one plan, one table pass, and the
+        # bytes of a sequential run
+        L = next(L for L in range(40, 100) if L not in sphere_harmonics._live_plans)
+        set_workers(monkeypatch, 2)
+        P = _fft_block_grids(L) + 1
+        limits = BandLimits(L, P)
+        rng = np.random.default_rng(L)
+        c = FlagCoeffs(limits, rng.uniform(-1, 1, (P, L * L)) + 1j * rng.uniform(-1, 1, (P, L * L)))
+        passes = []
+        real_tiles = sphere_harmonics._legendre_tiles
+
+        def slow_tiles(*args):
+            passes.append(args[0])
+            time.sleep(0.05)  # widens the window in which a second build would start
+            return real_tiles(*args)
+
+        monkeypatch.setattr(sphere_harmonics, "_legendre_tiles", slow_tiles)
+        start = threading.Barrier(3)
+        results = [None] * 3
+
+        def round_trip(i):
+            start.wait()
+            grid = flag_inverse(c)
+            results[i] = (grid.values.tobytes(), flag_forward(grid).coeffs.tobytes())
+
+        threads = [threading.Thread(target=round_trip, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, where a race would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert passes == [L]
+        grid = flag_inverse(c)
+        want = (grid.values.tobytes(), flag_forward(grid).coeffs.tobytes())
+        assert results == [want] * 3
 
 
 class TestForwardBatchInput:
