@@ -11,6 +11,7 @@ radial GEMM of real shells is a real GEMM.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .sphere_harmonics import (
     _fill_negative_orders,
     _grid_dtype,
     _is_hermitian,
+    _made_once,
     _real_matmul,
     _sht_forward_batch,
     _sht_inverse_batch,
@@ -105,9 +107,15 @@ class FlagPlan:
         return sum(a.nbytes for a in arrays)
 
 
+_live_flag_plans = weakref.WeakValueDictionary()  # radial -> the plan made, while alive
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def get_flag_plan(radial: RadialParams) -> FlagPlan:
-    return FlagPlan(radial)
+    """The plan for (P, tau), made once however many threads ask for it
+    together; like get_plan, a plan the cache evicted is returned while
+    something else still holds it."""
+    return _made_once(_live_flag_plans, radial, FlagPlan)
 
 
 def _radial_plan(limits: BandLimits, plan: FlagPlan | None) -> FlagPlan:

@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import sphere_harmonics
 from .flag_transform import BandLimits, get_flag_plan
 from .quadrature import _check_integer, gauss_legendre
-from .sphere_harmonics import SpherePlan, _check_band_limit, get_plan
+from .sphere_harmonics import SpherePlan, _check_band_limit, _made_once, get_plan
 
 __all__ = [
     "TilingParams",
@@ -123,16 +122,6 @@ def flaglet_parts(limits: BandLimits, params: TilingParams, multires: bool):
         for j, jp in keys
     ]
     return keys, [(L, P), *bands]
-
-
-def _made_once(plans: dict, multires: bool, make):
-    """plans[multires], made by make(multires) on first use under the
-    engine's build lock, so threads that ask for it together make it once."""
-    if multires not in plans:
-        with sphere_harmonics._build_lock:
-            if multires not in plans:
-                plans[multires] = make(multires)
-    return plans[multires]
 
 
 class AngularGroup(NamedTuple):

@@ -47,16 +47,18 @@ the scatter, and a real grid is half the bytes of a complex one.
 The shells (rows) of a batch are independent, so an engine call of more
 than one FFT block of rows splits them into shares, each a run of whole
 blocks, one per usable core (the process's CPU affinity, as taskset sets
-it): the calling thread runs the first share and a lazily made thread pool
-the others, each with its own work space and table pass, into its own rows
-of one output.  Every block is the block one share makes, so the output has
-the same bytes on any number of cores.  A call of one block, and a windowed
-sum, run inline and start no thread.  On 2 vCPUs an engine inverse then
-forward of 64 complex shells at L = 128 took 139 -> 75 ms (one run; 182 -> 97
-in another, as the host's speed drifts), and the benchmark's ball round trip
-peaked at 174 MB of RSS, not 166, with a second share's work space.  numpy's
-BLAS and FFT calls release the GIL, but BLAS threads of its own compete with
-the shares for the cores: run BLAS on one thread (OPENBLAS_NUM_THREADS=1).
+it): the calling thread runs the first share and threads started for the
+call the others, each with its own work space and table pass, into its own
+rows of one output.  The threads have ended when the call returns, so a
+process keeps no engine thread between calls.  Every block is the block one
+share makes, so the output has the same bytes on any number of cores.  A
+call of one block, and a windowed sum, run inline and start no thread.  On
+2 vCPUs an engine inverse then forward of 64 complex shells at L = 128 took
+139 -> 75 ms (one run; 182 -> 97 in another, as the host's speed drifts),
+and the benchmark's ball round trip peaked at 174 MB of RSS, not 166, with
+a second share's work space.  numpy's BLAS and FFT calls release the GIL,
+but BLAS threads of its own compete with the shares for the cores: run BLAS
+on one thread (OPENBLAS_NUM_THREADS=1).
 """
 
 from __future__ import annotations
@@ -67,12 +69,12 @@ import math
 import os
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._buffers import take
+from . import _buffers
 from .quadrature import _check_integer, gauss_legendre
 
 __all__ = [
@@ -119,14 +121,22 @@ _LEGENDRE_BLOCK_BYTES = 2 << 20
 # re-entrant, since building kernels' plans looks up sphere plans
 _build_lock = threading.RLock()
 
-# (threads, executor) that run all but the first share of an engine call,
-# made on the first call of more than one share and grown when a call needs
-# more threads; a forked child starts without it (_after_fork_in_child)
-_pool = None
-_pool_lock = threading.Lock()
-
-# the most shares one engine call has run on in this process
+# guards _most_shares, the most shares one engine call has run on in this process
+_shares_lock = threading.Lock()
 _most_shares = 0
+
+
+def _made_once(store, key, make):
+    """store[key], made by make(key) under _build_lock when the store has no
+    live value for it, so threads that ask for a fresh one together make it
+    once.  `store` is a dict or a weakref.WeakValueDictionary."""
+    value = store.get(key)
+    if value is None:
+        with _build_lock:
+            value = store.get(key)
+            if value is None:
+                value = store[key] = make(key)
+    return value
 
 
 def _usable_cores() -> int:
@@ -139,11 +149,11 @@ def _usable_cores() -> int:
 
 
 def _after_fork_in_child() -> None:
-    """A forked child has only the forking thread: its copy of the pool would
-    queue shares that no thread runs, and a lock another thread held stays
-    held.  Start it with no pool and fresh locks."""
-    global _pool, _pool_lock, _build_lock
-    _pool, _pool_lock, _build_lock = None, threading.Lock(), threading.RLock()
+    """A forked child has only the forking thread, so a lock another thread
+    held stays held: start it with fresh locks, the recycler's included."""
+    global _shares_lock, _build_lock
+    _shares_lock, _build_lock = threading.Lock(), threading.RLock()
+    _buffers._lock = threading.RLock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -163,40 +173,34 @@ def _share_bounds(rows: int, step: int) -> list[int]:
 def _run_shares(start, rows: int, step: int) -> None:
     """Run the shares of an engine call (_share_bounds): start(lo, hi) is
     called on this thread for the rows lo:hi of each share in turn and
-    returns a function of no arguments that does its work, which this thread
-    runs for the first share and the pool's threads for the others.  A call
-    of one share runs inline and starts no thread.
+    returns a function of no arguments that does its work.  A call of one
+    share runs it inline and starts no thread.  Otherwise this thread runs
+    the first share and threads of this call the others; every one of them
+    has ended when the call returns or raises, so a share's error is raised
+    only once all shares are done.
 
-    start() takes a share's work space on this thread: taken on a pool
+    start() takes a share's work space on this thread: taken on a worker
     thread, it came from that thread's malloc arena, which kept the freed
     10.5 MB forward buffer of a ball round trip at (L, P) = (128, 64), and
     the benchmark's round trip there peaked at 179 MB of RSS, not 174 (166
     on one share).  At interpreter exit, when no thread may start, every
     share runs on this thread."""
-    global _pool, _most_shares
+    global _most_shares
     bounds = _share_bounds(rows, step)
     jobs = [start(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    futures = None
-    with _pool_lock:
+    with _shares_lock:
         _most_shares = max(_most_shares, len(jobs))
-        if len(jobs) > 1:
-            if _pool is None or _pool[0] < len(jobs) - 1:
-                if _pool is not None:
-                    _pool[1].shutdown(wait=False)
-                threads = len(jobs) - 1
-                _pool = threads, ThreadPoolExecutor(threads, thread_name_prefix="flaglets-sht")
-            try:
-                futures = [_pool[1].submit(job) for job in jobs[1:]]
-            except RuntimeError:  # the interpreter is shutting down
-                pass
-    if futures is None:
-        for job in jobs:
-            job()
-        return
-    try:
+    if len(jobs) == 1:
         jobs[0]()
-    finally:
-        wait(futures)  # no share outlives the call, even when one fails
+        return
+    with ThreadPoolExecutor(len(jobs) - 1, "flaglets-sht") as workers:
+        try:
+            futures = [workers.submit(job) for job in jobs[1:]]
+        except RuntimeError:  # the interpreter is exiting
+            futures = []
+            for job in jobs[1:]:
+                job()
+        jobs[0]()  # leaving the block waits for the workers, even when this raises
     for future in futures:
         future.result()
 
@@ -215,7 +219,7 @@ def _empty(shape: tuple, dtype) -> np.ndarray:
     nbytes = math.prod(shape) * dtype.itemsize
     if not _FOLD_CHUNK_BYTES < nbytes <= _FFT_BLOCK_BYTES:
         return np.empty(shape, dtype)
-    return take(nbytes).view(dtype).reshape(shape)
+    return _buffers.take(nbytes).view(dtype).reshape(shape)
 
 
 def _check_band_limit(L: int) -> int:
@@ -701,11 +705,7 @@ def get_plan(L: int) -> SpherePlan:
     """The plan for L: the cache holds _PLAN_CACHE_SIZE plans, and a plan it
     evicted is returned while something else (kernels) still holds it, so
     each L has at most one live plan from here."""
-    with _build_lock:
-        plan = _live_plans.get(L)
-        if plan is None:
-            plan = _live_plans[L] = SpherePlan(L)
-    return plan
+    return _made_once(_live_plans, L, SpherePlan)
 
 
 def _real_matmul(a: np.ndarray, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

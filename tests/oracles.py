@@ -221,6 +221,29 @@ def legendre_column_high_precision(L, m, x, dps=60):
         return np.array([float(v) for v in col])
 
 
+def gauss_legendre_node_high_precision(n, x0, dps=40):
+    """The root of P_n nearest x0 and its Gauss-Legendre weight
+    2 / ((1 - x^2) P_n'(x)^2), as mpmath numbers: Newton from x0 on the
+    three-term recurrence at `dps` digits."""
+    import mpmath as mp
+
+    def value_deriv(x):
+        p_prev, p = mp.mpf(1), x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
+    with mp.workdps(dps):
+        x = mp.mpf(x0)
+        for _ in range(50):
+            p, dp = value_deriv(x)
+            x -= p / dp
+            if abs(p / dp) < mp.mpf(10) ** (5 - dps):
+                break
+        _, dp = value_deriv(x)
+        return x, 2 / ((1 - x * x) * dp * dp)
+
+
 def legendre_high_precision(ell, m, x, dps=60):
     """Orthonormalized associated Legendre value via mpmath recurrence."""
     return float(legendre_column_high_precision(ell + 1, m, x, dps)[-1])

@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from flaglets import kernel_tiling
+from flaglets import flag_transform, kernel_tiling
 from flaglets.cli import random_flag_coeffs
-from flaglets.flag_transform import BandLimits
+from flaglets.flag_transform import BandLimits, FlagPlan
 from flaglets.flaglet_transform import flaglet_analyze
 from flaglets.io_container import read_container, write_container
 from flaglets.kernel_tiling import (
@@ -29,6 +29,7 @@ from flaglets.kernel_tiling import (
     sphere_part_bands,
 )
 from flaglets.quadrature import gauss_legendre
+from flaglets.radial_laguerre import RadialParams
 from flaglets.sphere_harmonics import MAX_BAND_LIMIT, SphereCoeffs
 from flaglets.sphere_wavelets import sphere_analyze
 
@@ -332,8 +333,8 @@ class TestQuadraturePanels:
 
 
 class TestPlansMadeOnce:
-    """Threads that ask kernels for a plan they have not made yet make it
-    once, and all get that one plan."""
+    """Threads that ask kernels, or the radial plan cache, for a plan not made
+    yet make it once, and all get that one plan."""
 
     @staticmethod
     def ask_together(monkeypatch, owner, name, ask):
@@ -378,3 +379,14 @@ class TestPlansMadeOnce:
         assert made == [False] and plans[0]
         assert all(plan is plans[0] for plan in plans)
         assert kernels.group_plan(False) is plans[0]
+
+    def test_flag_plan(self, monkeypatch):
+        # a (P, tau) no other test asks for, so all 3 threads miss the cache;
+        # an lru_cache alone let each of them make a FlagPlan of its own
+        radial = RadialParams(37, 1.0625)
+        made, plans = self.ask_together(
+            monkeypatch, flag_transform, "FlagPlan", lambda: flag_transform.get_flag_plan(radial)
+        )
+        assert made == [radial] and isinstance(plans[0], FlagPlan)
+        assert all(plan is plans[0] for plan in plans)
+        assert flag_transform.get_flag_plan(radial) is plans[0]

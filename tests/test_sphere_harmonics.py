@@ -12,6 +12,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -854,14 +855,17 @@ class TestShares:
 
     def test_shares_run_on_a_thread_each_and_a_list_splits_like_an_array(self, monkeypatch):
         # 3 blocks of 16 grids at L = 128 on 3 workers: the calling thread
-        # runs the first share, two pool threads the others
+        # runs the first share, two threads of the call the others.  The
+        # workers record in any order, so each call is put in row order by
+        # the first row it was given
         L = 128
         set_workers(monkeypatch, 3)
         seen = []
         for name in ("_inverse_blocks", "_forward_blocks"):
 
             def recording(rows, *args, real=getattr(sphere_harmonics, name), name=name):
-                seen.append((name, len(rows), threading.get_ident()))
+                first = np.asarray(rows[0]).__array_interface__["data"][0]
+                seen.append((name, first, len(rows), threading.get_ident()))
                 return real(rows, *args)
 
             monkeypatch.setattr(sphere_harmonics, name, recording)
@@ -871,17 +875,28 @@ class TestShares:
         back = _sht_forward_batch(grids, plan)
         listed = _sht_forward_batch(list(grids), plan)
         assert back.tobytes() == listed.tobytes()
-        for name in ("_inverse_blocks", "_forward_blocks"):
-            calls = [call for call in seen if call[0] == name]
-            assert [rows for _, rows, _ in calls[:3]] == [16, 16, 8]
-            assert calls[0][2] == threading.get_ident()
-            assert len({ident for _, _, ident in calls[:3]}) == 3
+        calls = [call for call in seen if call[0] == "_inverse_blocks"]
+        forward = [call for call in seen if call[0] == "_forward_blocks"]
+        assert len(calls) == 3 and len(forward) == 6
+        # the array call's shares all ran before the list call started
+        for base, shares in ((c, calls), (grids, forward[:3]), (grids, forward[3:])):
+            origin, row_bytes = base.__array_interface__["data"][0], base[0].nbytes
+            shares = sorted(((first - origin) // row_bytes, n, ident) for _, first, n, ident in shares)
+            assert [(lo, n) for lo, n, _ in shares] == [(0, 16), (16, 16), (32, 8)]
+            assert shares[0][2] == threading.get_ident()
+            assert len({ident for _, _, ident in shares}) == 3
         assert sphere_harmonics._most_shares >= 3
 
     def test_one_block_and_windowed_sums_start_no_thread(self, monkeypatch):
         # a call of one FFT block of rows, and a windowed sum over several
-        # blocks, run inline on any worker count: no pool is made
-        monkeypatch.setattr(sphere_harmonics, "_pool", None)
+        # blocks, run inline on any worker count: no executor is made
+        made = []
+
+        def executor(*args, **kwargs):
+            made.append(args)
+            return ThreadPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(sphere_harmonics, "ThreadPoolExecutor", executor)
         set_workers(monkeypatch, 3)
         L = 32
         monkeypatch.setattr(sphere_harmonics, "_FFT_BLOCK_BYTES", 4 * 16 * L * (2 * L - 1))
@@ -895,18 +910,68 @@ class TestShares:
         total = np.zeros(L * L, dtype=np.complex128)
         _sht_forward_batch(list(grids) * 3, plan, windows, total)
         # no thread started (one an earlier test left may have ended)
-        assert set(threading.enumerate()) <= threads and sphere_harmonics._pool is None
+        assert set(threading.enumerate()) <= threads and made == []
         assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
         want = sum(window_coeffs(b, w) for b, w in zip(np.concatenate([back] * 3), windows))
         assert rel_err(total, want) <= 12 * np.finfo(float).eps * L
+
+    def test_no_worker_thread_outlives_a_split_call(self, monkeypatch):
+        # a split round trip runs its second share on a flaglets-sht thread,
+        # and that thread has ended when the call returns: a process keeps no
+        # engine thread between calls (a kept pool left flaglets-sht_0 idle)
+        set_workers(monkeypatch, 2)
+        names = []
+        real = sphere_harmonics._inverse_blocks
+
+        def recording(*args):
+            names.append(threading.current_thread().name)
+            return real(*args)
+
+        monkeypatch.setattr(sphere_harmonics, "_inverse_blocks", recording)
+        L = 64
+        c = np.random.default_rng(2).uniform(-1, 1, (_fft_block_grids(L) + 1, L * L)) + 0j
+        plan = get_plan(L)
+        back = _sht_forward_batch(_sht_inverse_batch(c, plan, False), plan)
+        assert any(name.startswith("flaglets-sht") for name in names), names
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("flaglets-sht")]
+        assert alive == []
+        assert rel_err(back, c) <= 12 * np.finfo(float).eps * L
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["first share", "worker share"])
+    def test_a_failing_share_raises_once_every_share_has_finished(self, monkeypatch, failing):
+        # 3 shares on 3 workers: the failing one raises at once, the others
+        # take 0.2 s; the error reaches the caller only after both have
+        # finished, and no worker thread is left running
+        set_workers(monkeypatch, 3)
+        caller, done = threading.get_ident(), []
+
+        def share(rows, *args):
+            if threading.get_ident() == caller:
+                index = 0
+            else:
+                index = 1 + int(len(rows) < step)
+            if index == failing:
+                raise ArithmeticError(f"share {index}")
+            time.sleep(0.2)
+            done.append(index)
+
+        monkeypatch.setattr(sphere_harmonics, "_inverse_blocks", share)
+        L = 64
+        step = _fft_block_grids(L)
+        c = np.zeros((2 * step + 1, L * L), dtype=np.complex128)
+        with pytest.raises(ArithmeticError, match=f"share {failing}"):
+            _sht_inverse_batch(c, get_plan(L), False)
+        assert sorted(done) == sorted({0, 1, 2} - {failing})
+        assert not any(t.name.startswith("flaglets-sht") for t in threading.enumerate())
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
     )
     def test_fork_child_runs_a_split_round_trip(self, monkeypatch):
-        # a child forked after the pool has run has none of its threads: it
-        # makes a pool of its own and gives the parent's bytes
+        # a child forked after a split round trip gives the parent's bytes,
+        # on two shares of its own
         set_workers(monkeypatch, 2)
+        monkeypatch.setattr(sphere_harmonics, "_most_shares", 0)
         L, rows = 128, 64
         c = np.random.default_rng(64).uniform(-1, 1, (rows, L * L)) + 0j
         plan = get_plan(L)
@@ -916,7 +981,7 @@ class TestShares:
             return hashlib.sha256(back.tobytes()).hexdigest()
 
         want = digest()
-        assert sphere_harmonics._pool is not None
+        assert sphere_harmonics._most_shares == 2
 
         def child(conn):
             sphere_harmonics._most_shares = 0
@@ -939,6 +1004,48 @@ class TestShares:
             receive.close()
         assert process.exitcode == 0
 
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    def test_fork_child_takes_buffers_while_a_thread_holds_the_recycler(self):
+        # a child forked while another thread holds the recycler's lock
+        # starts with a fresh one: its take() answers (with the parent's
+        # lock copied it waited for good)
+        holding, release = threading.Event(), threading.Event()
+
+        def hold():
+            with _buffers._lock:
+                holding.set()
+                release.wait(30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+
+        def child(conn):
+            conn.send(_buffers.take(4096).nbytes)
+            conn.close()
+
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        process = context.Process(target=child, args=(send,))
+        try:
+            assert holding.wait(10)
+            process.start()
+        finally:
+            release.set()
+            holder.join(10)
+            send.close()
+        assert not holder.is_alive()
+        try:
+            assert receive.poll(10), "the forked child's take() did not return"
+            assert receive.recv() == 4096
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            receive.close()
+        assert process.exitcode == 0
 
     def test_shares_run_inline_at_interpreter_exit(self):
         # at exit no thread may start: a split call made from an atexit
@@ -970,9 +1077,9 @@ class TestShares:
 class TestConcurrentCallers:
     def test_threads_at_a_fresh_band_limit_build_its_tables_once(self, monkeypatch):
         # 3 threads start flag round trips at a band limit no plan exists for,
-        # of two FFT blocks of rows on 2 workers, so their shares also share
-        # the pool (6 shares on 2 cores): one plan, one table pass, and the
-        # bytes of a sequential run
+        # of two FFT blocks of rows on 2 workers, so their shares run at once
+        # (6 shares on 2 cores): one plan, one table pass, and the bytes of a
+        # sequential run
         L = next(L for L in range(40, 100) if L not in sphere_harmonics._live_plans)
         set_workers(monkeypatch, 2)
         P = _fft_block_grids(L) + 1
