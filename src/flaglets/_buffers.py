@@ -16,15 +16,12 @@ serves warm without a fault.
 
 The recycler's storage, handed out and free, never passes twice the most
 handed-out bytes live at once so far: a miss that would break this rule
-evicts storage first from the size returned least recently. Once the peak
-alone was the bound, but the engine's buffers come in many sizes that are
-never live at once: at L = 288 multires they are 24.4 MB of storage against
-a peak of 16.4 MB live, so they evicted each other, 4 misses a warm op whose
-pages all faulted (and with every engine buffer recycled, flaglet
-denoising's evicted a 19 MB decomposition buffer every cycle). Under this
-rule all of them stay: a warm sphere-wavelet op at L = 288 faults no page
-where it faulted 4.8-5.4k, and its benchmark peak RSS rose 4.3%, by the
-storage of sizes not live at its peak (BENCH_pr27.json).
+evicts storage first from the size returned least recently.  The engine's
+buffers come in many sizes that are never live at once, so a bound of the
+peak alone made them evict each other, and every warm op faulted the pages
+of its misses anew.  Under this rule all of them stay, and a warm op
+faults none, at the cost of peak RSS for the storage of sizes not live at
+its peak (BENCH_pr27.json).
 """
 
 from __future__ import annotations

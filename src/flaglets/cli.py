@@ -42,6 +42,7 @@ from .kernel_tiling import (
     build_flaglet_kernels,
     build_sphere_kernels,
     flaglet_parts,
+    radial_nbytes,
     scale_range,
 )
 from .radial_laguerre import RadialParams, radial_nodes
@@ -343,7 +344,7 @@ def cmd_bench(args) -> int:
     report["speedup"] = t_full / t_multi if t_multi > 0 else float("inf")
     if before is not None:
         report["minor_faults_per_run"] = (_minor_faults() - before) // (4 * args.runs)
-    report["part_plan_bytes"] = sum(kernels.part_plan(m).nbytes for m in (False, True))
+    report["part_plan_bytes"] = sum(radial_nbytes(kernels.part_plan(m)) for m in (False, True))
     report.update(_plan_report(flaglet_parts(limits, params, True)[1], limits.tau))
     _emit(report, args.format)
     return _exit_for(*rel_errs)

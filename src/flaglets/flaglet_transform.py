@@ -10,9 +10,11 @@ scaling part is one more such group, the first: its 2-D window Phi at band
 L, all P rows, unit radial weights.  With the multiresolution flag each
 scale is rendered on the smallest exact grid containing its harmonic
 support; the layout of the parts comes from kernel_tiling.flaglet_parts.
-What both directions read per part, the windows, SpherePlans, limits, rows
-and kappa_j'-weighted radial matrices, is made once per storage mode and
-kept on the kernels (FlagletKernels.part_plan).
+What both directions read, the angular groups with their windows and
+SpherePlans, and per part its key, limits, rows and kappa_j'-weighted radial
+matrices, is made once per storage mode and kept on the kernels
+(FlagletKernels.part_plan); a part's place in the one buffer of an analysis
+follows from the sizes of the parts before it.
 The windows and the K_p are real, so the maps of a real field (Hermitian
 coefficients) are real, and are held, thresholded and stored as float64.
 """
@@ -95,7 +97,7 @@ def flaglet_analyze(
 
     Per angular group of kernels.part_plan(multires) (the scaling part, then
     each angular scale j), one inverse SHT of the windowed coefficients at
-    its band limit; per part, one real GEMM of the plan's radially weighted
+    its band limit; per part, one real GEMM of its radially weighted
     Laguerre synthesis with the shells it reaches, written into the part's
     slice of one buffer that holds every part in storage order.  The maps of
     exactly Hermitian coefficients are real (float64).
@@ -105,15 +107,17 @@ def flaglet_analyze(
         raise ValueError(
             f"kernel limits {kernels.limits} do not match signal limits {limits}"
         )
-    plan = kernels.part_plan(multires)
+    groups = kernels.part_plan(multires)
     # the windows are real, so windowed Hermitian coefficients stay Hermitian
     real = _is_hermitian(f.coeffs, limits.L)
     # every part is a view of one recycled buffer, in storage order
     dtype = np.dtype(np.float64 if real else np.complex128)
-    buffer = take(dtype.itemsize * plan.samples).view(dtype)
-    slots = iter(np.split(buffer, plan.offsets))
+    layout = [part.limits for group in groups for part in group.parts]
+    sizes = [part.P * part.L * (2 * part.L - 1) for part in layout]
+    buffer = take(dtype.itemsize * sum(sizes)).view(dtype)
+    slots = iter(np.split(buffer, list(itertools.accumulate(sizes[:-1]))))
     grids = {}
-    for window, sphere, parts in plan.groups:
+    for window, sphere, parts in groups:
         lj = sphere.L
         # the first lj^2 flat indices hold exactly the degrees below lj
         windowed = window_coeffs(f.coeffs[:, : lj * lj], window)
@@ -141,17 +145,18 @@ def flaglet_synthesize(d: FlagletDecomposition, kernels: FlagletKernels) -> Flag
     limits = kernels.limits
     if d.limits != limits or d.params != kernels.params:
         raise ValueError("decomposition and kernels were built with different parameters")
-    plan = kernels.part_plan(d.multires)
-    if set(d.wavelets) != set(plan.keys):
+    groups = kernels.part_plan(d.multires)
+    layout = [part for group in groups for part in group.parts]
+    if set(d.wavelets) != {part.key for part in layout[1:]}:
         raise ValueError("decomposition scale indices do not match the kernels")
-    stored = {"scaling": d.scaling, **{key: d.wavelets[key] for key in plan.keys}}
-    for (name, grid), want in zip(stored.items(), plan.limits):
-        if grid.limits != want:
-            raise ValueError(f"part {name} is stored at {grid.limits}; the layout needs {want}")
+    stored = {"scaling": d.scaling, **d.wavelets}
+    for part in layout:
+        if (got := stored[part.key].limits) != part.limits:
+            raise ValueError(f"part {part.key} is stored at {got}; the layout needs {part.limits}")
 
     dtype = np.result_type(*{grid.values.dtype for grid in stored.values()})
     out = np.zeros((limits.P, limits.L * limits.L), dtype=np.complex128)
-    for window, sphere, parts in plan.groups:
+    for window, sphere, parts in groups:
         lj = sphere.L
         shells = np.zeros((limits.P, lj, 2 * lj - 1), dtype=dtype)
         for key, part_limits, rows, _, project in parts:

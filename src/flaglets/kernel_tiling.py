@@ -190,29 +190,6 @@ class FlagletPart(NamedTuple):
     project: np.ndarray
 
 
-@dataclass(frozen=True)
-class FlagletPartPlan:
-    """Everything flaglet_analyze and flaglet_synthesize read per part, for
-    one storage mode: the angular groups in storage order (the scaling part
-    first, then each angular scale j), the (j, j') keys, the limits of every
-    part in storage order, and where each part starts in one buffer of all
-    parts' samples."""
-
-    groups: list[AngularGroup]
-    keys: list[tuple[int, int]]
-    limits: list[BandLimits]
-    offsets: list[int]
-    samples: int
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the radial matrices the plan holds, each once.  Its windows
-        are views of the kernels' and its SpherePlans are the cached ones."""
-        parts = [part for group in self.groups for part in group.parts]
-        held = {id(m): m for part in parts for m in (part.synth, part.project)}
-        return sum(m.nbytes for m in held.values())
-
-
 @dataclass
 class FlagletKernels:
     """Separable 2D windows on the (l, p) harmonic grid of the ball.
@@ -232,17 +209,20 @@ class FlagletKernels:
     kappas_rad: list[np.ndarray]         # one (P,) array per j' in [j0_rad, J']
     _part_plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def part_plan(self, multires: bool) -> FlagletPartPlan:
-        """The part plan of the multiresolution (or full-resolution) layout."""
+    def part_plan(self, multires: bool) -> list[AngularGroup]:
+        """The angular groups of the multiresolution (or full-resolution)
+        layout in storage order, as SphereKernels.group_plan gives them: the
+        scaling part's, then one per angular scale j, whose FlagletParts
+        are the (j, j') in storage order."""
         return _made_once(self._part_plans, bool(multires), functools.partial(_part_plan, self))
 
 
-def _part_plan(kernels: FlagletKernels, multires: bool) -> FlagletPartPlan:
+def _part_plan(kernels: FlagletKernels, multires: bool) -> list[AngularGroup]:
     """First the scaling part: Phi on (p, l) at band L, all P rows, unit
     radial weights; then per angular scale j, kappa_j below L_j and, per part
     (j, j'), the rows where kappa_j' is nonzero (ending below P_j').  P_j'
     depends on j' alone, so the kappa_j'-weighted matrices are made once per
-    radial scale and shared by every angular scale."""
+    radial scale and shared by every angular scale (radial_nbytes)."""
     limits, params = kernels.limits, kernels.params
     keys, bands = flaglet_parts(limits, params, multires)
     part_limits = [BandLimits(lj, pj, limits.tau) for lj, pj in bands]
@@ -264,9 +244,15 @@ def _part_plan(kernels: FlagletKernels, multires: bool) -> FlagletPartPlan:
             parts.append(FlagletPart((j, jp), part, *radial[jp]))
         lj = parts[0].limits.L
         groups.append(AngularGroup(kernels.kappas_ang[j - params.j0_ang][:lj], get_plan(lj), parts))
-    sizes = [part.P * part.L * (2 * part.L - 1) for part in part_limits]
-    offsets = list(itertools.accumulate(sizes[:-1]))
-    return FlagletPartPlan(groups, keys, part_limits, offsets, sum(sizes))
+    return groups
+
+
+def radial_nbytes(groups: list[AngularGroup]) -> int:
+    """Bytes of the radial matrices a part plan holds, each once: its windows
+    are views of the kernels' and its SpherePlans are the cached ones."""
+    parts = [part for group in groups for part in group.parts]
+    held = {id(m): m for part in parts for m in (part.synth, part.project)}
+    return sum(m.nbytes for m in held.values())
 
 
 def smooth_bump(t):

@@ -24,11 +24,11 @@ that each row is one block (kept tiles are order-major).  What a pass
 steps from, the sectoral seeds, the recurrence coefficients and the nodes
 repeated for B orders, and the tiles' index maps, depends only on the tile
 geometry, so a plan past the cache makes it tile by tile before its first
-pass and keeps it while its bytes stay within _FFT_BLOCK_BYTES (2.2 MB at
-L = 288, 8.36 MB at 569, the last L that keeps it); its passes then only
-step.  The engine never mirrors the tiles: Ptilde_l^m(-x) = (-1)^{l+m}
-Ptilde_l^m(x), so it folds a grid into f(x) + f(-x) and f(x) - f(-x) on the
-half nodes, which the even and the odd degrees of an order project onto.
+pass and keeps it while its bytes stay within _FFT_BLOCK_BYTES (the L
+that keep it are in BENCH_pr26.json); its passes then only step.  The
+engine never mirrors the tiles: Ptilde_l^m(-x) = (-1)^{l+m} Ptilde_l^m(x),
+so it folds a grid into f(x) + f(-x) and f(x) - f(-x) on the half nodes,
+which the even and the odd degrees of an order project onto.
 The inverse sums the tiles of a group of orders in one order-major buffer
 and unfolds it the same way, into each Fourier column once.  The forward
 copies the folded Fourier columns of every order once per block of grids,
@@ -52,11 +52,9 @@ call the others, each with its own work space and table pass, into its own
 rows of one output.  The threads have ended when the call returns, so a
 process keeps no engine thread between calls.  Every block is the block one
 share makes, so the output has the same bytes on any number of cores.  A
-call of one block, and a windowed sum, run inline and start no thread.  On
-2 vCPUs an engine inverse then forward of 64 complex shells at L = 128 took
-139 -> 75 ms (one run; 182 -> 97 in another, as the host's speed drifts),
-and the benchmark's ball round trip peaked at 174 MB of RSS, not 166, with
-a second share's work space.  numpy's BLAS and FFT calls release the GIL,
+call of one block, and a windowed sum, run inline and start no thread.
+Shares make a many-row call faster on more cores, at the cost of a work
+space each (BENCH_pr28.json).  numpy's BLAS and FFT calls release the GIL,
 but BLAS threads of its own compete with the shares for the cores: run BLAS
 on one thread (OPENBLAS_NUM_THREADS=1).
 """
@@ -180,11 +178,10 @@ def _run_shares(start, rows: int, step: int) -> None:
     only once all shares are done.
 
     start() takes a share's work space on this thread: taken on a worker
-    thread, it came from that thread's malloc arena, which kept the freed
-    10.5 MB forward buffer of a ball round trip at (L, P) = (128, 64), and
-    the benchmark's round trip there peaked at 179 MB of RSS, not 174 (166
-    on one share).  At interpreter exit, when no thread may start, every
-    share runs on this thread."""
+    thread, it came from that thread's malloc arena, which kept a freed
+    forward buffer and raised the benchmark's peak RSS (BENCH_pr28.json).
+    At interpreter exit, when no thread may start, every share runs on this
+    thread."""
     global _most_shares
     bounds = _share_bounds(rows, step)
     jobs = [start(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -209,12 +206,11 @@ def _empty(shape: tuple, dtype) -> np.ndarray:
     """np.empty(shape, dtype), over recycled storage (flaglets._buffers) when
     it holds more than _FOLD_CHUNK_BYTES and at most _FFT_BLOCK_BYTES.
 
-    A larger buffer goes back to the operating system once freed: recycled
-    too, the 33.4 MB grid and the 16.8 and 9.4 MB work buffers of a ball
-    round trip at (L, P) = (128, 64) raised its benchmark peak RSS from 166
-    to 192 MB.  A smaller one the allocator's heap serves warm without a
-    fault, and recycled, the 0.5 MB grids of flaglet denoising at L = P = 32
-    made its ops 3.5% slower."""
+    A larger buffer goes back to the operating system once freed, so the
+    recycler never holds a ball round trip's full-size grids and work
+    buffers, which raised its peak RSS.  A smaller one the allocator's heap
+    serves warm without a fault, where recycling made flaglet denoising's
+    small grids slower (both in BENCH_pr27.json)."""
     dtype = np.dtype(dtype)
     nbytes = math.prod(shape) * dtype.itemsize
     if not _FOLD_CHUNK_BYTES < nbytes <= _FFT_BLOCK_BYTES:
@@ -414,21 +410,21 @@ def _legendre_tiles(L: int, orders: int, depth: int, m_first: int, invariants: t
 
     A kept tile is order-major in memory.  The reused one is degree-major,
     (depth, orders, n) seen transposed, so a step writes its row and rescaled
-    box as one block, not as `orders` pieces 8 depth n bytes apart: a pass
-    took 31.6 -> 27.6 ms at L = 288 and 161 -> 139 ms at 512 (kept L = 256
-    tiles laid out so made a one-row round trip 3% slower).
+    box as one block, not as `orders` pieces 8 depth n bytes apart, which
+    made a pass faster past the cache (kept tiles laid out so made a cached
+    round trip slower; BENCH_pr25.json).
 
     The pass steps from `invariants`, a plan's kept lists or _pass_invariants
     made as it goes: each group's (seed_u, box), copied since the recurrence
     steps in its memory, each tile's coefficients, and the nodes x_j repeated
-    for `orders` orders, so x u is one contiguous product (27.6 -> 26.5 ms).
-    The reused tile buffer and the scratch are recycled storage when their
-    size allows (_empty), so a warm pass faults no page; a whole group's
-    tile, which a cached plan keeps, is a plain array.  A rescale is tested for only once a scalar bound
-    on the box, grown step by step by the largest coefficients of the tile,
-    may pass _RESCALE_THRESHOLD, so rescales fire at the same steps as a test
-    on every step would: a pass at L = 288 reads the box 0 times, not 362,
-    and at 1024 181 times, not 7,618.
+    for `orders` orders, so x u is one contiguous product.  The reused tile
+    buffer and the scratch are recycled storage when their size allows
+    (_empty), so a warm pass faults no page; a whole group's tile, which a
+    cached plan keeps, is a plain array.  A rescale is tested for only once
+    a scalar bound on the box, grown step by step by the largest
+    coefficients of the tile, may pass _RESCALE_THRESHOLD, so rescales fire
+    at the same steps as a test on every step would, and the box is read
+    far less often (BENCH_pr27.json).
     """
     seeds, coeffs, nodes = iter(invariants[0]), iter(invariants[1]), invariants[2]
     n, whole = nodes.shape[1], depth >= L - m_first
@@ -550,16 +546,15 @@ class SpherePlan:
       share of an FFT block: (B, D) = (75, 32) at L = 288 (3-row blocks),
       (128, 32) at 512 and (64, 32) at 1024.  A pass takes about L^2 / 2B
       recurrence steps on arrays of B orders, which stay in cache where all L
-      orders at once did not: against all-order tiles of 10 degrees, a
-      one-row round trip took 0.15 -> 0.10-0.13 s at L = 288, 0.90 -> 0.6-0.7
-      s at 512 and 7.5 -> 4.5-5.5 s at 1024 (one BLAS thread).
+      orders at once did not, so a round trip is faster than with all-order
+      tiles (BENCH_pr23.json).
 
     _tile_shape() chooses between them for tables() and for the forward's
     work space, and _tile_geometry lists a pass's tiles.  Past the cache the
     tiles are stepped anew on every pass, from the maps, sectoral seeds,
     recurrence coefficients and repeated nodes that _kept_tiling makes once
-    and keeps while they fit in _FFT_BLOCK_BYTES: 2.2 MB at L = 288, 8.36 MB
-    at 569, the last L that keeps them.  nbytes counts what the plan holds.
+    and keeps while they fit in _FFT_BLOCK_BYTES (the L that keep them are
+    in BENCH_pr26.json).  nbytes counts what the plan holds.
 
     maps[p] serves parity p of a tile of nb orders from m0 and degrees from
     k0, for real and complex passes alike: `index[i, k', s]` (int32) is the
@@ -659,22 +654,21 @@ class SpherePlan:
         return _nbytes((arrays, self._tiles, self._streamed))
 
     def _prepare(self) -> None:
-        """Make what the plan keeps, once: a cached plan's tiles and maps (its
-        one table pass), or what _kept_tiling decides to keep past the cache
-        (no pass).  Under _build_lock, so threads that reach a fresh plan
-        together build it once; afterwards tables() only reads the plan, and
-        the engine's shares read it from several threads."""
-        cached = self.L <= self._CACHE_LIMIT
-        if (self._tiles if cached else self._streamed) is not None:
-            return
-        with _build_lock:
+        """Make what the plan keeps, once (_made_once over its own attributes):
+        a cached plan's _tiles, its tiles and maps from its one table pass, or
+        past the cache the _streamed tiling that _kept_tiling decides to keep
+        (no pass).  Afterwards tables() only reads the plan, and the engine's
+        shares read it from several threads."""
+
+        def make(name: str):
             L, nodes, shape = self.L, self.rule.nodes[self.half :], self._tile_shape()
-            if cached and self._tiles is None:
-                tiles = _legendre_tiles(L, *shape, 0, _pass_invariants(L, nodes, *shape))
-                maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
-                self._tiles = [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
-            elif not cached and self._streamed is None:
-                self._streamed = self._kept_tiling(nodes, *shape)
+            if name == "_streamed":
+                return self._kept_tiling(nodes, *shape)
+            tiles = _legendre_tiles(L, *shape, 0, _pass_invariants(L, nodes, *shape))
+            maps = itertools.starmap(self._tile_maps, _tile_geometry(L, *shape))
+            return [(*tile, tile_maps) for tile, tile_maps in zip(tiles, maps)]
+
+        _made_once(vars(self), "_tiles" if self.L <= self._CACHE_LIMIT else "_streamed", make)
 
     def tables(self):
         """Yield (m0, k0, tile, maps) over all orders and degrees; see _legendre_tiles.
@@ -771,26 +765,28 @@ def _sht_forward_batch(
 
 
 def _forward_space(plan: SpherePlan, real: bool, width: int):
-    """(rows, buffer) of a forward share whose largest block holds `width`
-    grids: the rows of a fold chunk, and one allocation that holds a block's
-    columns[m, j, s, r] (order m, folded row j, sign s, grid r) and the work
-    space for a chunk of folded rows or a tile's projections and stored
-    degrees (the first tile's are the largest).  Two allocations of about a
-    grid block each upset glibc's dynamic mmap threshold: a cold L = P = 32
-    flaglet denoising pass faulted 56k pages, not 39k.  A real chunk is
-    folded in float64 and its L rfft columns written after it."""
+    """(rows, columns, work) of a forward share whose largest block holds
+    `width` grids: the rows of a fold chunk, room for a block's columns[m,
+    j, s, r] (order m, folded row j, sign s, grid r), and the work space for
+    a chunk of folded rows or a tile's projections and stored degrees (the
+    first tile's are the largest).  The two are views of one allocation,
+    since two of about a grid block each upset glibc's dynamic mmap
+    threshold and made a cold flaglet denoising pass fault more pages
+    (BENCH_pr10.json).  A real chunk is folded in float64 and its L rfft
+    columns written after it."""
     L, nphi, S = plan.L, 2 * plan.L - 1, 1 if real else 2
     rows = min(L, max(1, _FOLD_CHUNK_BYTES // (16 * nphi * width)))
     orders, depth = plan._tile_shape()
     proj_size = orders * ((depth + 1) // 2) * S * width
     fold_size = rows * width * ((nphi + 1) // 2 + L if real else nphi)
-    return rows, _empty((L * L * S * width + max(fold_size, 2 * proj_size),), np.complex128)
+    buf = _empty((L * L * S * width + max(fold_size, 2 * proj_size),), np.complex128)
+    return rows, buf[: L * L * S * width], buf[L * L * S * width :]
 
 
 def _forward_blocks(grids, plan: SpherePlan, real: bool, step: int, out, space, windows=None, total=None):
     """The forward SHT of `grids` in blocks of `step` into the rows of `out`,
     or windowed into `total` through one block's rows of `out`, in the
-    work `space` of _forward_space.
+    (rows, columns, work) `space` of _forward_space.
 
     Per block of grids, chunks of at most
     _FOLD_CHUNK_BYTES of rows are folded about the equator grid by grid,
@@ -808,20 +804,19 @@ def _forward_blocks(grids, plan: SpherePlan, real: bool, step: int, out, space, 
     would hold a full-size Fourier copy.
 
     The output and the columns-and-work buffer are recycled storage (_empty)
-    when their size allows: at L = 288 the 6.3 MB work buffer faulted 1.4k
-    pages a call when it was allocated anew.
-    The returned coefficients keep their storage alive through their views.
+    when their size allows, so a warm call does not fault their pages anew
+    (BENCH_pr27.json).  The returned coefficients keep their storage alive
+    through their views.
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, odd = L - half, L % 2
     folds = (slice(0, nh), slice(nh, L))
     S = 1 if real else 2
-    rows, buf = space
-    work = buf[L * L * S * min(step, max(len(grids), 1)) :]
+    rows, column_buf, work = space
     for start in range(0, len(grids), step):
         block = grids[start : start + step]
         n = len(block)
-        columns = buf[: L * L * S * n].reshape(L, L, S, n)
+        columns = column_buf[: L * L * S * n].reshape(L, L, S, n)
         for j0 in range(0, L, rows):
             j1 = min(j0 + rows, L)
             size = n * (j1 - j0) * nphi
@@ -897,80 +892,75 @@ def _sht_inverse_batch(coeffs: np.ndarray, plan: SpherePlan, real: bool) -> np.n
     spectrum = grids if spectrum is None else spectrum
 
     def start(lo: int, hi: int):
-        sums = _inverse_sums(plan, real, step, hi - lo)
+        space = _inverse_sums(plan, real, step, hi - lo)
         return lambda: _inverse_blocks(
-            rows[lo:hi], plan, real, step, spectrum[lo:hi], grids[lo:hi], sums
+            rows[lo:hi], plan, real, step, spectrum[lo:hi], grids[lo:hi], space
         )
 
     _run_shares(start, len(rows), step)
     return grids.reshape(coeffs.shape[:-1] + (L, 2 * L - 1))
 
 
-def _inverse_sums(plan: SpherePlan, real: bool, step: int, n: int) -> np.ndarray:
-    """One allocation for an inverse share of n rows in blocks of `step`: the
-    first (largest) group's sums and, for a tiled group, its sums for every
-    block of rows and the later tiles' scratch of one parity's sums for one
-    block (_inverse_blocks)."""
+def _inverse_sums(plan: SpherePlan, real: bool, step: int, n: int):
+    """(scratch, sums) of an inverse share of n rows in blocks of `step`, in
+    one allocation: sums[b] is room for the first (largest) group's sums of
+    block b of rows, and scratch (float64) for one parity's sums of a group
+    for one block.  Past the cache, where a group has several tiles, every
+    block has sums of its own; where a group is one tile, every block gets
+    the same view, and no scratch is needed (_inverse_blocks)."""
     L = plan.L
     _, _, nb, dk = next(_tile_geometry(L, *plan._tile_shape()))
-    tiled = dk < L
-    blocks = -(-n // step) if tiled else 1
-    per_order = (L - plan.half) * (1 if real else 2) * min(step, max(n, 1))
-    return _empty(((2 * blocks + tiled) * nb * per_order,), np.complex128)
+    tiled, blocks = dk < L, -(-n // step)
+    kept = blocks if tiled else 1
+    one = nb * (L - plan.half) * (1 if real else 2) * min(step, max(n, 1))
+    buf = _empty(((2 * kept + tiled) * one,), np.complex128)
+    sums = [buf[2 * one * (b % kept) :][: 2 * one] for b in range(blocks)]
+    return buf[2 * one * kept :].view(np.float64), sums
 
 
-def _inverse_blocks(rows: np.ndarray, plan: SpherePlan, real: bool, step: int, g, grids, buf):
+def _inverse_blocks(rows: np.ndarray, plan: SpherePlan, real: bool, step: int, g, grids, space):
     """The inverse SHT of `rows` (n, L^2) in blocks of `step` into `grids`
     (n, L, 2L-1), through `g`, their m >= 0 half spectrum (n, L, L) for real
-    rows and `grids` itself for complex ones, with the sums `buf` of
-    _inverse_sums.
+    rows and `grids` itself for complex ones, in the (scratch, sums) `space`
+    of _inverse_sums.
 
     A tile from k0 = 0 starts a group of orders; the later tiles of a pass
     hold those of its orders that still run.  For each tile and block of
-    rows, the tile's maps gather the +m and -m
-    coefficients of each parity (S = 2), or only the +m ones of real rows
-    (S = 1), and one stacked GEMM per parity synthesises the even and odd
-    sums S_even, S_odd on the half nodes into the order-major buffer
-    sums[parity, order, node, s, row].  A tile from k0 = 0 writes it; a
-    later tile adds its GEMM there through a scratch of one parity's sums of
-    the group for one block of rows.  Past the cache a group has several
-    tiles, so the buffer holds its sums for every block of rows, each block
-    at its own offset: a share makes one table pass, and gives the bytes of
-    one call per block.  A cached plan's groups are one tile each, which
-    reuse one block's sums.  After a group's last tile f(+-x) = S_even +-
-    S_odd is written into its orders' Fourier columns once, which are then
-    signed, scaled and inverse-FFT'd: in place, or for real rows from the
-    half spectrum by irfft into `grids`.
+    rows, the tile's maps gather the +m and -m coefficients of each parity
+    (S = 2), or only the +m ones of real rows (S = 1), and one stacked GEMM
+    per parity synthesises the even and odd sums S_even, S_odd on the half
+    nodes into the block's order-major sums[parity, order, node, s, row].  A
+    tile from k0 = 0 writes them; a later tile adds its GEMM there through
+    the scratch.  Past the cache a group has several tiles, so every block
+    of rows has sums of its own: a share makes one table pass, and gives
+    the bytes of one call per block.  A cached plan's groups are one tile
+    each, and every block reuses the same sums.  After a group's last tile
+    f(+-x) = S_even +- S_odd is written into its orders' Fourier columns
+    once, which are then signed, scaled and inverse-FFT'd: in place, or for
+    real rows from the half spectrum by irfft into `grids`.
 
     The grids, the half spectrum of real rows, and the sums and scratch are
-    recycled storage (_empty) when their size allows: with the streamed tile
-    buffer of _legendre_tiles they faulted 1.5-2.0k pages a call at L = 288
-    when allocated anew (a 5.3 MB complex grid, a 2.8 MB tile).
+    recycled storage (_empty) when their size allows, so a warm call does
+    not fault their pages anew (BENCH_pr27.json).
     """
     L, nphi, half = plan.L, 2 * plan.L - 1, plan.half
     nh, S = L - half, 1 if real else 2
     north, south = g[:, half:], g[:, nh - 1 :: -1]
-    per_order, stride = nh * S * min(step, max(len(rows), 1)), None
+    scratch, block_sums = space
     for m0, k0, tile, maps in plan.tables():
         nb, dk = tile.shape[:2]
-        if stride is None:  # the first (largest) group: its sums for each block at `stride`
-            tiled = dk < L
-            stride = 2 * nb * per_order if tiled else 0
-            blocks = -(-len(rows) // step) if tiled else 1
-            scratch = buf[2 * nb * blocks * per_order :].view(np.float64)
         if k0 == 0:
             group = nb
-        for start in range(0, len(rows), step):
+        for start, flat in zip(range(0, len(rows), step), block_sums):
             block = rows[start : start + step]
             n = len(block)
-            at = start // step * stride
-            sums = buf[at : at + 2 * group * nh * S * n].reshape(2, group, nh, S, n)
+            sums = flat[: 2 * group * nh * S * n].reshape(2, group, nh, S, n)
             for p, (index, *_) in enumerate(maps):
                 values = tile[:, (p - k0) % 2 :: 2].transpose(0, 2, 1)
                 sums_p = sums[p].view(np.float64).reshape(group, nh, 2 * S * n)
                 out = scratch[: nb * nh * 2 * S * n].reshape(nb, nh, 2 * S * n) if k0 else sums_p
-                # the gather is freed before the next one: holding two at once
-                # raised the peak RSS of a 64-shell inverse at L = 128 by 1.5 MB
+                # the gather is freed before the next one, so a call's peak
+                # memory holds one gather, not two
                 np.matmul(
                     values,
                     block.T[index[..., :S]].view(np.float64).reshape(nb, -1, 2 * S * n),

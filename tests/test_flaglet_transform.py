@@ -21,6 +21,7 @@ from flaglets.kernel_tiling import (
     TilingParams,
     build_flaglet_kernels,
     flaglet_parts,
+    radial_nbytes,
     scale_band_limit,
     scale_range,
 )
@@ -169,14 +170,15 @@ class TestPartPlan:
         limits = BandLimits(16, 16, 1.0)
         params = TilingParams(lam=2.0, nu=2.0, j0_ang=1, j0_rad=1)
         kernels = build_flaglet_kernels(limits, params)
-        plan = kernels.part_plan(multires)
-        assert kernels.part_plan(multires) is plan
+        groups = kernels.part_plan(multires)
+        assert kernels.part_plan(multires) is groups
         keys, bands = flaglet_parts(limits, params, multires)
-        parts = [part for group in plan.groups for part in group.parts]
+        # the parts' keys and limits, in storage order, are the layout's
+        parts = [part for group in groups for part in group.parts]
         assert all(isinstance(part, FlagletPart) for part in parts)
         assert [part.key for part in parts] == ["scaling", *keys]
-        assert [(part.limits.L, part.limits.P) for part in parts] == bands
-        assert plan.keys == keys and plan.limits == [part.limits for part in parts]
+        want = [BandLimits(lj, pj, limits.tau) for lj, pj in bands]
+        assert [part.limits for part in parts] == want
         for part in parts:
             if part.key == "scaling":
                 weights = np.ones(limits.P)
@@ -199,15 +201,23 @@ class TestPartPlan:
             assert part.synth is shared[part.key[1]].synth
             assert part.project is shared[part.key[1]].project
         held = [parts[0], *shared.values()]
-        assert plan.nbytes == sum(part.synth.nbytes + part.project.nbytes for part in held)
+        held_bytes = sum(part.synth.nbytes + part.project.nbytes for part in held)
+        assert radial_nbytes(groups) == held_bytes
         # each group's window and plan at its band limit, the scaling part's first
-        assert plan.groups[0].plan is get_plan(limits.L)
-        assert np.array_equal(plan.groups[0].window, kernels.phi.T)
-        for group in plan.groups[1:]:
+        assert groups[0].plan is get_plan(limits.L)
+        assert np.array_equal(groups[0].window, kernels.phi.T)
+        for group in groups[1:]:
             j, lj = group.parts[0].key[0], group.parts[0].limits.L
             assert {part.key[0] for part in group.parts} == {j}
             assert group.plan is get_plan(lj)
             assert np.array_equal(group.window, kernels.kappas_ang[j - params.j0_ang][:lj])
+
+    def test_held_bytes_at_the_benchmark_size(self):
+        # L = P = 32, lam = nu = 2: the radial matrices of each storage mode
+        # held once, as measured when part plans were a class of their own
+        kernels = build_flaglet_kernels(BandLimits(32, 32), TilingParams())
+        assert radial_nbytes(kernels.part_plan(False)) == 45_568
+        assert radial_nbytes(kernels.part_plan(True)) == 39_456
 
     def test_one_plan_per_storage_mode(self):
         kernels = build_flaglet_kernels(BandLimits(8, 8, 1.0), TilingParams())

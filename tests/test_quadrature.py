@@ -37,12 +37,16 @@ class TestGaussLegendre:
         assert abs(rule.weights.sum() - 2.0) < 1e-13
 
     # measured relative weight errors at nodes 0, 1, n/4 and n/2 against 40
-    # digits: 6.9e-13, 1.4e-13, 4.4e-15 and 6.5e-16 at n = 256, and 2.2e-12,
-    # 5.1e-13, 4.0e-15 and 2.4e-15 at n = 1024, the largest at the node
-    # nearest a pole; nodes within 5.3e-17 absolute.  Bounds about 3x these
+    # digits: 6.9e-13, 1.4e-13, 4.4e-15 and 6.5e-16 at n = 256; 2.2e-12,
+    # 5.1e-13, 4.0e-15 and 2.4e-15 at n = 1024; 7.0e-11, 6.0e-13, 3.2e-15 and
+    # 3.8e-15 at n = 2048; 6.7e-11, 1.7e-11, 1.4e-14 and 4.0e-15 at n = 4096
+    # (MAX_BAND_LIMIT), the largest at the node nearest a pole; nodes within
+    # 5.3e-17 absolute.  Bounds about 3x these
     @pytest.mark.parametrize("n, bounds", [
         (256, (2e-12, 5e-13, 2e-14, 3e-15)),
         (1024, (7e-12, 2e-12, 2e-14, 1e-14)),
+        (2048, (2e-10, 2e-12, 1e-14, 1.2e-14)),
+        (4096, (2e-10, 5e-11, 4e-14, 1.2e-14)),
     ])
     def test_nodes_and_weights_against_mpmath(self, n, bounds):
         import mpmath as mp

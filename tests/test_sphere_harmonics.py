@@ -1119,6 +1119,42 @@ class TestConcurrentCallers:
         want = (grid.values.tobytes(), flag_forward(grid).coeffs.tobytes())
         assert results == [want] * 3
 
+    def test_threads_at_a_fresh_plan_past_the_cache_decide_once(self, monkeypatch):
+        # 3 threads start a table pass of one plan past the cache that has not
+        # decided yet what to keep: _kept_tiling runs once, and every pass
+        # steps from what it kept
+        plan = SpherePlan(257)
+        decided = []
+        real_kept = SpherePlan._kept_tiling
+
+        def slow_kept(self, *args):
+            decided.append(self.L)
+            time.sleep(0.05)  # widens the window in which a second decision would start
+            return real_kept(self, *args)
+
+        monkeypatch.setattr(SpherePlan, "_kept_tiling", slow_kept)
+        start = threading.Barrier(3)
+        kept = [None] * 3
+
+        def first_tile(i):
+            start.wait()
+            next(plan.tables())
+            kept[i] = plan._streamed
+
+        threads = [threading.Thread(target=first_tile, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, where a race would show
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert decided == [257] and kept[0]
+        assert all(k is kept[0] for k in kept)
+
 
 class TestForwardBatchInput:
     @pytest.mark.parametrize("L", [1, 2, 7, 32, 33, 128])
